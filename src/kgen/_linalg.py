@@ -1,6 +1,8 @@
 """Small dense-matrix helpers: Hermitian functional calculus and norms.
 
-Everything operates on plain complex ndarrays.  Matrix functions go through
+Everything operates on plain complex ndarrays and acts on the last two axes,
+so a stack of matrices of shape (..., N, N) is processed in one call and a
+single matrix is a stack of one.  Matrix functions go through
 eigendecomposition, which is adequate for the desk-scale sizes used here
 (N <= 64) and keeps scipy out of the dependency set.
 """
@@ -15,7 +17,7 @@ CLAMP_TOL = 1e-14
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return a.conj().swapaxes(-1, -2)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -24,41 +26,34 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def hermiticity_residual(a: np.ndarray) -> float:
-    return max_abs(a - dagger(a))
+def sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row, rounded as ``np.dot(row, row)`` is."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
 def func_of_hermitian(a: np.ndarray, f) -> np.ndarray:
-    """Apply the scalar function ``f`` to a Hermitian matrix by eigendecomposition."""
+    """Apply the scalar function ``f`` to Hermitian matrices by eigendecomposition."""
     vals, vecs = np.linalg.eigh(a)
-    return (vecs * f(vals)) @ dagger(vecs)
+    return (vecs * f(vals)[..., None, :]) @ dagger(vecs)
 
 
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
+    """Hermitian square root of positive-semidefinite matrices.
 
     Tiny negative eigenvalues from roundoff are clamped to zero before the
     square root is taken.
     """
-    vals, vecs = np.linalg.eigh(a)
-    vals = np.where(vals < CLAMP_TOL, np.maximum(vals, 0.0), vals)
-    return (vecs * np.sqrt(vals)) @ dagger(vecs)
+    return func_of_hermitian(
+        a, lambda vals: np.sqrt(np.where(vals < CLAMP_TOL, np.maximum(vals, 0.0), vals))
+    )
 
 
 def inv_sqrt_spd(a: np.ndarray) -> np.ndarray:
     """Inverse Hermitian square root; intended for matrices >= identity."""
     vals, vecs = np.linalg.eigh(a)
-    return (vecs / np.sqrt(vals)) @ dagger(vecs)
+    return (vecs / np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(a, 2))
-
-
-def min_singular_value(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def block_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.block([[a, b], [c, d]])
+def operator_norm(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in the stack."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))

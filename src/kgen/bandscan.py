@@ -31,7 +31,6 @@ from .fields import EUCLIDEAN, MatrixPolyField
 from .serialize import matrix_from_json, matrix_to_json, terms_from_json, terms_to_json
 
 HERMITICITY_TOL = 1e-12
-CHIRAL_TOL = 1e-10
 GAP_TOL = 1e-8
 MERGE_RADIUS = 1e-3
 
@@ -65,11 +64,8 @@ class BandModel:
             raise HermiticityError(
                 f"non-Hermitian coefficients at multi-indices {sorted(bad)}"
             )
-        rng = np.random.default_rng(11)
-        probes = 2.0 * rng.standard_normal((40, self.field.ambient_dim))
-        worst = generators.selfadjointness_residual(self.field, probes)
-        if worst > HERMITICITY_TOL:
-            raise HermiticityError(f"sampled Hermiticity residual {worst}")
+        if not np.isfinite(self.fermi):
+            raise ModelFormatError(f"Fermi level must be finite, got {self.fermi}")
 
         if self.chiral is not None:
             j = np.array(self.chiral, dtype=complex)
@@ -85,7 +81,7 @@ class BandModel:
             bad = [
                 alpha
                 for alpha, mat in self.field.terms.items()
-                if max_abs(j @ mat + mat @ j) > CHIRAL_TOL
+                if max_abs(j @ mat + mat @ j) > generators.CHIRAL_TOL
             ]
             if bad:
                 raise ChiralSymmetryError(
@@ -143,10 +139,14 @@ class BandModel:
         chiral = payload.get("chiral")
         if chiral is not None:
             chiral = matrix_from_json(chiral)
+        try:
+            fermi = float(payload.get("fermi", 0.0))
+        except (TypeError, ValueError):
+            raise ModelFormatError(f"'fermi' must be a number, got {payload['fermi']!r}") from None
         return cls(
             field=fld,
             chiral=chiral,
-            fermi=float(payload.get("fermi", 0.0)),
+            fermi=fermi,
             name=payload.get("name"),
             comment=payload.get("comment"),
         )
@@ -215,13 +215,17 @@ def _gap_batch(model: BandModel, points) -> np.ndarray:
     return np.min(np.abs(vals - model.fermi), axis=1)
 
 
-def _normalize_box(box, dim: int):
+def _box_grid(box, dim: int, n: int):
+    """Validated box and its regular n-per-axis grid: (box, axes, points, shape)."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != dim:
         raise ValueError(f"box must have {dim} (lo, hi) pairs")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box intervals must be nondegenerate")
-    return box
+    axes = [np.linspace(lo, hi, n) for lo, hi in box]
+    # Stacking the copy-free meshgrid views allocates the point array once.
+    grid = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    return box, axes, grid.reshape(-1, dim), grid.shape[:-1]
 
 
 def _pattern_search(func, start, step0, box, max_iter=200, min_step=1e-12, target=None):
@@ -269,6 +273,24 @@ def _coarse_minima(gaps: np.ndarray) -> list:
     return list(zip(*np.nonzero(is_min)))
 
 
+def _refined_minima(model: BandModel, box, coarse_n: int, target=None) -> list:
+    """Pattern-search refinements ``(point, gap)`` of every local minimum of
+    the gap on the coarse box grid, in grid order."""
+    box, axes, points, shape = _box_grid(box, model.dimension, coarse_n)
+    gaps = _gap_batch(model, points).reshape(shape)
+    spacing = max((hi - lo) / (coarse_n - 1) for lo, hi in box)
+    return [
+        _pattern_search(
+            lambda x: gap_at(model, x),
+            np.array([axis[i] for axis, i in zip(axes, idx)]),
+            spacing,
+            box,
+            target=target,
+        )
+        for idx in _coarse_minima(gaps)
+    ]
+
+
 def find_crossings(
     model: BandModel,
     box,
@@ -285,29 +307,11 @@ def find_crossings(
     """
     if coarse_n < 8:
         raise ValueError(f"coarse grid must have at least 8 points per axis, got {coarse_n}")
-    dim = model.dimension
-    box = _normalize_box(box, dim)
-
-    axes = [np.linspace(lo, hi, coarse_n) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    gaps = _gap_batch(model, points).reshape(mesh[0].shape)
-
-    spacing = max((hi - lo) / (coarse_n - 1) for lo, hi in box)
-    candidates = []
-    for idx in _coarse_minima(gaps):
-        start = np.array([axes[a][idx[a]] for a in range(dim)])
-        refined, value = _pattern_search(
-            lambda x: gap_at(model, x),
-            start,
-            spacing,
-            box,
-            target=gap_tol * 0.1,
-        )
-        if value < gap_tol:
-            candidates.append((value, tuple(refined)))
-
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    candidates = sorted(
+        (value, tuple(refined))
+        for refined, value in _refined_minima(model, box, coarse_n, target=gap_tol * 0.1)
+        if value < gap_tol
+    )
     kept: list = []
     for value, point in candidates:
         if all(
@@ -324,18 +328,8 @@ def min_gap(model: BandModel, box, coarse_n: int = 16):
     Returns ``(value, location)``.  Unlike :func:`find_crossings` the result is
     kept even when the gap does not close; used to measure mass gaps.
     """
-    dim = model.dimension
-    box = _normalize_box(box, dim)
-    axes = [np.linspace(lo, hi, coarse_n) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    gaps = _gap_batch(model, points).reshape(mesh[0].shape)
-    spacing = max((hi - lo) / (coarse_n - 1) for lo, hi in box)
-
     best_val, best_loc = np.inf, None
-    for idx in _coarse_minima(gaps):
-        start = np.array([axes[a][idx[a]] for a in range(dim)])
-        refined, value = _pattern_search(lambda x: gap_at(model, x), start, spacing, box)
+    for refined, value in _refined_minima(model, box, coarse_n):
         if value < best_val:
             best_val, best_loc = value, refined
     return float(best_val), best_loc
@@ -466,10 +460,5 @@ def scan(model: BandModel, box, config: ScanConfig = ScanConfig()) -> list:
 
 def gap_map(model: BandModel, box, n: int) -> np.ndarray:
     """Gap sampled on a regular grid; rows are (x_1, ..., x_m, gap)."""
-    dim = model.dimension
-    box = _normalize_box(box, dim)
-    axes = [np.linspace(lo, hi, n) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    gaps = _gap_batch(model, points)
-    return np.column_stack([points, gaps])
+    _, _, points, _ = _box_grid(box, model.dimension, n)
+    return np.column_stack([points, _gap_batch(model, points)])

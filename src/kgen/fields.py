@@ -4,7 +4,7 @@
 to coefficient matrices.  Evaluation and partial derivatives are exact, which
 is what lets the charge quadratures downstream avoid numerical
 differentiation altogether.  :class:`EvaluableField` wraps an arbitrary
-pointwise evaluator for the non-polynomial objects (bounded transforms,
+batch evaluator for the non-polynomial objects (bounded transforms,
 connecting-map images).
 """
 
@@ -219,7 +219,11 @@ class MatrixPolyField:
 
 @dataclass(frozen=True)
 class EvaluableField:
-    """General matrix-valued function given by a pointwise evaluator."""
+    """General matrix-valued function given by a batch evaluator.
+
+    ``evaluator`` maps an (M, ambient_dim) array of points to the (M, size,
+    size) stack of values at those points.
+    """
 
     ambient_dim: int
     size: int
@@ -227,19 +231,20 @@ class EvaluableField:
     domain: str = EUCLIDEAN
 
     def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient_dim,):
-            raise DimensionMismatchError(
-                f"point must have shape ({self.ambient_dim},), got {x.shape}"
-            )
-        out = np.asarray(self.evaluator(x), dtype=complex)
-        if out.shape != (self.size, self.size):
-            raise DimensionMismatchError(f"evaluator returned shape {out.shape}")
-        return out
+        return self.evaluate_batch(np.asarray(x, dtype=float)[None])[0]
 
     def evaluate_batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return np.stack([self.evaluate(p) for p in pts])
+        if pts.ndim != 2 or pts.shape[1] != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"points must have shape (M, {self.ambient_dim}), got {pts.shape}"
+            )
+        out = np.asarray(self.evaluator(pts), dtype=complex)
+        if out.shape != (pts.shape[0], self.size, self.size):
+            raise DimensionMismatchError(
+                f"evaluator returned shape {out.shape} for {pts.shape[0]} points"
+            )
+        return out
 
     def continuity_residual(self, probes: int = 25, step: float = 1e-7, seed: int = 0) -> float:
         """Spot-check continuity: max ||F(x) - F(x + h)|| over random probes."""
@@ -250,12 +255,9 @@ class EvaluableField:
             pts = ball_points(self.ambient_dim, probes, rng, max_norm=1.0 - 10 * step)
         else:
             pts = 3.0 * rng.standard_normal((probes, self.ambient_dim))
-        worst = 0.0
-        for p in pts:
-            bump = rng.standard_normal(self.ambient_dim)
-            bump *= step / np.linalg.norm(bump)
-            q = p + bump
-            if self.domain == SPHERE:
-                q = q / np.linalg.norm(q)
-            worst = max(worst, max_abs(self.evaluate(p) - self.evaluate(q)))
-        return worst
+        bumps = rng.standard_normal((probes, self.ambient_dim))
+        bumps *= step / np.linalg.norm(bumps, axis=1, keepdims=True)
+        shifted = pts + bumps
+        if self.domain == SPHERE:
+            shifted /= np.linalg.norm(shifted, axis=1, keepdims=True)
+        return max_abs(self.evaluate_batch(pts) - self.evaluate_batch(shifted))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford, generators
-from ._linalg import block_2x2, dagger, func_of_hermitian, max_abs, operator_norm, sqrt_psd
+from ._linalg import dagger, func_of_hermitian, max_abs, operator_norm, sq_norms, sqrt_psd
 from .errors import DomainError, LiftInvalidError, PoleError
 from .fields import DISC, EvaluableField
 from .sampling import ball_points, sphere_points
@@ -81,17 +81,26 @@ def chart(y) -> ChartPoint:
 
 
 def chart_inverse(x) -> ChartPoint:
-    """Invert :func:`chart`; defined away from the north pole (0, ..., 0, 1)."""
+    """Invert :func:`chart`; defined away from the north pole (0, ..., 0, 1).
+
+    Acts on the last axis, so an (M, m + 1) array of sphere points gives a
+    :class:`ChartPoint` whose fields are (M, ...) arrays.
+    """
     x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if abs(norm - 1.0) > 1e-9:
-        raise DomainError(f"chart_inverse requires a unit vector, got ||x|| = {norm}")
-    last = float(x[-1])
-    if last >= 1.0 - 1e-15:
+    off = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0), initial=0.0)
+    if off > 1e-9:
+        raise DomainError(f"chart_inverse requires unit vectors; ||x|| is off 1 by {off}")
+    last = x[..., -1:]
+    if np.any(last >= 1.0 - 1e-15):
         raise PoleError("chart_inverse is undefined at the north pole")
-    y = x[:-1] / np.sqrt(2.0 * (1.0 - last))
-    z = x[:-1] / (1.0 - last)
+    y = x[..., :-1] / np.sqrt(2.0 * (1.0 - last))
+    z = x[..., :-1] / (1.0 - last)
     return ChartPoint(disc_y=y, euclid_z=z, sphere_x=x)
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
 
 def _lift_samples(ambient_dim: int, count: int = 120):
@@ -113,24 +122,20 @@ def index_map(b_field) -> EvaluableField:
     """
     n = b_field.size
     eye = np.eye(n, dtype=complex)
-    interior, boundary = _lift_samples(b_field.ambient_dim)
-    worst = max(
-        operator_norm(b_field.evaluate(y)) for y in np.vstack([interior, boundary])
-    )
+    samples = np.vstack(_lift_samples(b_field.ambient_dim))
+    worst = float(np.max(operator_norm(b_field.evaluate_batch(samples))))
     if worst > 1.0 + LIFT_TOL:
         raise LiftInvalidError(f"lift is not a contraction: max norm {worst}")
 
-    def evaluator(y):
-        b = b_field.evaluate(y)
+    def evaluator(points):
+        b = b_field.evaluate_batch(points)
         bd = dagger(b)
         s_right = sqrt_psd(eye - bd @ b)  # sqrt(1 - B*B)
         s_left = sqrt_psd(eye - b @ bd)  # sqrt(1 - BB*)
-        return block_2x2(
-            2.0 * b @ bd - eye,
-            2.0 * b @ s_right,
-            2.0 * bd @ s_left,
-            eye - 2.0 * bd @ b,
-        )
+        return np.block([
+            [2.0 * b @ bd - eye, 2.0 * b @ s_right],
+            [2.0 * bd @ s_left, eye - 2.0 * bd @ b],
+        ])
 
     return EvaluableField(b_field.ambient_dim, 2 * n, evaluator, DISC)
 
@@ -153,24 +158,20 @@ def exp_map(b_field, convention: str = "forward") -> EvaluableField:
         raise ValueError(f"unknown convention {convention!r}")
     sign = 1.0 if convention == "adjoint" else -1.0
     interior, boundary = _lift_samples(b_field.ambient_dim)
-    worst = 0.0
-    for y in np.vstack([interior, boundary]):
-        b = b_field.evaluate(y)
-        worst = max(worst, max_abs(b - dagger(b)))
+    b = b_field.evaluate_batch(np.vstack([interior, boundary]))
+    worst = max_abs(b - dagger(b))
     if worst > LIFT_TOL:
         raise LiftInvalidError(f"lift is not self-adjoint: residual {worst}")
-    worst = max(operator_norm(b_field.evaluate(y)) for y in interior)
+    worst = float(np.max(operator_norm(b[: len(interior)])))
     if worst > 1.0 + LIFT_TOL:
         raise LiftInvalidError(f"lift is not a contraction: max norm {worst}")
 
-    def evaluator(y):
-        b = b_field.evaluate(y)
+    def f(vals):
+        vals = np.clip(vals, -1.0, 1.0)
+        return vals * np.sqrt(1.0 - vals**2) + 1j * sign * (1.0 - 2.0 * vals**2)
 
-        def f(vals):
-            vals = np.clip(vals, -1.0, 1.0)
-            return vals * np.sqrt(1.0 - vals**2) + 1j * sign * (1.0 - 2.0 * vals**2)
-
-        return func_of_hermitian(b, f)
+    def evaluator(points):
+        return func_of_hermitian(b_field.evaluate_batch(points), f)
 
     return EvaluableField(b_field.ambient_dim, b_field.size, evaluator, DISC)
 
@@ -211,6 +212,7 @@ def homotopy_scan(
     """
     if d % 2 != 0:
         raise ValueError(f"the scanned lift requires even d, got {d}")
+    _check_samples(samples)
     if rep is None:
         rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
@@ -251,6 +253,7 @@ def verify_index_identity(
     """
     if d % 2 != 1 or d > 5:
         raise ValueError(f"supported odd dimensions are 1, 3, 5; got {d}")
+    _check_samples(samples)
     if rep is None:
         rep = clifford.build_rep(d, clifford.LEFT)
     lift = generators.dirac_phase_field(d, rep, domain=DISC)
@@ -259,23 +262,20 @@ def verify_index_identity(
     weyl = generators.weyl_field(d + 1, extended)
 
     rng = np.random.default_rng(seed)
+    kept_y, kept_x = [], []
     kept = 0
-    worst = 0.0
     while kept < samples:
         batch = sphere_points(d + 2, max(64, samples), rng)
-        for x in batch:
-            if kept >= samples:
-                break
-            point = None
-            try:
-                point = chart_inverse(x)
-            except PoleError:
-                continue
-            if np.linalg.norm(point.disc_y) > BALL_CUTOFF:
-                continue
-            residual = max_abs(v_field.evaluate(point.disc_y) - weyl.evaluate(x))
-            worst = max(worst, residual)
-            kept += 1
+        batch = batch[batch[:, -1] < 1.0 - 1e-15]  # chart_inverse excludes the pole
+        y = chart_inverse(batch).disc_y
+        inside = np.sqrt(sq_norms(y)) <= BALL_CUTOFF
+        take = slice(0, samples - kept)
+        kept_y.append(y[inside][take])
+        kept_x.append(batch[inside][take])
+        kept += len(kept_y[-1])
+    worst = max_abs(
+        v_field.evaluate_batch(np.vstack(kept_y)) - weyl.evaluate_batch(np.vstack(kept_x))
+    )
     return {
         "suite": "index",
         "d": int(d),
@@ -303,6 +303,7 @@ def verify_exp_identity(
     """
     if d % 2 != 0 or d > 4:
         raise ValueError(f"supported even dimensions are 2, 4; got {d}")
+    _check_samples(samples)
     if rep is None:
         rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
@@ -311,11 +312,9 @@ def verify_exp_identity(
 
     rng = np.random.default_rng(seed)
     points = ball_points(d + 1, samples, rng, max_norm=BALL_CUTOFF)
-    worst = 0.0
-    for y in points:
-        r2 = float(np.dot(y, y))
-        x = np.concatenate([y * np.sqrt(1.0 - r2), [2.0 * r2 - 1.0]])
-        worst = max(worst, max_abs(image.evaluate(y) - dirac.evaluate(x)))
+    r2 = sq_norms(points)[:, None]
+    x = np.hstack([points * np.sqrt(1.0 - r2), 2.0 * r2 - 1.0])
+    worst = max_abs(image.evaluate_batch(points) - dirac.evaluate_batch(x))
     return {
         "suite": "exp",
         "d": int(d),

@@ -25,6 +25,8 @@ def matrix_from_json(data) -> np.ndarray:
         raise ModelFormatError(
             f"complex matrix must be square with [re, im] entries, got shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError("complex matrix has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

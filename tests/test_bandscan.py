@@ -79,6 +79,15 @@ def test_model_rejects_mass_term_with_chiral():
     assert "(0, 0)" in str(info.value)
 
 
+def test_model_rejects_term_chiral_only_to_rounding_scale():
+    # 5e-11 anti-commutation defect: above the one chiral tolerance (1e-12)
+    # shared with the chiral block extraction, so the model fails at load
+    # instead of loading and failing later in charge_crossing.
+    terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2, (0, 0): 2.5e-11 * SIGMA_3}
+    with pytest.raises(ChiralSymmetryError):
+        BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3)
+
+
 def test_model_rejects_bad_chiral_matrix():
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
     with pytest.raises(ChiralSymmetryError):
@@ -123,6 +132,22 @@ def test_load_rejects_schema_violations(tmp_path):
         )
     )
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("where", ["coefficient", "chiral", "fermi"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_load_rejects_non_finite_values(tmp_path, where, value):
+    payload = chiral_dirac_model().to_payload()
+    if where == "coefficient":
+        payload["terms"][0]["matrix"][0][1][0] = value
+    elif where == "chiral":
+        payload["chiral"][1][1][1] = value
+    else:
+        payload["fermi"] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))  # json writes NaN / Infinity tokens
+    with pytest.raises(ModelFormatError, match="finite"):
         load_model(path)
 
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from kgen import bandscan
+from kgen import bandscan, cli
 from kgen.cli import main
 from kgen.fields import EUCLIDEAN, MatrixPolyField
 
@@ -220,6 +220,47 @@ def test_usage_errors_exit_2():
     assert run_cli("verify").returncode == 2  # missing --suite
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("charge", "missing.json", "--radius", "0.5").returncode == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["index", "exp", "homotopy", "fredholm"])
+def test_verify_rejects_nonpositive_samples(capsys, suite, samples):
+    assert main(["verify", "--suite", suite, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples must be >= 1" in captured.err
+
+
+def test_verify_clifford_rejects_empty_range(capsys):
+    assert main(["verify", "--suite", "clifford", "--d", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_json_output_rejects_non_finite(tmp_path):
+    with pytest.raises(ValueError):
+        cli._emit_json({"value": float("inf")}, str(tmp_path / "out.json"))
+
+
+@pytest.mark.parametrize("key", ["terms", "fermi"])
+def test_scan_rejects_non_finite_model(two_weyl_path, tmp_path, capsys, key):
+    with open(two_weyl_path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if key == "terms":
+        payload["terms"][0]["matrix"][0][0][0] = float("nan")
+    else:
+        payload["fermi"] = float("inf")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["scan", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_charge_has_no_threads_option(weyl_path, capsys):
+    argv = ["charge", weyl_path, "--radius", "0.5"]
+    assert main(argv + ["--threads", "2"]) == 2
+    assert main(argv) == 0
 
 
 def test_determinism_verify(tmp_path):

@@ -119,12 +119,29 @@ def test_evaluable_field_continuity_probe():
         generators.weyl_field(2, rep, domain=EUCLIDEAN)
     )
     assert transform.continuity_residual(probes=10) < 1e-5
+    pts = np.random.default_rng(9).standard_normal((7, 3))
+    batch = transform.evaluate_batch(pts)
+    for k, p in enumerate(pts):
+        assert np.allclose(batch[k], transform.evaluate(p), atol=1e-15)
 
 
 def test_evaluable_field_shape_checks():
-    field = EvaluableField(2, 2, lambda x: np.eye(2), DISC)
+    def identities(points):
+        return np.broadcast_to(np.eye(2), (len(points), 2, 2))
+
+    field = EvaluableField(2, 2, identities, DISC)
+    assert np.array_equal(field.evaluate([0.3, 0.1]), np.eye(2))
+    assert field.evaluate_batch(np.zeros((5, 2))).shape == (5, 2, 2)
     with pytest.raises(DimensionMismatchError):
         field.evaluate([1.0])
-    bad = EvaluableField(2, 2, lambda x: np.eye(3), SPHERE)
+    with pytest.raises(DimensionMismatchError):
+        field.evaluate_batch(np.zeros((5, 3)))
+    bad = EvaluableField(2, 2, lambda x: np.broadcast_to(np.eye(3), (len(x), 3, 3)), SPHERE)
     with pytest.raises(DimensionMismatchError):
         bad.evaluate([1.0, 0.0])
+    # An evaluator returning one (N, N) value instead of the (M, N, N) stack
+    # fails loudly, whatever the batch size.
+    per_point = EvaluableField(2, 2, lambda x: np.eye(2), DISC)
+    for count in (1, 2, 3):
+        with pytest.raises(DimensionMismatchError):
+            per_point.evaluate_batch(np.zeros((count, 2)))

@@ -59,9 +59,19 @@ def test_chart_composite_formula():
 def test_chart_round_trip():
     rng = np.random.default_rng(1)
     ys = ball_points(4, 10_000, rng, max_norm=0.999)
-    for y in ys:
-        back = kmaps.chart_inverse(kmaps.chart(y).sphere_x)
+    xs = np.empty((len(ys), 5))
+    for k, y in enumerate(ys):
+        xs[k] = kmaps.chart(y).sphere_x
+        back = kmaps.chart_inverse(xs[k])
         assert np.max(np.abs(back.disc_y - y)) < 1e-12
+    # The stacked call acts row by row with the same results.
+    stacked = kmaps.chart_inverse(xs)
+    assert stacked.disc_y.shape == (len(ys), 4)
+    assert np.max(np.abs(stacked.disc_y - ys)) < 1e-12
+    for k in range(0, len(ys), 997):
+        single = kmaps.chart_inverse(xs[k])
+        assert np.array_equal(stacked.disc_y[k], single.disc_y)
+        assert np.array_equal(stacked.euclid_z[k], single.euclid_z)
 
 
 def test_chart_domain_errors():
@@ -71,6 +81,10 @@ def test_chart_domain_errors():
         kmaps.chart_inverse([0.5, 0.0, 0.0])  # not a unit vector
     with pytest.raises(PoleError):
         kmaps.chart_inverse([0.0, 0.0, 1.0])
+    with pytest.raises(PoleError):
+        kmaps.chart_inverse([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(DomainError):
+        kmaps.chart_inverse([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
 
 
 # -- index map -----------------------------------------------------------------
@@ -99,8 +113,11 @@ def test_index_map_of_circle_generator():
 def test_index_map_output_is_hermitian_unitary():
     v = kmaps.index_map(disc_dirac_lift(3))
     rng = np.random.default_rng(3)
-    for y in ball_points(4, 50, rng):
+    ys = ball_points(4, 50, rng)
+    batch = v.evaluate_batch(ys)
+    for y, from_batch in zip(ys, batch):
         mat = v.evaluate(y)
+        assert np.allclose(from_batch, mat, atol=1e-15)
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-11
         assert np.max(np.abs(mat @ mat - np.eye(4))) < 1e-11
 
@@ -150,8 +167,11 @@ def test_exp_map_eigenvalue_modulus_identity():
     # normality gives M*M = (3 r^4 - 3 r^2 + 1) * identity exactly.
     image = kmaps.exp_map(disc_weyl_lift(2), convention="forward")
     rng = np.random.default_rng(5)
-    for y in ball_points(3, 200, rng):
+    ys = ball_points(3, 200, rng)
+    batch = image.evaluate_batch(ys)
+    for y, from_batch in zip(ys, batch):
         m = image.evaluate(y)
+        assert np.allclose(from_batch, m, atol=1e-15)
         r2 = float(np.dot(y, y))
         expected = (3 * r2 * r2 - 3 * r2 + 1) * np.eye(2)
         assert np.max(np.abs(m.conj().T @ m - expected)) < 1e-13
