@@ -11,8 +11,7 @@ winding of the chiral off-diagonal block on the enclosing circle for m = 2.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,7 +182,6 @@ class ScanConfig:
     merge_radius: float = MERGE_RADIUS
     resolution: int | None = None
     max_radius: float = 0.5
-    threads: int = 1
 
 
 def load_model(path) -> BandModel:
@@ -220,6 +218,8 @@ def _box_grid(box, dim: int, n: int):
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != dim:
         raise ValueError(f"box must have {dim} (lo, hi) pairs")
+    if not np.all(np.isfinite(box)):
+        raise ValueError(f"box bounds must be finite, got {box}")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box intervals must be nondegenerate")
     axes = [np.linspace(lo, hi, n) for lo, hi in box]
@@ -231,45 +231,49 @@ def _box_grid(box, dim: int, n: int):
 def _pattern_search(func, start, step0, box, max_iter=200, min_step=1e-12, target=None):
     """Derivative-free compass descent with shrinking steps, clipped to the box.
 
-    The objective (a spectral gap) is non-smooth at its zeros, which rules out
-    gradient descent; compass polling halves the step whenever no axis move
-    improves.
+    ``func`` maps an ``(M, m)`` array of points to their ``M`` objective
+    values.  The objective (a spectral gap) is non-smooth at its zeros, which
+    rules out gradient descent; each step polls the 2m compass moves
+    +x0, -x0, +x1, ... in one batch, takes the first best move if it strictly
+    improves, and halves the step otherwise.
     """
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     x = np.clip(np.asarray(start, dtype=float), lo, hi)
-    fx = func(x)
+    fx = float(func(x[None, :])[0])
+    rows = np.arange(2 * x.size)
+    axes = rows // 2
+    signs = np.where(rows % 2 == 0, 1.0, -1.0)
     step = float(step0)
     for _ in range(max_iter):
         if target is not None and fx < target:
             break
         if step < min_step:
             break
-        best_x, best_f = None, fx
-        for j in range(x.size):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[j] = min(max(cand[j] + sign * step, lo[j]), hi[j])
-                fc = func(cand)
-                if fc < best_f:
-                    best_f, best_x = fc, cand
-        if best_x is None:
-            step *= 0.5
+        cands = np.repeat(x[None, :], rows.size, axis=0)
+        cands[rows, axes] = np.clip(x[axes] + signs * step, lo[axes], hi[axes])
+        values = func(cands)
+        best = int(np.argmin(values))
+        if values[best] < fx:
+            x, fx = cands[best], float(values[best])
         else:
-            x, fx = best_x, best_f
+            step *= 0.5
     return x, fx
 
 
 def _coarse_minima(gaps: np.ndarray) -> list:
-    """Indices of grid points that are local minima of the gap array."""
+    """Indices of grid points that are local minima of the gap array.
+
+    A point must lie strictly below its earlier neighbour on each axis and no
+    higher than its later one, so a flat plateau yields only its corner nodes
+    (one for a box-shaped plateau such as a constant gap), not every node.
+    """
     padded = np.pad(gaps, 1, mode="constant", constant_values=np.inf)
     is_min = np.ones_like(gaps, dtype=bool)
-    dim = gaps.ndim
-    core = tuple(slice(1, -1) for _ in range(dim))
-    for axis in range(dim):
-        for shift in (1, -1):
-            neighbor = np.roll(padded, shift, axis=axis)[core]
-            is_min &= gaps <= neighbor
+    core = tuple(slice(1, -1) for _ in range(gaps.ndim))
+    for axis in range(gaps.ndim):
+        is_min &= gaps < np.roll(padded, 1, axis=axis)[core]
+        is_min &= gaps <= np.roll(padded, -1, axis=axis)[core]
     return list(zip(*np.nonzero(is_min)))
 
 
@@ -281,7 +285,7 @@ def _refined_minima(model: BandModel, box, coarse_n: int, target=None) -> list:
     spacing = max((hi - lo) / (coarse_n - 1) for lo, hi in box)
     return [
         _pattern_search(
-            lambda x: gap_at(model, x),
+            lambda pts: _gap_batch(model, pts),
             np.array([axis[i] for axis, i in zip(axes, idx)]),
             spacing,
             box,
@@ -353,8 +357,10 @@ def charge_crossing(
     dim = model.dimension
     if point.shape != (dim,):
         raise ValueError(f"point must have shape ({dim},)")
-    if radius <= 0:
-        raise ValueError("enclosure radius must be positive")
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"point must be finite, got {point.tolist()}")
+    if not np.isfinite(radius) or radius <= 0:
+        raise ValueError(f"enclosure radius must be finite and positive, got {radius}")
     resolution = resolution or charge_mod.DEFAULT_RESOLUTION[dim - 1]
 
     grid = charge_mod.sphere_grid(dim - 1, resolution)
@@ -399,7 +405,7 @@ def scan(model: BandModel, box, config: ScanConfig = ScanConfig()) -> list:
     The enclosure radius is half the distance to the nearest other crossing,
     capped by ``config.max_radius`` (the cap is flagged in the report).
     Charging errors are collected per crossing rather than aborting the scan;
-    reports come back sorted by location.
+    reports come back sorted by location, the order of :func:`find_crossings`.
     """
     crossings = find_crossings(
         model,
@@ -408,53 +414,31 @@ def scan(model: BandModel, box, config: ScanConfig = ScanConfig()) -> list:
         gap_tol=config.gap_tol,
         merge_radius=config.merge_radius,
     )
-
-    def radius_for(i: int):
-        if len(crossings) == 1:
-            return config.max_radius, True
+    reports = []
+    for i, point in enumerate(crossings):
         nearest = min(
-            float(np.linalg.norm(crossings[i] - crossings[j]))
-            for j in range(len(crossings))
-            if j != i
+            (float(np.linalg.norm(point - other)) for j, other in enumerate(crossings) if j != i),
+            default=np.inf,
         )
-        auto = 0.5 * nearest
-        if auto >= config.max_radius:
-            return config.max_radius, True
-        return auto, False
-
-    def charge_one(i: int) -> CrossingReport:
-        point = crossings[i]
-        radius, capped = radius_for(i)
+        capped = 0.5 * nearest >= config.max_radius
+        radius = config.max_radius if capped else 0.5 * nearest
         try:
             report = charge_crossing(
                 model, point, radius, resolution=config.resolution, gap_tol=config.gap_tol
             )
-            return CrossingReport(
-                location=report.location,
-                gap_at_location=report.gap_at_location,
-                enclosure_radius=report.enclosure_radius,
-                charge=report.charge,
-                classification=report.classification,
-                radius_capped=capped,
-            )
+            reports.append(replace(report, radius_capped=capped))
         except KgenError as exc:
-            return CrossingReport(
-                location=tuple(float(v) for v in point),
-                gap_at_location=gap_at(model, point),
-                enclosure_radius=float(radius),
-                charge=None,
-                classification=UNCLASSIFIED,
-                radius_capped=capped,
-                error=f"{type(exc).__name__}: {exc}",
+            reports.append(
+                CrossingReport(
+                    location=tuple(float(v) for v in point),
+                    gap_at_location=gap_at(model, point),
+                    enclosure_radius=float(radius),
+                    charge=None,
+                    classification=UNCLASSIFIED,
+                    radius_capped=capped,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
             )
-
-    indices = range(len(crossings))
-    if config.threads > 1 and len(crossings) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            reports = list(pool.map(charge_one, indices))
-    else:
-        reports = [charge_one(i) for i in indices]
-    reports.sort(key=lambda r: r.location)
     return reports
 
 

@@ -12,9 +12,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,36 +30,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs that, together with the thread count, pin down the output bytes."""
-
-    seed: int = 0
-    samples: int | None = None
-    resolution: int | None = None
-    threads: int = 1
-    out: str | None = None
-
-
-def _config_from(args) -> RunConfig:
-    threads = getattr(args, "threads", 1)
-    env = os.environ.get("K_GEN_THREADS")
-    if env is not None and hasattr(args, "threads"):
-        try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(f"K_GEN_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise UsageError("thread count must be >= 1")
-    return RunConfig(
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", None),
-        resolution=getattr(args, "resolution", None),
-        threads=threads,
-        out=args.out,
-    )
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -74,13 +42,13 @@ def _emit_json(payload, out: str | None) -> None:
     _emit(json.dumps(to_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
-def _cmd_clifford(args, config: RunConfig) -> int:
+def _cmd_clifford(args) -> int:
     if args.d > clifford.MAX_D:
         raise UsageError(
             f"d = {args.d} exceeds the size guard d <= {clifford.MAX_D} (matrices up to 64 x 64)"
         )
     rep = clifford.build_rep(args.d, args.handedness)
-    _emit_json(rep.to_payload(), config.out)
+    _emit_json(rep.to_payload(), args.out)
     return EXIT_OK
 
 
@@ -104,7 +72,7 @@ def _generator_field(kind: str, d: int, handedness: str):
     raise UsageError(f"unknown generator kind {kind!r}")
 
 
-def _cmd_generator(args, config: RunConfig) -> int:
+def _cmd_generator(args) -> int:
     if args.d > clifford.MAX_D:
         raise UsageError(f"d = {args.d} exceeds the size guard d <= {clifford.MAX_D}")
     field, grading = _generator_field(args.kind, args.d, args.handedness)
@@ -115,7 +83,7 @@ def _cmd_generator(args, config: RunConfig) -> int:
                 f"--point needs {field.ambient_dim} coordinates, got {len(args.point)}"
             )
         value = field.evaluate(np.asarray(args.point))
-        _emit_json({"point": list(args.point), "value": matrix_to_json(value)}, config.out)
+        _emit_json({"point": list(args.point), "value": matrix_to_json(value)}, args.out)
         return EXIT_OK
 
     name = f"{args.kind}-d{args.d}"
@@ -126,17 +94,17 @@ def _cmd_generator(args, config: RunConfig) -> int:
             fermi=0.0,
             name=name,
         )
-        _emit_json(model.to_payload(), config.out)
+        _emit_json(model.to_payload(), args.out)
     else:
         # The Dirac phase has a non-Hermitian coefficient, so it is emitted in
         # the field schema rather than as a (Hermitian) band model.
         payload = field.with_domain(EUCLIDEAN).to_payload()
         payload["name"] = name
-        _emit_json(payload, config.out)
+        _emit_json(payload, args.out)
     return EXIT_OK
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     suite = args.suite
     if suite == "clifford":
         d_max = args.d if args.d is not None else 9
@@ -162,32 +130,32 @@ def _cmd_verify(args, config: RunConfig) -> int:
         }
     elif suite == "index":
         d = args.d if args.d is not None else 1
-        report = kmaps.verify_index_identity(d, samples=config.samples, seed=config.seed)
+        report = kmaps.verify_index_identity(d, samples=args.samples, seed=args.seed)
     elif suite == "exp":
         d = args.d if args.d is not None else 2
-        report = kmaps.verify_exp_identity(d, samples=config.samples, seed=config.seed)
+        report = kmaps.verify_exp_identity(d, samples=args.samples, seed=args.seed)
     elif suite == "homotopy":
         d = args.d if args.d is not None else 2
-        report = kmaps.homotopy_scan(d, samples=config.samples, seed=config.seed)
+        report = kmaps.homotopy_scan(d, samples=args.samples, seed=args.seed)
     elif suite == "fredholm":
-        report = generators.verify_fredholm(samples=config.samples, seed=config.seed)
+        report = generators.verify_fredholm(samples=args.samples, seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown suite {suite!r}")
 
-    _emit_json(report, config.out)
+    _emit_json(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_NUMERICAL
 
 
-def _cmd_charge(args, config: RunConfig) -> int:
+def _cmd_charge(args) -> int:
     model = bandscan.load_model(args.model)
     center = args.center if args.center is not None else [0.0] * model.dimension
     if len(center) != model.dimension:
         raise UsageError(f"--center needs {model.dimension} coordinates")
     report = bandscan.charge_crossing(
-        model, np.asarray(center, dtype=float), args.radius, resolution=config.resolution
+        model, np.asarray(center, dtype=float), args.radius, resolution=args.resolution
     )
     result = report.charge
-    _emit_json(result.to_payload(), config.out)
+    _emit_json(result.to_payload(), args.out)
     if not result.converged:
         sys.stderr.write(
             "charge failed the integrality check (residual "
@@ -210,16 +178,14 @@ def _parse_box(values, dim: int):
     )
 
 
-def _cmd_scan(args, config: RunConfig) -> int:
+def _cmd_scan(args) -> int:
+    if args.threads < 1:
+        raise UsageError("thread count must be >= 1")
     model = bandscan.load_model(args.model)
     box = _parse_box(args.box, model.dimension)
-    scan_config = bandscan.ScanConfig(
-        coarse_n=args.grid,
-        resolution=config.resolution,
-        threads=config.threads,
-    )
+    scan_config = bandscan.ScanConfig(coarse_n=args.grid, resolution=args.resolution)
     reports = bandscan.scan(model, box, scan_config)
-    _emit_json([r.to_payload() for r in reports], config.out)
+    _emit_json([r.to_payload() for r in reports], args.out)
 
     if args.gap_map is not None:
         rows = bandscan.gap_map(model, box, args.grid)
@@ -285,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=float, nargs="+")
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--resolution", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    # Accepted for old callers and ignored: crossings are charged serially.
+    p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--gap-map")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
@@ -300,7 +267,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args, _config_from(args))
+        return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -333,10 +333,54 @@ def test_scan_single_crossing_uses_capped_radius():
     assert reports[0].radius_capped
 
 
-def test_scan_threads_deterministic():
-    serial = scan(two_weyl_model(), [(-1, 1)] * 3, ScanConfig(threads=1))
-    threaded = scan(two_weyl_model(), [(-1, 1)] * 3, ScanConfig(threads=4))
-    assert [r.to_payload() for r in serial] == [r.to_payload() for r in threaded]
+def constant_gapped_model():
+    terms = {(0, 0, 0): SIGMA_3}
+    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True), name="flat")
+
+
+def test_flat_gap_starts_one_search():
+    assert len(bandscan._coarse_minima(np.zeros((16, 16, 16)))) == 1
+    assert scan(constant_gapped_model(), [(-1, 1)] * 3) == []
+
+
+def compass_reference(func, start, step, box, max_iter=200, min_step=1e-12):
+    """Per-point compass descent: poll +x0, -x0, +x1, ... one at a time and
+    take the first strict improvement over the best so far."""
+    lo, hi = np.array(box).T
+    x = np.clip(np.asarray(start, dtype=float), lo, hi)
+    fx = func(x[None, :])[0]
+    for _ in range(max_iter):
+        if step < min_step:
+            break
+        best_x, best_f = None, fx
+        for j in range(x.size):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[j] = min(max(cand[j] + sign * step, lo[j]), hi[j])
+                fc = func(cand[None, :])[0]
+                if fc < best_f:
+                    best_f, best_x = fc, cand
+        if best_x is None:
+            step *= 0.5
+        else:
+            x, fx = best_x, best_f
+    return x, fx
+
+
+@pytest.mark.parametrize(
+    "start", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.9), (0.3, -0.3, 0.2), (-1.0, 1.0, -1.0)]
+)
+def test_pattern_search_matches_per_point_polling(start):
+    model = two_weyl_model()
+    box = [(-1.0, 1.0)] * 3
+
+    def gaps(points):
+        return bandscan._gap_batch(model, points)
+
+    x, fx = bandscan._pattern_search(gaps, start, 0.25, box)
+    ref_x, ref_fx = compass_reference(gaps, start, 0.25, box)
+    assert x.tolist() == ref_x.tolist()
+    assert fx == ref_fx
 
 
 def test_gap_map_rows():

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -282,21 +283,33 @@ def test_determinism_scan(two_weyl_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threads_env_override(two_weyl_path, tmp_path):
-    import os
+def test_scan_threads_flag_and_env_are_ignored(two_weyl_path):
+    plain = run_cli("scan", two_weyl_path)
+    assert plain.returncode == 0
+    threaded = run_cli("scan", two_weyl_path, "--threads", "2")
+    assert threaded.returncode == 0
+    assert threaded.stdout == plain.stdout
+    env = dict(os.environ, K_GEN_THREADS="zebra")
+    from_env = run_cli("scan", two_weyl_path, env=env)
+    assert from_env.returncode == 0
+    assert from_env.stdout == plain.stdout
+    assert run_cli("scan", two_weyl_path, "--threads", "0").returncode == 2
 
-    env = dict(os.environ)
-    env["K_GEN_THREADS"] = "2"
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    proc = run_cli("scan", two_weyl_path, "--box", "-1", "1", "--out", str(a), env=env)
-    assert proc.returncode == 0
-    proc = run_cli("scan", two_weyl_path, "--box", "-1", "1", "--out", str(b))
-    assert proc.returncode == 0
-    assert a.read_bytes() == b.read_bytes()
 
-    env["K_GEN_THREADS"] = "zebra"
-    proc = run_cli("scan", two_weyl_path, "--box", "-1", "1", env=env)
-    assert proc.returncode == 2
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("scan", ["--box", "nan", "1"]),
+        ("scan", ["--box", "0", "inf"]),
+        ("charge", ["--radius", "nan"]),
+        ("charge", ["--center", "nan", "0", "0", "--radius", "0.5"]),
+    ],
+)
+def test_non_finite_box_center_radius_rejected(weyl_path, capsys, command, extra):
+    assert main([command, weyl_path, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_main_callable_directly(capsys):
