@@ -361,7 +361,8 @@ def charge_crossing(
         raise ValueError(f"point must be finite, got {point.tolist()}")
     if not np.isfinite(radius) or radius <= 0:
         raise ValueError(f"enclosure radius must be finite and positive, got {radius}")
-    resolution = resolution or charge_mod.DEFAULT_RESOLUTION[dim - 1]
+    if resolution is None:
+        resolution = charge_mod.DEFAULT_RESOLUTION[dim - 1]
 
     grid = charge_mod.sphere_grid(dim - 1, resolution)
     sphere_nodes = point[None, :] + radius * grid.nodes

@@ -9,13 +9,21 @@ use the odd Chern character,
 and the charge of a gapped self-adjoint field on S^2 is the Chern number of
 its spectral projection below the Fermi level,
 
-    c = (1 / 2 pi i) int tr(P [dP, dP]).
+    c = (1 / 2 pi i) int tr(P [dP, dP]),
+
+whose integrand in the eigenbasis of the field h is the occupied-unoccupied
+Berry-curvature sum (Thouless, Kohmoto, Nightingale and den Nijs, PRL 49,
+405 (1982)),
+
+    tr(P [d_0 P, d_1 P]) = 2i Im sum_{o,u} k_0[o,u] conj(k_1[o,u]),
+    k_a[o,u] = <o| d_a h |u> / (E_o - E_u).
 
 All derivatives are exact: the fields are matrix polynomials, so ambient
 partials are index shifts and the pullback to sphere coordinates is a chain
-rule through the parametrization stored on the grid.  The projection
-derivative uses first-order eigenvector perturbation, which is exact for
-gapped Hamiltonians and needs no gauge fixing.
+rule through the parametrization stored on the grid.  First-order
+perturbation is exact for gapped Hamiltonians and needs no gauge fixing.  The
+grids on S^2 and S^3 are suspensions of the grid one dimension down, the same
+way the generator on S^d is built from the one on S^(d-1).
 
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
@@ -92,10 +100,14 @@ class ChargeResult:
 def sphere_grid(dim: int, n: int) -> SphereGrid:
     """Build the quadrature grid at resolution ``n``.
 
-    S^1: n equispaced angles.  S^2: n Gauss-Legendre nodes in cos(theta) by 2n
-    equispaced azimuths (constants integrate exactly).  S^3: Gauss-Legendre in
-    the first polar angle psi (weight sin^2 psi), Gauss-Legendre in cos(theta),
-    and 2n equispaced azimuths.
+    S^1 is n equispaced angles.  S^d for d = 2, 3 is the suspension of an
+    inner grid on S^(d-1): x = (sin psi * y, cos psi), so d/dpsi =
+    (cos psi * y, -sin psi) and the inner tangents are scaled by sin psi.  The
+    inner grid is the 2n-angle circle for S^2 and the n-resolution S^2 for
+    S^3.  The polar angle psi takes n Gauss-Legendre nodes in cos psi on S^2
+    and in psi with weight sin^2 psi on S^3, so constants integrate exactly.
+    The parameters are (theta, phi) on S^2, with psi = theta, and
+    (psi, theta, phi) on S^3; nodes run over psi first, then the inner grid.
     """
     if dim not in (1, 2, 3):
         raise UnsupportedDimensionError(f"supported sphere dimensions are 1, 2, 3; got {dim}")
@@ -111,57 +123,35 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
         dx = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
         return SphereGrid(1, nodes, weights, params, jac, dx)
 
+    inner = sphere_grid(1, 2 * n) if dim == 2 else sphere_grid(2, n)
+    x, w = np.polynomial.legendre.leggauss(n)
     if dim == 2:
-        u, wu = np.polynomial.legendre.leggauss(n)
-        theta = np.arccos(u)
-        phi = 2.0 * np.pi * np.arange(2 * n) / (2 * n)
-        th, ph = np.meshgrid(theta, phi, indexing="ij")
-        wth = np.broadcast_to(wu[:, None], th.shape)
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        nodes = np.stack([st * cp, st * sp, ct], axis=-1).reshape(-1, 3)
-        weights = (wth * (np.pi / n)).reshape(-1)
-        params = np.stack([th, ph], axis=-1).reshape(-1, 2)
-        jac = st.reshape(-1)
-        d_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        d_phi = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
-        dx = np.stack([d_theta, d_phi], axis=-2).reshape(-1, 2, 3)
-        return SphereGrid(2, nodes, weights, params, jac, dx)
-
-    # dim == 3, angles (psi, theta, phi) with
-    # x = (sin psi sin theta cos phi, sin psi sin theta sin phi,
-    #      sin psi cos theta, cos psi)
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    psi = 0.5 * np.pi * (xg + 1.0)
-    wpsi = 0.5 * np.pi * wg * np.sin(psi) ** 2
-    u, wu = np.polynomial.legendre.leggauss(n)
-    theta = np.arccos(u)
-    phi = 2.0 * np.pi * np.arange(2 * n) / (2 * n)
-    ps, th, ph = np.meshgrid(psi, theta, phi, indexing="ij")
-    w3 = (
-        wpsi[:, None, None] * wu[None, :, None] * np.full((1, 1, 2 * n), np.pi / n)
-    )
-    sps, cps = np.sin(ps), np.cos(ps)
-    st, ct = np.sin(th), np.cos(th)
-    sp, cp = np.sin(ph), np.cos(ph)
-    nodes = np.stack([sps * st * cp, sps * st * sp, sps * ct, cps], axis=-1).reshape(-1, 4)
-    weights = w3.reshape(-1)
-    params = np.stack([ps, th, ph], axis=-1).reshape(-1, 3)
-    jac = (sps**2 * st).reshape(-1)
-    d_psi = np.stack([cps * st * cp, cps * st * sp, cps * ct, -sps], axis=-1)
-    d_theta = np.stack([sps * ct * cp, sps * ct * sp, -sps * st, np.zeros_like(st)], axis=-1)
-    d_phi = np.stack([-sps * st * sp, sps * st * cp, np.zeros_like(st), np.zeros_like(st)], axis=-1)
-    dx = np.stack([d_psi, d_theta, d_phi], axis=-2).reshape(-1, 3, 4)
-    return SphereGrid(3, nodes, weights, params, jac, dx)
+        psi, w_psi = np.arccos(x), w
+    else:
+        psi = 0.5 * np.pi * (x + 1.0)
+        w_psi = 0.5 * np.pi * w * np.sin(psi) ** 2
+    m_in = len(inner.nodes)
+    s = np.repeat(np.sin(psi), m_in)[:, None]
+    c = np.repeat(np.cos(psi), m_in)[:, None]
+    y = np.tile(inner.nodes, (n, 1))
+    dy = np.tile(inner.dx_dparam, (n, 1, 1))
+    nodes = np.hstack([s * y, c])
+    d_psi = np.hstack([c * y, -s])
+    d_inner = np.concatenate([s[:, None] * dy, np.zeros(dy.shape[:2] + (1,))], axis=2)
+    dx = np.concatenate([d_psi[:, None], d_inner], axis=1)
+    weights = np.repeat(w_psi, m_in) * np.tile(inner.weights, n)
+    params = np.hstack([np.repeat(psi, m_in)[:, None], np.tile(inner.params, (n, 1))])
+    jac = s[:, 0] ** (dim - 1) * np.tile(inner.jacobians, n)
+    return SphereGrid(dim, nodes, weights, params, jac, dx)
 
 
 def _tangent_derivatives(field: MatrixPolyField, grid: SphereGrid) -> np.ndarray:
     """Field derivatives along the grid parametrization, shape (M, dim, N, N)."""
-    ambient = field.ambient_dim
-    partials = np.stack(
-        [field.derivative(i).evaluate_batch(grid.nodes) for i in range(ambient)], axis=1
-    )  # (M, ambient, N, N)
-    return np.einsum("mai,mijk->majk", grid.dx_dparam, partials, optimize=True)
+    d = np.zeros(grid.dx_dparam.shape[:2] + (field.size, field.size), dtype=complex)
+    for i in range(field.ambient_dim):
+        partial = field.derivative(i).evaluate_batch(grid.nodes)
+        d += grid.dx_dparam[:, :, i, None, None] * partial[:, None]
+    return d
 
 
 def _check_field(field: MatrixPolyField, dim: int):
@@ -189,13 +179,11 @@ def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
         total = np.sum(w * log_deriv)
         return float(np.real(total / (2.0j * np.pi)))
 
-    # dim == 3: antisymmetrized triple product of the Maurer-Cartan pullbacks.
-    l1 = uinv @ d[:, 0]
-    l2 = uinv @ d[:, 1]
-    l3 = uinv @ d[:, 2]
-    t123 = np.einsum("mij,mjk,mki->m", l1, l2, l3, optimize=True)
-    t132 = np.einsum("mij,mjk,mki->m", l1, l3, l2, optimize=True)
-    total = np.sum(w * 3.0 * (t123 - t132))
+    # dim == 3: tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
+    # over the 3! orderings, which cyclicity reduces to 3 tr(l1 [l2, l3]).
+    l1, l2, l3 = (uinv @ d[:, a] for a in range(3))
+    integrand = np.einsum("mij,mji->m", l1, l2 @ l3 - l3 @ l2, optimize=True)
+    total = np.sum(w * 3.0 * integrand)
     return float(np.real(-total / (24.0 * np.pi**2)))
 
 
@@ -207,29 +195,23 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
         raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
     occ = vals < fermi
 
+    # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
+    # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.
     d = _tangent_derivatives(field, grid)
-    vecs_d = vecs.conj().transpose(0, 2, 1)
-    denom = vals[:, :, None] - vals[:, None, :]
     pair = occ[:, :, None] & ~occ[:, None, :]
-    safe = np.where(pair, denom, 1.0)
-
-    dp = []
-    for a in (0, 1):
-        m_eig = vecs_d @ d[:, a] @ vecs
-        k = np.where(pair, m_eig / safe, 0.0)
-        k = k + k.conj().transpose(0, 2, 1)
-        dp.append(vecs @ k @ vecs_d)
-    p = np.einsum("mik,mk,mjk->mij", vecs, occ.astype(float), vecs.conj(), optimize=True)
-
-    comm = dp[0] @ dp[1] - dp[1] @ dp[0]
-    integrand = np.einsum("mij,mji->m", p, comm, optimize=True)
+    denom = np.where(pair, vals[:, :, None] - vals[:, None, :], 1.0)
+    vecs_h = vecs.conj().transpose(0, 2, 1)
+    k0, k1 = (np.where(pair, vecs_h @ d[:, a] @ vecs / denom, 0.0) for a in (0, 1))
+    integrand = 2.0 * np.sum(k0 * k1.conj(), axis=(1, 2)).imag
     total = np.sum(grid.coordinate_weights * integrand)
-    return float(np.real(total / (2.0j * np.pi)))
+    return float(total / (2.0 * np.pi))
 
 
-def _assemble(raw_fn, resolution: int) -> ChargeResult:
-    raw_n = raw_fn(resolution)
-    raw_2n = raw_fn(2 * resolution)
+def _assemble(raw_fn, dim: int, resolution: int | None) -> ChargeResult:
+    if resolution is None:
+        resolution = DEFAULT_RESOLUTION[dim]
+    raw_n = raw_fn(sphere_grid(dim, resolution))
+    raw_2n = raw_fn(sphere_grid(dim, 2 * resolution))
     charge = int(np.rint(raw_n))
     residual = abs(raw_n - charge)
     converged = abs(raw_2n - charge) <= residual + 1e-9 and residual < PASS_RESIDUAL
@@ -246,8 +228,7 @@ def _assemble(raw_fn, resolution: int) -> ChargeResult:
 def winding_1(field: MatrixPolyField, resolution: int | None = None) -> ChargeResult:
     """Winding number of an invertible field on the circle."""
     _check_field(field, 1)
-    resolution = resolution or DEFAULT_RESOLUTION[1]
-    return _assemble(lambda n: _winding_raw(field, sphere_grid(1, n)), resolution)
+    return _assemble(lambda grid: _winding_raw(field, grid), 1, resolution)
 
 
 def chern_2(
@@ -257,15 +238,13 @@ def chern_2(
     _check_field(field, 2)
     if field.coefficient_hermiticity() > 1e-12:
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
-    resolution = resolution or DEFAULT_RESOLUTION[2]
-    return _assemble(lambda n: _chern_raw(field, fermi, sphere_grid(2, n)), resolution)
+    return _assemble(lambda grid: _chern_raw(field, fermi, grid), 2, resolution)
 
 
 def winding_3(field: MatrixPolyField, resolution: int | None = None) -> ChargeResult:
     """Degree-type winding of an invertible field on S^3."""
     _check_field(field, 3)
-    resolution = resolution or DEFAULT_RESOLUTION[3]
-    return _assemble(lambda n: _winding_raw(field, sphere_grid(3, n)), resolution)
+    return _assemble(lambda grid: _winding_raw(field, grid), 3, resolution)
 
 
 def charge_of(

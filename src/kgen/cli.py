@@ -9,15 +9,13 @@ randomness so identical invocations produce identical bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 import numpy as np
 
 from . import bandscan, clifford, generators, kmaps
-from .errors import KgenError, ModelFormatError
+from .errors import KgenError
 from .fields import EUCLIDEAN
 from .serialize import matrix_to_json, to_jsonable
 
@@ -189,13 +187,14 @@ def _cmd_scan(args) -> int:
 
     if args.gap_map is not None:
         rows = bandscan.gap_map(model, box, args.grid)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(model.dimension)] + ["gap"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-        with open(args.gap_map, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
+        header = [f"x{i + 1}" for i in range(model.dimension)] + ["gap"]
+        # Python floats for all rows at once would add about half again to the
+        # peak memory of a 64^3 map, so the rows go through tolist() in blocks.
+        parts = [",".join(header) + "\n"]
+        for start in range(0, len(rows), 4096):
+            block = rows[start : start + 4096].tolist()
+            parts.append("".join(",".join(map(repr, row)) + "\n" for row in block))
+        _emit("".join(parts), args.gap_map)
 
     if any(r.error is not None for r in reports):
         return EXIT_NUMERICAL
@@ -268,13 +267,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ModelFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except KgenError as exc:

@@ -99,9 +99,6 @@ class MatrixPolyField:
             self.ambient_dim, self.size, new_terms, self.domain, self.selfadjoint
         )
 
-    def gradient(self) -> list:
-        return [self.derivative(j) for j in range(self.ambient_dim)]
-
     def direct_sum(self, other: "MatrixPolyField") -> "MatrixPolyField":
         """Block-diagonal sum; charges of the summands add."""
         if other.ambient_dim != self.ambient_dim:

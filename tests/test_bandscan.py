@@ -257,6 +257,17 @@ def test_total_charge_on_large_sphere_is_zero():
     assert report.classification == "trivial"
 
 
+@pytest.mark.parametrize(
+    "model, point", [(weyl_model, [0.0, 0.0, 0.0]), (chiral_dirac_model, [0.0, 0.0])]
+)
+def test_charge_crossing_refuses_zero_resolution(model, point):
+    # Only None selects the default resolution.
+    with pytest.raises(ValueError, match="resolution must be an integer >= 4"):
+        charge_crossing(model(), point, radius=0.5, resolution=0)
+    default = charge_crossing(model(), point, radius=0.5)
+    assert default.charge.resolution == charge.DEFAULT_RESOLUTION[len(point) - 1]
+
+
 def test_charge_2d_needs_chiral():
     with pytest.raises(MissingChiralError):
         charge_crossing(massive_dirac_model(), [0.0, 0.0], radius=0.5)

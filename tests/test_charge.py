@@ -8,6 +8,8 @@ Each generator charge is cross-checked against an independent oracle:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgen import charge, clifford, generators
 from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, winding_3
@@ -161,6 +163,37 @@ def test_grid_argument_validation():
         sphere_grid(4, 8)
     with pytest.raises(ValueError):
         sphere_grid(2, 3)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_grid_s3_matches_closed_form(n):
+    # The suspension of S^2 against the direct (psi, theta, phi) parametrization.
+    grid = sphere_grid(3, n)
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    psi = 0.5 * np.pi * (xg + 1.0)
+    u, wu = np.polynomial.legendre.leggauss(n)
+    phi = 2.0 * np.pi * np.arange(2 * n) / (2 * n)
+    ps, th, ph = (a.reshape(-1) for a in np.meshgrid(psi, np.arccos(u), phi, indexing="ij"))
+    w_psi = 0.5 * np.pi * wg * np.sin(psi) ** 2
+    w = w_psi[:, None, None] * wu[None, :, None] * np.full((1, 1, 2 * n), np.pi / n)
+    sps, cps = np.sin(ps), np.cos(ps)
+    sth, cth = np.sin(th), np.cos(th)
+    sph, cph = np.sin(ph), np.cos(ph)
+    zero = np.zeros_like(ps)
+    nodes = np.stack([sps * sth * cph, sps * sth * sph, sps * cth, cps], axis=1)
+    tangents = np.stack(
+        [
+            np.stack([cps * sth * cph, cps * sth * sph, cps * cth, -sps], axis=1),
+            np.stack([sps * cth * cph, sps * cth * sph, -sps * sth, zero], axis=1),
+            np.stack([-sps * sth * sph, sps * sth * cph, zero, zero], axis=1),
+        ],
+        axis=1,
+    )
+    assert np.array_equal(grid.params, np.stack([ps, th, ph], axis=1))
+    assert np.max(np.abs(grid.nodes - nodes)) <= 1e-15
+    assert np.max(np.abs(grid.dx_dparam - tangents)) <= 1e-15
+    assert np.max(np.abs(grid.weights - w.reshape(-1))) <= 1e-15
+    assert np.max(np.abs(grid.jacobians - sps**2 * sth)) <= 1e-15
 
 
 # -- winding on the circle -------------------------------------------------------
@@ -399,6 +432,120 @@ def test_charge_ambient_dimension_check():
         winding_1(dirac3())
 
 
+@pytest.mark.parametrize(
+    "fn, make", [(winding_1, dirac1), (chern_2, weyl2), (winding_3, dirac3)]
+)
+@pytest.mark.parametrize("resolution", [0, 2, -5])
+def test_resolution_below_four_is_refused(fn, make, resolution):
+    # Only None selects the default; 0 used to fall back to it silently.
+    with pytest.raises(ValueError, match="resolution must be an integer >= 4"):
+        fn(make(), resolution=resolution)
+
+
 def test_charge_result_payload_keys():
     payload = winding_1(dirac1()).to_payload()
     assert set(payload) == {"raw", "charge", "residual", "resolution", "converged"}
+
+
+# -- kernels against the projector and two-einsum forms -------------------------
+
+
+def reference_tangent_derivatives(field, grid):
+    """Tangent derivatives from the stacked ambient partials, contracted at once."""
+    partials = np.stack(
+        [field.derivative(i).evaluate_batch(grid.nodes) for i in range(field.ambient_dim)],
+        axis=1,
+    )
+    return np.einsum("mai,mijk->majk", grid.dx_dparam, partials, optimize=True)
+
+
+def reference_chern_raw(field, fermi, grid):
+    """Chern integrand tr(P [dP_0, dP_1]) with P and dP rotated back to the full basis."""
+    vals, vecs = np.linalg.eigh(field.evaluate_batch(grid.nodes))
+    occ = vals < fermi
+    d = reference_tangent_derivatives(field, grid)
+    vecs_d = vecs.conj().transpose(0, 2, 1)
+    pair = occ[:, :, None] & ~occ[:, None, :]
+    safe = np.where(pair, vals[:, :, None] - vals[:, None, :], 1.0)
+    dp = []
+    for a in (0, 1):
+        k = np.where(pair, (vecs_d @ d[:, a] @ vecs) / safe, 0.0)
+        k = k + k.conj().transpose(0, 2, 1)
+        dp.append(vecs @ k @ vecs_d)
+    p = np.einsum("mik,mk,mjk->mij", vecs, occ.astype(float), vecs.conj(), optimize=True)
+    comm = dp[0] @ dp[1] - dp[1] @ dp[0]
+    integrand = np.einsum("mij,mji->m", p, comm, optimize=True)
+    total = np.sum(grid.coordinate_weights * integrand)
+    return float(np.real(total / (2.0j * np.pi)))
+
+
+def reference_winding3_raw(field, grid):
+    """S^3 integrand as the two ordered triple traces tr(l1 l2 l3) - tr(l1 l3 l2)."""
+    uinv = np.linalg.inv(field.evaluate_batch(grid.nodes))
+    d = reference_tangent_derivatives(field, grid)
+    l1, l2, l3 = (uinv @ d[:, a] for a in range(3))
+    t123 = np.einsum("mij,mjk,mki->m", l1, l2, l3, optimize=True)
+    t132 = np.einsum("mij,mjk,mki->m", l1, l3, l2, optimize=True)
+    total = np.sum(grid.coordinate_weights * 3.0 * (t123 - t132))
+    return float(np.real(-total / (24.0 * np.pi**2)))
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def random_linear_terms(rng, ambient, size, scale):
+    """Complex degree-1 polynomial with sup norm on the sphere <= scale."""
+    terms = {}
+    for j in range(-1, ambient):
+        alpha = tuple(int(k == j) for k in range(ambient))
+        terms[alpha] = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    bound = sum(np.linalg.norm(m, 2) for m in terms.values())
+    return {alpha: scale * m / bound for alpha, m in terms.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(3, 4),
+    fermi=st.floats(0.05, 0.4) | st.floats(-0.4, -0.05),
+    n=st.sampled_from([4, 6, 9]),
+)
+def test_chern_kernel_matches_projector_form(seed, size, fermi, n):
+    # Weyl block (eigenvalues +-1) plus flat bands at +-(1.5..2.5), mixed by a
+    # unitary and bumped by at most 0.3: the gap at ``fermi`` stays >= 0.3.
+    rng = np.random.default_rng(seed)
+    flat = rng.choice([-1.0, 1.0], size - 2) * rng.uniform(1.5, 2.5, size - 2)
+    base = weyl2().direct_sum(
+        MatrixPolyField(3, size - 2, {(0, 0, 0): np.diag(flat)}, SPHERE, selfadjoint=True)
+    )
+    bump = random_hermitian_perturbation(rng, 3, size, 0.3)
+    field = base.conjugated_by(random_unitary(rng, size)).plus(
+        MatrixPolyField(3, size, bump, SPHERE, selfadjoint=True)
+    )
+    grid = sphere_grid(2, n)
+    new = charge._chern_raw(field, fermi, grid)
+    assert abs(new - reference_chern_raw(field, fermi, grid)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 4),
+    n=st.sampled_from([4, 5, 7]),
+)
+def test_winding3_kernel_matches_two_einsum_form(seed, size, n):
+    # Unitary Dirac phase (plus identity padding) mixed by unitaries and bumped
+    # by a complex linear term of sup norm <= 0.3: singular values stay >= 0.7.
+    rng = np.random.default_rng(seed)
+    base = dirac3()
+    if size > 2:
+        pad = MatrixPolyField(4, size - 2, {(0, 0, 0, 0): np.eye(size - 2)}, SPHERE)
+        base = base.direct_sum(pad)
+    field = base.conjugated_by(random_unitary(rng, size)).plus(
+        MatrixPolyField(4, size, random_linear_terms(rng, 4, size, 0.3), SPHERE)
+    )
+    grid = sphere_grid(3, n)
+    new = charge._winding_raw(field, grid)
+    assert abs(new - reference_winding3_raw(field, grid)) <= 1e-12

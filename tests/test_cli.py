@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -310,6 +312,32 @@ def test_non_finite_box_center_radius_rejected(weyl_path, capsys, command, extra
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("resolution", ["0", "2"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [("charge", ["--center", "0", "0", "0.5", "--radius", "0.2"]), ("scan", [])],
+)
+def test_resolution_below_four_rejected(two_weyl_path, capsys, command, extra, resolution):
+    # 0 used to fall back to the default resolution and exit 0.
+    assert main([command, two_weyl_path, *extra, "--resolution", resolution]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resolution must be an integer >= 4" in captured.err
+
+
+def test_gap_map_csv_matches_csv_writer(two_weyl_path, tmp_path):
+    # The CSV writer the gap map used to go through, kept as the reference.
+    path = tmp_path / "gap.csv"
+    assert main(["scan", two_weyl_path, "--grid", "8", "--gap-map", str(path)]) == 0
+    model = bandscan.load_model(two_weyl_path)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["x1", "x2", "x3", "gap"])
+    for row in bandscan.gap_map(model, [(-1.0, 1.0)] * 3, 8):
+        writer.writerow([repr(float(v)) for v in row])
+    assert path.read_text(encoding="utf-8") == buffer.getvalue()
 
 
 def test_main_callable_directly(capsys):
