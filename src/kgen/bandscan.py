@@ -361,6 +361,8 @@ def charge_crossing(
         raise ValueError(f"point must be finite, got {point.tolist()}")
     if not np.isfinite(radius) or radius <= 0:
         raise ValueError(f"enclosure radius must be finite and positive, got {radius}")
+    if dim == 2 and model.chiral is None:
+        raise MissingChiralError("two-dimensional charges need a chiral symmetry; model has none")
     if resolution is None:
         resolution = charge_mod.DEFAULT_RESOLUTION[dim - 1]
 
@@ -377,10 +379,6 @@ def charge_crossing(
         result = charge_mod.chern_2(restricted, fermi=model.fermi, resolution=resolution)
         positive = WEYL
     else:
-        if model.chiral is None:
-            raise MissingChiralError(
-                "two-dimensional charges need a chiral symmetry; model has none"
-            )
         block = generators.chiral_lower_block(restricted, model.chiral)
         result = charge_mod.winding_1(block, resolution=resolution)
         positive = DIRAC_CHIRAL
@@ -408,6 +406,8 @@ def scan(model: BandModel, box, config: ScanConfig = ScanConfig()) -> list:
     Charging errors are collected per crossing rather than aborting the scan;
     reports come back sorted by location, the order of :func:`find_crossings`.
     """
+    if config.resolution is not None:
+        charge_mod.check_resolution(config.resolution)
     crossings = find_crossings(
         model,
         box,

@@ -18,12 +18,12 @@ Berry-curvature sum (Thouless, Kohmoto, Nightingale and den Nijs, PRL 49,
     tr(P [d_0 P, d_1 P]) = 2i Im sum_{o,u} k_0[o,u] conj(k_1[o,u]),
     k_a[o,u] = <o| d_a h |u> / (E_o - E_u).
 
-All derivatives are exact: the fields are matrix polynomials, so ambient
-partials are index shifts and the pullback to sphere coordinates is a chain
-rule through the parametrization stored on the grid.  First-order
-perturbation is exact for gapped Hamiltonians and needs no gauge fixing.  The
-grids on S^2 and S^3 are suspensions of the grid one dimension down, the same
-way the generator on S^d is built from the one on S^(d-1).
+All derivatives are exact: the fields are matrix polynomials, evaluated
+together with their derivatives along the parametrization tangents stored on
+the grid.  First-order perturbation is exact for gapped Hamiltonians and
+needs no gauge fixing.  The grids on S^2 and S^3 are suspensions of the grid
+one dimension down, the same way the generator on S^d is built from the one on
+S^(d-1).
 
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
@@ -97,6 +97,12 @@ class ChargeResult:
         }
 
 
+def check_resolution(n) -> None:
+    """Refuse a grid resolution that is not an integer >= 4."""
+    if not isinstance(n, int) or n < 4:
+        raise ValueError(f"resolution must be an integer >= 4, got {n!r}")
+
+
 def sphere_grid(dim: int, n: int) -> SphereGrid:
     """Build the quadrature grid at resolution ``n``.
 
@@ -111,8 +117,7 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     """
     if dim not in (1, 2, 3):
         raise UnsupportedDimensionError(f"supported sphere dimensions are 1, 2, 3; got {dim}")
-    if not isinstance(n, int) or n < 4:
-        raise ValueError(f"resolution must be an integer >= 4, got {n!r}")
+    check_resolution(n)
 
     if dim == 1:
         theta = 2.0 * np.pi * np.arange(n) / n
@@ -145,15 +150,6 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     return SphereGrid(dim, nodes, weights, params, jac, dx)
 
 
-def _tangent_derivatives(field: MatrixPolyField, grid: SphereGrid) -> np.ndarray:
-    """Field derivatives along the grid parametrization, shape (M, dim, N, N)."""
-    d = np.zeros(grid.dx_dparam.shape[:2] + (field.size, field.size), dtype=complex)
-    for i in range(field.ambient_dim):
-        partial = field.derivative(i).evaluate_batch(grid.nodes)
-        d += grid.dx_dparam[:, :, i, None, None] * partial[:, None]
-    return d
-
-
 def _check_field(field: MatrixPolyField, dim: int):
     if not isinstance(field, MatrixPolyField):
         raise TypeError("charge computations need exact derivatives; pass a MatrixPolyField")
@@ -164,14 +160,13 @@ def _check_field(field: MatrixPolyField, dim: int):
 
 
 def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
-    u = field.evaluate_batch(grid.nodes)
+    u, d = field.evaluate_batch(grid.nodes, grid.dx_dparam)
     sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
     if sv_min <= GAP_MIN:
         raise GapClosedError(
             f"field is (nearly) singular on the grid: min singular value {sv_min}"
         )
     uinv = np.linalg.inv(u)
-    d = _tangent_derivatives(field, grid)
     w = grid.coordinate_weights
 
     if grid.dim == 1:
@@ -188,20 +183,25 @@ def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
 
 
 def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
-    h = field.evaluate_batch(grid.nodes)
+    h, d = field.evaluate_batch(grid.nodes, grid.dx_dparam)
     vals, vecs = np.linalg.eigh(h)
     gap = float(np.min(np.abs(vals - fermi)))
     if gap <= GAP_MIN:
         raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
-    occ = vals < fermi
+    # The sphere is connected, so a band count below fermi that differs
+    # between nodes means the gap closes between them.
+    counts = np.count_nonzero(vals < fermi, axis=1)
+    n_occ = int(counts[0])
+    if np.any(counts != n_occ):
+        raise GapClosedError(
+            f"number of bands below fermi varies on the grid ({counts.min()} to {counts.max()})"
+        )
 
     # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
     # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.
-    d = _tangent_derivatives(field, grid)
-    pair = occ[:, :, None] & ~occ[:, None, :]
-    denom = np.where(pair, vals[:, :, None] - vals[:, None, :], 1.0)
-    vecs_h = vecs.conj().transpose(0, 2, 1)
-    k0, k1 = (np.where(pair, vecs_h @ d[:, a] @ vecs / denom, 0.0) for a in (0, 1))
+    occ_h = vecs[:, :, :n_occ].conj().transpose(0, 2, 1)
+    denom = vals[:, :n_occ, None] - vals[:, None, n_occ:]
+    k0, k1 = (occ_h @ d[:, a] @ vecs[:, :, n_occ:] / denom for a in (0, 1))
     integrand = 2.0 * np.sum(k0 * k1.conj(), axis=(1, 2)).imag
     total = np.sum(grid.coordinate_weights * integrand)
     return float(total / (2.0 * np.pi))
@@ -238,6 +238,8 @@ def chern_2(
     _check_field(field, 2)
     if field.coefficient_hermiticity() > 1e-12:
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
+    if not np.isfinite(fermi):
+        raise ValueError(f"Fermi level must be finite, got {fermi}")
     return _assemble(lambda grid: _chern_raw(field, fermi, grid), 2, resolution)
 
 

@@ -34,7 +34,7 @@ class EnclosureInvalidError(KgenError):
     """Enclosing sphere touches a region where the gap closes."""
 
 
-class MissingChiralError(KgenError):
+class MissingChiralError(KgenError, ValueError):
     """Two-dimensional charge requested for a model without a chiral matrix."""
 
 

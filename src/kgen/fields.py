@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -59,26 +59,50 @@ class MatrixPolyField:
             mat.setflags(write=False)
             frozen[alpha] = mat
         object.__setattr__(self, "terms", MappingProxyType(frozen))
+        # Coefficients as real rows (T, 2 N^2): evaluation is then a real GEMM.
+        stacked = np.array(list(frozen.values()), dtype=complex).view(float)
+        object.__setattr__(self, "_stacked", stacked.reshape(len(frozen), 2 * self.size**2))
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x) -> np.ndarray:
         return self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0]
 
-    def evaluate_batch(self, points) -> np.ndarray:
+    def evaluate_batch(self, points, tangents=None):
+        """Values (M, N, N) at (M, m) points; with tangents (M, k, m), the pair
+        ``(values, derivatives)``, the derivatives along the tangents (M, k, N, N).
+
+        One pass over the terms builds the monomials and their product-rule
+        derivatives; each is multiplied once by the stacked coefficients.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.ambient_dim:
             raise DimensionMismatchError(
                 f"points must have shape (M, {self.ambient_dim}), got {pts.shape}"
             )
-        out = np.zeros((pts.shape[0], self.size, self.size), dtype=complex)
-        for alpha, mat in self.terms.items():
-            mono = np.ones(pts.shape[0])
-            for j, p in enumerate(alpha):
-                if p:
-                    mono = mono * pts[:, j] ** p
-            out += mono[:, None, None] * mat
-        return out
+        n_terms, n = len(self.terms), self.size
+        mono = np.empty((pts.shape[0], n_terms))
+        if tangents is not None:
+            tan = np.asarray(tangents, dtype=float)
+            if tan.ndim != 3 or (tan.shape[0], tan.shape[2]) != pts.shape:
+                raise DimensionMismatchError(
+                    f"tangents must have shape ({len(pts)}, k, {self.ambient_dim}), got {tan.shape}"
+                )
+            dmono = np.zeros(tan.shape[:2] + (n_terms,))
+        for t, alpha in enumerate(self.terms):
+            powers = {j: pts[:, j] ** p for j, p in enumerate(alpha) if p}
+            mono[:, t] = math.prod(powers.values())
+            if tangents is None:
+                continue
+            for j in powers:
+                rest = math.prod(v for i, v in powers.items() if i != j)
+                slope = alpha[j] * pts[:, j] ** (alpha[j] - 1) * rest
+                dmono[:, :, t] += tan[:, :, j] * slope[:, None]
+        values = (mono @ self._stacked).view(complex).reshape(-1, n, n)
+        if tangents is None:
+            return values
+        derivs = (dmono.reshape(math.prod(tan.shape[:2]), n_terms) @ self._stacked).view(complex)
+        return values, derivs.reshape(tan.shape[:2] + (n, n))
 
     # -- algebra ------------------------------------------------------------
 
@@ -88,61 +112,34 @@ class MatrixPolyField:
             raise ValueError(f"axis {j} out of range")
         new_terms: dict = {}
         for alpha, mat in self.terms.items():
-            if alpha[j] == 0:
-                continue
-            beta = list(alpha)
-            beta[j] -= 1
-            beta = tuple(beta)
-            contrib = alpha[j] * mat
-            new_terms[beta] = new_terms.get(beta, 0) + contrib
-        return MatrixPolyField(
-            self.ambient_dim, self.size, new_terms, self.domain, self.selfadjoint
-        )
+            if alpha[j]:
+                beta = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+                new_terms[beta] = new_terms.get(beta, 0) + alpha[j] * mat
+        return replace(self, terms=new_terms)
 
     def direct_sum(self, other: "MatrixPolyField") -> "MatrixPolyField":
         """Block-diagonal sum; charges of the summands add."""
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("direct sum requires matching ambient dimensions")
-        n, m = self.size, other.size
+        n = self.size
         new_terms: dict = {}
-        for alpha, mat in self.terms.items():
-            block = np.zeros((n + m, n + m), dtype=complex)
-            block[:n, :n] = mat
-            new_terms[alpha] = block
-        for alpha, mat in other.terms.items():
-            block = new_terms.get(alpha)
-            if block is None:
-                block = np.zeros((n + m, n + m), dtype=complex)
-                new_terms[alpha] = block
-            else:
-                block = np.array(block)
-                new_terms[alpha] = block
-            block[n:, n:] = mat
-        return MatrixPolyField(
-            self.ambient_dim,
-            n + m,
-            new_terms,
-            self.domain,
-            self.selfadjoint and other.selfadjoint,
-        )
+        for alpha in {**self.terms, **other.terms}:
+            block = new_terms[alpha] = np.zeros((n + other.size,) * 2, dtype=complex)
+            block[:n, :n] = self.terms.get(alpha, 0)
+            block[n:, n:] = other.terms.get(alpha, 0)
+        both = self.selfadjoint and other.selfadjoint
+        return replace(self, size=n + other.size, terms=new_terms, selfadjoint=both)
 
     def reflect(self, j: int) -> "MatrixPolyField":
         """Compose with the coordinate reflection x_j -> -x_j."""
-        new_terms = {
-            alpha: (-mat if alpha[j] % 2 else mat) for alpha, mat in self.terms.items()
-        }
-        return MatrixPolyField(
-            self.ambient_dim, self.size, new_terms, self.domain, self.selfadjoint
-        )
+        new_terms = {alpha: (-mat if alpha[j] % 2 else mat) for alpha, mat in self.terms.items()}
+        return replace(self, terms=new_terms)
 
     def conjugated_by(self, w) -> "MatrixPolyField":
         """Pointwise conjugation W* F(x) W by a constant matrix W."""
         w = np.asarray(w, dtype=complex)
         wd = w.conj().T
-        new_terms = {alpha: wd @ mat @ w for alpha, mat in self.terms.items()}
-        return MatrixPolyField(
-            self.ambient_dim, self.size, new_terms, self.domain, self.selfadjoint
-        )
+        return replace(self, terms={alpha: wd @ mat @ w for alpha, mat in self.terms.items()})
 
     def plus(self, other: "MatrixPolyField") -> "MatrixPolyField":
         if (other.ambient_dim, other.size) != (self.ambient_dim, self.size):
@@ -150,13 +147,7 @@ class MatrixPolyField:
         new_terms = dict(self.terms)
         for alpha, mat in other.terms.items():
             new_terms[alpha] = new_terms.get(alpha, 0) + mat
-        return MatrixPolyField(
-            self.ambient_dim,
-            self.size,
-            new_terms,
-            self.domain,
-            self.selfadjoint and other.selfadjoint,
-        )
+        return replace(self, terms=new_terms, selfadjoint=self.selfadjoint and other.selfadjoint)
 
     def affine_pullback(self, center, radius: float) -> "MatrixPolyField":
         """Exact recomposition under x = center + radius * u.
@@ -178,12 +169,10 @@ class MatrixPolyField:
                     continue
                 beta = tuple(ks)
                 new_terms[beta] = new_terms.get(beta, 0) + coeff * mat
-        return MatrixPolyField(
-            self.ambient_dim, self.size, new_terms, self.domain, self.selfadjoint
-        )
+        return replace(self, terms=new_terms)
 
     def with_domain(self, domain: str) -> "MatrixPolyField":
-        return MatrixPolyField(self.ambient_dim, self.size, dict(self.terms), domain, self.selfadjoint)
+        return replace(self, domain=domain)
 
     # -- checks and serialization -------------------------------------------
 

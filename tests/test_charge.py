@@ -283,6 +283,27 @@ def test_chern_gap_closed():
         chern_2(field, fermi=1.0)
 
 
+@pytest.mark.parametrize("fermi", [np.nan, np.inf, -np.inf])
+def test_chern_rejects_non_finite_fermi(fermi):
+    # NaN compares false with every eigenvalue and +-inf puts all bands on one
+    # side; either used to give charge 0 with converged=True.
+    with pytest.raises(ValueError, match="finite"):
+        chern_2(weyl2(), fermi=fermi)
+
+
+def test_chern_gap_closing_between_nodes():
+    # Weyl + 2 x3 I has eigenvalues +-1 + 2 x3 on the sphere, so the number of
+    # bands below 0.5 changes with x3: the gap closes between the nodes, not at
+    # them.  Reading the occupied set node by node gave raw -0.49 here.
+    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE, selfadjoint=True)
+    field = weyl2().plus(shift)
+    grid = sphere_grid(2, 64)
+    vals = np.linalg.eigvalsh(field.evaluate_batch(grid.nodes))
+    assert np.min(np.abs(vals - 0.5)) > charge.GAP_MIN
+    with pytest.raises(GapClosedError, match="number of bands below fermi"):
+        chern_2(field, fermi=0.5, resolution=64)
+
+
 # -- winding on the 3-sphere ------------------------------------------------------
 
 

@@ -327,6 +327,43 @@ def test_resolution_below_four_rejected(two_weyl_path, capsys, command, extra, r
     assert "resolution must be an integer >= 4" in captured.err
 
 
+@pytest.mark.parametrize("resolution", ["2", "0", "-7"])
+def test_scan_checks_resolution_without_crossings(gapped_path, capsys, resolution):
+    # A gapped model has no crossing to charge; the resolution is checked anyway.
+    assert main(["scan", gapped_path, "--resolution", resolution]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resolution must be an integer >= 4" in captured.err
+
+
+@pytest.fixture()
+def unchiral_dirac_path(tmp_path):
+    # Massless 2D Dirac model whose chiral matrix (sigma_3) is not declared.
+    terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
+    model = bandscan.BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True))
+    path = tmp_path / "unchiral.json"
+    bandscan.save_model(model, path)
+    return str(path)
+
+
+def test_2d_charge_without_chiral_is_a_usage_error(unchiral_dirac_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the enclosure grid is built before the chiral check")
+
+    monkeypatch.setattr(bandscan.charge_mod, "sphere_grid", no_grid)
+    assert main(["charge", unchiral_dirac_path, "--radius", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "chiral" in captured.err
+
+
+def test_2d_scan_without_chiral_collects_the_error(unchiral_dirac_path, capsys):
+    assert main(["scan", unchiral_dirac_path]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["charge"] is None
+    assert report["error"].startswith("MissingChiralError: ")
+
+
 def test_gap_map_csv_matches_csv_writer(two_weyl_path, tmp_path):
     # The CSV writer the gap map used to go through, kept as the reference.
     path = tmp_path / "gap.csv"

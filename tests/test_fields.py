@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgen import clifford, generators
 from kgen.errors import DimensionMismatchError
@@ -46,6 +48,57 @@ def test_derivative_of_constant_is_zero():
     field = MatrixPolyField(2, 2, {(0, 0): np.eye(2)}, EUCLIDEAN)
     d = field.derivative(0)
     assert np.array_equal(d.evaluate([0.3, 0.7]), np.zeros((2, 2)))
+
+
+@st.composite
+def exponent_tables(draw):
+    """(ambient dimension, distinct multi-indices of degree <= 3)."""
+    ambient = draw(st.integers(2, 4))
+    alpha = st.lists(st.integers(0, 3), min_size=ambient, max_size=ambient)
+    alphas = alpha.filter(lambda a: sum(a) <= 3).map(tuple)
+    return ambient, draw(st.lists(alphas, max_size=6, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=exponent_tables(),
+    size=st.integers(1, 3),
+    points=st.integers(0, 7),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(table=(2, []), size=2, points=3, k=2, seed=0)
+@example(table=(3, [(0, 0, 0)]), size=2, points=3, k=2, seed=0)
+def test_tangent_evaluation_matches_per_term_forms(table, size, points, k, seed):
+    ambient, alphas = table
+    rng = np.random.default_rng(seed)
+    terms = {a: rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+             for a in alphas}
+    field = MatrixPolyField(ambient, size, terms)
+    pts = rng.uniform(-1.5, 1.5, (points, ambient))
+    tangents = rng.standard_normal((points, k, ambient))
+
+    values, derivs = field.evaluate_batch(pts, tangents)
+    assert values.shape == (points, size, size)
+    assert derivs.shape == (points, k, size, size)
+    assert np.array_equal(values, field.evaluate_batch(pts))
+
+    per_term = np.zeros((points, size, size), dtype=complex)
+    for alpha, mat in terms.items():
+        per_term += np.prod(pts ** np.array(alpha), axis=1)[:, None, None] * mat
+    partials = [field.derivative(i).evaluate_batch(pts) for i in range(ambient)]
+    chain = sum(tangents[:, :, i, None, None] * partials[i][:, None] for i in range(ambient))
+    for new, ref in ((values, per_term), (derivs, chain)):
+        scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_tangent_shape_checks():
+    field = MatrixPolyField(2, 2, {(1, 0): np.eye(2)})
+    with pytest.raises(DimensionMismatchError):
+        field.evaluate_batch(np.zeros((4, 2)), np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatchError):
+        field.evaluate_batch(np.zeros((4, 2)), np.zeros((3, 1, 2)))
 
 
 def test_direct_sum_blocks():
