@@ -15,6 +15,15 @@ import numpy as np
 # below zero from roundoff; values above -CLAMP_TOL are clamped to zero.
 CLAMP_TOL = 1e-14
 
+# Rows per chunk for work over large node sets (charge kernels, gap maps):
+# their working memory is then bounded by the chunk, not the grid.
+CHUNK = 16384
+
+
+def chunks(m: int):
+    """Slices covering ``range(m)`` in consecutive blocks of ``CHUNK`` rows."""
+    return (slice(start, start + CHUNK) for start in range(0, m, CHUNK))
+
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import charge as charge_mod
 from . import generators
-from ._linalg import dagger, max_abs
+from ._linalg import chunks, dagger, max_abs
 from .errors import (
     ChiralSymmetryError,
     EnclosureInvalidError,
@@ -208,9 +208,12 @@ def gap_at(model: BandModel, x) -> float:
     return float(np.min(np.abs(vals - model.fermi)))
 
 
-def _gap_batch(model: BandModel, points) -> np.ndarray:
-    vals = np.linalg.eigvalsh(model.field.evaluate_batch(points))
-    return np.min(np.abs(vals - model.fermi), axis=1)
+def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
+    gaps = np.empty(len(points))
+    for sl in chunks(len(points)):
+        vals = np.linalg.eigvalsh(model.field.evaluate_batch(points[sl]))
+        gaps[sl] = np.min(np.abs(vals - model.fermi), axis=1)
+    return gaps
 
 
 def _box_grid(box, dim: int, n: int):

@@ -25,6 +25,12 @@ needs no gauge fixing.  The grids on S^2 and S^3 are suspensions of the grid
 one dimension down, the same way the generator on S^d is built from the one on
 S^(d-1).
 
+The kernels walk the grid in fixed-size node chunks, evaluating, inverting or
+diagonalizing and integrating one chunk at a time into a running sum, so their
+memory does not grow with the resolution.  The winding kernels certify
+invertibility from the inverse they already form, via sigma_min(U) >=
+1 / ||U^-1||_F; the SVD runs only on a chunk where that bound is <= GAP_MIN.
+
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
 even generator field produces is a convention that depends on the chosen
@@ -39,6 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._linalg import chunks
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
@@ -135,19 +142,27 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     else:
         psi = 0.5 * np.pi * (x + 1.0)
         w_psi = 0.5 * np.pi * w * np.sin(psi) ** 2
+    # Each array is filled in place through an (n, m_in, ...) view: psi
+    # blocks by broadcasting, so no tiled copy of the inner grid is made.
     m_in = len(inner.nodes)
-    s = np.repeat(np.sin(psi), m_in)[:, None]
-    c = np.repeat(np.cos(psi), m_in)[:, None]
-    y = np.tile(inner.nodes, (n, 1))
-    dy = np.tile(inner.dx_dparam, (n, 1, 1))
-    nodes = np.hstack([s * y, c])
-    d_psi = np.hstack([c * y, -s])
-    d_inner = np.concatenate([s[:, None] * dy, np.zeros(dy.shape[:2] + (1,))], axis=2)
-    dx = np.concatenate([d_psi[:, None], d_inner], axis=1)
-    weights = np.repeat(w_psi, m_in) * np.tile(inner.weights, n)
-    params = np.hstack([np.repeat(psi, m_in)[:, None], np.tile(inner.params, (n, 1))])
-    jac = s[:, 0] ** (dim - 1) * np.tile(inner.jacobians, n)
-    return SphereGrid(dim, nodes, weights, params, jac, dx)
+    s = np.sin(psi)[:, None, None]
+    c = np.cos(psi)[:, None, None]
+    nodes = np.empty((n, m_in, dim + 1))
+    np.multiply(s, inner.nodes, out=nodes[..., :dim])
+    nodes[..., dim] = c[..., 0]
+    dx = np.zeros((n, m_in, dim, dim + 1))
+    np.multiply(c, inner.nodes, out=dx[:, :, 0, :dim])
+    dx[:, :, 0, dim] = -s[..., 0]
+    np.multiply(s[..., None], inner.dx_dparam, out=dx[:, :, 1:, :dim])
+    params = np.empty((n, m_in, dim))
+    params[..., 0] = psi[:, None]
+    params[..., 1:] = inner.params
+    weights = np.outer(w_psi, inner.weights).reshape(-1)
+    jac = np.outer(np.sin(psi) ** (dim - 1), inner.jacobians).reshape(-1)
+    return SphereGrid(
+        dim, nodes.reshape(-1, dim + 1), weights, params.reshape(-1, dim), jac,
+        dx.reshape(-1, dim, dim + 1),
+    )
 
 
 def _check_field(field: MatrixPolyField, dim: int):
@@ -159,51 +174,76 @@ def _check_field(field: MatrixPolyField, dim: int):
         )
 
 
-def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
-    u, d = field.evaluate_batch(grid.nodes, grid.dx_dparam)
+def _gated_inverse(u: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of matrices, refused where one is (nearly) singular.
+
+    sigma_min(U) = 1 / ||U^-1||_2 >= 1 / ||U^-1||_F, so the SVD runs only when
+    that bound fails to clear GAP_MIN somewhere (NaN fails it) or ``inv``
+    finds an exactly singular matrix.
+    """
+    try:
+        uinv = np.linalg.inv(u)
+    except np.linalg.LinAlgError:
+        uinv = None
+    else:
+        if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
+            return uinv
     sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
     if sv_min <= GAP_MIN:
         raise GapClosedError(
             f"field is (nearly) singular on the grid: min singular value {sv_min}"
         )
-    uinv = np.linalg.inv(u)
+    return np.linalg.inv(u) if uinv is None else uinv
+
+
+def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
     w = grid.coordinate_weights
-
+    total = 0.0
+    for sl in chunks(len(w)):
+        u, d = field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl])
+        uinv = _gated_inverse(u)
+        if grid.dim == 1:
+            log_deriv = np.einsum("mij,mji->m", uinv, d[:, 0], optimize=True)
+            total += np.sum(w[sl] * log_deriv)
+            continue
+        # dim == 3: tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
+        # over the 3! orderings, which cyclicity reduces to 3 tr(l1 [l2, l3]).
+        l1, l2, l3 = (uinv @ d[:, a] for a in range(3))
+        integrand = np.einsum("mij,mji->m", l1, l2 @ l3 - l3 @ l2, optimize=True)
+        total += np.sum(w[sl] * 3.0 * integrand)
     if grid.dim == 1:
-        log_deriv = np.einsum("mij,mji->m", uinv, d[:, 0], optimize=True)
-        total = np.sum(w * log_deriv)
         return float(np.real(total / (2.0j * np.pi)))
-
-    # dim == 3: tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
-    # over the 3! orderings, which cyclicity reduces to 3 tr(l1 [l2, l3]).
-    l1, l2, l3 = (uinv @ d[:, a] for a in range(3))
-    integrand = np.einsum("mij,mji->m", l1, l2 @ l3 - l3 @ l2, optimize=True)
-    total = np.sum(w * 3.0 * integrand)
     return float(np.real(-total / (24.0 * np.pi**2)))
 
 
 def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
-    h, d = field.evaluate_batch(grid.nodes, grid.dx_dparam)
-    vals, vecs = np.linalg.eigh(h)
-    gap = float(np.min(np.abs(vals - fermi)))
-    if gap <= GAP_MIN:
-        raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
-    # The sphere is connected, so a band count below fermi that differs
-    # between nodes means the gap closes between them.
-    counts = np.count_nonzero(vals < fermi, axis=1)
-    n_occ = int(counts[0])
-    if np.any(counts != n_occ):
-        raise GapClosedError(
-            f"number of bands below fermi varies on the grid ({counts.min()} to {counts.max()})"
-        )
+    w = grid.coordinate_weights
+    total = 0.0
+    n_occ = None
+    for sl in chunks(len(w)):
+        h, d = field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl])
+        vals, vecs = np.linalg.eigh(h)
+        gap = float(np.min(np.abs(vals - fermi)))
+        if gap <= GAP_MIN:
+            raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
+        # The sphere is connected, so a band count below fermi that differs
+        # between nodes means the gap closes between them.
+        counts = np.count_nonzero(vals < fermi, axis=1)
+        if n_occ is None:
+            n_occ = int(counts[0])
+        if np.any(counts != n_occ):
+            low, high = min(n_occ, counts.min()), max(n_occ, counts.max())
+            raise GapClosedError(
+                f"number of bands below fermi varies on the grid ({low} to {high})"
+            )
 
-    # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
-    # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.
-    occ_h = vecs[:, :, :n_occ].conj().transpose(0, 2, 1)
-    denom = vals[:, :n_occ, None] - vals[:, None, n_occ:]
-    k0, k1 = (occ_h @ d[:, a] @ vecs[:, :, n_occ:] / denom for a in (0, 1))
-    integrand = 2.0 * np.sum(k0 * k1.conj(), axis=(1, 2)).imag
-    total = np.sum(grid.coordinate_weights * integrand)
+        # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
+        # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.
+        occ_h = vecs[:, :, :n_occ].conj().transpose(0, 2, 1)
+        denom = vals[:, :n_occ, None] - vals[:, None, n_occ:]
+        k0, k1 = (occ_h @ d[:, a] @ vecs[:, :, n_occ:] / denom for a in (0, 1))
+        integrand = 2.0 * np.sum(k0 * k1.conj(), axis=(1, 2)).imag
+        total += np.sum(w[sl] * integrand)
     return float(total / (2.0 * np.pi))
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kgen import bandscan, charge, clifford, generators
+from kgen import _linalg, bandscan, charge, clifford, generators
 from kgen.bandscan import (
     BandModel,
     ScanConfig,
@@ -399,3 +399,12 @@ def test_gap_map_rows():
     assert rows.shape == (81, 3)
     center = rows[np.argmin(np.abs(rows[:, 0]) + np.abs(rows[:, 1]))]
     assert abs(center[2] - 0.1) < 1e-12
+
+
+def test_gap_map_in_chunks_matches_pointwise_gaps(monkeypatch):
+    # 125 points in seven-point chunks: 17 full chunks and a partial last one.
+    monkeypatch.setattr(_linalg, "CHUNK", 7)
+    model = two_weyl_model()
+    rows = bandscan.gap_map(model, [(-1, 1)] * 3, 5)
+    expected = [gap_at(model, row[:3]) for row in rows]
+    assert np.max(np.abs(rows[:, 3] - expected)) <= 1e-14

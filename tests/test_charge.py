@@ -6,12 +6,15 @@ Each generator charge is cross-checked against an independent oracle:
   * S^3: the same quadrature driven by finite-difference derivatives.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgen import charge, clifford, generators
+from kgen import _linalg, charge, clifford, generators
 from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, winding_3
 from kgen.errors import (
     DimensionMismatchError,
@@ -196,6 +199,42 @@ def test_grid_s3_matches_closed_form(n):
     assert np.max(np.abs(grid.jacobians - sps**2 * sth)) <= 1e-15
 
 
+def reference_sphere_grid(dim, n):
+    """The suspension built from tiled and concatenated copies of the inner grid."""
+    if dim == 1:
+        return sphere_grid(1, n)
+    inner = reference_sphere_grid(1, 2 * n) if dim == 2 else reference_sphere_grid(2, n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    if dim == 2:
+        psi, w_psi = np.arccos(x), w
+    else:
+        psi = 0.5 * np.pi * (x + 1.0)
+        w_psi = 0.5 * np.pi * w * np.sin(psi) ** 2
+    m_in = len(inner.nodes)
+    s = np.repeat(np.sin(psi), m_in)[:, None]
+    c = np.repeat(np.cos(psi), m_in)[:, None]
+    y = np.tile(inner.nodes, (n, 1))
+    dy = np.tile(inner.dx_dparam, (n, 1, 1))
+    nodes = np.hstack([s * y, c])
+    d_psi = np.hstack([c * y, -s])
+    d_inner = np.concatenate([s[:, None] * dy, np.zeros(dy.shape[:2] + (1,))], axis=2)
+    dx = np.concatenate([d_psi[:, None], d_inner], axis=1)
+    weights = np.repeat(w_psi, m_in) * np.tile(inner.weights, n)
+    params = np.hstack([np.repeat(psi, m_in)[:, None], np.tile(inner.params, (n, 1))])
+    jac = s[:, 0] ** (dim - 1) * np.tile(inner.jacobians, n)
+    return charge.SphereGrid(dim, nodes, weights, params, jac, dx)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_grid_suspension_matches_tiled_construction(dim, n):
+    # Filling preallocated arrays by broadcasting does the same elementwise
+    # arithmetic as tiling the inner grid, so every array is bit-identical.
+    grid, ref = sphere_grid(dim, n), reference_sphere_grid(dim, n)
+    for name in ("nodes", "weights", "params", "jacobians", "dx_dparam"):
+        assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+
+
 # -- winding on the circle -------------------------------------------------------
 
 
@@ -225,6 +264,42 @@ def test_winding_gap_closed():
     field = MatrixPolyField(2, 1, {(1, 0): [[1.0]]}, SPHERE)  # vanishes at x1 = 0
     with pytest.raises(GapClosedError):
         winding_1(field)
+
+
+@pytest.mark.parametrize("ambient", [2, 4])
+@pytest.mark.parametrize("constant", [np.zeros((2, 2)), np.diag([1.0, 0.0])])
+def test_winding_singular_constant_is_gap_closed(ambient, constant):
+    # inv refuses these matrices outright; the SVD gives the usual error.
+    field = MatrixPolyField(ambient, 2, {(0,) * ambient: constant}, SPHERE)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(field.evaluate_batch(sphere_grid(ambient - 1, 4).nodes))
+    winding = winding_1 if ambient == 2 else winding_3
+    with pytest.raises(GapClosedError, match="min singular value"):
+        winding(field)
+
+
+def test_winding_svd_runs_only_where_the_frobenius_bound_fails(monkeypatch):
+    # Every singular value of the scaled field is 1.2e-8 > GAP_MIN, but the bound
+    # 1 / ||U^-1||_F = 1.2e-8 / sqrt(2) is not, so each of the two grids takes
+    # the SVD and the charge survives.  Unscaled fields never call the SVD.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    double = dirac1().direct_sum(dirac1())
+    tiny = dataclasses.replace(double, terms={a: 1.2e-8 * m for a, m in double.terms.items()})
+    result = winding_1(tiny)
+    assert (result.charge, result.converged, len(calls)) == (2, True, 2)
+    calls.clear()
+    assert winding_1(double).charge == 2
+    assert winding_3(dirac3(), resolution=16).converged
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("winding, ambient", [(winding_1, 2), (winding_3, 4)])
+def test_winding_nan_field_raises(winding, ambient):
+    terms = {(0,) * ambient: [[np.nan]], (1,) + (0,) * (ambient - 1): [[1.0]]}
+    with pytest.raises((np.linalg.LinAlgError, GapClosedError)):
+        winding(MatrixPolyField(ambient, 1, terms, SPHERE))
 
 
 # -- Chern number on the 2-sphere -------------------------------------------------
@@ -526,6 +601,31 @@ def random_linear_terms(rng, ambient, size, scale):
     return {alpha: scale * m / bound for alpha, m in terms.items()}
 
 
+def random_gapped_weyl(rng, size):
+    """Weyl block (eigenvalues +-1) plus flat bands at +-(1.5..2.5), mixed by a
+    unitary and bumped by at most 0.3: the gap at any |fermi| <= 0.4 stays >= 0.3."""
+    flat = rng.choice([-1.0, 1.0], size - 2) * rng.uniform(1.5, 2.5, size - 2)
+    base = weyl2().direct_sum(
+        MatrixPolyField(3, size - 2, {(0, 0, 0): np.diag(flat)}, SPHERE, selfadjoint=True)
+    )
+    bump = random_hermitian_perturbation(rng, 3, size, 0.3)
+    return base.conjugated_by(random_unitary(rng, size)).plus(
+        MatrixPolyField(3, size, bump, SPHERE, selfadjoint=True)
+    )
+
+
+def random_invertible_phase(rng, base, size):
+    """Unitary Dirac phase (plus identity padding) mixed by unitaries and bumped
+    by a complex linear term of sup norm <= 0.3: singular values stay >= 0.7."""
+    m = base.ambient_dim
+    if size > base.size:
+        pad = MatrixPolyField(m, size - base.size, {(0,) * m: np.eye(size - base.size)}, SPHERE)
+        base = base.direct_sum(pad)
+    return base.conjugated_by(random_unitary(rng, size)).plus(
+        MatrixPolyField(m, size, random_linear_terms(rng, m, size, 0.3), SPHERE)
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -534,17 +634,7 @@ def random_linear_terms(rng, ambient, size, scale):
     n=st.sampled_from([4, 6, 9]),
 )
 def test_chern_kernel_matches_projector_form(seed, size, fermi, n):
-    # Weyl block (eigenvalues +-1) plus flat bands at +-(1.5..2.5), mixed by a
-    # unitary and bumped by at most 0.3: the gap at ``fermi`` stays >= 0.3.
-    rng = np.random.default_rng(seed)
-    flat = rng.choice([-1.0, 1.0], size - 2) * rng.uniform(1.5, 2.5, size - 2)
-    base = weyl2().direct_sum(
-        MatrixPolyField(3, size - 2, {(0, 0, 0): np.diag(flat)}, SPHERE, selfadjoint=True)
-    )
-    bump = random_hermitian_perturbation(rng, 3, size, 0.3)
-    field = base.conjugated_by(random_unitary(rng, size)).plus(
-        MatrixPolyField(3, size, bump, SPHERE, selfadjoint=True)
-    )
+    field = random_gapped_weyl(np.random.default_rng(seed), size)
     grid = sphere_grid(2, n)
     new = charge._chern_raw(field, fermi, grid)
     assert abs(new - reference_chern_raw(field, fermi, grid)) <= 1e-12
@@ -557,16 +647,78 @@ def test_chern_kernel_matches_projector_form(seed, size, fermi, n):
     n=st.sampled_from([4, 5, 7]),
 )
 def test_winding3_kernel_matches_two_einsum_form(seed, size, n):
-    # Unitary Dirac phase (plus identity padding) mixed by unitaries and bumped
-    # by a complex linear term of sup norm <= 0.3: singular values stay >= 0.7.
-    rng = np.random.default_rng(seed)
-    base = dirac3()
-    if size > 2:
-        pad = MatrixPolyField(4, size - 2, {(0, 0, 0, 0): np.eye(size - 2)}, SPHERE)
-        base = base.direct_sum(pad)
-    field = base.conjugated_by(random_unitary(rng, size)).plus(
-        MatrixPolyField(4, size, random_linear_terms(rng, 4, size, 0.3), SPHERE)
-    )
+    field = random_invertible_phase(np.random.default_rng(seed), dirac3(), size)
     grid = sphere_grid(3, n)
     new = charge._winding_raw(field, grid)
     assert abs(new - reference_winding3_raw(field, grid)) <= 1e-12
+
+
+def reference_winding1_raw(field, grid):
+    """S^1 integrand tr(U^-1 dU) over the whole grid at once."""
+    uinv = np.linalg.inv(field.evaluate_batch(grid.nodes))
+    d = reference_tangent_derivatives(field, grid)
+    total = np.sum(grid.coordinate_weights * np.einsum("mij,mji->m", uinv, d[:, 0]))
+    return float(np.real(total / (2.0j * np.pi)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 3), n=st.sampled_from([4, 5]))
+def test_chunked_kernels_match_single_batch_forms(seed, size, n):
+    # Seven-node chunks split every ring of every grid, so each kernel carries
+    # its running sum (and the Chern band count) across many chunk boundaries.
+    rng = np.random.default_rng(seed)
+    s1 = random_invertible_phase(rng, dirac1(), size)
+    s2 = random_gapped_weyl(rng, size + 1)
+    s3 = random_invertible_phase(rng, dirac3(), size + 1)
+    fermi = float(rng.uniform(-0.4, 0.4))
+    grids = {dim: sphere_grid(dim, n) for dim in (1, 2, 3)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_linalg, "CHUNK", 7)
+        raws = (
+            charge._winding_raw(s1, grids[1]),
+            charge._chern_raw(s2, fermi, grids[2]),
+            charge._winding_raw(s3, grids[3]),
+        )
+    refs = (
+        reference_winding1_raw(s1, grids[1]),
+        reference_chern_raw(s2, fermi, grids[2]),
+        reference_winding3_raw(s3, grids[3]),
+    )
+    assert np.max(np.abs(np.subtract(raws, refs))) <= 1e-12
+
+
+def test_chunked_chern_sees_band_count_change_in_a_later_chunk(monkeypatch):
+    # Weyl + 2 x3 I at fermi 0.5: two bands lie below fermi near the south pole
+    # (the first node) and fewer from x3 = -0.25 on.  With one eight-node
+    # latitude ring per chunk every chunk is uniform, so only the count carried
+    # from the first chunk shows the change.
+    monkeypatch.setattr(_linalg, "CHUNK", 8)
+    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE, selfadjoint=True)
+    field = weyl2().plus(shift)
+    grid = sphere_grid(2, 4)
+    counts = np.count_nonzero(np.linalg.eigvalsh(field.evaluate_batch(grid.nodes)) < 0.5, axis=1)
+    assert np.array_equal(counts, np.repeat([2, 2, 1, 0], 8))
+    with pytest.raises(GapClosedError, match=r"number of bands below fermi varies .*\(1 to 2\)"):
+        charge._chern_raw(field, 0.5, grid)
+
+
+def test_kernel_memory_bounded_by_the_chunk():
+    # The S^3 grid at n = 48 has 221,184 nodes; the kernel's working set is one
+    # chunk of them, and the grid itself is built without tiled temporaries.
+    field = dirac3()
+    tracemalloc.start()
+    try:
+        grid = sphere_grid(3, 48)
+        grid_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        charge._winding_raw(field, grid)
+        kernel_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    grid_bytes = sum(
+        getattr(grid, name).nbytes
+        for name in ("nodes", "weights", "params", "jacobians", "dx_dparam")
+    )
+    assert grid_peak <= 1.25 * grid_bytes
+    assert kernel_peak < 32 * 2**20
