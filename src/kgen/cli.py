@@ -9,7 +9,10 @@ randomness so identical invocations produce identical bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,11 +31,21 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Text file at ``path`` open for writing; failing to open or write it is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        with _output(out) as handle:
             handle.write(text)
 
 
@@ -176,33 +189,70 @@ def _parse_box(values, dim: int):
     )
 
 
+def _write_gap_map(handle, rows: np.ndarray, n: int) -> None:
+    """Write the rows of ``bandscan.gap_map`` to ``handle`` as CSV.
+
+    The rows form an n^dim grid in C order (last coordinate fastest), so each
+    axis holds n values: they are formatted once, the n^(dim-1) trailing
+    coordinate strings are joined once, and only the gaps are formatted per
+    row.  Each leading-axis slab of n^(dim-1) rows is written as soon as it is
+    built, so the whole file is never held in memory.  Floats are ``repr``, as
+    ``csv.writer`` would write them.
+    """
+    dim = rows.shape[1] - 1
+    slab = n ** (dim - 1)
+    # Axis k advances every n^(dim-1-k) rows.
+    coords = []
+    for k in range(dim):
+        step = n ** (dim - 1 - k)
+        coords.append([repr(v) + "," for v in rows[: n * step : step, k].tolist()])
+    tails = ["".join(parts) for parts in itertools.product(*coords[1:])]
+    gaps = rows[:, dim]
+    handle.write(",".join([f"x{i + 1}" for i in range(dim)] + ["gap"]) + "\n")
+    for i, lead in enumerate(coords[0]):
+        lines = map(str.__add__, tails, map(repr, gaps[i * slab : (i + 1) * slab].tolist()))
+        handle.write(lead + ("\n" + lead).join(lines) + "\n")
+
+
 def _cmd_scan(args) -> int:
     if args.threads < 1:
         raise UsageError("thread count must be >= 1")
     model = bandscan.load_model(args.model)
     box = _parse_box(args.box, model.dimension)
     scan_config = bandscan.ScanConfig(coarse_n=args.grid, resolution=args.resolution)
-    reports = bandscan.scan(model, box, scan_config)
-    _emit_json([r.to_payload() for r in reports], args.out)
-
-    if args.gap_map is not None:
-        rows = bandscan.gap_map(model, box, args.grid)
-        header = [f"x{i + 1}" for i in range(model.dimension)] + ["gap"]
-        # Python floats for all rows at once would add about half again to the
-        # peak memory of a 64^3 map, so the rows go through tolist() in blocks.
-        parts = [",".join(header) + "\n"]
-        for start in range(0, len(rows), 4096):
-            block = rows[start : start + 4096].tolist()
-            parts.append("".join(",".join(map(repr, row)) + "\n" for row in block))
-        _emit("".join(parts), args.gap_map)
+    # The gap-map file is opened before the scan, so a path that cannot be
+    # written fails at once rather than after the search and the charging.
+    gap_output = contextlib.nullcontext() if args.gap_map is None else _output(args.gap_map)
+    with gap_output as gap_file:
+        reports = bandscan.scan(model, box, scan_config)
+        _emit_json([r.to_payload() for r in reports], args.out)
+        if gap_file is not None:
+            _write_gap_map(gap_file, bandscan.gap_map(model, box, args.grid), args.grid)
 
     if any(r.error is not None for r in reports):
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser that reads every finite-float token as a value, not an option.
+
+    argparse itself takes only ``-1`` and ``-.5``-style tokens for negative
+    numbers, so ``--box -1e-3 1`` would fail with "expected at least one
+    argument".  Subparsers inherit the class.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            if math.isfinite(float(arg_string)):
+                return None
+        except ValueError:
+            pass
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgen",
         description=(
             "Clifford representations, generator fields on spheres, K-theory "

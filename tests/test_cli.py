@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,17 +365,105 @@ def test_2d_scan_without_chiral_collects_the_error(unchiral_dirac_path, capsys):
     assert report["error"].startswith("MissingChiralError: ")
 
 
-def test_gap_map_csv_matches_csv_writer(two_weyl_path, tmp_path):
+@pytest.fixture()
+def chiral_dirac_path(tmp_path):
+    # Massless 2D Dirac model with its chiral matrix declared.
+    terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
+    model = bandscan.BandModel(
+        MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True), chiral=SIGMA_3
+    )
+    path = tmp_path / "chiral.json"
+    bandscan.save_model(model, path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "model, grid, box",
+    [
+        ("two_weyl_path", 8, None),
+        ("chiral_dirac_path", 9, None),
+        ("two_weyl_path", 9, ["-0.3", "0.7", "-2", "1e-3", "0", "5e-7"]),
+        ("two_weyl_path", 8, ["-1", "-0.0"]),
+    ],
+    ids=["two-weyl", "chiral-2d-odd-grid", "per-axis-box", "negative-zero-bound"],
+)
+def test_gap_map_csv_matches_csv_writer(request, tmp_path, model, grid, box):
     # The CSV writer the gap map used to go through, kept as the reference.
+    model_path = request.getfixturevalue(model)
     path = tmp_path / "gap.csv"
-    assert main(["scan", two_weyl_path, "--grid", "8", "--gap-map", str(path)]) == 0
-    model = bandscan.load_model(two_weyl_path)
+    argv = ["scan", model_path, "--grid", str(grid), "--gap-map", str(path)]
+    assert main(argv + (["--box", *box] if box else [])) == 0
+    loaded = bandscan.load_model(model_path)
+    dim = loaded.dimension
+    bounds = cli._parse_box(None if box is None else [float(v) for v in box], dim)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["x1", "x2", "x3", "gap"])
-    for row in bandscan.gap_map(model, [(-1.0, 1.0)] * 3, 8):
+    writer.writerow([f"x{i + 1}" for i in range(dim)] + ["gap"])
+    for row in bandscan.gap_map(loaded, bounds, grid):
         writer.writerow([repr(float(v)) for v in row])
     assert path.read_text(encoding="utf-8") == buffer.getvalue()
+
+
+def test_gap_map_writer_memory_stays_below_half_the_csv(two_weyl_path, tmp_path):
+    # The block writer held the CSV about twice over; the slab writer holds one
+    # slab of n^(dim-1) rows and the trailing coordinate strings.
+    n = 32
+    rows = bandscan.gap_map(bandscan.load_model(two_weyl_path), [(-1.0, 1.0)] * 3, n)
+    path = tmp_path / "gap.csv"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            cli._write_gap_map(handle, rows, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + n**3
+    assert peak < size / 2, (peak, size)
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2E+0"])
+@pytest.mark.parametrize(
+    "argv, dest",
+    [
+        (["scan", "m.json", "--box", "{v}", "1"], "box"),
+        (["charge", "m.json", "--center", "{v}", "0", "0.5", "--radius", "0.1"], "center"),
+        (["generator", "--kind", "dirac-phase", "--d", "1", "--point", "{v}", "1"], "point"),
+    ],
+    ids=["box", "center", "point"],
+)
+def test_scientific_notation_negative_values_parse(argv, dest, value):
+    # argparse alone reads "-1e-3" as an unknown option and then fails with
+    # "expected at least one argument".
+    args = cli.build_parser().parse_args([t.format(v=value) for t in argv])
+    assert getattr(args, dest)[0] == float(value)
+
+
+def test_scientific_notation_values_run_end_to_end(weyl_path, capsys):
+    assert main(["charge", weyl_path, "--center", "-1e-05", "0", "0", "--radius", "5E-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["charge"] != 0
+    assert main(["generator", "--kind", "dirac-phase", "--d", "1", "--point", "-1e-3", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"] == [-0.001, 1.0]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["clifford", "--d", "1", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
+def test_unwritable_gap_map_fails_before_the_scan(two_weyl_path, tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the gap-map path was opened")
+
+    monkeypatch.setattr(bandscan, "scan", no_scan)
+    target = tmp_path / "missing" / "d" / "x.csv"
+    assert main(["scan", two_weyl_path, "--grid", "8", "--gap-map", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
 
 
 def test_main_callable_directly(capsys):
