@@ -57,12 +57,6 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     )
 
 
-def inv_sqrt_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse Hermitian square root; intended for matrices >= identity."""
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs / np.sqrt(vals)[..., None, :]) @ dagger(vecs)
-
-
 def operator_norm(a: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in the stack."""
     return np.linalg.norm(a, 2, axis=(-2, -1))

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import chunks
+from ._linalg import chunks, dagger, max_abs
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
@@ -276,7 +276,7 @@ def chern_2(
 ) -> ChargeResult:
     """Chern number of the band below ``fermi`` for a gapped field on S^2."""
     _check_field(field, 2)
-    if field.coefficient_hermiticity() > 1e-12:
+    if field.failing_terms(lambda mat: max_abs(mat - dagger(mat))):
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")

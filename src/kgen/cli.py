@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import bandscan, clifford, generators, kmaps
 from .errors import KgenError
 from .fields import EUCLIDEAN
-from .serialize import matrix_to_json, to_jsonable
+from .serialize import matrix_to_json
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -32,10 +31,10 @@ class UsageError(Exception):
 
 
 @contextlib.contextmanager
-def _output(path: str):
-    """Text file at ``path`` open for writing; failing to open or write it is a usage error."""
+def _output(path: str, mode: str = "w"):
+    """Text file at ``path`` open in ``mode``; failing to open or write it is a usage error."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, mode, encoding="utf-8") as handle:
             yield handle
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
@@ -50,14 +49,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload, out: str | None) -> None:
-    _emit(json.dumps(to_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
+    _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _cmd_clifford(args) -> int:
-    if args.d > clifford.MAX_D:
-        raise UsageError(
-            f"d = {args.d} exceeds the size guard d <= {clifford.MAX_D} (matrices up to 64 x 64)"
-        )
     rep = clifford.build_rep(args.d, args.handedness)
     _emit_json(rep.to_payload(), args.out)
     return EXIT_OK
@@ -93,6 +88,8 @@ def _cmd_generator(args) -> int:
             raise UsageError(
                 f"--point needs {field.ambient_dim} coordinates, got {len(args.point)}"
             )
+        if not np.all(np.isfinite(args.point)):
+            raise UsageError(f"--point must be finite, got {args.point}")
         value = field.evaluate(np.asarray(args.point))
         _emit_json({"point": list(args.point), "value": matrix_to_json(value)}, args.out)
         return EXIT_OK
@@ -220,13 +217,15 @@ def _cmd_scan(args) -> int:
     model = bandscan.load_model(args.model)
     box = _parse_box(args.box, model.dimension)
     scan_config = bandscan.ScanConfig(coarse_n=args.grid, resolution=args.resolution)
-    # The gap-map file is opened before the scan, so a path that cannot be
-    # written fails at once rather than after the search and the charging.
-    gap_output = contextlib.nullcontext() if args.gap_map is None else _output(args.gap_map)
-    with gap_output as gap_file:
-        reports = bandscan.scan(model, box, scan_config)
-        _emit_json([r.to_payload() for r in reports], args.out)
-        if gap_file is not None:
+    if args.gap_map is not None:
+        # Probe the path before the search, so one that cannot be written fails
+        # at once; append mode leaves an existing map intact if the scan fails.
+        with _output(args.gap_map, "a"):
+            pass
+    reports = bandscan.scan(model, box, scan_config)
+    _emit_json([r.to_payload() for r in reports], args.out)
+    if args.gap_map is not None:
+        with _output(args.gap_map) as gap_file:
             _write_gap_map(gap_file, bandscan.gap_map(model, box, args.grid), args.grid)
 
     if any(r.error is not None for r in reports):
@@ -235,20 +234,20 @@ def _cmd_scan(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser that reads every finite-float token as a value, not an option.
+    """Parser that reads every token ``float()`` accepts as a value, not an option.
 
     argparse itself takes only ``-1`` and ``-.5``-style tokens for negative
-    numbers, so ``--box -1e-3 1`` would fail with "expected at least one
-    argument".  Subparsers inherit the class.
+    numbers, so ``--box -1e-3 1`` or ``--box -inf 1`` would fail with "expected
+    at least one argument" instead of reaching the checks on the values.
+    Subparsers inherit the class.
     """
 
     def _parse_optional(self, arg_string):
         try:
-            if math.isfinite(float(arg_string)):
-                return None
+            float(arg_string)
         except ValueError:
-            pass
-        return super()._parse_optional(arg_string)
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

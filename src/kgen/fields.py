@@ -27,6 +27,11 @@ DISC = "disc"
 EUCLIDEAN = "euclidean"
 _DOMAINS = (SPHERE, DISC, EUCLIDEAN)
 
+# A coefficient identity (Hermiticity, anti-commutation with a grading) holds
+# when its residual is at most this times the largest coefficient entry of
+# the field, so rescaling a field never changes the verdict.
+COEFFICIENT_TOL = 1e-12
+
 
 def unit_index(j: int, m: int) -> tuple:
     """Multi-index of the monomial x_j (0-based j) in m variables."""
@@ -176,9 +181,11 @@ class MatrixPolyField:
 
     # -- checks and serialization -------------------------------------------
 
-    def coefficient_hermiticity(self) -> float:
-        """Largest deviation of any coefficient from Hermiticity."""
-        return max((max_abs(m - m.conj().T) for m in self.terms.values()), default=0.0)
+    def failing_terms(self, residual) -> list:
+        """Sorted multi-indices alpha whose ``residual(M_alpha)`` exceeds
+        COEFFICIENT_TOL times the largest coefficient entry of the field."""
+        bound = COEFFICIENT_TOL * max((max_abs(m) for m in self.terms.values()), default=0.0)
+        return sorted(alpha for alpha, mat in self.terms.items() if residual(mat) > bound)
 
     def to_payload(self) -> dict:
         return {

@@ -12,13 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import clifford
-from ._linalg import dagger, inv_sqrt_spd, max_abs, operator_norm, sq_norms
+from ._linalg import dagger, func_of_hermitian, max_abs, operator_norm, sq_norms
 from .errors import DimensionMismatchError, NotChiralError
 from .fields import EUCLIDEAN, SPHERE, EvaluableField, MatrixPolyField, unit_index
 from .sampling import sphere_points
-
-# Coefficient-level anti-commutation threshold for chiral block extraction.
-CHIRAL_TOL = 1e-12
 
 
 def weyl_field(d: int, rep: clifford.CliffordRep, domain: str = SPHERE) -> MatrixPolyField:
@@ -76,20 +73,16 @@ def chiral_lower_block(field: MatrixPolyField, j_matrix) -> MatrixPolyField:
     """Lower-left block of a field in the basis where ``j_matrix`` is diag(1, -1).
 
     Requires every coefficient of the field to anti-commute with ``j_matrix``
-    (checked exactly at coefficient level).  The +1 and -1 eigenspaces must
-    have equal dimension for the block to be square.
+    (checked at coefficient level, relative to the largest coefficient).  The
+    +1 and -1 eigenspaces must have equal dimension for the block to be square.
     """
     j = np.asarray(j_matrix, dtype=complex)
     if j.shape != (field.size, field.size):
         raise DimensionMismatchError("chiral matrix size does not match the field")
-    bad = [
-        alpha
-        for alpha, mat in field.terms.items()
-        if max_abs(j @ mat + mat @ j) > CHIRAL_TOL
-    ]
+    bad = field.failing_terms(lambda mat: max_abs(j @ mat + mat @ j))
     if bad:
         raise NotChiralError(
-            f"coefficients at multi-indices {sorted(bad)} do not anti-commute with the grading"
+            f"coefficients at multi-indices {bad} do not anti-commute with the grading"
         )
 
     n = field.size
@@ -133,7 +126,8 @@ def bounded_transform(field: MatrixPolyField) -> EvaluableField:
 
     def evaluator(points):
         t = field.evaluate_batch(points)
-        return t @ inv_sqrt_spd(np.eye(field.size, dtype=complex) + dagger(t) @ t)
+        one_plus = np.eye(field.size, dtype=complex) + dagger(t) @ t
+        return t @ func_of_hermitian(one_plus, lambda v: 1.0 / np.sqrt(v))
 
     return EvaluableField(field.ambient_dim, field.size, evaluator, field.domain)
 

@@ -59,20 +59,3 @@ def terms_from_json(data, ambient_dim: int, size: int) -> dict:
             raise ModelFormatError(f"duplicate multi-index {alpha}")
         terms[alpha] = mat
     return terms
-
-
-def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts the result."""
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist())
-    return obj

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kgen import _linalg, bandscan, charge, clifford, generators
+from kgen import _linalg, bandscan, charge, clifford, errors, generators
 from kgen.bandscan import (
     BandModel,
     ScanConfig,
@@ -80,9 +80,9 @@ def test_model_rejects_mass_term_with_chiral():
 
 
 def test_model_rejects_term_chiral_only_to_rounding_scale():
-    # 5e-11 anti-commutation defect: above the one chiral tolerance (1e-12)
-    # shared with the chiral block extraction, so the model fails at load
-    # instead of loading and failing later in charge_crossing.
+    # 5e-11 anti-commutation defect: above the one coefficient tolerance
+    # (1e-12 of the largest entry, here 1) shared with the chiral block
+    # extraction, so the model fails at load instead of in charge_crossing.
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2, (0, 0): 2.5e-11 * SIGMA_3}
     with pytest.raises(ChiralSymmetryError):
         BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3)
@@ -92,6 +92,72 @@ def test_model_rejects_bad_chiral_matrix():
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
     with pytest.raises(ChiralSymmetryError):
         BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=0.5 * SIGMA_3)
+
+
+def rotated(terms, scale, chiral=None, seed=3):
+    """Model with ``scale`` times ``terms``, conjugated by a seeded random unitary."""
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    dim = len(next(iter(terms)))
+    field = MatrixPolyField(dim, 2, {a: scale * m for a, m in terms.items()}, EUCLIDEAN)
+    return BandModel(
+        field.conjugated_by(w), chiral=None if chiral is None else w.conj().T @ chiral @ w
+    )
+
+
+CHIRAL_PAIR = {(2, 0): SIGMA_1, (0, 0): -0.25 * SIGMA_1, (0, 1): SIGMA_2}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e4, 1e6])
+def test_rotated_models_load_and_scan_at_any_scale(scale):
+    # The coefficient checks are relative to the largest entry, so rescaling
+    # a valid model never turns its rotation rounding into a refusal.
+    pair = scan(rotated(CHIRAL_PAIR, scale, chiral=SIGMA_3), [(-1, 1)] * 2)
+    reference = scan(BandModel(MatrixPolyField(2, 2, CHIRAL_PAIR, EUCLIDEAN), chiral=SIGMA_3),
+                     [(-1, 1)] * 2)
+    assert [r.charge.charge for r in pair] == [r.charge.charge for r in reference]
+    assert sorted(r.charge.charge for r in pair) == [-1, 1]
+    assert np.allclose([r.location for r in pair], [(-0.5, 0.0), (0.5, 0.0)], atol=1e-6)
+
+    (weyl,) = scan(rotated(dict(weyl_model().terms), scale), [(-1, 1)] * 3)
+    assert weyl.error is None
+    assert weyl.charge.charge == charge_crossing(weyl_model(), [0, 0, 0], 0.5).charge.charge
+
+
+def test_small_chiral_enclosure_away_from_the_origin_is_charged():
+    # ((x1 - 0.61)^2 - 0.05^2) sigma_1 + x2 sigma_2 pulled back to radius 1e-5
+    # at x1 = 0.66: its constant term is rotation rounding far above 1e-12 of
+    # the pulled-back entries.  The chiral block is taken from the model's own
+    # coefficients, so the charge still computes.
+    terms = {
+        (2, 0): SIGMA_1,
+        (1, 0): -1.22 * SIGMA_1,
+        (0, 0): (0.61**2 - 0.05**2) * SIGMA_1,
+        (0, 1): SIGMA_2,
+    }
+    model = rotated(terms, 1.0, chiral=SIGMA_3)
+    big = charge_crossing(model, [0.66, 0.0], 0.02).charge.charge
+    assert abs(big) == 1
+    assert charge_crossing(model, [0.66, 0.0], 1e-5).charge.charge == big
+
+
+def test_relative_coefficient_defects_refused_at_small_scale():
+    # A defect of 1e-7 relative to the largest entry is 1e-13 absolute at
+    # scale 1e-6: far below the entries, but not rounding.
+    scale, defect = 1e-6, 1e-7
+    base = {(1, 0): scale * SIGMA_1, (0, 1): scale * SIGMA_2}
+    massive = {**base, (0, 0): scale * defect * SIGMA_3}
+    with pytest.raises(ChiralSymmetryError, match=r"\[\(0, 0\)\]"):
+        BandModel(MatrixPolyField(2, 2, massive, EUCLIDEAN), chiral=SIGMA_3)
+    with pytest.raises(errors.NotChiralError, match=r"\[\(0, 0\)\]"):
+        generators.chiral_lower_block(MatrixPolyField(2, 2, massive), SIGMA_3)
+    skew = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(HermiticityError, match=r"\[\(0, 0\)\]"):
+        BandModel(MatrixPolyField(2, 2, {**base, (0, 0): scale * defect * skew}))
+    terms = {(1, 0, 0): scale * SIGMA_1, (0, 1, 0): scale * SIGMA_2, (0, 0, 1): scale * SIGMA_3,
+             (0, 0, 0): scale * defect * skew}
+    with pytest.raises(ValueError, match="self-adjoint"):
+        charge.chern_2(MatrixPolyField(3, 2, terms))
 
 
 def test_model_dimension_guard():

@@ -306,13 +306,30 @@ def test_scan_threads_flag_and_env_are_ignored(two_weyl_path):
         ("scan", ["--box", "0", "inf"]),
         ("charge", ["--radius", "nan"]),
         ("charge", ["--center", "nan", "0", "0", "--radius", "0.5"]),
+        ("scan", ["--box", "-inf", "1"]),
+        ("scan", ["--box", "-nan", "1"]),
+        ("charge", ["--radius", "-inf"]),
+        ("charge", ["--radius", "-nan"]),
+        ("charge", ["--center", "-inf", "0", "0", "--radius", "0.5"]),
+        ("charge", ["--center", "0", "-nan", "0", "--radius", "0.5"]),
     ],
 )
 def test_non_finite_box_center_radius_rejected(weyl_path, capsys, command, extra):
+    # "-inf" and "-nan" are read as values, not options, so they get the
+    # "must be finite" message rather than argparse's "expected one argument".
     assert main([command, weyl_path, *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("point", [["inf", "1"], ["0", "-inf"], ["nan", "1"]])
+def test_non_finite_point_rejected(capsys, point):
+    argv = ["generator", "--kind", "dirac-phase", "--d", "1", "--point", *point]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--point must be finite" in captured.err
 
 
 @pytest.mark.parametrize("resolution", ["0", "2"])
@@ -464,6 +481,19 @@ def test_unwritable_gap_map_fails_before_the_scan(two_weyl_path, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--grid", "6"], ["--resolution", "2"], ["--box", "1", "0"]],
+)
+def test_failed_scan_leaves_an_existing_gap_map_unchanged(two_weyl_path, tmp_path, capsys, extra):
+    target = tmp_path / "old.csv"
+    target.write_bytes(b"x1,x2,x3,gap\n0.0,0.0,0.0,1.0\n")
+    before = target.read_bytes()
+    assert main(["scan", two_weyl_path, *extra, "--gap-map", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == before
 
 
 def test_main_callable_directly(capsys):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgen import clifford, generators
+from kgen._linalg import max_abs
 from kgen.errors import DimensionMismatchError
 from kgen.fields import DISC, EUCLIDEAN, SPHERE, EvaluableField, MatrixPolyField
 
@@ -91,6 +92,49 @@ def test_tangent_evaluation_matches_per_term_forms(table, size, points, k, seed)
     for new, ref in ((values, per_term), (derivs, chain)):
         scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    table=exponent_tables().filter(lambda t: t[1]),
+    half=st.integers(1, 2),
+    chiral=st.booleans(),
+    pick=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_failing_terms_flags_one_perturbed_index_at_every_scale(table, half, chiral, pick, seed):
+    # Coefficients are Hermitian, or anti-commute with a rotated grading J, up
+    # to the rounding of the rotation; one term gets a defect of 1e-6 relative
+    # to the largest entry (i * 1 breaks Hermiticity, J breaks {J, M} = 0).
+    ambient, alphas = table
+    rng = np.random.default_rng(seed)
+    n = 2 * half
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    j = q.conj().T @ np.diag([1.0] * half + [-1.0] * half) @ q
+    terms = {}
+    for alpha in alphas:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if chiral:
+            a[:half, :half] = a[half:, half:] = 0.0
+            mat = q.conj().T @ a @ q
+        else:
+            mat = a + a.conj().T
+        terms[alpha] = 10.0 ** rng.uniform(-3, 0) * mat
+    bad = alphas[pick % len(alphas)]
+    eps = 1e-6 * max(np.max(np.abs(m)) for m in terms.values())
+    terms[bad] = terms[bad] + eps * (j if chiral else 1j * np.eye(n))
+    def residual(m):
+        return max_abs(j @ m + m @ j) if chiral else max_abs(m - m.conj().T)
+
+    for k in range(-8, 9):
+        scaled = MatrixPolyField(ambient, n, {a: 10.0**k * m for a, m in terms.items()})
+        assert scaled.failing_terms(residual) == [bad]
+
+
+def test_failing_terms_on_the_zero_field_needs_exact_identities():
+    field = MatrixPolyField(2, 2, {(0, 0): np.zeros((2, 2))})
+    assert field.failing_terms(lambda m: 1.0) == [(0, 0)]
+    assert field.failing_terms(lambda m: 0.0) == []
 
 
 def test_tangent_shape_checks():
