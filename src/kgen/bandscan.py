@@ -367,13 +367,11 @@ def charge_crossing(
         )
 
     if dim == 3:
-        restricted = model.field.affine_pullback(point, radius)
-        result = charge_mod.chern_2(restricted, fermi=model.fermi, resolution=resolution)
+        result = charge_mod.chern_2(model.field, model.fermi, resolution, point, radius)
         positive = WEYL
     else:
-        # The block is taken before the pullback, so its chirality is judged on
-        # the model's coefficients, not on a pulled-back constant term whose
-        # rounding can exceed the tolerance relative to a small enclosure.
+        # As in chern_2, the model is judged before the pullback: the pulled-back
+        # constant term keeps rounding that a small enclosure cannot bound.
         block = generators.chiral_lower_block(model.field, model.chiral)
         restricted = block.affine_pullback(point, radius)
         result = charge_mod.winding_1(restricted, resolution=resolution)

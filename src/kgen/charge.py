@@ -272,14 +272,19 @@ def winding_1(field: MatrixPolyField, resolution: int | None = None) -> ChargeRe
 
 
 def chern_2(
-    field: MatrixPolyField, fermi: float = 0.0, resolution: int | None = None
+    field: MatrixPolyField, fermi: float = 0.0, resolution: int | None = None, center=None,
+    radius: float = 1.0,
 ) -> ChargeResult:
-    """Chern number of the band below ``fermi`` for a gapped field on S^2."""
+    """Chern number of the band below ``fermi`` for a gapped field on S^2, or, given
+    ``center``, on the sphere |x - center| = ``radius``.  Hermiticity is judged on
+    ``field`` before the pullback, whose constant term keeps the field's rounding."""
     _check_field(field, 2)
     if field.failing_terms(lambda mat: max_abs(mat - dagger(mat))):
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")
+    if center is not None:
+        field = field.affine_pullback(center, radius)
     return _assemble(lambda grid: _chern_raw(field, fermi, grid), 2, resolution)
 
 

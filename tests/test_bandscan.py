@@ -141,6 +141,33 @@ def test_small_chiral_enclosure_away_from_the_origin_is_charged():
     assert charge_crossing(model, [0.66, 0.0], 1e-5).charge.charge == big
 
 
+WEYL_AT_2_3 = {(2, 0, 0): SIGMA_1, (0, 0, 0): -(2.3**2) * SIGMA_1, (0, 1, 0): SIGMA_2,
+               (0, 0, 1): SIGMA_3}
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1e-4, 1e-6])
+def test_small_weyl_enclosure_away_from_the_origin_is_charged(radius):
+    # The pulled-back constant term of the rotated model is rounding of order
+    # eps * 2.3^2, far above 1e-12 of the entries of a small enclosure;
+    # Hermiticity is judged on the model's coefficients, before the pullback.
+    model = rotated(WEYL_AT_2_3, 1.0, seed=0)
+    result = charge_crossing(model, [2.3, 0.0, 0.0], radius, resolution=16)
+    assert abs(result.charge.charge) == 1
+
+
+def test_scan_charges_close_crossings_away_from_the_origin():
+    # Weyl points at 10 -/+ 6e-4, charged in enclosures of radius 6e-4: each
+    # gets a report with a charge instead of the scan raising.
+    c, b = 10.0, 6e-4
+    k = 1 / (2 * b)
+    terms = {(2, 0, 0): k * SIGMA_1, (1, 0, 0): -2 * c * k * SIGMA_1,
+             (0, 0, 0): (c * c - b * b) * k * SIGMA_1, (0, 1, 0): SIGMA_2, (0, 0, 1): SIGMA_3}
+    reports = scan(rotated(terms, 1.0), [(c - 2e-3, c + 2e-3), (-1e-3, 1e-3), (-1e-3, 1e-3)])
+    assert [r.error for r in reports] == [None, None]
+    assert np.allclose([r.location[0] for r in reports], [c - b, c + b])
+    assert sorted(r.charge.charge for r in reports) == [-1, 1]
+
+
 def test_relative_coefficient_defects_refused_at_small_scale():
     # A defect of 1e-7 relative to the largest entry is 1e-13 absolute at
     # scale 1e-6: far below the entries, but not rounding.

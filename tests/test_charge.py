@@ -349,6 +349,17 @@ def test_chern_requires_selfadjoint():
         chern_2(MatrixPolyField(3, 1, {(1, 0, 0): [[1j]]}, SPHERE))
 
 
+def test_chern_on_an_enclosing_sphere_is_the_chern_of_the_pullback():
+    # The enclosure form pulls back after the Hermiticity check, bit for bit
+    # the pullback a caller would form.
+    field = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT))
+    center = np.array([0.1, -0.2, 0.05])
+    direct = chern_2(field.affine_pullback(center, 0.5), resolution=16)
+    assert chern_2(field, resolution=16, center=center, radius=0.5) == direct
+    with pytest.raises(ValueError, match="self-adjoint"):
+        chern_2(MatrixPolyField(3, 1, {(1, 0, 0): [[1j]]}), center=center, radius=0.5)
+
+
 def test_chern_gap_closed():
     # Fermi level sitting exactly on a band closes the gap at every node.
     field = MatrixPolyField(
