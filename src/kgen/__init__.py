@@ -2,7 +2,7 @@
 spheres, K-theory connecting maps, and topological charges of band models."""
 
 from . import bandscan, charge, clifford, fields, generators, kmaps
-from .bandscan import BandModel, CrossingReport, ScanConfig, load_model, save_model, scan
+from .bandscan import BandModel, CrossingReport, load_model, save_model, scan
 from .charge import ChargeResult, charge_of, chern_2, chern_sign_weyl, winding_1, winding_3
 from .clifford import CliffordRep, Grading, build_rep, extend, flip_first, grading_of, handedness_of, verify_rep
 from .fields import EvaluableField, MatrixPolyField
@@ -26,7 +26,6 @@ __all__ = [
     "EvaluableField",
     "Grading",
     "MatrixPolyField",
-    "ScanConfig",
     "bandscan",
     "bounded_transform",
     "build_rep",

@@ -29,8 +29,15 @@ from .errors import (
 from .fields import COEFFICIENT_TOL, EUCLIDEAN, MatrixPolyField
 from .serialize import matrix_from_json, matrix_to_json, terms_from_json, terms_to_json
 
+# A refined gap minimum below GAP_TOL is a crossing, crossings within
+# MERGE_RADIUS of each other are merged, and enclosures are at most MAX_RADIUS.
 GAP_TOL = 1e-8
 MERGE_RADIUS = 1e-3
+MAX_RADIUS = 0.5
+
+# The pattern search stops after SEARCH_MAX_ITER polls or below SEARCH_MIN_STEP.
+SEARCH_MAX_ITER = 200
+SEARCH_MIN_STEP = 1e-12
 
 WEYL = "weyl"
 DIRAC_CHIRAL = "dirac-chiral"
@@ -165,15 +172,6 @@ class CrossingReport:
         }
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    coarse_n: int = 16
-    gap_tol: float = GAP_TOL
-    merge_radius: float = MERGE_RADIUS
-    resolution: int | None = None
-    max_radius: float = 0.5
-
-
 def load_model(path) -> BandModel:
     """Read and validate a band-model JSON file."""
     try:
@@ -198,10 +196,15 @@ def gap_at(model: BandModel, x) -> float:
 
 
 def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
+    """Gaps at (M, m) points; a non-finite gap (the model overflows) is refused."""
     gaps = np.empty(len(points))
     for sl in chunks(len(points)):
         vals = np.linalg.eigvalsh(model.field.evaluate_batch(points[sl]))
         gaps[sl] = np.min(np.abs(vals - model.fermi), axis=1)
+        bad = ~np.isfinite(gaps[sl])
+        if bad.any():
+            where = points[sl][bad][0].tolist()
+            raise ValueError(f"gap is not finite at {where}; the model overflows there")
     return gaps
 
 
@@ -220,7 +223,7 @@ def _box_grid(box, dim: int, n: int):
     return box, axes, grid.reshape(-1, dim), grid.shape[:-1]
 
 
-def _pattern_search(func, start, step0, box, max_iter=200, min_step=1e-12, target=None):
+def _pattern_search(func, start, step0, box, target=None):
     """Derivative-free compass descent with shrinking steps, clipped to the box.
 
     ``func`` maps an ``(M, m)`` array of points to their ``M`` objective
@@ -237,10 +240,10 @@ def _pattern_search(func, start, step0, box, max_iter=200, min_step=1e-12, targe
     axes = rows // 2
     signs = np.where(rows % 2 == 0, 1.0, -1.0)
     step = float(step0)
-    for _ in range(max_iter):
+    for _ in range(SEARCH_MAX_ITER):
         if target is not None and fx < target:
             break
-        if step < min_step:
+        if step < SEARCH_MIN_STEP:
             break
         cands = np.repeat(x[None, :], rows.size, axis=0)
         cands[rows, axes] = np.clip(x[axes] + signs * step, lo[axes], hi[axes])
@@ -287,31 +290,25 @@ def _refined_minima(model: BandModel, box, coarse_n: int, target=None) -> list:
     ]
 
 
-def find_crossings(
-    model: BandModel,
-    box,
-    coarse_n: int = 16,
-    gap_tol: float = GAP_TOL,
-    merge_radius: float = MERGE_RADIUS,
-) -> list:
+def find_crossings(model: BandModel, box, coarse_n: int = 16) -> list:
     """Locate points where the gap closes, to high precision.
 
     A coarse grid scan finds candidate local minima of the gap; each candidate
     is refined by pattern search, and refined points are kept only if their gap
-    falls below ``gap_tol``.  Nearby duplicates (within ``merge_radius``) are
+    falls below ``GAP_TOL``.  Nearby duplicates (within ``MERGE_RADIUS``) are
     merged, keeping the deepest representative.
     """
     if coarse_n < 8:
         raise ValueError(f"coarse grid must have at least 8 points per axis, got {coarse_n}")
     candidates = sorted(
         (value, tuple(refined))
-        for refined, value in _refined_minima(model, box, coarse_n, target=gap_tol * 0.1)
-        if value < gap_tol
+        for refined, value in _refined_minima(model, box, coarse_n, target=GAP_TOL * 0.1)
+        if value < GAP_TOL
     )
     kept: list = []
     for value, point in candidates:
         if all(
-            np.linalg.norm(np.subtract(point, other)) > merge_radius for other in kept
+            np.linalg.norm(np.subtract(point, other)) > MERGE_RADIUS for other in kept
         ):
             kept.append(point)
     kept.sort()
@@ -332,11 +329,7 @@ def min_gap(model: BandModel, box, coarse_n: int = 16):
 
 
 def charge_crossing(
-    model: BandModel,
-    point,
-    radius: float,
-    resolution: int | None = None,
-    gap_tol: float = GAP_TOL,
+    model: BandModel, point, radius: float, resolution: int | None = None
 ) -> CrossingReport:
     """Assign an integer charge to a crossing by enclosing it with a sphere.
 
@@ -361,7 +354,7 @@ def charge_crossing(
     grid = charge_mod.sphere_grid(dim - 1, resolution)
     sphere_nodes = point[None, :] + radius * grid.nodes
     node_gap = float(np.min(_gap_batch(model, sphere_nodes)))
-    if node_gap <= 10.0 * gap_tol:
+    if node_gap <= 10.0 * GAP_TOL:
         raise EnclosureInvalidError(
             f"gap {node_gap} closes on the enclosing sphere; adjust the radius"
         )
@@ -392,35 +385,27 @@ def charge_crossing(
     )
 
 
-def scan(model: BandModel, box, config: ScanConfig = ScanConfig()) -> list:
+def scan(model: BandModel, box, coarse_n: int = 16, resolution: int | None = None) -> list:
     """Find all crossings in the box and charge each one.
 
     The enclosure radius is half the distance to the nearest other crossing,
-    capped by ``config.max_radius`` (the cap is flagged in the report).
+    capped by ``MAX_RADIUS`` (the cap is flagged in the report).
     Charging errors are collected per crossing rather than aborting the scan;
     reports come back sorted by location, the order of :func:`find_crossings`.
     """
-    if config.resolution is not None:
-        charge_mod.check_resolution(config.resolution)
-    crossings = find_crossings(
-        model,
-        box,
-        coarse_n=config.coarse_n,
-        gap_tol=config.gap_tol,
-        merge_radius=config.merge_radius,
-    )
+    if resolution is not None:
+        charge_mod.check_resolution(resolution)
+    crossings = find_crossings(model, box, coarse_n)
     reports = []
     for i, point in enumerate(crossings):
         nearest = min(
             (float(np.linalg.norm(point - other)) for j, other in enumerate(crossings) if j != i),
             default=np.inf,
         )
-        capped = 0.5 * nearest >= config.max_radius
-        radius = config.max_radius if capped else 0.5 * nearest
+        capped = 0.5 * nearest >= MAX_RADIUS
+        radius = MAX_RADIUS if capped else 0.5 * nearest
         try:
-            report = charge_crossing(
-                model, point, radius, resolution=config.resolution, gap_tol=config.gap_tol
-            )
+            report = charge_crossing(model, point, radius, resolution=resolution)
             reports.append(replace(report, radius_capped=capped))
         except KgenError as exc:
             reports.append(

@@ -224,7 +224,7 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
         h, d = field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl])
         vals, vecs = np.linalg.eigh(h)
         gap = float(np.min(np.abs(vals - fermi)))
-        if gap <= GAP_MIN:
+        if not gap > GAP_MIN:  # NaN fails it too
             raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
         # The sphere is connected, so a band count below fermi that differs
         # between nodes means the gap closes between them.

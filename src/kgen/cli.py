@@ -216,13 +216,12 @@ def _cmd_scan(args) -> int:
         raise UsageError("thread count must be >= 1")
     model = bandscan.load_model(args.model)
     box = _parse_box(args.box, model.dimension)
-    scan_config = bandscan.ScanConfig(coarse_n=args.grid, resolution=args.resolution)
     if args.gap_map is not None:
         # Probe the path before the search, so one that cannot be written fails
         # at once; append mode leaves an existing map intact if the scan fails.
         with _output(args.gap_map, "a"):
             pass
-    reports = bandscan.scan(model, box, scan_config)
+    reports = bandscan.scan(model, box, args.grid, args.resolution)
     _emit_json([r.to_payload() for r in reports], args.out)
     if args.gap_map is not None:
         with _output(args.gap_map) as gap_file:

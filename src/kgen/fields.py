@@ -19,7 +19,6 @@ import numpy as np
 
 from ._linalg import max_abs
 from .errors import DimensionMismatchError
-from .sampling import ball_points, sphere_points
 from .serialize import terms_from_json, terms_to_json
 
 SPHERE = "sphere"
@@ -158,11 +157,13 @@ class MatrixPolyField:
         """Exact recomposition under x = center + radius * u.
 
         Restricting a model to a small sphere around a band crossing is this
-        pullback followed by evaluation at unit vectors u.
+        pullback followed by evaluation at unit vectors u.  A coefficient that
+        overflows is refused with a ValueError.
         """
         center = np.asarray(center, dtype=float)
         if center.shape != (self.ambient_dim,):
             raise DimensionMismatchError("center must match the ambient dimension")
+        radius = np.float64(radius)  # its powers then overflow to inf, not OverflowError
         new_terms: dict = {}
         for alpha, mat in self.terms.items():
             ranges = [range(a + 1) for a in alpha]
@@ -174,6 +175,8 @@ class MatrixPolyField:
                     continue
                 beta = tuple(ks)
                 new_terms[beta] = new_terms.get(beta, 0) + coeff * mat
+        if not all(np.isfinite(mat).all() for mat in new_terms.values()):
+            raise ValueError(f"pullback to radius {radius} about {center.tolist()} overflows")
         return replace(self, terms=new_terms)
 
     def with_domain(self, domain: str) -> "MatrixPolyField":
@@ -221,7 +224,6 @@ class EvaluableField:
     ambient_dim: int
     size: int
     evaluator: object = field(repr=False)
-    domain: str = EUCLIDEAN
 
     def evaluate(self, x) -> np.ndarray:
         return self.evaluate_batch(np.asarray(x, dtype=float)[None])[0]
@@ -238,19 +240,3 @@ class EvaluableField:
                 f"evaluator returned shape {out.shape} for {pts.shape[0]} points"
             )
         return out
-
-    def continuity_residual(self, probes: int = 25, step: float = 1e-7, seed: int = 0) -> float:
-        """Spot-check continuity: max ||F(x) - F(x + h)|| over random probes."""
-        rng = np.random.default_rng(seed)
-        if self.domain == SPHERE:
-            pts = sphere_points(self.ambient_dim, probes, rng)
-        elif self.domain == DISC:
-            pts = ball_points(self.ambient_dim, probes, rng, max_norm=1.0 - 10 * step)
-        else:
-            pts = 3.0 * rng.standard_normal((probes, self.ambient_dim))
-        bumps = rng.standard_normal((probes, self.ambient_dim))
-        bumps *= step / np.linalg.norm(bumps, axis=1, keepdims=True)
-        shifted = pts + bumps
-        if self.domain == SPHERE:
-            shifted /= np.linalg.norm(shifted, axis=1, keepdims=True)
-        return max_abs(self.evaluate_batch(pts) - self.evaluate_batch(shifted))

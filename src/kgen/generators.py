@@ -17,6 +17,10 @@ from .errors import DimensionMismatchError, NotChiralError
 from .fields import EUCLIDEAN, SPHERE, EvaluableField, MatrixPolyField, unit_index
 from .sampling import sphere_points
 
+# Seeded sphere directions sampled by compact_resolvent_profile.
+PROFILE_DIRECTIONS = 64
+PROFILE_SEED = 7
+
 
 def weyl_field(d: int, rep: clifford.CliffordRep, domain: str = SPHERE) -> MatrixPolyField:
     """Weyl Hamiltonian field sum_{j=1}^{d+1} x_j Gamma_j.
@@ -129,20 +133,21 @@ def bounded_transform(field: MatrixPolyField) -> EvaluableField:
         one_plus = np.eye(field.size, dtype=complex) + dagger(t) @ t
         return t @ func_of_hermitian(one_plus, lambda v: 1.0 / np.sqrt(v))
 
-    return EvaluableField(field.ambient_dim, field.size, evaluator, field.domain)
+    return EvaluableField(field.ambient_dim, field.size, evaluator)
 
 
-def compact_resolvent_profile(field: MatrixPolyField, radii, directions: int = 64, seed: int = 7):
+def compact_resolvent_profile(field: MatrixPolyField, radii):
     """Decay profile r -> sup over directions of ||(1 + T*T)^(-1)|| at ||x|| = r.
 
     For the generator fields T*T = ||x||^2 so the profile equals 1/(1 + r^2)
     exactly; a profile that fails to decay flags a field without compact
-    resolvent.  Directions are a fixed seeded sample plus the coordinate axes.
+    resolvent.  Directions are PROFILE_DIRECTIONS points of a fixed seeded
+    sample plus the coordinate axes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROFILE_SEED)
     m = field.ambient_dim
     axes = np.eye(m)
-    dirs = np.vstack([sphere_points(m, directions, rng), axes, -axes])
+    dirs = np.vstack([sphere_points(m, PROFILE_DIRECTIONS, rng), axes, -axes])
 
     profile = []
     for r in radii:

@@ -43,6 +43,10 @@ BALL_CUTOFF = 0.999
 # Invertibility threshold for the deformation scan.
 HOMOTOPY_SV_MIN = 1e-3
 
+# Interior points on which a lift's admissibility is checked (half as many
+# boundary points are added).
+LIFT_SAMPLES = 120
+
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -103,10 +107,10 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
 
-def _lift_samples(ambient_dim: int, count: int = 120):
+def _lift_samples(ambient_dim: int):
     rng = np.random.default_rng(2024)
-    interior = ball_points(ambient_dim, count, rng, max_norm=1.0)
-    boundary = sphere_points(ambient_dim, count // 2, rng)
+    interior = ball_points(ambient_dim, LIFT_SAMPLES, rng, max_norm=1.0)
+    boundary = sphere_points(ambient_dim, LIFT_SAMPLES // 2, rng)
     return interior, boundary
 
 
@@ -137,7 +141,7 @@ def index_map(b_field) -> EvaluableField:
             [2.0 * bd @ s_left, eye - 2.0 * bd @ b],
         ])
 
-    return EvaluableField(b_field.ambient_dim, 2 * n, evaluator, DISC)
+    return EvaluableField(b_field.ambient_dim, 2 * n, evaluator)
 
 
 def exp_map(b_field, convention: str = "forward") -> EvaluableField:
@@ -173,7 +177,7 @@ def exp_map(b_field, convention: str = "forward") -> EvaluableField:
     def evaluator(points):
         return func_of_hermitian(b_field.evaluate_batch(points), f)
 
-    return EvaluableField(b_field.ambient_dim, b_field.size, evaluator, DISC)
+    return EvaluableField(b_field.ambient_dim, b_field.size, evaluator)
 
 
 def homotopy_at(b_field, t: float, y) -> np.ndarray:
@@ -197,13 +201,7 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     return func_of_hermitian(b, f)
 
 
-def homotopy_scan(
-    d: int = 2,
-    t_points: int = 11,
-    samples: int = 500,
-    seed: int = 0,
-    rep: clifford.CliffordRep | None = None,
-) -> dict:
+def homotopy_scan(d: int = 2, t_points: int = 11, samples: int = 500, seed: int = 0) -> dict:
     """Minimum singular value of the deformation over a (t, y) grid.
 
     Uses the Weyl contraction lift in d+1 ball variables.  PASS means the
@@ -213,8 +211,7 @@ def homotopy_scan(
     if d % 2 != 0:
         raise ValueError(f"the scanned lift requires even d, got {d}")
     _check_samples(samples)
-    if rep is None:
-        rep = clifford.build_rep(d + 1, clifford.LEFT)
+    rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
     rng = np.random.default_rng(seed)
     points = ball_points(d + 1, samples, rng)
@@ -238,12 +235,7 @@ def homotopy_scan(
     }
 
 
-def verify_index_identity(
-    d: int,
-    rep: clifford.CliffordRep | None = None,
-    samples: int = 1000,
-    seed: int = 0,
-) -> dict:
+def verify_index_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     """Pointwise check that the index map sends the odd generator to the even one.
 
     The Dirac phase in d+1 ball variables is fed through the index-map formula;
@@ -254,8 +246,7 @@ def verify_index_identity(
     if d % 2 != 1 or d > 5:
         raise ValueError(f"supported odd dimensions are 1, 3, 5; got {d}")
     _check_samples(samples)
-    if rep is None:
-        rep = clifford.build_rep(d, clifford.LEFT)
+    rep = clifford.build_rep(d, clifford.LEFT)
     lift = generators.dirac_phase_field(d, rep, domain=DISC)
     v_field = index_map(lift)
     extended = clifford.extend(rep)
@@ -287,12 +278,7 @@ def verify_index_identity(
     }
 
 
-def verify_exp_identity(
-    d: int,
-    rep: clifford.CliffordRep | None = None,
-    samples: int = 1000,
-    seed: int = 0,
-) -> dict:
+def verify_exp_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     """Pointwise check that the exponential map sends the even generator to the
     odd one.
 
@@ -304,8 +290,7 @@ def verify_exp_identity(
     if d % 2 != 0 or d > 4:
         raise ValueError(f"supported even dimensions are 2, 4; got {d}")
     _check_samples(samples)
-    if rep is None:
-        rep = clifford.build_rep(d + 1, clifford.LEFT)
+    rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
     image = exp_map(lift, convention="forward")
     dirac = generators.dirac_phase_field(d + 1, rep)

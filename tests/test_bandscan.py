@@ -8,7 +8,6 @@ import pytest
 from kgen import _linalg, bandscan, charge, clifford, errors, generators
 from kgen.bandscan import (
     BandModel,
-    ScanConfig,
     charge_crossing,
     find_crossings,
     gap_at,
@@ -431,9 +430,9 @@ def test_scan_gapped_model_empty():
 
 
 def test_scan_single_crossing_uses_capped_radius():
-    reports = scan(weyl_model(), [(-1, 1)] * 3, ScanConfig(max_radius=0.3))
+    reports = scan(weyl_model(), [(-1, 1)] * 3)
     assert len(reports) == 1
-    assert reports[0].enclosure_radius == 0.3
+    assert reports[0].enclosure_radius == bandscan.MAX_RADIUS
     assert reports[0].radius_capped
 
 

@@ -302,6 +302,14 @@ def test_winding_nan_field_raises(winding, ambient):
         winding(MatrixPolyField(ambient, 1, terms, SPHERE))
 
 
+def test_chern_nan_field_raises():
+    # NaN eigenvalues leave no band below fermi, so an ungated kernel would sum
+    # over an empty block and report a converged charge 0.
+    nan = MatrixPolyField(3, 2, {(0, 0, 0): np.nan * np.eye(2)}, SPHERE, selfadjoint=True)
+    with pytest.raises(GapClosedError):
+        chern_2(weyl2().plus(nan), resolution=8)
+
+
 # -- Chern number on the 2-sphere -------------------------------------------------
 
 

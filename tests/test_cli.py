@@ -323,6 +323,23 @@ def test_non_finite_box_center_radius_rejected(weyl_path, capsys, command, extra
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("scan", ["--box", "-1e200", "1e200", "--grid", "8"]),
+        ("charge", ["--center", "0", "0", "1e200", "--radius", "1"]),
+        ("charge", ["--radius", "1e200"]),
+    ],
+)
+def test_overflowing_gap_rejected(two_weyl_path, capsys, command, extra):
+    # Finite inputs at which x3^2 overflows: the gap there is not finite, so
+    # nothing may be reported from it (an empty scan, a charge 0).
+    assert main([command, two_weyl_path, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gap is not finite" in captured.err
+
+
 @pytest.mark.parametrize("point", [["inf", "1"], ["0", "-inf"], ["nan", "1"]])
 def test_non_finite_point_rejected(capsys, point):
     argv = ["generator", "--kind", "dirac-phase", "--d", "1", "--point", *point]
