@@ -27,7 +27,7 @@ from .errors import (
     ModelFormatError,
 )
 from .fields import COEFFICIENT_TOL, EUCLIDEAN, MatrixPolyField
-from .serialize import matrix_from_json, matrix_to_json, terms_from_json, terms_to_json
+from .serialize import matrix_from_json, matrix_to_json, poly_from_json, terms_to_json
 
 # A refined gap minimum below GAP_TOL is a crossing, crossings within
 # MERGE_RADIUS of each other are merged, and enclosures are at most MAX_RADIUS.
@@ -78,6 +78,13 @@ class BandModel:
                 raise ChiralSymmetryError("chiral matrix is not Hermitian")
             if max_abs(j @ j - np.eye(n)) > COEFFICIENT_TOL:
                 raise ChiralSymmetryError("chiral matrix does not square to the identity")
+            # trace(J) is the size of the +1 eigenspace minus that of the -1 one.
+            trace = round(np.trace(j).real)
+            if self.dimension == 2 and trace != 0:
+                raise ChiralSymmetryError(
+                    f"chiral matrix has trace {trace}; a two-dimensional model needs "
+                    "equal eigenspaces, so that its chiral block is square"
+                )
             bad = self.field.failing_terms(lambda mat: max_abs(j @ mat + mat @ j))
             if bad:
                 raise ChiralSymmetryError(
@@ -121,17 +128,7 @@ class BandModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "BandModel":
-        if not isinstance(payload, dict):
-            raise ModelFormatError("model file must contain a JSON object")
-        for key in ("dimension", "size", "terms"):
-            if key not in payload:
-                raise ModelFormatError(f"model file is missing the {key!r} key")
-        m = payload["dimension"]
-        n = payload["size"]
-        if not isinstance(m, int) or not isinstance(n, int):
-            raise ModelFormatError("'dimension' and 'size' must be integers")
-        terms = terms_from_json(payload["terms"], m, n)
-        fld = MatrixPolyField(m, n, terms, EUCLIDEAN, selfadjoint=True)
+        fld = MatrixPolyField(*poly_from_json(payload), EUCLIDEAN, selfadjoint=True)
         chiral = payload.get("chiral")
         if chiral is not None:
             chiral = matrix_from_json(chiral)
@@ -199,8 +196,9 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
     """Gaps at (M, m) points; a non-finite gap (the model overflows) is refused."""
     gaps = np.empty(len(points))
     for sl in chunks(len(points)):
-        vals = np.linalg.eigvalsh(model.field.evaluate_batch(points[sl]))
-        gaps[sl] = np.min(np.abs(vals - model.fermi), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            vals = np.linalg.eigvalsh(model.field.evaluate_batch(points[sl]))
+            gaps[sl] = np.min(np.abs(vals - model.fermi), axis=1)
         bad = ~np.isfinite(gaps[sl])
         if bad.any():
             where = points[sl][bad][0].tolist()

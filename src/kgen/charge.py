@@ -34,8 +34,8 @@ invertibility from the inverse they already form, via sigma_min(U) >=
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
 even generator field produces is a convention that depends on the chosen
-Clifford matrices; it is computed once and exposed as ``CHERN_SIGN_WEYL``
-rather than hard-coded.
+Clifford matrices; it is computed once by :func:`chern_sign_weyl` rather than
+hard-coded.
 """
 
 from __future__ import annotations
@@ -325,9 +325,3 @@ def chern_sign_weyl() -> int:
     if abs(result.charge) != 1 or not result.converged:
         raise RuntimeError(f"convention constant did not evaluate to +-1: {result}")
     return result.charge
-
-
-def __getattr__(name: str):
-    if name == "CHERN_SIGN_WEYL":
-        return chern_sign_weyl()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

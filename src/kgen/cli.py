@@ -19,7 +19,7 @@ import numpy as np
 from . import bandscan, clifford, generators, kmaps
 from .errors import KgenError
 from .fields import EUCLIDEAN
-from .serialize import matrix_to_json
+from .serialize import matrix_to_json, suite_report
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -129,13 +129,7 @@ def _cmd_verify(args) -> int:
                 report = clifford.verify_rep(rep)
                 worst = max(worst, report.max_residual)
                 checked += 1
-        report = {
-            "suite": "clifford",
-            "d": int(d_max),
-            "samples": checked,
-            "max_residual": float(worst),
-            "pass": bool(worst == 0.0),
-        }
+        report = suite_report("clifford", d_max, checked, worst, worst == 0.0)
     elif suite == "index":
         d = args.d if args.d is not None else 1
         report = kmaps.verify_index_identity(d, samples=args.samples, seed=args.seed)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import max_abs
 from .errors import DimensionMismatchError
-from .serialize import terms_from_json, terms_to_json
+from .serialize import poly_from_json, terms_to_json
 
 SPHERE = "sphere"
 DISC = "disc"
@@ -165,16 +165,15 @@ class MatrixPolyField:
             raise DimensionMismatchError("center must match the ambient dimension")
         radius = np.float64(radius)  # its powers then overflow to inf, not OverflowError
         new_terms: dict = {}
-        for alpha, mat in self.terms.items():
-            ranges = [range(a + 1) for a in alpha]
-            for ks in itertools.product(*ranges):
-                coeff = 1.0
-                for a, k, c in zip(alpha, ks, center):
-                    coeff *= math.comb(a, k) * c ** (a - k) * radius**k
-                if coeff == 0.0:
-                    continue
-                beta = tuple(ks)
-                new_terms[beta] = new_terms.get(beta, 0) + coeff * mat
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            for alpha, mat in self.terms.items():
+                for ks in itertools.product(*[range(a + 1) for a in alpha]):
+                    coeff = 1.0
+                    for a, k, c in zip(alpha, ks, center):
+                        coeff *= math.comb(a, k) * c ** (a - k) * radius**k
+                    if coeff == 0.0:
+                        continue
+                    new_terms[ks] = new_terms.get(ks, 0) + coeff * mat
         if not all(np.isfinite(mat).all() for mat in new_terms.values()):
             raise ValueError(f"pullback to radius {radius} about {center.tolist()} overflows")
         return replace(self, terms=new_terms)
@@ -201,9 +200,7 @@ class MatrixPolyField:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MatrixPolyField":
-        ambient = int(payload["dimension"])
-        size = int(payload["size"])
-        terms = terms_from_json(payload["terms"], ambient, size)
+        ambient, size, terms = poly_from_json(payload)
         return cls(
             ambient,
             size,

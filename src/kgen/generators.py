@@ -15,7 +15,8 @@ from . import clifford
 from ._linalg import dagger, func_of_hermitian, max_abs, operator_norm, sq_norms
 from .errors import DimensionMismatchError, NotChiralError
 from .fields import EUCLIDEAN, SPHERE, EvaluableField, MatrixPolyField, unit_index
-from .sampling import sphere_points
+from .sampling import check_samples, sphere_points
+from .serialize import suite_report
 
 # Seeded sphere directions sampled by compact_resolvent_profile.
 PROFILE_DIRECTIONS = 64
@@ -169,8 +170,7 @@ def verify_fredholm(samples: int = 50, seed: int = 0) -> dict:
     ||1 - F*F|| = 1/(1 + ||x||^2) for the bounded transform F on random
     probes.  PASS requires agreement to 1e-12.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     radii = (0.0, 1.0, 7.0)
 
@@ -192,13 +192,7 @@ def verify_fredholm(samples: int = 50, seed: int = 0) -> dict:
             worst = max(worst, max_abs(f @ t - t @ f))
 
     tol = 1e-12
-    return {
-        "suite": "fredholm",
-        "d": None,
-        "samples": int(samples),
-        "max_residual": float(worst),
-        "pass": bool(worst < tol),
-        "tolerance": tol,
-        "seed": int(seed),
-    }
+    return suite_report(
+        "fredholm", None, samples, worst, worst < tol, tolerance=tol, seed=int(seed)
+    )
 

@@ -29,7 +29,8 @@ from . import clifford, generators
 from ._linalg import dagger, func_of_hermitian, max_abs, operator_norm, sq_norms, sqrt_psd
 from .errors import DomainError, LiftInvalidError, PoleError
 from .fields import DISC, EvaluableField
-from .sampling import ball_points, sphere_points
+from .sampling import ball_points, check_samples, sphere_points
+from .serialize import suite_report
 
 # Admissibility tolerance for contraction/self-adjointness of lifts, and the
 # pass threshold of the pointwise identity suites.
@@ -102,16 +103,22 @@ def chart_inverse(x) -> ChartPoint:
     return ChartPoint(disc_y=y, euclid_z=z, sphere_x=x)
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-
-
-def _lift_samples(ambient_dim: int):
+def _check_lift(b_field, selfadjoint: bool) -> None:
+    """Refuse a lift that is not a contraction, or not self-adjoint when
+    ``selfadjoint`` is set, on a fixed sample of the closed ball: LIFT_SAMPLES
+    interior points and half as many on the boundary sphere."""
     rng = np.random.default_rng(2024)
-    interior = ball_points(ambient_dim, LIFT_SAMPLES, rng, max_norm=1.0)
-    boundary = sphere_points(ambient_dim, LIFT_SAMPLES // 2, rng)
-    return interior, boundary
+    m = b_field.ambient_dim
+    b = b_field.evaluate_batch(
+        np.vstack([ball_points(m, LIFT_SAMPLES, rng), sphere_points(m, LIFT_SAMPLES // 2, rng)])
+    )
+    if selfadjoint:
+        worst = max_abs(b - dagger(b))
+        if worst > LIFT_TOL:
+            raise LiftInvalidError(f"lift is not self-adjoint: residual {worst}")
+    worst = float(np.max(operator_norm(b)))
+    if worst > 1.0 + LIFT_TOL:
+        raise LiftInvalidError(f"lift is not a contraction: max norm {worst}")
 
 
 def index_map(b_field) -> EvaluableField:
@@ -121,25 +128,19 @@ def index_map(b_field) -> EvaluableField:
     sample set); for the output to represent a class relative to the boundary,
     its boundary values must in addition be unitary, which is the caller's
     responsibility.  The output V(y) is a Hermitian unitary of doubled size
-    that degenerates to diag(1, -1) wherever B is unitary; the two off-diagonal
-    blocks agree because B* sqrt(1 - BB*) = sqrt(1 - B*B) B*.
+    that degenerates to diag(1, -1) wherever B is unitary.  Since
+    B* sqrt(1 - BB*) = sqrt(1 - B*B) B*, the lower-left block is built as the
+    adjoint of the upper-right one, with one square root per point.
     """
     n = b_field.size
     eye = np.eye(n, dtype=complex)
-    samples = np.vstack(_lift_samples(b_field.ambient_dim))
-    worst = float(np.max(operator_norm(b_field.evaluate_batch(samples))))
-    if worst > 1.0 + LIFT_TOL:
-        raise LiftInvalidError(f"lift is not a contraction: max norm {worst}")
+    _check_lift(b_field, selfadjoint=False)
 
     def evaluator(points):
         b = b_field.evaluate_batch(points)
         bd = dagger(b)
-        s_right = sqrt_psd(eye - bd @ b)  # sqrt(1 - B*B)
-        s_left = sqrt_psd(eye - b @ bd)  # sqrt(1 - BB*)
-        return np.block([
-            [2.0 * b @ bd - eye, 2.0 * b @ s_right],
-            [2.0 * bd @ s_left, eye - 2.0 * bd @ b],
-        ])
+        upper = 2.0 * b @ sqrt_psd(eye - bd @ b)
+        return np.block([[2.0 * b @ bd - eye, upper], [dagger(upper), eye - 2.0 * bd @ b]])
 
     return EvaluableField(b_field.ambient_dim, 2 * n, evaluator)
 
@@ -161,14 +162,7 @@ def exp_map(b_field, convention: str = "forward") -> EvaluableField:
     if convention not in ("forward", "adjoint"):
         raise ValueError(f"unknown convention {convention!r}")
     sign = 1.0 if convention == "adjoint" else -1.0
-    interior, boundary = _lift_samples(b_field.ambient_dim)
-    b = b_field.evaluate_batch(np.vstack([interior, boundary]))
-    worst = max_abs(b - dagger(b))
-    if worst > LIFT_TOL:
-        raise LiftInvalidError(f"lift is not self-adjoint: residual {worst}")
-    worst = float(np.max(operator_norm(b[: len(interior)])))
-    if worst > 1.0 + LIFT_TOL:
-        raise LiftInvalidError(f"lift is not a contraction: max norm {worst}")
+    _check_lift(b_field, selfadjoint=True)
 
     def f(vals):
         vals = np.clip(vals, -1.0, 1.0)
@@ -210,7 +204,7 @@ def homotopy_scan(d: int = 2, t_points: int = 11, samples: int = 500, seed: int 
     """
     if d % 2 != 0:
         raise ValueError(f"the scanned lift requires even d, got {d}")
-    _check_samples(samples)
+    check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
     rng = np.random.default_rng(seed)
@@ -221,18 +215,17 @@ def homotopy_scan(d: int = 2, t_points: int = 11, samples: int = 500, seed: int 
         for y in points:
             sv = np.linalg.svd(homotopy_at(lift, float(t), y), compute_uv=False)[-1]
             min_sv = min(min_sv, float(sv))
-    passed = min_sv > HOMOTOPY_SV_MIN
-    return {
-        "suite": "homotopy",
-        "d": int(d),
-        "samples": int(samples),
-        "t_points": int(t_points),
-        "min_singular_value": float(min_sv),
-        "threshold": HOMOTOPY_SV_MIN,
-        "max_residual": float(max(0.0, HOMOTOPY_SV_MIN - min_sv)),
-        "pass": bool(passed),
-        "seed": int(seed),
-    }
+    return suite_report(
+        "homotopy",
+        d,
+        samples,
+        max(0.0, HOMOTOPY_SV_MIN - min_sv),
+        min_sv > HOMOTOPY_SV_MIN,
+        t_points=int(t_points),
+        min_singular_value=float(min_sv),
+        threshold=HOMOTOPY_SV_MIN,
+        seed=int(seed),
+    )
 
 
 def verify_index_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
@@ -245,7 +238,7 @@ def verify_index_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     """
     if d % 2 != 1 or d > 5:
         raise ValueError(f"supported odd dimensions are 1, 3, 5; got {d}")
-    _check_samples(samples)
+    check_samples(samples)
     rep = clifford.build_rep(d, clifford.LEFT)
     lift = generators.dirac_phase_field(d, rep, domain=DISC)
     v_field = index_map(lift)
@@ -267,15 +260,9 @@ def verify_index_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     worst = max_abs(
         v_field.evaluate_batch(np.vstack(kept_y)) - weyl.evaluate_batch(np.vstack(kept_x))
     )
-    return {
-        "suite": "index",
-        "d": int(d),
-        "samples": int(kept),
-        "max_residual": float(worst),
-        "pass": bool(worst < IDENTITY_TOL),
-        "tolerance": IDENTITY_TOL,
-        "seed": int(seed),
-    }
+    return suite_report(
+        "index", d, kept, worst, worst < IDENTITY_TOL, tolerance=IDENTITY_TOL, seed=int(seed)
+    )
 
 
 def verify_exp_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
@@ -289,7 +276,7 @@ def verify_exp_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     """
     if d % 2 != 0 or d > 4:
         raise ValueError(f"supported even dimensions are 2, 4; got {d}")
-    _check_samples(samples)
+    check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
     image = exp_map(lift, convention="forward")
@@ -300,15 +287,9 @@ def verify_exp_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     r2 = sq_norms(points)[:, None]
     x = np.hstack([points * np.sqrt(1.0 - r2), 2.0 * r2 - 1.0])
     worst = max_abs(image.evaluate_batch(points) - dirac.evaluate_batch(x))
-    return {
-        "suite": "exp",
-        "d": int(d),
-        "samples": int(samples),
-        "max_residual": float(worst),
-        "pass": bool(worst < IDENTITY_TOL),
-        "tolerance": IDENTITY_TOL,
-        "seed": int(seed),
-    }
+    return suite_report(
+        "exp", d, samples, worst, worst < IDENTITY_TOL, tolerance=IDENTITY_TOL, seed=int(seed)
+    )
 
 
 def kgroup_table(d: int) -> KGroupTable:

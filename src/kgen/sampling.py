@@ -9,6 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a sample count below one, so no suite passes over zero samples."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def sphere_points(ambient_dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points on the unit sphere in R^ambient_dim, shape (count, ambient_dim)."""
     pts = rng.standard_normal((count, ambient_dim))

@@ -1,7 +1,8 @@
 """JSON encoding of complex matrices and the payload schemas built on them.
 
 Complex entries are stored as two-element ``[re, im]`` arrays.  Term lists are
-sorted by multi-index so that serialization is deterministic.
+sorted by multi-index so that serialization is deterministic.  Every verify
+suite reports through :func:`suite_report`.
 """
 
 from __future__ import annotations
@@ -9,6 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ModelFormatError
+
+
+def suite_report(suite: str, d, samples: int, max_residual: float, passed: bool, **extra) -> dict:
+    """Report of a verify suite: the five shared keys, cast for strict JSON
+    (``d`` may be None), followed by the suite's own ``extra`` keys."""
+    return {
+        "suite": suite,
+        "d": None if d is None else int(d),
+        "samples": int(samples),
+        "max_residual": float(max_residual),
+        "pass": bool(passed),
+        **extra,
+    }
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -37,7 +51,16 @@ def terms_to_json(terms: dict) -> list:
     ]
 
 
-def terms_from_json(data, ambient_dim: int, size: int) -> dict:
+def poly_from_json(payload) -> tuple:
+    """``(dimension, size, terms)`` of a field or band-model payload, each checked."""
+    if not isinstance(payload, dict):
+        raise ModelFormatError("model file must contain a JSON object")
+    for key in ("dimension", "size", "terms"):
+        if key not in payload:
+            raise ModelFormatError(f"model file is missing the {key!r} key")
+    ambient_dim, size, data = payload["dimension"], payload["size"], payload["terms"]
+    if not isinstance(ambient_dim, int) or not isinstance(size, int):
+        raise ModelFormatError("'dimension' and 'size' must be integers")
     if not isinstance(data, list):
         raise ModelFormatError("'terms' must be a list")
     terms = {}
@@ -58,4 +81,4 @@ def terms_from_json(data, ambient_dim: int, size: int) -> dict:
         if alpha in terms:
             raise ModelFormatError(f"duplicate multi-index {alpha}")
         terms[alpha] = mat
-    return terms
+    return ambient_dim, size, terms

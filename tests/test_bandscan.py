@@ -209,22 +209,77 @@ def test_load_rejects_malformed_json(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_schema_violations(tmp_path):
+CHIRAL_PAYLOAD = chiral_dirac_model().to_payload()
+ZERO_2X2 = [[[0.0, 0.0]] * 2] * 2
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param({"dimension": 2, "size": 2}, "missing the 'terms' key", id="missing-terms"),
+        pytest.param(
+            {"dimension": 2, "size": 2, "terms": [{"powers": [1], "matrix": [[[0.0, 0.0]]]}]},
+            "bad multi-index",
+            id="bad-multi-index",
+        ),
+        pytest.param([1, 2, 3], "must contain a JSON object", id="not-an-object"),
+        pytest.param(None, "cannot read model file", id="unreadable-path"),
+        pytest.param({**CHIRAL_PAYLOAD, "dimension": "2"}, "must be integers", id="str-dimension"),
+        pytest.param({**CHIRAL_PAYLOAD, "size": 2.0}, "must be integers", id="float-size"),
+        pytest.param({**CHIRAL_PAYLOAD, "fermi": "zero"}, "'fermi' must be a number", id="fermi"),
+        pytest.param({**CHIRAL_PAYLOAD, "terms": {}}, "'terms' must be a list", id="terms-dict"),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [{"matrix": ZERO_2X2}]},
+            "needs 'powers' and 'matrix'",
+            id="no-powers",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [{"powers": [1, 0]}]},
+            "needs 'powers' and 'matrix'",
+            id="no-matrix",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [{"powers": [1, 0], "matrix": [[[0.0, 0.0], "x"]]}]},
+            "malformed complex matrix",
+            id="malformed-matrix",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [{"powers": [1, 0], "matrix": ZERO_2X2[:1]}]},
+            "must be square",
+            id="non-square-matrix",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [{"powers": [1, 0], "matrix": ZERO_2X2}] * 2},
+            "duplicate multi-index",
+            id="duplicate-multi-index",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "chiral": [[[1.0, 0.0]]]}, "chiral matrix has shape", id="chiral-1x1"
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "chiral": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]},
+            "chiral matrix is not Hermitian",
+            id="non-hermitian-chiral",
+        ),
+    ],
+)
+def test_load_rejects_schema_violations(tmp_path, payload, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"dimension": 2, "size": 2}))
-    with pytest.raises(ModelFormatError):
+    if payload is not None:  # otherwise the path does not exist
+        path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match=message):
         load_model(path)
-    path.write_text(
-        json.dumps(
-            {
-                "dimension": 2,
-                "size": 2,
-                "terms": [{"powers": [1], "matrix": [[[0.0, 0.0]]]}],
-            }
-        )
-    )
-    with pytest.raises(ModelFormatError):
-        load_model(path)
+
+
+def test_two_dimensional_model_needs_equal_chiral_eigenspaces():
+    # Both terms anti-commute with J = diag(1, 1, -1), but the chiral block of
+    # a 2 + 1 split is 1 x 2, so no crossing of the model could be charged.
+    j = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    a, b = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    a[0, 2] = a[2, 0] = b[1, 2] = b[2, 1] = 1.0
+    field = MatrixPolyField(2, 3, {(1, 0): a, (0, 1): b}, EUCLIDEAN, selfadjoint=True)
+    with pytest.raises(ChiralSymmetryError, match="trace 1"):
+        BandModel(field, chiral=j)
 
 
 @pytest.mark.parametrize("where", ["coefficient", "chiral", "fermi"])

@@ -316,7 +316,6 @@ def test_chern_nan_field_raises():
 def test_chern_sign_convention_constant():
     sign = chern_sign_weyl()
     assert sign in (-1, 1)
-    assert charge.CHERN_SIGN_WEYL == sign
 
 
 def test_chern_weyl_matches_wilson_loop_oracle():

@@ -14,6 +14,7 @@ import pytest
 from kgen import bandscan, cli
 from kgen.cli import main
 from kgen.fields import EUCLIDEAN, MatrixPolyField
+from kgen.serialize import matrix_to_json
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -213,6 +214,28 @@ def test_scan_command_gapped_empty(gapped_path):
     assert json.loads(proc.stdout) == []
 
 
+def test_scan_refuses_unequal_chiral_eigenspaces(tmp_path, capsys):
+    # A 2-D model whose chiral block would be 1 x 2 is refused at load.
+    j = np.diag([1.0, 1.0, -1.0])
+    a, b = np.zeros((3, 3)), np.zeros((3, 3))
+    a[0, 2] = a[2, 0] = b[1, 2] = b[2, 1] = 1.0
+    payload = {
+        "dimension": 2,
+        "size": 3,
+        "terms": [
+            {"powers": [1, 0], "matrix": matrix_to_json(a)},
+            {"powers": [0, 1], "matrix": matrix_to_json(b)},
+        ],
+        "chiral": matrix_to_json(j),
+    }
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps(payload))
+    assert main(["scan", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trace 1" in captured.err
+
+
 def test_scan_command_malformed_model(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("[1, 2, 3]")
@@ -323,6 +346,7 @@ def test_non_finite_box_center_radius_rejected(weyl_path, capsys, command, extra
     assert "finite" in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, extra",
     [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kgen import clifford, generators
 from kgen._linalg import max_abs
-from kgen.errors import DimensionMismatchError
+from kgen.errors import DimensionMismatchError, ModelFormatError
 from kgen.fields import EUCLIDEAN, EvaluableField, MatrixPolyField
 
 
@@ -189,6 +189,7 @@ def test_affine_pullback_exact():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("center, radius", [([0.0, 0.0], 1.341e154), ([1e200, 0.0], 1.0)])
 def test_affine_pullback_refuses_overflow(center, radius):
     # radius**2 overflows, or the centre's square does; either coefficient is inf.
@@ -206,6 +207,19 @@ def test_payload_round_trip():
     assert set(back.terms) == set(field.terms)
     for alpha in field.terms:
         assert np.array_equal(back.terms[alpha], field.terms[alpha])
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({}, "missing the 'dimension' key"),
+        ({"dimension": "2", "size": 1, "terms": []}, "'dimension' and 'size' must be integers"),
+    ],
+    ids=["empty", "str-dimension"],
+)
+def test_payload_schema_violations(payload, message):
+    with pytest.raises(ModelFormatError, match=message):
+        MatrixPolyField.from_payload(payload)
 
 
 def test_shape_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from kgen import clifford, generators, kmaps
 from kgen.errors import DomainError, LiftInvalidError, PoleError
-from kgen.fields import DISC, MatrixPolyField
+from kgen.fields import DISC, EvaluableField, MatrixPolyField
 from kgen.sampling import ball_points
 
 
@@ -140,6 +140,14 @@ def test_index_map_rejects_non_contraction():
         kmaps.index_map(b)
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_index_map_off_diagonal_blocks_are_exact_adjoints(d):
+    v = kmaps.index_map(disc_dirac_lift(d))
+    n = v.size // 2
+    values = v.evaluate_batch(ball_points(d + 1, 50, np.random.default_rng(7)))
+    assert np.array_equal(values[:, n:, :n], values[:, :n, n:].conj().swapaxes(-1, -2))
+
+
 # -- exponential map -----------------------------------------------------------
 
 
@@ -199,6 +207,17 @@ def test_exp_map_boundary_values():
 def test_exp_map_rejects_non_selfadjoint():
     with pytest.raises(LiftInvalidError):
         kmaps.exp_map(disc_dirac_lift(1))
+
+
+def test_exp_map_checks_contraction_on_the_boundary():
+    # 0.5 I inside the ball and 1.5 I on the unit sphere: only the boundary
+    # sample shows that this lift is not a contraction.
+    def evaluator(points):
+        on_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0) < 1e-12
+        return np.where(on_sphere, 1.5, 0.5)[:, None, None] * np.eye(2)
+
+    with pytest.raises(LiftInvalidError, match="not a contraction"):
+        kmaps.exp_map(EvaluableField(3, 2, evaluator))
 
 
 def test_exp_map_unknown_convention():
