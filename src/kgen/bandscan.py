@@ -60,7 +60,7 @@ class BandModel:
             raise ModelFormatError(
                 f"supported model dimensions are 2 and 3, got {self.field.ambient_dim}"
             )
-        bad = self.field.failing_terms(lambda mat: max_abs(mat - dagger(mat)))
+        bad = self.field.non_hermitian_terms()
         if bad:
             raise HermiticityError(f"non-Hermitian coefficients at multi-indices {bad}")
         if not np.isfinite(self.fermi):

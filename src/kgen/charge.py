@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import chunks, dagger, max_abs
+from ._linalg import chunks
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
@@ -64,23 +64,16 @@ DEFAULT_RESOLUTION = {1: 256, 2: 64, 3: 24}
 class SphereGrid:
     """Quadrature grid on S^dim.
 
-    ``weights`` are surface weights (summing to the sphere area), ``jacobians``
-    the surface density relative to the parameter volume, and ``dx_dparam`` the
-    tangent vectors d(node)/d(parameter) used to pull ambient derivatives back
-    to the parametrization.
+    ``weights`` integrate over the parameter domain (d theta d phi ...), which
+    is where the kernels' pulled-back integrands live, and ``dx_dparam`` are
+    the tangent vectors d(node)/d(parameter) used to pull ambient derivatives
+    back to the parametrization.
     """
 
     dim: int
     nodes: np.ndarray  # (M, dim + 1)
     weights: np.ndarray  # (M,)
-    params: np.ndarray  # (M, dim)
-    jacobians: np.ndarray  # (M,)
     dx_dparam: np.ndarray  # (M, dim, dim + 1)
-
-    @property
-    def coordinate_weights(self) -> np.ndarray:
-        """Weights for integrals over the parameter domain (d theta d phi ...)."""
-        return self.weights / self.jacobians
 
 
 @dataclass(frozen=True)
@@ -117,10 +110,11 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     inner grid on S^(d-1): x = (sin psi * y, cos psi), so d/dpsi =
     (cos psi * y, -sin psi) and the inner tangents are scaled by sin psi.  The
     inner grid is the 2n-angle circle for S^2 and the n-resolution S^2 for
-    S^3.  The polar angle psi takes n Gauss-Legendre nodes in cos psi on S^2
-    and in psi with weight sin^2 psi on S^3, so constants integrate exactly.
-    The parameters are (theta, phi) on S^2, with psi = theta, and
-    (psi, theta, phi) on S^3; nodes run over psi first, then the inner grid.
+    S^3.  The polar angle psi takes n Gauss-Legendre nodes in cos psi on S^2,
+    whose weights w become w / sin psi in d psi, and in psi itself on S^3,
+    with weights (pi / 2) w.  The parameters are (theta, phi) on S^2, with
+    psi = theta, and (psi, theta, phi) on S^3; nodes run over psi first, then
+    the inner grid.
     """
     if dim not in (1, 2, 3):
         raise UnsupportedDimensionError(f"supported sphere dimensions are 1, 2, 3; got {dim}")
@@ -129,19 +123,17 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     if dim == 1:
         theta = 2.0 * np.pi * np.arange(n) / n
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(n, 2.0 * np.pi / n)
-        params = theta[:, None]
-        jac = np.ones(n)
         dx = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
-        return SphereGrid(1, nodes, weights, params, jac, dx)
+        return SphereGrid(1, nodes, np.full(n, 2.0 * np.pi / n), dx)
 
     inner = sphere_grid(1, 2 * n) if dim == 2 else sphere_grid(2, n)
     x, w = np.polynomial.legendre.leggauss(n)
     if dim == 2:
-        psi, w_psi = np.arccos(x), w
+        psi = np.arccos(x)
+        w_psi = w / np.sin(psi)
     else:
         psi = 0.5 * np.pi * (x + 1.0)
-        w_psi = 0.5 * np.pi * w * np.sin(psi) ** 2
+        w_psi = 0.5 * np.pi * w
     # Each array is filled in place through an (n, m_in, ...) view: psi
     # blocks by broadcasting, so no tiled copy of the inner grid is made.
     m_in = len(inner.nodes)
@@ -154,15 +146,8 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     np.multiply(c, inner.nodes, out=dx[:, :, 0, :dim])
     dx[:, :, 0, dim] = -s[..., 0]
     np.multiply(s[..., None], inner.dx_dparam, out=dx[:, :, 1:, :dim])
-    params = np.empty((n, m_in, dim))
-    params[..., 0] = psi[:, None]
-    params[..., 1:] = inner.params
     weights = np.outer(w_psi, inner.weights).reshape(-1)
-    jac = np.outer(np.sin(psi) ** (dim - 1), inner.jacobians).reshape(-1)
-    return SphereGrid(
-        dim, nodes.reshape(-1, dim + 1), weights, params.reshape(-1, dim), jac,
-        dx.reshape(-1, dim, dim + 1),
-    )
+    return SphereGrid(dim, nodes.reshape(-1, dim + 1), weights, dx.reshape(-1, dim, dim + 1))
 
 
 def _check_field(field: MatrixPolyField, dim: int):
@@ -197,7 +182,7 @@ def _gated_inverse(u: np.ndarray) -> np.ndarray:
 
 
 def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
-    w = grid.coordinate_weights
+    w = grid.weights
     total = 0.0
     for sl in chunks(len(w)):
         u, d = field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl])
@@ -217,7 +202,7 @@ def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
 
 
 def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
-    w = grid.coordinate_weights
+    w = grid.weights
     total = 0.0
     n_occ = None
     for sl in chunks(len(w)):
@@ -279,7 +264,7 @@ def chern_2(
     ``center``, on the sphere |x - center| = ``radius``.  Hermiticity is judged on
     ``field`` before the pullback, whose constant term keeps the field's rounding."""
     _check_field(field, 2)
-    if field.failing_terms(lambda mat: max_abs(mat - dagger(mat))):
+    if field.non_hermitian_terms():
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")

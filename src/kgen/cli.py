@@ -59,23 +59,12 @@ def _cmd_clifford(args) -> int:
 
 
 def _generator_field(kind: str, d: int, handedness: str):
-    if kind == "weyl":
-        if d % 2 != 0:
-            raise UsageError(f"--kind weyl needs even d, got {d}")
-        rep = clifford.build_rep(d + 1, handedness)
-        return generators.weyl_field(d, rep), None
-    if kind == "dirac-phase":
-        if d % 2 != 1:
-            raise UsageError(f"--kind dirac-phase needs odd d, got {d}")
-        rep = clifford.build_rep(d, handedness)
-        return generators.dirac_phase_field(d, rep), None
+    """``(field, grading)``; the generator functions refuse a d of the wrong parity."""
     if kind == "dirac-hamiltonian":
-        if d % 2 != 1:
-            raise UsageError(f"--kind dirac-hamiltonian needs odd d, got {d}")
-        rep = clifford.build_rep(d + 1, handedness)
-        field, grading = generators.dirac_hamiltonian_field(d, rep)
-        return field, grading
-    raise UsageError(f"unknown generator kind {kind!r}")
+        return generators.dirac_hamiltonian_field(d, clifford.build_rep(d + 1, handedness))
+    if kind == "weyl":
+        return generators.weyl_field(d, clifford.build_rep(d + 1, handedness)), None
+    return generators.dirac_phase_field(d, clifford.build_rep(d, handedness)), None
 
 
 def _cmd_generator(args) -> int:

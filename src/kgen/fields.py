@@ -17,8 +17,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._linalg import max_abs
-from .errors import DimensionMismatchError
+from ._linalg import dagger, max_abs
+from .errors import DimensionMismatchError, HermiticityError, ModelFormatError
 from .serialize import poly_from_json, terms_to_json
 
 SPHERE = "sphere"
@@ -189,6 +189,10 @@ class MatrixPolyField:
         bound = COEFFICIENT_TOL * max((max_abs(m) for m in self.terms.values()), default=0.0)
         return sorted(alpha for alpha, mat in self.terms.items() if residual(mat) > bound)
 
+    def non_hermitian_terms(self) -> list:
+        """The :meth:`failing_terms` of Hermiticity, M_alpha = M_alpha^*."""
+        return self.failing_terms(lambda mat: max_abs(mat - dagger(mat)))
+
     def to_payload(self) -> dict:
         return {
             "dimension": self.ambient_dim,
@@ -200,14 +204,22 @@ class MatrixPolyField:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MatrixPolyField":
+        """Field from :meth:`to_payload` output; a flag or tag it cannot hold is a
+        ModelFormatError, and ``selfadjoint: true`` needs Hermitian coefficients."""
         ambient, size, terms = poly_from_json(payload)
-        return cls(
-            ambient,
-            size,
-            terms,
-            payload.get("domain", EUCLIDEAN),
-            bool(payload.get("selfadjoint", False)),
-        )
+        domain = payload.get("domain", EUCLIDEAN)
+        if domain not in _DOMAINS:
+            raise ModelFormatError(f"unknown domain tag {domain!r}")
+        selfadjoint = payload.get("selfadjoint", False)
+        if not isinstance(selfadjoint, bool):
+            raise ModelFormatError(f"'selfadjoint' must be true or false, got {selfadjoint!r}")
+        field = cls(ambient, size, terms, domain, selfadjoint)
+        bad = field.non_hermitian_terms() if selfadjoint else []
+        if bad:
+            raise HermiticityError(
+                f"'selfadjoint' is true but the coefficients at multi-indices {bad} are not Hermitian"
+            )
+        return field
 
 
 @dataclass(frozen=True)

@@ -90,25 +90,16 @@ def chiral_lower_block(field: MatrixPolyField, j_matrix) -> MatrixPolyField:
             f"coefficients at multi-indices {bad} do not anti-commute with the grading"
         )
 
-    n = field.size
-    eye = np.eye(n, dtype=complex)
-    target = np.zeros((n, n), dtype=complex)
-    half = n // 2
-    target[:half, :half] = np.eye(half)
-    target[half:, half:] = -np.eye(half)
-    if n % 2 == 0 and max_abs(j - target) < 1e-14:
-        w = eye  # already in the normal form; keep blocks on the nose
-    else:
-        vals, vecs = np.linalg.eigh(j)
-        plus = vecs[:, vals > 0]
-        minus = vecs[:, vals < 0]
-        if plus.shape[1] != minus.shape[1]:
-            raise NotChiralError(
-                f"chiral eigenspaces have sizes {plus.shape[1]} and {minus.shape[1]}; "
-                "off-diagonal block is not square"
-            )
-        w = np.hstack([plus, minus])
-        half = plus.shape[1]
+    vals, vecs = np.linalg.eigh(j)
+    plus = vecs[:, vals > 0]
+    minus = vecs[:, vals < 0]
+    if plus.shape[1] != minus.shape[1]:
+        raise NotChiralError(
+            f"chiral eigenspaces have sizes {plus.shape[1]} and {minus.shape[1]}; "
+            "off-diagonal block is not square"
+        )
+    w = np.hstack([plus, minus])
+    half = plus.shape[1]
 
     new_terms = {}
     for alpha, mat in field.terms.items():

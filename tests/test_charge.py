@@ -91,7 +91,7 @@ def fd_winding3_oracle(field, n=24, step=1e-6):
         ls.append(uinv @ d)
     t123 = np.einsum("mij,mjk,mki->m", ls[0], ls[1], ls[2])
     t132 = np.einsum("mij,mjk,mki->m", ls[0], ls[2], ls[1])
-    total = np.sum(grid.coordinate_weights * 3.0 * (t123 - t132))
+    total = np.sum(grid.weights * 3.0 * (t123 - t132))
     return float(np.real(-total / (24.0 * np.pi**2)))
 
 
@@ -110,8 +110,11 @@ def fd_winding3_oracle(field, n=24, step=1e-6):
     ],
 )
 def test_grid_weight_sums(dim, n, area, tol):
+    # The parameter-domain weights integrate the Gram density sqrt(det(J J^T))
+    # of the tangents J = dx_dparam to the sphere area.
     grid = sphere_grid(dim, n)
-    assert abs(grid.weights.sum() - area) < tol
+    gram = grid.dx_dparam @ grid.dx_dparam.transpose(0, 2, 1)
+    assert abs(np.sum(grid.weights * np.sqrt(np.linalg.det(gram))) - area) < tol
 
 
 def test_grid_nodes_on_sphere():
@@ -122,63 +125,37 @@ def test_grid_nodes_on_sphere():
 
 def test_grid_s1_equispaced():
     grid = sphere_grid(1, 8)
-    assert np.allclose(grid.params[:, 0], 2 * np.pi * np.arange(8) / 8)
+    theta = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0]) % (2 * np.pi)
+    assert np.allclose(theta, 2 * np.pi * np.arange(8) / 8)
     assert np.allclose(grid.weights, 2 * np.pi / 8)
 
 
-def test_grid_tangents_match_finite_differences():
-    for dim in (1, 2, 3):
-        grid = sphere_grid(dim, 8)
-        step = 1e-6
-        # Reconstruct nodes from params and bump each parameter.
-        for a in range(dim):
-            params_p = grid.params.copy()
-            params_p[:, a] += step
-            params_m = grid.params.copy()
-            params_m[:, a] -= step
-            fd = (_embed(dim, params_p) - _embed(dim, params_m)) / (2 * step)
-            assert np.max(np.abs(fd - grid.dx_dparam[:, a, :])) < 1e-8
-
-
-def _embed(dim, params):
+def closed_form_grid(dim, n):
+    """Nodes, tangents and parameter-domain weights of the direct angle
+    parametrization: theta on S^1, (theta, phi) on S^2 with cos theta at the
+    Gauss-Legendre nodes, and (psi, theta, phi) on S^3 with psi Gauss-Legendre."""
     if dim == 1:
-        t = params[:, 0]
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
-    if dim == 2:
-        th, ph = params[:, 0], params[:, 1]
-        return np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-        )
-    ps, th, ph = params[:, 0], params[:, 1], params[:, 2]
-    return np.stack(
-        [
-            np.sin(ps) * np.sin(th) * np.cos(ph),
-            np.sin(ps) * np.sin(th) * np.sin(ph),
-            np.sin(ps) * np.cos(th),
-            np.cos(ps),
-        ],
-        axis=1,
-    )
-
-
-def test_grid_argument_validation():
-    with pytest.raises(UnsupportedDimensionError):
-        sphere_grid(4, 8)
-    with pytest.raises(ValueError):
-        sphere_grid(2, 3)
-
-
-@pytest.mark.parametrize("n", [4, 7, 12])
-def test_grid_s3_matches_closed_form(n):
-    # The suspension of S^2 against the direct (psi, theta, phi) parametrization.
-    grid = sphere_grid(3, n)
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    psi = 0.5 * np.pi * (xg + 1.0)
+        th = 2.0 * np.pi * np.arange(n) / n
+        nodes = np.stack([np.cos(th), np.sin(th)], axis=1)
+        tangents = np.stack([-np.sin(th), np.cos(th)], axis=1)[:, None]
+        return nodes, tangents, np.full(n, 2.0 * np.pi / n)
     u, wu = np.polynomial.legendre.leggauss(n)
     phi = 2.0 * np.pi * np.arange(2 * n) / (2 * n)
+    if dim == 2:
+        th, ph = (a.reshape(-1) for a in np.meshgrid(np.arccos(u), phi, indexing="ij"))
+        sth, cth, sph, cph = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        nodes = np.stack([sth * cph, sth * sph, cth], axis=1)
+        tangents = np.stack(
+            [
+                np.stack([cth * cph, cth * sph, -sth], axis=1),
+                np.stack([-sth * sph, sth * cph, np.zeros_like(th)], axis=1),
+            ],
+            axis=1,
+        )
+        w = (wu / np.sqrt(1.0 - u**2))[:, None] * np.full((1, 2 * n), np.pi / n)
+        return nodes, tangents, w.reshape(-1)
+    psi = 0.5 * np.pi * (u + 1.0)
     ps, th, ph = (a.reshape(-1) for a in np.meshgrid(psi, np.arccos(u), phi, indexing="ij"))
-    w_psi = 0.5 * np.pi * wg * np.sin(psi) ** 2
-    w = w_psi[:, None, None] * wu[None, :, None] * np.full((1, 1, 2 * n), np.pi / n)
     sps, cps = np.sin(ps), np.cos(ps)
     sth, cth = np.sin(th), np.cos(th)
     sph, cph = np.sin(ph), np.cos(ph)
@@ -192,11 +169,30 @@ def test_grid_s3_matches_closed_form(n):
         ],
         axis=1,
     )
-    assert np.array_equal(grid.params, np.stack([ps, th, ph], axis=1))
+    w = (
+        (0.5 * np.pi * wu)[:, None, None]
+        * (wu / np.sqrt(1.0 - u**2))[None, :, None]
+        * np.full((1, 1, 2 * n), np.pi / n)
+    )
+    return nodes, tangents, w.reshape(-1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_grid_matches_closed_form(dim, n):
+    # The suspension against the direct angle parametrization of each sphere.
+    grid = sphere_grid(dim, n)
+    nodes, tangents, weights = closed_form_grid(dim, n)
     assert np.max(np.abs(grid.nodes - nodes)) <= 1e-15
     assert np.max(np.abs(grid.dx_dparam - tangents)) <= 1e-15
-    assert np.max(np.abs(grid.weights - w.reshape(-1))) <= 1e-15
-    assert np.max(np.abs(grid.jacobians - sps**2 * sth)) <= 1e-15
+    assert np.max(np.abs(grid.weights - weights)) <= 1e-15
+
+
+def test_grid_argument_validation():
+    with pytest.raises(UnsupportedDimensionError):
+        sphere_grid(4, 8)
+    with pytest.raises(ValueError):
+        sphere_grid(2, 3)
 
 
 def reference_sphere_grid(dim, n):
@@ -206,10 +202,11 @@ def reference_sphere_grid(dim, n):
     inner = reference_sphere_grid(1, 2 * n) if dim == 2 else reference_sphere_grid(2, n)
     x, w = np.polynomial.legendre.leggauss(n)
     if dim == 2:
-        psi, w_psi = np.arccos(x), w
+        psi = np.arccos(x)
+        w_psi = w / np.sin(psi)
     else:
         psi = 0.5 * np.pi * (x + 1.0)
-        w_psi = 0.5 * np.pi * w * np.sin(psi) ** 2
+        w_psi = 0.5 * np.pi * w
     m_in = len(inner.nodes)
     s = np.repeat(np.sin(psi), m_in)[:, None]
     c = np.repeat(np.cos(psi), m_in)[:, None]
@@ -220,9 +217,7 @@ def reference_sphere_grid(dim, n):
     d_inner = np.concatenate([s[:, None] * dy, np.zeros(dy.shape[:2] + (1,))], axis=2)
     dx = np.concatenate([d_psi[:, None], d_inner], axis=1)
     weights = np.repeat(w_psi, m_in) * np.tile(inner.weights, n)
-    params = np.hstack([np.repeat(psi, m_in)[:, None], np.tile(inner.params, (n, 1))])
-    jac = s[:, 0] ** (dim - 1) * np.tile(inner.jacobians, n)
-    return charge.SphereGrid(dim, nodes, weights, params, jac, dx)
+    return charge.SphereGrid(dim, nodes, weights, dx)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -231,7 +226,7 @@ def test_grid_suspension_matches_tiled_construction(dim, n):
     # Filling preallocated arrays by broadcasting does the same elementwise
     # arithmetic as tiling the inner grid, so every array is bit-identical.
     grid, ref = sphere_grid(dim, n), reference_sphere_grid(dim, n)
-    for name in ("nodes", "weights", "params", "jacobians", "dx_dparam"):
+    for name in ("nodes", "weights", "dx_dparam"):
         assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
 
 
@@ -589,7 +584,7 @@ def reference_chern_raw(field, fermi, grid):
     p = np.einsum("mik,mk,mjk->mij", vecs, occ.astype(float), vecs.conj(), optimize=True)
     comm = dp[0] @ dp[1] - dp[1] @ dp[0]
     integrand = np.einsum("mij,mji->m", p, comm, optimize=True)
-    total = np.sum(grid.coordinate_weights * integrand)
+    total = np.sum(grid.weights * integrand)
     return float(np.real(total / (2.0j * np.pi)))
 
 
@@ -600,7 +595,7 @@ def reference_winding3_raw(field, grid):
     l1, l2, l3 = (uinv @ d[:, a] for a in range(3))
     t123 = np.einsum("mij,mjk,mki->m", l1, l2, l3, optimize=True)
     t132 = np.einsum("mij,mjk,mki->m", l1, l3, l2, optimize=True)
-    total = np.sum(grid.coordinate_weights * 3.0 * (t123 - t132))
+    total = np.sum(grid.weights * 3.0 * (t123 - t132))
     return float(np.real(-total / (24.0 * np.pi**2)))
 
 
@@ -675,7 +670,7 @@ def reference_winding1_raw(field, grid):
     """S^1 integrand tr(U^-1 dU) over the whole grid at once."""
     uinv = np.linalg.inv(field.evaluate_batch(grid.nodes))
     d = reference_tangent_derivatives(field, grid)
-    total = np.sum(grid.coordinate_weights * np.einsum("mij,mji->m", uinv, d[:, 0]))
+    total = np.sum(grid.weights * np.einsum("mij,mji->m", uinv, d[:, 0]))
     return float(np.real(total / (2.0j * np.pi)))
 
 
@@ -734,9 +729,6 @@ def test_kernel_memory_bounded_by_the_chunk():
         kernel_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    grid_bytes = sum(
-        getattr(grid, name).nbytes
-        for name in ("nodes", "weights", "params", "jacobians", "dx_dparam")
-    )
+    grid_bytes = sum(getattr(grid, name).nbytes for name in ("nodes", "weights", "dx_dparam"))
     assert grid_peak <= 1.25 * grid_bytes
     assert kernel_peak < 32 * 2**20

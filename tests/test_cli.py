@@ -119,6 +119,8 @@ def test_generator_parity_mismatch_exit_2():
     assert proc.returncode == 2
     proc = run_cli("generator", "--kind", "dirac-phase", "--d", "2")
     assert proc.returncode == 2
+    proc = run_cli("generator", "--kind", "dirac-hamiltonian", "--d", "2")
+    assert proc.returncode == 2
 
 
 def test_verify_suites_pass():

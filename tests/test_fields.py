@@ -209,13 +209,20 @@ def test_payload_round_trip():
         assert np.array_equal(back.terms[alpha], field.terms[alpha])
 
 
+I_X = {"dimension": 1, "size": 1, "terms": [{"powers": [1], "matrix": [[[0.0, 1.0]]]}]}
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
         ({}, "missing the 'dimension' key"),
         ({"dimension": "2", "size": 1, "terms": []}, "'dimension' and 'size' must be integers"),
+        # i x is not self-adjoint; bool("false") is True, so the flag must be a boolean.
+        ({**I_X, "selfadjoint": "false"}, "'selfadjoint' must be true or false"),
+        ({**I_X, "selfadjoint": True}, r"coefficients at multi-indices \[\(1,\)\] are not Hermitian"),
+        ({**I_X, "domain": "torus"}, "unknown domain tag 'torus'"),
     ],
-    ids=["empty", "str-dimension"],
+    ids=["empty", "str-dimension", "str-selfadjoint", "non-hermitian-selfadjoint", "bad-domain"],
 )
 def test_payload_schema_violations(payload, message):
     with pytest.raises(ModelFormatError, match=message):

@@ -132,6 +132,17 @@ def test_dirac_hamiltonian_block_unitary_on_sphere():
     assert np.max(np.abs(herm @ vals - np.eye(2))) < 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 11])
+def test_chiral_block_of_a_diagonal_grading_is_the_lower_left_slice(d):
+    # The product grading is exactly diag(1, .., 1, -1, .., -1); the eigenbasis
+    # rotation then moves no bit of any coefficient's lower-left block.
+    field, grading = generators.dirac_hamiltonian_field(d, clifford.build_rep(d + 1))
+    half = field.size // 2
+    block = generators.chiral_block(field, grading)
+    for alpha, mat in field.terms.items():
+        assert np.array_equal(block.terms[alpha], mat[half:, :half]), alpha
+
+
 def test_chiral_block_rejects_commuting_perturbation():
     rep = clifford.build_rep(2)
     field, grading = generators.dirac_hamiltonian_field(1, rep)
