@@ -11,10 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Eigenvalues of nominally positive-semidefinite matrices may dip slightly
-# below zero from roundoff; values above -CLAMP_TOL are clamped to zero.
-CLAMP_TOL = 1e-14
-
 # Rows per chunk for work over large node sets (charge kernels, gap maps):
 # their working memory is then bounded by the chunk, not the grid.
 CHUNK = 16384
@@ -52,9 +48,7 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     Tiny negative eigenvalues from roundoff are clamped to zero before the
     square root is taken.
     """
-    return func_of_hermitian(
-        a, lambda vals: np.sqrt(np.where(vals < CLAMP_TOL, np.maximum(vals, 0.0), vals))
-    )
+    return func_of_hermitian(a, lambda vals: np.sqrt(np.maximum(vals, 0.0)))
 
 
 def operator_norm(a: np.ndarray) -> np.ndarray:

@@ -60,11 +60,14 @@ class BandModel:
             raise ModelFormatError(
                 f"supported model dimensions are 2 and 3, got {self.field.ambient_dim}"
             )
+        if not np.isfinite(self.fermi):
+            raise ModelFormatError(f"Fermi level must be finite, got {self.fermi}")
+        # A non-finite entry would pass the residual tests below: NaN > bound is False.
+        if not all(np.isfinite(mat).all() for mat in self.terms.values()):
+            raise ModelFormatError("model coefficients must be finite")
         bad = self.field.non_hermitian_terms()
         if bad:
             raise HermiticityError(f"non-Hermitian coefficients at multi-indices {bad}")
-        if not np.isfinite(self.fermi):
-            raise ModelFormatError(f"Fermi level must be finite, got {self.fermi}")
 
         if self.chiral is not None:
             j = np.array(self.chiral, dtype=complex)
@@ -73,6 +76,8 @@ class BandModel:
             n = self.field.size
             if j.shape != (n, n):
                 raise ChiralSymmetryError(f"chiral matrix has shape {j.shape}, expected {(n, n)}")
+            if not np.isfinite(j).all():
+                raise ChiralSymmetryError("chiral matrix must be finite")
             # J is a unitary involution, so its own residuals need no scale.
             if max_abs(j - dagger(j)) > COEFFICIENT_TOL:
                 raise ChiralSymmetryError("chiral matrix is not Hermitian")
@@ -404,19 +409,16 @@ def scan(model: BandModel, box, coarse_n: int = 16, resolution: int | None = Non
         radius = MAX_RADIUS if capped else 0.5 * nearest
         try:
             report = charge_crossing(model, point, radius, resolution=resolution)
-            reports.append(replace(report, radius_capped=capped))
         except KgenError as exc:
-            reports.append(
-                CrossingReport(
-                    location=tuple(float(v) for v in point),
-                    gap_at_location=gap_at(model, point),
-                    enclosure_radius=float(radius),
-                    charge=None,
-                    classification=UNCLASSIFIED,
-                    radius_capped=capped,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            report = CrossingReport(
+                location=tuple(float(v) for v in point),
+                gap_at_location=gap_at(model, point),
+                enclosure_radius=float(radius),
+                charge=None,
+                classification=UNCLASSIFIED,
+                error=f"{type(exc).__name__}: {exc}",
             )
+        reports.append(replace(report, radius_capped=capped))
     return reports
 
 

@@ -164,7 +164,8 @@ def _gated_inverse(u: np.ndarray) -> np.ndarray:
 
     sigma_min(U) = 1 / ||U^-1||_2 >= 1 / ||U^-1||_F, so the SVD runs only when
     that bound fails to clear GAP_MIN somewhere (NaN fails it) or ``inv``
-    finds an exactly singular matrix.
+    finds an exactly singular matrix.  A failed ``inv`` is refused even when
+    the SVD puts sigma_min above GAP_MIN: LU can meet an exact zero pivot there.
     """
     try:
         uinv = np.linalg.inv(u)
@@ -174,11 +175,11 @@ def _gated_inverse(u: np.ndarray) -> np.ndarray:
         if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
             return uinv
     sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
-    if sv_min <= GAP_MIN:
+    if uinv is None or sv_min <= GAP_MIN:
         raise GapClosedError(
             f"field is (nearly) singular on the grid: min singular value {sv_min}"
         )
-    return np.linalg.inv(u) if uinv is None else uinv
+    return uinv
 
 
 def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:

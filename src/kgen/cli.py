@@ -107,8 +107,6 @@ def _cmd_verify(args) -> int:
         d_max = args.d if args.d is not None else 9
         if d_max < 1:
             raise UsageError(f"--suite clifford needs d >= 1, got {d_max}")
-        if d_max > clifford.MAX_D:
-            raise UsageError(f"d = {d_max} exceeds the size guard d <= {clifford.MAX_D}")
         worst = 0.0
         checked = 0
         for d in range(1, d_max + 1):

@@ -242,8 +242,6 @@ def handedness_of(rep: CliffordRep) -> str:
         raise NotIrreducibleError(
             "generator product is not scalar; representation is not irreducible"
         )
-    if abs(abs(lam) - 1.0) > SCALAR_TOL:
-        raise InconsistentRepresentationError(f"product scalar has modulus {abs(lam)}, not 1")
     ref = _handedness_scalar(rep.d)
     if abs(lam - ref) <= SCALAR_TOL:
         return LEFT
@@ -266,23 +264,18 @@ def flip_first(rep: CliffordRep) -> CliffordRep:
 def grading_of(rep: CliffordRep) -> Grading:
     """Hermitian unitary grading of an even-d representation.
 
-    Returns ``phase * Gamma_1 ... Gamma_d`` where the phase is searched over
-    {1, i, -1, -i}.  Exactly two phases produce a Hermitian matrix (they differ
-    by sign); the tie is broken so that representations built by
+    Returns ``phase * Gamma_1 ... Gamma_d``.  The product of Hermitian
+    generators is Hermitian or anti-Hermitian, so one test decides between the
+    phases +-1 and +-i; the sign is chosen so that representations built by
     :func:`build_rep`/:func:`extend` and their truncations yield the block
     matrix diag(1, -1).
     """
     if rep.d % 2 != 0:
         raise ValueError("grading is defined for even generator counts")
     prod = _generator_product(rep)
-    eye = np.eye(rep.N, dtype=complex)
-
-    candidates = []
-    for phase in (1, 1j, -1, -1j):
-        mat = phase * prod
-        if max_abs(mat - dagger(mat)) <= SCALAR_TOL and max_abs(mat @ mat - eye) <= SCALAR_TOL:
-            candidates.append((phase, mat))
-    if not candidates:
+    phase = 1 if max_abs(prod - dagger(prod)) <= SCALAR_TOL else 1j
+    mat = phase * prod
+    if max_abs(mat - dagger(mat)) > SCALAR_TOL or max_abs(mat @ mat - np.eye(rep.N)) > SCALAR_TOL:
         raise InconsistentRepresentationError(
             "no fourth root of unity makes the generator product a Hermitian unitary"
         )
@@ -298,7 +291,8 @@ def grading_of(rep: CliffordRep) -> Grading:
         entry = flat[np.abs(flat) > 1e-9][0]
         return (float(entry.real), float(entry.imag))
 
-    phase, mat = max(candidates, key=lambda cand: _score(cand[1]))
+    if _score(-mat) > _score(mat):
+        phase, mat = -phase, -phase * prod
 
     for j, g in enumerate(rep.gammas):
         if max_abs(mat @ g + g @ mat) > SCALAR_TOL:

@@ -51,7 +51,8 @@ class PoleError(DomainError):
 
 
 class ModelFormatError(KgenError, ValueError):
-    """Band-model file does not parse or violates the schema."""
+    """A model or field file does not parse, or a field's coefficients violate
+    the schema (multi-index, shape, domain, dimension or size)."""
 
 
 class HermiticityError(ModelFormatError):

@@ -50,22 +50,30 @@ class MatrixPolyField:
     selfadjoint: bool = False
 
     def __post_init__(self):
+        # The one check of the coefficient schema, for fields read from files too.
+        n = self.size
         if self.domain not in _DOMAINS:
-            raise ValueError(f"unknown domain tag {self.domain!r}")
+            raise ModelFormatError(f"unknown domain tag {self.domain!r}")
+        if self.ambient_dim < 1 or n < 1:
+            raise ModelFormatError(
+                f"'dimension' and 'size' must be >= 1, got {self.ambient_dim} and {n}"
+            )
         frozen = {}
         for alpha, mat in self.terms.items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != self.ambient_dim or any(a < 0 for a in alpha):
-                raise ValueError(f"bad multi-index {alpha} for ambient dim {self.ambient_dim}")
+                raise ModelFormatError(f"bad multi-index {alpha} for dimension {self.ambient_dim}")
             mat = np.array(mat, dtype=complex)
-            if mat.shape != (self.size, self.size):
-                raise ValueError(f"coefficient of {alpha} has shape {mat.shape}")
+            if mat.shape != (n, n):
+                raise ModelFormatError(
+                    f"coefficient of {alpha} has shape {mat.shape}, expected {(n, n)}"
+                )
             mat.setflags(write=False)
             frozen[alpha] = mat
         object.__setattr__(self, "terms", MappingProxyType(frozen))
         # Coefficients as real rows (T, 2 N^2): evaluation is then a real GEMM.
         stacked = np.array(list(frozen.values()), dtype=complex).view(float)
-        object.__setattr__(self, "_stacked", stacked.reshape(len(frozen), 2 * self.size**2))
+        object.__setattr__(self, "_stacked", stacked.reshape(len(frozen), 2 * n**2))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -207,13 +215,10 @@ class MatrixPolyField:
         """Field from :meth:`to_payload` output; a flag or tag it cannot hold is a
         ModelFormatError, and ``selfadjoint: true`` needs Hermitian coefficients."""
         ambient, size, terms = poly_from_json(payload)
-        domain = payload.get("domain", EUCLIDEAN)
-        if domain not in _DOMAINS:
-            raise ModelFormatError(f"unknown domain tag {domain!r}")
         selfadjoint = payload.get("selfadjoint", False)
         if not isinstance(selfadjoint, bool):
             raise ModelFormatError(f"'selfadjoint' must be true or false, got {selfadjoint!r}")
-        field = cls(ambient, size, terms, domain, selfadjoint)
+        field = cls(ambient, size, terms, payload.get("domain", EUCLIDEAN), selfadjoint)
         bad = field.non_hermitian_terms() if selfadjoint else []
         if bad:
             raise HermiticityError(

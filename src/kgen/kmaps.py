@@ -204,6 +204,8 @@ def homotopy_scan(d: int = 2, t_points: int = 11, samples: int = 500, seed: int 
     """
     if d % 2 != 0:
         raise ValueError(f"the scanned lift requires even d, got {d}")
+    if t_points < 1:
+        raise ValueError(f"t_points must be >= 1, got {t_points}")
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)

@@ -52,14 +52,17 @@ def terms_to_json(terms: dict) -> list:
 
 
 def poly_from_json(payload) -> tuple:
-    """``(dimension, size, terms)`` of a field or band-model payload, each checked."""
+    """``(dimension, size, terms)`` of a field or band-model payload, checked for
+    what JSON alone can get wrong; the field constructor checks the rest of the
+    coefficient schema (multi-index lengths and powers, shapes, dimension and size)."""
     if not isinstance(payload, dict):
         raise ModelFormatError("model file must contain a JSON object")
     for key in ("dimension", "size", "terms"):
         if key not in payload:
             raise ModelFormatError(f"model file is missing the {key!r} key")
     ambient_dim, size, data = payload["dimension"], payload["size"], payload["terms"]
-    if not isinstance(ambient_dim, int) or not isinstance(size, int):
+    # type() rather than isinstance(), which would take JSON's true and false for 1 and 0.
+    if type(ambient_dim) is not int or type(size) is not int:
         raise ModelFormatError("'dimension' and 'size' must be integers")
     if not isinstance(data, list):
         raise ModelFormatError("'terms' must be a list")
@@ -68,15 +71,9 @@ def poly_from_json(payload) -> tuple:
         if not isinstance(entry, dict) or "powers" not in entry or "matrix" not in entry:
             raise ModelFormatError("each term needs 'powers' and 'matrix'")
         powers = entry["powers"]
-        if len(powers) != ambient_dim or any(
-            not isinstance(p, int) or p < 0 for p in powers
-        ):
+        if not isinstance(powers, list) or not all(type(p) is int for p in powers):
             raise ModelFormatError(f"bad multi-index {powers!r}")
         mat = matrix_from_json(entry["matrix"])
-        if mat.shape != (size, size):
-            raise ModelFormatError(
-                f"term {tuple(powers)} has shape {mat.shape}, expected {(size, size)}"
-            )
         alpha = tuple(powers)
         if alpha in terms:
             raise ModelFormatError(f"duplicate multi-index {alpha}")

@@ -226,6 +226,12 @@ ZERO_2X2 = [[[0.0, 0.0]] * 2] * 2
         pytest.param(None, "cannot read model file", id="unreadable-path"),
         pytest.param({**CHIRAL_PAYLOAD, "dimension": "2"}, "must be integers", id="str-dimension"),
         pytest.param({**CHIRAL_PAYLOAD, "size": 2.0}, "must be integers", id="float-size"),
+        pytest.param({**CHIRAL_PAYLOAD, "size": True}, "must be integers", id="bool-size"),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [{"powers": [True, False], "matrix": ZERO_2X2}]},
+            "bad multi-index",
+            id="bool-powers",
+        ),
         pytest.param({**CHIRAL_PAYLOAD, "fermi": "zero"}, "'fermi' must be a number", id="fermi"),
         pytest.param({**CHIRAL_PAYLOAD, "terms": {}}, "'terms' must be a list", id="terms-dict"),
         pytest.param(
@@ -256,6 +262,8 @@ ZERO_2X2 = [[[0.0, 0.0]] * 2] * 2
         pytest.param(
             {**CHIRAL_PAYLOAD, "chiral": [[[1.0, 0.0]]]}, "chiral matrix has shape", id="chiral-1x1"
         ),
+        pytest.param({**CHIRAL_PAYLOAD, "size": 0}, "must be >= 1", id="zero-size"),
+        pytest.param({**CHIRAL_PAYLOAD, "size": -1}, "must be >= 1", id="negative-size"),
         pytest.param(
             {**CHIRAL_PAYLOAD, "chiral": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]},
             "chiral matrix is not Hermitian",
@@ -282,9 +290,19 @@ def test_two_dimensional_model_needs_equal_chiral_eigenspaces():
         BandModel(field, chiral=j)
 
 
-@pytest.mark.parametrize("where", ["coefficient", "chiral", "fermi"])
+@pytest.mark.parametrize(
+    "where", ["coefficient", "chiral", "fermi", "built-coefficient", "built-chiral"]
+)
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_load_rejects_non_finite_values(tmp_path, where, value):
+    # A model built in Python is refused too, so save_model never writes NaN.
+    if where.startswith("built"):
+        coefficient, chiral = SIGMA_1.copy(), SIGMA_3.copy()
+        (coefficient if where == "built-coefficient" else chiral)[1, 1] = value
+        field = MatrixPolyField(2, 2, {(1, 0): coefficient, (0, 1): SIGMA_2}, EUCLIDEAN)
+        with pytest.raises(ModelFormatError, match="finite"):
+            BandModel(field, chiral=chiral)
+        return
     payload = chiral_dirac_model().to_payload()
     if where == "coefficient":
         payload["terms"][0]["matrix"][0][1][0] = value

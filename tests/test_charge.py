@@ -273,6 +273,14 @@ def test_winding_singular_constant_is_gap_closed(ambient, constant):
         winding(field)
 
 
+def test_winding_exact_zero_pivot_is_gap_closed():
+    # sigma_min = 5.7e-8 clears GAP_MIN, but LU meets an exact zero pivot, so
+    # inv fails; the field is refused with the SVD's sigma_min.
+    constant = [[3e9, 1e9], [1e9, (1e9 / 3e9) * 1e9]]
+    with pytest.raises(GapClosedError, match="min singular value 5.6"):
+        winding_1(MatrixPolyField(2, 2, {(0, 0): constant}, SPHERE))
+
+
 def test_winding_svd_runs_only_where_the_frobenius_bound_fails(monkeypatch):
     # Every singular value of the scaled field is 1.2e-8 > GAP_MIN, but the bound
     # 1 / ||U^-1||_F = 1.2e-8 / sqrt(2) is not, so each of the two grids takes

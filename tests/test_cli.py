@@ -265,6 +265,25 @@ def test_verify_clifford_rejects_empty_range(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_clifford_refuses_d_above_max(capsys):
+    assert main(["verify", "--suite", "clifford", "--d", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d = 14 exceeds" in captured.err
+
+
+def test_non_list_powers_is_a_format_error(weyl_path, tmp_path, capsys):
+    with open(weyl_path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["terms"][0]["powers"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["scan", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad multi-index 5" in captured.err
+
+
 def test_json_output_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         cli._emit_json({"value": float("inf")}, str(tmp_path / "out.json"))

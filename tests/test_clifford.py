@@ -218,6 +218,14 @@ def test_grading_of_extended_truncation():
     assert np.array_equal(grading.matrix @ grading.matrix, np.eye(4))
 
 
+def test_grading_of_anti_hermitian_product_with_zero_diagonal():
+    # sigma2 sigma3 = -i sigma1 is anti-Hermitian, so the phase is +-i; the
+    # grading sigma1 has no diagonal, so its first off-diagonal entry picks the sign.
+    grading = grading_of(CliffordRep(2, (SIGMA_2, SIGMA_3), None))
+    assert np.array_equal(grading.matrix, SIGMA_1)
+    assert grading.phase == 1j
+
+
 def test_grading_requires_even():
     with pytest.raises(ValueError):
         grading_of(build_rep(3, LEFT))

@@ -221,8 +221,13 @@ I_X = {"dimension": 1, "size": 1, "terms": [{"powers": [1], "matrix": [[[0.0, 1.
         ({**I_X, "selfadjoint": "false"}, "'selfadjoint' must be true or false"),
         ({**I_X, "selfadjoint": True}, r"coefficients at multi-indices \[\(1,\)\] are not Hermitian"),
         ({**I_X, "domain": "torus"}, "unknown domain tag 'torus'"),
+        ({**I_X, "size": 0}, "'dimension' and 'size' must be >= 1, got 1 and 0"),
+        ({**I_X, "dimension": -1}, "'dimension' and 'size' must be >= 1, got -1 and 1"),
+        ({**I_X, "terms": [{"powers": [-1], "matrix": [[[0.0, 1.0]]]}]}, "bad multi-index"),
+        ({**I_X, "size": 2}, r"has shape \(1, 1\), expected \(2, 2\)"),
     ],
-    ids=["empty", "str-dimension", "str-selfadjoint", "non-hermitian-selfadjoint", "bad-domain"],
+    ids=["empty", "str-dimension", "str-selfadjoint", "non-hermitian-selfadjoint", "bad-domain",
+         "zero-size", "negative-dimension", "negative-power", "wrong-shape"],
 )
 def test_payload_schema_violations(payload, message):
     with pytest.raises(ModelFormatError, match=message):

@@ -264,6 +264,12 @@ def test_homotopy_scan_stays_invertible():
     assert report["max_residual"] == 0.0
 
 
+def test_homotopy_scan_refuses_zero_t_points():
+    # With no t-values the minimum singular value would stay inf: a PASS over nothing.
+    with pytest.raises(ValueError, match="t_points"):
+        kmaps.homotopy_scan(2, t_points=0, samples=5)
+
+
 # -- identity suites -------------------------------------------------------------
 
 
