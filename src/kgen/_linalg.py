@@ -36,6 +36,47 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
+def frobenius_sq(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a C-contiguous complex stack."""
+    flat = a.reshape(len(a), -1).view(float)
+    return np.einsum("mi,mi->m", flat, flat)
+
+
+def scalar_split(h: np.ndarray):
+    """``(f0, a, s)`` for each matrix of a stack: f0 = Re tr h / N, the traceless
+    part a = h - f0 I, formed in place of ``h``, and s = ||a||_F / sqrt(N).
+    Where a^2 is a multiple of I (``MatrixPolyField.scalar_square``), the
+    spectrum of h is f0 - s and f0 + s, half of the N eigenvalues each."""
+    n = h.shape[-1]
+    f0 = np.trace(h, axis1=-2, axis2=-1).real / n
+    diag = np.arange(n)
+    h[:, diag, diag] -= f0[:, None]
+    s = np.sqrt(frobenius_sq(h) / n)
+    big = np.isinf(s)
+    if big.any():  # the squares overflow from entries of about 1e154 on; hypot does not
+        s[big] = np.hypot.reduce(h[big].reshape(-1, n * n).view(float), axis=1) / np.sqrt(n)
+    return f0, h, s
+
+
+# On stacks of 2 x 2 matrices a plain einsum runs several times faster than
+# numpy's batched ``@``, whose cost there is per matrix, not per flop; from
+# 4 x 4 on, ``@`` is as fast or faster.  These two products choose by size.
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over broadcast stacks."""
+    if a.shape[-1] == 2:
+        return np.einsum("...ij,...jk->...ik", a, b)
+    return a @ b
+
+
+def trace3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """tr(a b c) for each matrix of the (M, N, N) stacks."""
+    if a.shape[-1] == 2:
+        return np.einsum("mij,mjk,mki->m", a, b, c)
+    return np.einsum("mij,mji->m", a @ b, c)
+
+
 def func_of_hermitian(a: np.ndarray, f) -> np.ndarray:
     """Apply the scalar function ``f`` to Hermitian matrices by eigendecomposition."""
     vals, vecs = np.linalg.eigh(a)

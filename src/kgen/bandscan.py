@@ -17,7 +17,7 @@ import numpy as np
 
 from . import charge as charge_mod
 from . import generators
-from ._linalg import chunks, dagger, max_abs
+from ._linalg import chunks, dagger, max_abs, scalar_split
 from .errors import (
     ChiralSymmetryError,
     EnclosureInvalidError,
@@ -198,12 +198,23 @@ def gap_at(model: BandModel, x) -> float:
 
 
 def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
-    """Gaps at (M, m) points; a non-finite gap (the model overflows) is refused."""
+    """Gaps at (M, m) points; a non-finite gap (the model overflows) is refused.
+
+    A field with ``scalar_square`` has the bands f0 - s and f0 + s at each
+    point (``_linalg.scalar_split``), so its gap is ||f0 - fermi| - s| with no
+    eigensolver; other fields are diagonalized.
+    """
+    field = model.field
     gaps = np.empty(len(points))
     for sl in chunks(len(points)):
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            vals = np.linalg.eigvalsh(model.field.evaluate_batch(points[sl]))
-            gaps[sl] = np.min(np.abs(vals - model.fermi), axis=1)
+            h = field.evaluate_batch(points[sl])
+            if field.scalar_square:
+                f0, _, s = scalar_split(h)
+                gaps[sl] = np.abs(np.abs(f0 - model.fermi) - s)
+            else:
+                vals = np.linalg.eigvalsh(h)
+                gaps[sl] = np.min(np.abs(vals - model.fermi), axis=1)
         bad = ~np.isfinite(gaps[sl])
         if bad.any():
             where = points[sl][bad][0].tolist()

@@ -27,9 +27,22 @@ S^(d-1).
 
 The kernels walk the grid in fixed-size node chunks, evaluating, inverting or
 diagonalizing and integrating one chunk at a time into a running sum, so their
-memory does not grow with the resolution.  The winding kernels certify
-invertibility from the inverse they already form, via sigma_min(U) >=
-1 / ||U^-1||_F; the SVD runs only on a chunk where that bound is <= GAP_MIN.
+memory does not grow with the resolution.
+
+Clifford-linear fields, the generators among them, need no eigensolver and no
+inverse.  When the traceless part A = h - f0 I of a Hermitian field squares
+to s^2 I (``MatrixPolyField.scalar_square``), with f0 = Re tr h / N and
+s = ||A||_F / sqrt(N), the bands are f0 +- s, N/2 of each; below a Fermi
+level between them P = (I - A / s) / 2, and
+
+    tr(P [d_0 P, d_1 P]) = -tr(A [d_0 A, d_1 A]) / (8 s^3).
+
+When U*U = q I (``MatrixPolyField.scalar_gram``), with q = ||U||_F^2 / N,
+U^-1 = U* / q and sigma_min(U) = sqrt(q) exactly.  Every other field takes
+the general path: ``eigh`` for the Chern integrand, and ``inv`` for the
+windings, whose invertibility is certified from that inverse via
+sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs only on a chunk where that bound
+is <= GAP_MIN.  Both paths apply the same gates, each before any division.
 
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
@@ -45,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import chunks
+from ._linalg import chunks, dagger, frobenius_sq, matmul, scalar_split, trace3
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
@@ -159,22 +172,29 @@ def _check_field(field: MatrixPolyField, dim: int):
         )
 
 
-def _gated_inverse(u: np.ndarray) -> np.ndarray:
+def _gated_inverse(u: np.ndarray, scalar_gram: bool) -> np.ndarray:
     """Inverses of a stack of matrices, refused where one is (nearly) singular.
 
-    sigma_min(U) = 1 / ||U^-1||_2 >= 1 / ||U^-1||_F, so the SVD runs only when
-    that bound fails to clear GAP_MIN somewhere (NaN fails it) or ``inv``
-    finds an exactly singular matrix.  A failed ``inv`` is refused even when
-    the SVD puts sigma_min above GAP_MIN: LU can meet an exact zero pivot there.
+    With ``scalar_gram`` (U*U = q I), U^-1 = U* / q and sigma_min(U) = sqrt(q)
+    exactly.  Otherwise sigma_min(U) = 1 / ||U^-1||_2 >= 1 / ||U^-1||_F, so the
+    SVD runs only when that bound fails to clear GAP_MIN somewhere (NaN fails
+    it) or ``inv`` finds an exactly singular matrix.  A failed ``inv`` is
+    refused even when the SVD puts sigma_min above GAP_MIN: LU can meet an
+    exact zero pivot there.
     """
-    try:
-        uinv = np.linalg.inv(u)
-    except np.linalg.LinAlgError:
-        uinv = None
+    if scalar_gram:
+        q = frobenius_sq(u) / u.shape[-1]
+        sv_min = float(np.sqrt(np.min(q)))
+        uinv = dagger(u) / q[:, None, None] if sv_min > GAP_MIN else None
     else:
-        if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
-            return uinv
-    sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
+        try:
+            uinv = np.linalg.inv(u)
+        except np.linalg.LinAlgError:
+            uinv = None
+        else:
+            if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
+                return uinv
+        sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
     if uinv is None or sv_min <= GAP_MIN:
         raise GapClosedError(
             f"field is (nearly) singular on the grid: min singular value {sv_min}"
@@ -187,15 +207,16 @@ def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
     total = 0.0
     for sl in chunks(len(w)):
         u, d = field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl])
-        uinv = _gated_inverse(u)
+        uinv = _gated_inverse(u, field.scalar_gram)
         if grid.dim == 1:
             log_deriv = np.einsum("mij,mji->m", uinv, d[:, 0], optimize=True)
             total += np.sum(w[sl] * log_deriv)
             continue
         # dim == 3: tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
-        # over the 3! orderings, which cyclicity reduces to 3 tr(l1 [l2, l3]).
-        l1, l2, l3 = (uinv @ d[:, a] for a in range(3))
-        integrand = np.einsum("mij,mji->m", l1, l2 @ l3 - l3 @ l2, optimize=True)
+        # over the 3! orderings, which cyclicity reduces to
+        # 3 (tr(l1 l2 l3) - tr(l1 l3 l2)).
+        l1, l2, l3 = np.moveaxis(matmul(uinv[:, None], d), 1, 0)
+        integrand = trace3(l1, l2, l3) - trace3(l1, l3, l2)
         total += np.sum(w[sl] * 3.0 * integrand)
     if grid.dim == 1:
         return float(np.real(total / (2.0j * np.pi)))
@@ -206,15 +227,22 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
     w = grid.weights
     total = 0.0
     n_occ = None
+    closed = field.scalar_square
     for sl in chunks(len(w)):
         h, d = field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl])
-        vals, vecs = np.linalg.eigh(h)
+        if closed:
+            # Bands f0 - s and f0 + s, each of multiplicity N / 2.
+            f0, a, s = scalar_split(h)
+            vals, multiplicity = np.stack([f0 - s, f0 + s], axis=1), field.size // 2
+        else:
+            vals, vecs = np.linalg.eigh(h)
+            multiplicity = 1
         gap = float(np.min(np.abs(vals - fermi)))
         if not gap > GAP_MIN:  # NaN fails it too
             raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
         # The sphere is connected, so a band count below fermi that differs
         # between nodes means the gap closes between them.
-        counts = np.count_nonzero(vals < fermi, axis=1)
+        counts = multiplicity * np.count_nonzero(vals < fermi, axis=1)
         if n_occ is None:
             n_occ = int(counts[0])
         if np.any(counts != n_occ):
@@ -223,12 +251,19 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
                 f"number of bands below fermi varies on the grid ({low} to {high})"
             )
 
-        # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
-        # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.
-        occ_h = vecs[:, :, :n_occ].conj().transpose(0, 2, 1)
-        denom = vals[:, :n_occ, None] - vals[:, None, n_occ:]
-        k0, k1 = (occ_h @ d[:, a] @ vecs[:, :, n_occ:] / denom for a in (0, 1))
-        integrand = 2.0 * np.sum(k0 * k1.conj(), axis=(1, 2)).imag
+        if closed:
+            if n_occ != multiplicity:
+                continue  # P is 0 or I: no curvature
+            # P = (I - a / s) / 2, so tr(P [d_0 P, d_1 P]) = -tr(a [d_0 h, d_1 h]) / (8 s^3)
+            # = -i Im tr(a d_0 h d_1 h) / (4 s^3); the gate above keeps s > GAP_MIN.
+            integrand = -trace3(a, d[:, 0], d[:, 1]).imag / (4.0 * s**3)
+        else:
+            # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
+            # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.
+            occ_h = vecs[:, :, :n_occ].conj().transpose(0, 2, 1)
+            denom = vals[:, :n_occ, None] - vals[:, None, n_occ:]
+            k0, k1 = (occ_h @ d[:, a] @ vecs[:, :, n_occ:] / denom for a in (0, 1))
+            integrand = 2.0 * np.sum(k0 * k1.conj(), axis=(1, 2)).imag
         total += np.sum(w[sl] * integrand)
     return float(total / (2.0 * np.pi))
 

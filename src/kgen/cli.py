@@ -59,17 +59,16 @@ def _cmd_clifford(args) -> int:
 
 
 def _generator_field(kind: str, d: int, handedness: str):
-    """``(field, grading)``; the generator functions refuse a d of the wrong parity."""
+    """``(field, grading)``; the generator functions refuse a d of the wrong
+    parity, then one whose representation would exceed ``clifford.MAX_D``."""
     if kind == "dirac-hamiltonian":
-        return generators.dirac_hamiltonian_field(d, clifford.build_rep(d + 1, handedness))
+        return generators.dirac_hamiltonian_field(d, handedness)
     if kind == "weyl":
-        return generators.weyl_field(d, clifford.build_rep(d + 1, handedness)), None
-    return generators.dirac_phase_field(d, clifford.build_rep(d, handedness)), None
+        return generators.weyl_field(d, handedness), None
+    return generators.dirac_phase_field(d, handedness), None
 
 
 def _cmd_generator(args) -> int:
-    if args.d > clifford.MAX_D:
-        raise UsageError(f"d = {args.d} exceeds the size guard d <= {clifford.MAX_D}")
     field, grading = _generator_field(args.kind, args.d, args.handedness)
 
     if args.point is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -189,6 +190,36 @@ class MatrixPolyField:
     def with_domain(self, domain: str) -> "MatrixPolyField":
         return replace(self, domain=domain)
 
+    # -- Clifford structure ---------------------------------------------------
+    # Tested once, on first use, from the coefficients over their largest
+    # entry: rescaling never changes a verdict, and a NaN coefficient fails.
+
+    @cached_property
+    def scalar_square(self) -> bool:
+        """Whether h(x) - f0(x) I squares to a multiple of I for every x, with
+        f0 = Re tr h / N, for Hermitian coefficients: N is even and the
+        traceless parts of every pair of coefficients anti-commute to a
+        multiple of I.  The bands are then f0 +- s (``_linalg.scalar_split``)."""
+        if self.size % 2:
+            return False
+        mats = self._unit_coefficients()
+        scalars = np.trace(mats, axis1=1, axis2=2)[:, None, None] / self.size
+        traceless = mats - scalars * np.eye(self.size)
+        return _pairs_scalar(traceless, traceless)
+
+    @cached_property
+    def scalar_gram(self) -> bool:
+        """Whether U(x)* U(x) = q(x) I for every x: M_a* M_b + M_b* M_a is a
+        multiple of I for every pair of coefficients.  Then U^-1 = U* / q, and
+        every singular value of U(x) is sqrt(q), q = ||U||_F^2 / N."""
+        mats = self._unit_coefficients()
+        return _pairs_scalar(dagger(mats), mats)
+
+    def _unit_coefficients(self) -> np.ndarray:
+        mats = self._stacked.view(complex).reshape(-1, self.size, self.size)
+        with np.errstate(invalid="ignore"):  # an inf entry gives NaN, which fails
+            return mats / (max_abs(mats) or 1.0)
+
     # -- checks and serialization -------------------------------------------
 
     def failing_terms(self, residual) -> list:
@@ -225,6 +256,17 @@ class MatrixPolyField:
                 f"'selfadjoint' is true but the coefficients at multi-indices {bad} are not Hermitian"
             )
         return field
+
+
+def _pairs_scalar(left: np.ndarray, right: np.ndarray) -> bool:
+    """Whether left[a] right[b] + left[b] right[a] lies within COEFFICIENT_TOL
+    of a multiple of I for every pair a, b of the (T, N, N) stacks; NaN fails."""
+    n = left.shape[-1]
+    prods = left[:, None] @ right[None]
+    sym = prods + prods.swapaxes(0, 1)
+    diag = np.arange(n)
+    sym[..., diag, diag] -= np.trace(sym, axis1=-2, axis2=-1)[..., None] / n
+    return bool(max_abs(sym) <= COEFFICIENT_TOL)
 
 
 @dataclass(frozen=True)

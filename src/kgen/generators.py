@@ -23,50 +23,69 @@ PROFILE_DIRECTIONS = 64
 PROFILE_SEED = 7
 
 
-def weyl_field(d: int, rep: clifford.CliffordRep, domain: str = SPHERE) -> MatrixPolyField:
+def _representation(rep: clifford.CliffordRep | str, count: int, d: int) -> clifford.CliffordRep:
+    """``rep``, checked to have ``count`` generators; a handedness in place of
+    ``rep`` builds that representation, refusing a count outside 1 to
+    ``clifford.MAX_D`` in terms of the field's own ``d``."""
+    if isinstance(rep, str):
+        if not 1 <= count <= clifford.MAX_D:
+            raise ValueError(
+                f"d = {d} needs a representation with {count} generators; "
+                f"1 to {clifford.MAX_D} are supported (N <= 64)"
+            )
+        rep = clifford.build_rep(count, rep)
+    if rep.d != count:
+        raise DimensionMismatchError(f"need a representation with {count} generators, got {rep.d}")
+    return rep
+
+
+def weyl_field(d: int, rep: clifford.CliffordRep | str, domain: str = SPHERE) -> MatrixPolyField:
     """Weyl Hamiltonian field sum_{j=1}^{d+1} x_j Gamma_j.
 
     With the sphere tag this is the even-d generator (a self-adjoint unitary
     on S^d, since its square is ||x||^2); with the Euclidean tag the same
     formula is the unbounded representative and d may have either parity.
+    ``rep`` is a :class:`clifford.CliffordRep` with d + 1 generators or a
+    handedness to build one with, after the parity check.
     """
-    if rep.d != d + 1:
-        raise DimensionMismatchError(f"need a representation with {d + 1} generators, got {rep.d}")
     if domain == SPHERE and d % 2 != 0:
         raise DimensionMismatchError(f"sphere-restricted Weyl field requires even d, got {d}")
+    rep = _representation(rep, d + 1, d)
     m = d + 1
     terms = {unit_index(j, m): rep.gammas[j] for j in range(m)}
     return MatrixPolyField(m, rep.N, terms, domain, selfadjoint=True)
 
 
-def dirac_phase_field(d: int, rep: clifford.CliffordRep, domain: str = SPHERE) -> MatrixPolyField:
+def dirac_phase_field(
+    d: int, rep: clifford.CliffordRep | str, domain: str = SPHERE
+) -> MatrixPolyField:
     """Dirac phase field sum_{j=1}^{d} x_j Gamma_j + i x_(d+1).
 
     Unitary on the sphere for odd d; the Euclidean variant is the non-self-
-    adjoint unbounded representative.
+    adjoint unbounded representative.  ``rep`` is a representation with d
+    generators or a handedness, as for :func:`weyl_field`.
     """
-    if rep.d != d:
-        raise DimensionMismatchError(f"need a representation with {d} generators, got {rep.d}")
     if d % 2 != 1:
         raise DimensionMismatchError(f"Dirac phase requires odd d, got {d}")
+    rep = _representation(rep, d, d)
     m = d + 1
     terms = {unit_index(j, m): rep.gammas[j] for j in range(d)}
     terms[unit_index(d, m)] = 1j * np.eye(rep.N, dtype=complex)
     return MatrixPolyField(m, rep.N, terms, domain, selfadjoint=False)
 
 
-def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep):
+def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep | str):
     """Chiral self-adjoint form of the odd generator.
 
     Uses d+1 generators (an even count), so the product grading exists and
     anti-commutes with the field; in the grading eigenbasis the field is block
-    off-diagonal and :func:`chiral_block` extracts the unitary block.
-    Returns ``(field, grading)``.
+    off-diagonal and :func:`chiral_block` extracts the unitary block.  ``rep``
+    is a representation with d + 1 generators or a handedness, as for
+    :func:`weyl_field`.  Returns ``(field, grading)``.
     """
     if d % 2 != 1:
         raise DimensionMismatchError(f"chiral Dirac Hamiltonian requires odd d, got {d}")
-    if rep.d != d + 1:
-        raise DimensionMismatchError(f"need a representation with {d + 1} generators, got {rep.d}")
+    rep = _representation(rep, d + 1, d)
     grading = clifford.grading_of(rep)
     m = d + 1
     terms = {unit_index(j, m): rep.gammas[j] for j in range(m)}

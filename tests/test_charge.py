@@ -281,21 +281,48 @@ def test_winding_exact_zero_pivot_is_gap_closed():
         winding_1(MatrixPolyField(2, 2, {(0, 0): constant}, SPHERE))
 
 
-def test_winding_svd_runs_only_where_the_frobenius_bound_fails(monkeypatch):
-    # Every singular value of the scaled field is 1.2e-8 > GAP_MIN, but the bound
-    # 1 / ||U^-1||_F = 1.2e-8 / sqrt(2) is not, so each of the two grids takes
-    # the SVD and the charge survives.  Unscaled fields never call the SVD.
+def scaled(field, factor):
+    return dataclasses.replace(field, terms={a: factor * m for a, m in field.terms.items()})
+
+
+def counting(monkeypatch, *names):
+    """Calls to the named ``numpy.linalg`` functions, in order."""
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    double = dirac1().direct_sum(dirac1())
-    tiny = dataclasses.replace(double, terms={a: 1.2e-8 * m for a, m in double.terms.items()})
-    result = winding_1(tiny)
+
+    def spy(name, real):
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_winding_svd_runs_only_where_the_frobenius_bound_fails(monkeypatch):
+    # dirac1 + 1.25 dirac1 has U*U = diag(1, 1.5625) |x|^2, so it takes the
+    # general path.  Every singular value of the scaled field is at least
+    # 1.2e-8 > GAP_MIN, but the bound 1 / ||U^-1||_F = 1.2e-8 / sqrt(1.64) is
+    # not, so each of the two grids takes the SVD and the charge survives.
+    # Unscaled fields never call the SVD.
+    calls = counting(monkeypatch, "svd")
+    mixed = dirac1().direct_sum(scaled(dirac1(), 1.25))
+    assert not mixed.scalar_gram
+    result = winding_1(scaled(mixed, 1.2e-8))
     assert (result.charge, result.converged, len(calls)) == (2, True, 2)
     calls.clear()
-    assert winding_1(double).charge == 2
+    assert winding_1(mixed).charge == 2
+    assert winding_1(dirac1().direct_sum(dirac1())).charge == 2
     assert winding_3(dirac3(), resolution=16).converged
     assert len(calls) == 0
+
+
+def test_winding_closed_form_needs_no_svd_or_inv(monkeypatch):
+    # The doubled field has U*U = |x|^2 I, so sigma_min = 1.2e-8 exactly at
+    # this scale: no Frobenius bound to miss, and no inverse to form.
+    calls = counting(monkeypatch, "svd", "inv")
+    double = dirac1().direct_sum(dirac1())
+    assert double.scalar_gram
+    result = winding_1(scaled(double, 1.2e-8))
+    assert (result.charge, result.converged, calls) == (2, True, [])
 
 
 @pytest.mark.parametrize("winding, ambient", [(winding_1, 2), (winding_3, 4)])

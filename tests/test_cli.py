@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kgen import bandscan, cli
+from kgen import bandscan, cli, clifford, generators
+from kgen.charge import chern_sign_weyl
 from kgen.cli import main
 from kgen.fields import EUCLIDEAN, MatrixPolyField
 from kgen.serialize import matrix_to_json
@@ -123,6 +125,24 @@ def test_generator_parity_mismatch_exit_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "kind, d, message",
+    [
+        ("weyl", "13", "requires even d, got 13"),
+        ("dirac-hamiltonian", "13", "d = 13 needs a representation with 14 generators"),
+        ("weyl", "14", "d = 14 needs a representation with 15 generators"),
+        ("weyl", "-2", "d = -2 needs a representation with -1 generators"),
+    ],
+)
+def test_generator_refusals_name_the_given_d(capsys, kind, d, message):
+    # Parity is checked first; a representation beyond MAX_D is refused in
+    # terms of the --d given, not of the generator count it implies.
+    assert main(["generator", "--kind", kind, "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_verify_suites_pass():
     for args in (
         ("--suite", "clifford", "--d", "9"),
@@ -208,6 +228,35 @@ def test_scan_command_two_weyl(two_weyl_path, tmp_path):
     lines = gap_csv.read_text().splitlines()
     assert lines[0] == "x1,x2,x3,gap"
     assert len(lines) == 1 + 16**3
+
+
+@pytest.fixture()
+def two_velocity_path(tmp_path):
+    # Weyl fields with velocities 1 and 2 squared to |x|^2 and 4 |x|^2: their
+    # sum has no scalar square, so every stage takes the eigensolver path.
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    fast = dataclasses.replace(weyl, terms={a: 2.0 * m for a, m in weyl.terms.items()})
+    model = bandscan.BandModel.from_field(weyl.direct_sum(fast), name="two-velocity")
+    assert not model.field.scalar_square
+    path = tmp_path / "two_velocity.json"
+    bandscan.save_model(model, path)
+    return str(path)
+
+
+def test_scan_and_charge_on_the_general_path(two_velocity_path, capsys, monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        spy = lambda *a, _n=name, _r=real, **k: calls.append(_n) or _r(*a, **k)  # noqa: E731
+        monkeypatch.setattr(np.linalg, name, spy)
+    expected = 2 * chern_sign_weyl()
+    assert main(["scan", two_velocity_path]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert np.allclose(report["location"], 0.0, atol=1e-6)
+    assert (report["charge"]["charge"], report["classification"]) == (expected, "weyl")
+    assert main(["charge", two_velocity_path, "--radius", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["charge"] == expected
+    assert {"eigh", "eigvalsh"} <= set(calls)
 
 
 def test_scan_command_gapped_empty(gapped_path):
