@@ -36,26 +36,31 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
-def frobenius_sq(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix in a C-contiguous complex stack."""
+def rms_singular(a: np.ndarray) -> np.ndarray:
+    """||a||_F / sqrt(N) for each matrix of a C-contiguous complex (M, N, N)
+    stack: the root mean square of its singular values, and each of them
+    where they are all equal.  The squares overflow from entries of about
+    1e154 on; there ``hypot`` takes the norm, so the result stays finite
+    wherever the entries are."""
+    n = a.shape[-1]
     flat = a.reshape(len(a), -1).view(float)
-    return np.einsum("mi,mi->m", flat, flat)
+    rms = np.sqrt(np.einsum("mi,mi->m", flat, flat) / n)
+    big = np.isinf(rms)
+    if big.any():
+        rms[big] = np.hypot.reduce(flat[big], axis=1) / np.sqrt(n)
+    return rms
 
 
 def scalar_split(h: np.ndarray):
     """``(f0, a, s)`` for each matrix of a stack: f0 = Re tr h / N, the traceless
-    part a = h - f0 I, formed in place of ``h``, and s = ||a||_F / sqrt(N).
+    part a = h - f0 I, formed in place of ``h``, and s = ``rms_singular(a)``.
     Where a^2 is a multiple of I (``MatrixPolyField.scalar_square``), the
     spectrum of h is f0 - s and f0 + s, half of the N eigenvalues each."""
     n = h.shape[-1]
     f0 = np.trace(h, axis1=-2, axis2=-1).real / n
     diag = np.arange(n)
     h[:, diag, diag] -= f0[:, None]
-    s = np.sqrt(frobenius_sq(h) / n)
-    big = np.isinf(s)
-    if big.any():  # the squares overflow from entries of about 1e154 on; hypot does not
-        s[big] = np.hypot.reduce(h[big].reshape(-1, n * n).view(float), axis=1) / np.sqrt(n)
-    return f0, h, s
+    return f0, h, rms_singular(h)
 
 
 # On stacks of 2 x 2 matrices a plain einsum runs several times faster than

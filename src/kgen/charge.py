@@ -38,7 +38,9 @@ level between them P = (I - A / s) / 2, and
     tr(P [d_0 P, d_1 P]) = -tr(A [d_0 A, d_1 A]) / (8 s^3).
 
 When U*U = q I (``MatrixPolyField.scalar_gram``), with q = ||U||_F^2 / N,
-U^-1 = U* / q and sigma_min(U) = sqrt(q) exactly.  Every other field takes
+U^-1 = U* / q and sigma_min(U) = sqrt(q) exactly.  Both closed forms divide
+by s or sqrt(q) before they multiply, so they stay finite wherever the
+field's entries are.  Every other field takes
 the general path: ``eigh`` for the Chern integrand, and ``inv`` for the
 windings, whose invertibility is certified from that inverse via
 sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs only on a chunk where that bound
@@ -58,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import chunks, dagger, frobenius_sq, matmul, scalar_split, trace3
+from ._linalg import chunks, dagger, matmul, rms_singular, scalar_split, trace3
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
@@ -175,17 +177,19 @@ def _check_field(field: MatrixPolyField, dim: int):
 def _gated_inverse(u: np.ndarray, scalar_gram: bool) -> np.ndarray:
     """Inverses of a stack of matrices, refused where one is (nearly) singular.
 
-    With ``scalar_gram`` (U*U = q I), U^-1 = U* / q and sigma_min(U) = sqrt(q)
-    exactly.  Otherwise sigma_min(U) = 1 / ||U^-1||_2 >= 1 / ||U^-1||_F, so the
-    SVD runs only when that bound fails to clear GAP_MIN somewhere (NaN fails
-    it) or ``inv`` finds an exactly singular matrix.  A failed ``inv`` is
+    With ``scalar_gram`` (U*U = q I), every singular value of U is
+    sigma = sqrt(q) = ``rms_singular(U)``, and U^-1 = U* / sigma / sigma,
+    divided twice so that entries past about 1e154 do not overflow q.
+    Otherwise sigma_min(U) = 1 / ||U^-1||_2 >= 1 / ||U^-1||_F, so the SVD runs
+    only when that bound fails to clear GAP_MIN somewhere (NaN fails it) or
+    ``inv`` finds an exactly singular matrix.  A failed ``inv`` is
     refused even when the SVD puts sigma_min above GAP_MIN: LU can meet an
     exact zero pivot there.
     """
     if scalar_gram:
-        q = frobenius_sq(u) / u.shape[-1]
-        sv_min = float(np.sqrt(np.min(q)))
-        uinv = dagger(u) / q[:, None, None] if sv_min > GAP_MIN else None
+        sigma = rms_singular(u)[:, None, None]
+        sv_min = float(np.min(sigma))
+        uinv = dagger(u) / sigma / sigma if sv_min > GAP_MIN else None
     else:
         try:
             uinv = np.linalg.inv(u)
@@ -255,8 +259,12 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
             if n_occ != multiplicity:
                 continue  # P is 0 or I: no curvature
             # P = (I - a / s) / 2, so tr(P [d_0 P, d_1 P]) = -tr(a [d_0 h, d_1 h]) / (8 s^3)
-            # = -i Im tr(a d_0 h d_1 h) / (4 s^3); the gate above keeps s > GAP_MIN.
-            integrand = -trace3(a, d[:, 0], d[:, 1]).imag / (4.0 * s**3)
+            # = -i Im tr(a d_0 h d_1 h) / (4 s^3).  Each factor is divided by s
+            # first, so that neither the trace nor s^3 overflows; the gate above
+            # keeps s > GAP_MIN.
+            a /= s[:, None, None]
+            d /= s[:, None, None, None]
+            integrand = -trace3(a, d[:, 0], d[:, 1]).imag / 4.0
         else:
             # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
             # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.

@@ -191,34 +191,42 @@ class MatrixPolyField:
         return replace(self, domain=domain)
 
     # -- Clifford structure ---------------------------------------------------
-    # Tested once, on first use, from the coefficients over their largest
-    # entry: rescaling never changes a verdict, and a NaN coefficient fails.
+    # Tested once, on first use, from the coefficients over their own size:
+    # rescaling never changes a verdict, and a NaN or inf coefficient fails.
 
     @cached_property
     def scalar_square(self) -> bool:
         """Whether h(x) - f0(x) I squares to a multiple of I for every x, with
         f0 = Re tr h / N, for Hermitian coefficients: N is even and the
         traceless parts of every pair of coefficients anti-commute to a
-        multiple of I.  The bands are then f0 +- s (``_linalg.scalar_split``)."""
+        multiple of I.  The bands are then f0 +- s (``_linalg.scalar_split``).
+
+        The traceless parts are judged over their own largest entry: a scalar
+        part leaves the structure of the spectrum as it is, so however large
+        it is, it must not loosen the bound."""
         if self.size % 2:
             return False
-        mats = self._unit_coefficients()
-        scalars = np.trace(mats, axis1=1, axis2=2)[:, None, None] / self.size
-        traceless = mats - scalars * np.eye(self.size)
+        mats = self._coefficients()
+        with np.errstate(invalid="ignore"):  # an inf entry gives NaN, which fails
+            scalars = np.trace(mats, axis1=1, axis2=2)[:, None, None] / self.size
+            traceless = _over_largest(mats - scalars * np.eye(self.size), axis=None)
         return _pairs_scalar(traceless, traceless)
 
     @cached_property
     def scalar_gram(self) -> bool:
         """Whether U(x)* U(x) = q(x) I for every x: M_a* M_b + M_b* M_a is a
         multiple of I for every pair of coefficients.  Then U^-1 = U* / q, and
-        every singular value of U(x) is sqrt(q), q = ||U||_F^2 / N."""
-        mats = self._unit_coefficients()
-        return _pairs_scalar(dagger(mats), mats)
+        every singular value of U(x) is sqrt(q), q = ||U||_F^2 / N.
 
-    def _unit_coefficients(self) -> np.ndarray:
-        mats = self._stacked.view(complex).reshape(-1, self.size, self.size)
-        with np.errstate(invalid="ignore"):  # an inf entry gives NaN, which fails
-            return mats / (max_abs(mats) or 1.0)
+        Each coefficient is judged over its own largest entry, so a pair is
+        held to the product of its own sizes: a large term whose pairs all
+        vanish, such as i c x_0 I beside Hermitian terms, must not loosen the
+        bound on the others."""
+        unit = _over_largest(self._coefficients(), axis=(1, 2))
+        return _pairs_scalar(dagger(unit), unit)
+
+    def _coefficients(self) -> np.ndarray:
+        return self._stacked.view(complex).reshape(-1, self.size, self.size)
 
     # -- checks and serialization -------------------------------------------
 
@@ -256,6 +264,14 @@ class MatrixPolyField:
                 f"'selfadjoint' is true but the coefficients at multi-indices {bad} are not Hermitian"
             )
         return field
+
+
+def _over_largest(mats: np.ndarray, axis) -> np.ndarray:
+    """``mats`` over their largest entry magnitude along ``axis`` (None: of the
+    whole stack), with an all-zero block left as it is; inf gives NaN."""
+    largest = np.max(np.abs(mats), axis=axis, keepdims=True) if mats.size else 1.0
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, which fails the tests
+        return mats / np.where(largest == 0.0, 1.0, largest)
 
 
 def _pairs_scalar(left: np.ndarray, right: np.ndarray) -> bool:

@@ -25,15 +25,14 @@ PROFILE_SEED = 7
 
 def _representation(rep: clifford.CliffordRep | str, count: int, d: int) -> clifford.CliffordRep:
     """``rep``, checked to have ``count`` generators; a handedness in place of
-    ``rep`` builds that representation, refusing a count outside 1 to
-    ``clifford.MAX_D`` in terms of the field's own ``d``."""
+    ``rep`` builds that representation, and a refusal from
+    :func:`clifford.build_rep` then names the field's own ``d``."""
     if isinstance(rep, str):
-        if not 1 <= count <= clifford.MAX_D:
-            raise ValueError(
-                f"d = {d} needs a representation with {count} generators; "
-                f"1 to {clifford.MAX_D} are supported (N <= 64)"
-            )
-        rep = clifford.build_rep(count, rep)
+        try:
+            rep = clifford.build_rep(count, rep)
+        except ValueError as err:
+            need = f"d = {d} needs a representation with {count} generators"
+            raise ValueError(f"{need}: {err}") from None
     if rep.d != count:
         raise DimensionMismatchError(f"need a representation with {count} generators, got {rep.d}")
     return rep

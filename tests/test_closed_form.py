@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgen import bandscan, clifford, generators
-from kgen.charge import chern_2, winding_1, winding_3
+from kgen.charge import chern_2, chern_sign_weyl, winding_1, winding_3
 from kgen.errors import GapClosedError
 from kgen.fields import SPHERE, MatrixPolyField
 
@@ -192,6 +192,62 @@ def test_the_verdict_does_not_depend_on_the_scale(factor):
     weyl = generators.weyl_field(2, clifford.LEFT)
     assert scaled(weyl, factor).scalar_square
     assert not scaled(missed_by(weyl, 1e-9), factor).scalar_square
+
+
+def offset(field, f0):
+    """field + f0 I."""
+    shift = {(0,) * field.ambient_dim: f0 * np.eye(field.size)}
+    return field.plus(MatrixPolyField(field.ambient_dim, field.size, shift, SPHERE, True))
+
+
+def test_a_large_term_does_not_loosen_the_verdict():
+    # Squares |x|^2 and 16 |x|^2: their mismatch is 1.5e-13 of (1e7)^2, but a
+    # scalar term leaves the spectrum's structure alone and must not hide it.
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    assert not offset(weyl.direct_sum(scaled(weyl, 4.0)), 1e7).scalar_square
+    assert offset(weyl.direct_sum(weyl), 1e7).scalar_square
+    # i c x0 I pairs to zero with each Hermitian term; the Gram test holds the
+    # others to their own sizes.
+    blocks = []
+    for v in (1.0, 4.0):
+        terms = {(0,) + a: v * m for a, m in weyl.terms.items()}
+        terms[(1, 0, 0, 0)] = 1e7j * np.eye(2)
+        blocks.append(MatrixPolyField(4, 2, terms, SPHERE))
+    assert not blocks[0].direct_sum(blocks[1]).scalar_gram
+    assert blocks[0].direct_sum(blocks[0]).scalar_gram
+
+
+def test_an_offset_crossing_pulled_back_takes_the_general_path():
+    # At a crossing the pulled-back constant term is about 1000 I, while the
+    # traceless terms shrink with the enclosure's radius.
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    field = offset(weyl.direct_sum(scaled(weyl, 2.0)), 1000.0)
+    center, radius = np.zeros(3), 5e-4
+    pulled = field.affine_pullback(center, radius)
+    assert not pulled.scalar_square
+    result = chern_2(field, fermi=1000.0, center=center, radius=radius)
+    assert result.charge == 2 * chern_sign_weyl()
+    reference = chern_2(general(pulled, "scalar_square"), fermi=1000.0)
+    assert result.convergence_pair == reference.convergence_pair
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("factor", [1e103, 1e160, 1e300])
+def test_closed_form_charges_do_not_overflow(factor):
+    # ||U||_F^2, s^3 and the triple trace overflow from entries of about
+    # 1e103 or 1e154 on; each closed form divides before it multiplies.
+    dirac1 = generators.dirac_phase_field(1, clifford.LEFT)
+    dirac3 = generators.dirac_phase_field(3, clifford.LEFT)
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    for charge, field in (
+        (winding_1, dirac1.direct_sum(dirac1)),
+        (winding_3, dirac3),
+        (chern_2, weyl.direct_sum(weyl)),
+    ):
+        big = scaled(field, factor)
+        assert big.scalar_square or big.scalar_gram
+        assert_same(outcome(charge, big, resolution=8), outcome(charge, field, resolution=8))
+    assert winding_1(scaled(dirac1.direct_sum(dirac1), factor)).charge == 2
 
 
 # -- gates on the closed-form path ---------------------------------------------
