@@ -21,6 +21,7 @@ from ._linalg import chunks, dagger, max_abs, scalar_split
 from .errors import (
     ChiralSymmetryError,
     EnclosureInvalidError,
+    GapClosedError,
     HermiticityError,
     KgenError,
     MissingChiralError,
@@ -349,8 +350,8 @@ def charge_crossing(
 
     m = 3: Chern number of the model restricted to the enclosing sphere.
     m = 2: winding of the chiral off-diagonal block on the enclosing circle
-    (requires the model to carry a chiral matrix).  The gap must stay open at
-    every quadrature node of the enclosure.
+    (requires the model to carry a chiral matrix).  A kernel's GapClosedError
+    at the enclosure's quadrature nodes is raised as EnclosureInvalidError.
     """
     point = np.asarray(point, dtype=float)
     dim = model.dimension
@@ -362,27 +363,22 @@ def charge_crossing(
         raise ValueError(f"enclosure radius must be finite and positive, got {radius}")
     if dim == 2 and model.chiral is None:
         raise MissingChiralError("two-dimensional charges need a chiral symmetry; model has none")
-    if resolution is None:
-        resolution = charge_mod.DEFAULT_RESOLUTION[dim - 1]
-
-    grid = charge_mod.sphere_grid(dim - 1, resolution)
-    sphere_nodes = point[None, :] + radius * grid.nodes
-    node_gap = float(np.min(_gap_batch(model, sphere_nodes)))
-    if node_gap <= 10.0 * GAP_TOL:
+    gap = gap_at(model, point)
+    try:
+        if dim == 3:
+            result = charge_mod.chern_2(model.field, model.fermi, resolution, point, radius)
+            positive = WEYL
+        else:
+            # As in chern_2, the model is judged before the pullback: the pulled-back
+            # constant term keeps rounding that a small enclosure cannot bound.
+            block = generators.chiral_lower_block(model.field, model.chiral)
+            restricted = block.affine_pullback(point, radius)
+            result = charge_mod.winding_1(restricted, resolution=resolution)
+            positive = DIRAC_CHIRAL
+    except GapClosedError as exc:
         raise EnclosureInvalidError(
-            f"gap {node_gap} closes on the enclosing sphere; adjust the radius"
-        )
-
-    if dim == 3:
-        result = charge_mod.chern_2(model.field, model.fermi, resolution, point, radius)
-        positive = WEYL
-    else:
-        # As in chern_2, the model is judged before the pullback: the pulled-back
-        # constant term keeps rounding that a small enclosure cannot bound.
-        block = generators.chiral_lower_block(model.field, model.chiral)
-        restricted = block.affine_pullback(point, radius)
-        result = charge_mod.winding_1(restricted, resolution=resolution)
-        positive = DIRAC_CHIRAL
+            f"gap closes on the enclosing sphere ({exc}); adjust the radius"
+        ) from exc
 
     if not result.converged:
         classification = UNCLASSIFIED
@@ -392,7 +388,7 @@ def charge_crossing(
         classification = TRIVIAL
     return CrossingReport(
         location=tuple(float(v) for v in point),
-        gap_at_location=gap_at(model, point),
+        gap_at_location=gap,
         enclosure_radius=float(radius),
         charge=result,
         classification=classification,

@@ -196,8 +196,10 @@ def _gated_inverse(u: np.ndarray, scalar_gram: bool) -> np.ndarray:
         except np.linalg.LinAlgError:
             uinv = None
         else:
-            if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
-                return uinv
+            # An underflowing norm gives inf (right); an overflowing one 0 (the SVD decides).
+            with np.errstate(over="ignore", divide="ignore"):
+                if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
+                    return uinv
         sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
     if uinv is None or sv_min <= GAP_MIN:
         raise GapClosedError(

@@ -30,7 +30,7 @@ class GapClosedError(KgenError):
     """Spectral gap (or invertibility margin) closes on the integration grid."""
 
 
-class EnclosureInvalidError(KgenError):
+class EnclosureInvalidError(GapClosedError):
     """Enclosing sphere touches a region where the gap closes."""
 
 

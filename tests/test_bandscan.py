@@ -451,6 +451,30 @@ def test_enclosure_rejects_gapless_sphere():
         charge_crossing(weyl_model(), [0.0, 0.0, 0.0], radius=1e-9)
 
 
+def test_enclosure_cutting_a_fermi_surface_is_invalid():
+    # At fermi 0.3 the Weyl bands meet the Fermi level on |x| = 0.3, which this
+    # sphere cuts: the band count below fermi varies over its nodes.
+    model = BandModel(weyl_model().field, fermi=0.3)
+    with pytest.raises(
+        EnclosureInvalidError,
+        match=r"gap closes on the enclosing sphere \(number of bands below fermi varies",
+    ):
+        charge_crossing(model, [0.3, 0.0, 0.0], radius=0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: charge_crossing(weyl_model(), [0.0, 0.0], 0.5), r"point must have shape \(3,\)"),
+        (lambda: bandscan.gap_map(weyl_model(), [(-1, 1)] * 2, 8), r"box must have 3 \(lo, hi\)"),
+    ],
+    ids=["point", "box"],
+)
+def test_wrong_number_of_coordinates_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_chiral_protection_under_perturbations():
     rng = np.random.default_rng(7)
     base = chiral_dirac_model()

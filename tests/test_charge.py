@@ -576,6 +576,12 @@ def test_charge_ambient_dimension_check():
         winding_1(dirac3())
 
 
+def test_charge_needs_a_polynomial_field():
+    # The kernels integrate exact derivatives, which an EvaluableField lacks.
+    with pytest.raises(TypeError, match="exact derivatives"):
+        winding_1(generators.bounded_transform(dirac1()))
+
+
 @pytest.mark.parametrize(
     "fn, make", [(winding_1, dirac1), (chern_2, weyl2), (winding_3, dirac3)]
 )

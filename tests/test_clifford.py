@@ -181,6 +181,20 @@ def test_verify_rep_detects_non_hermitian():
     assert kinds["hermiticity"].residual == 1.0
 
 
+@pytest.mark.parametrize(
+    "d, gammas, kind, detail",
+    [
+        (1, (SIGMA_1,), "dimension", "N = 2, expected 1"),
+        (2, (SIGMA_1, np.eye(3)), "shape", "generator 2 has shape (3, 3)"),
+    ],
+    ids=["dimension", "shape"],
+)
+def test_verify_rep_detects_wrong_sizes(d, gammas, kind, detail):
+    report = verify_rep(CliffordRep(d=d, gammas=gammas, handedness=None))
+    kinds = {v.kind: v for v in report.violations}
+    assert kinds[kind].detail == detail
+
+
 def test_verify_rep_detects_wrong_label():
     rep = CliffordRep(d=3, gammas=(SIGMA_1, SIGMA_2, SIGMA_3), handedness=LEFT)
     report = verify_rep(rep)

@@ -250,6 +250,20 @@ def test_closed_form_charges_do_not_overflow(factor):
     assert winding_1(scaled(dirac1.direct_sum(dirac1), factor)).charge == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("winding, d, resolution", [(winding_1, 1, None), (winding_3, 3, 8)])
+def test_general_path_gate_does_not_overflow(winding, d, resolution):
+    # The bound 1 / ||U^-1||_F squares the entries of U^-1: at scale 1e200 they
+    # underflow (the bound is inf, and right), at 1e-200 they overflow (the
+    # bound is 0, and the SVD refuses the field).  Neither may warn.
+    dirac = generators.dirac_phase_field(d, clifford.LEFT)
+    double = dirac.direct_sum(dirac)
+    big, small = (general(scaled(double, f), "scalar_gram") for f in (1e200, 1e-200))
+    assert winding(big, resolution=resolution).charge == 2
+    with pytest.raises(GapClosedError, match="min singular value"):
+        winding(small, resolution=resolution)
+
+
 # -- gates on the closed-form path ---------------------------------------------
 
 

@@ -234,6 +234,23 @@ def test_payload_schema_violations(payload, message):
         MatrixPolyField.from_payload(payload)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: f.derivative(2), "axis 2 out of range"),
+        (lambda f: f.derivative(-1), "axis -1 out of range"),
+        (lambda f: f.direct_sum(MatrixPolyField(3, 2, {})), "matching ambient dimensions"),
+        (lambda f: f.plus(MatrixPolyField(3, 2, {})), "matching shapes"),
+        (lambda f: f.plus(MatrixPolyField(2, 3, {})), "matching shapes"),
+        (lambda f: f.affine_pullback([0.0, 0.0, 0.0], 1.0), "center must match"),
+    ],
+    ids=["axis-high", "axis-negative", "direct-sum", "plus-dimension", "plus-size", "pullback"],
+)
+def test_algebra_refuses_mismatched_dimensions(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(MatrixPolyField(2, 2, {(1, 0): np.eye(2)}))
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         MatrixPolyField(2, 2, {(0,): np.eye(2)})

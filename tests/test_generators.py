@@ -152,6 +152,23 @@ def test_chiral_block_rejects_commuting_perturbation():
         generators.chiral_block(perturbed, grading)
 
 
+@pytest.mark.parametrize(
+    "size, j, error, message",
+    [
+        (2, np.eye(3), DimensionMismatchError, "chiral matrix size"),
+        (3, np.diag([1.0, 1.0, -1.0]), NotChiralError, "eigenspaces have sizes 2 and 1"),
+    ],
+    ids=["wrong-size", "unequal-eigenspaces"],
+)
+def test_chiral_block_refuses_a_grading_without_a_square_block(size, j, error, message):
+    # [[0, 0, 1], [0, 0, 0], [1, 0, 0]] anti-commutes with diag(1, 1, -1).
+    mat = np.zeros((size, size))
+    mat[0, -1] = mat[-1, 0] = 1.0
+    field = MatrixPolyField(2, size, {(1, 0): mat}, EUCLIDEAN, selfadjoint=True)
+    with pytest.raises(error, match=message):
+        generators.chiral_lower_block(field, j)
+
+
 def test_bounded_transform_point_values():
     rep = clifford.build_rep(3, clifford.LEFT)
     field = generators.weyl_field(2, rep, domain=EUCLIDEAN)
@@ -193,6 +210,12 @@ def test_compact_resolvent_profile_values():
         assert abs(value - expected[r]) < 1e-12
     values = [v for _, v in profile]
     assert values == sorted(values, reverse=True)
+
+
+def test_compact_resolvent_profile_refuses_a_negative_radius():
+    field = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT), domain=EUCLIDEAN)
+    with pytest.raises(ValueError, match="radii must be nonnegative, got -1.0"):
+        generators.compact_resolvent_profile(field, [0.0, -1.0])
 
 
 def test_compact_resolvent_profile_scalar_dirac():
