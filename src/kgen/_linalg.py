@@ -32,8 +32,8 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row, rounded as ``np.dot(row, row)`` is."""
-    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+    """Squared Euclidean norm along the last axis, rounded as ``np.dot(row, row)`` is."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
 def rms_singular(a: np.ndarray) -> np.ndarray:

@@ -138,14 +138,14 @@ class BandModel:
         chiral = payload.get("chiral")
         if chiral is not None:
             chiral = matrix_from_json(chiral)
-        try:
-            fermi = float(payload.get("fermi", 0.0))
-        except (TypeError, ValueError):
-            raise ModelFormatError(f"'fermi' must be a number, got {payload['fermi']!r}") from None
+        fermi = payload.get("fermi", 0.0)
+        # type() rather than float(), which would take JSON's true and "0.25" for numbers.
+        if type(fermi) not in (int, float):
+            raise ModelFormatError(f"'fermi' must be a number, got {fermi!r}")
         return cls(
             field=fld,
             chiral=chiral,
-            fermi=fermi,
+            fermi=float(fermi),
             name=payload.get("name"),
             comment=payload.get("comment"),
         )

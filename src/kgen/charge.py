@@ -114,7 +114,7 @@ class ChargeResult:
 
 def check_resolution(n) -> None:
     """Refuse a grid resolution that is not an integer >= 4."""
-    if not isinstance(n, int) or n < 4:
+    if not isinstance(n, (int, np.integer)) or n < 4:
         raise ValueError(f"resolution must be an integer >= 4, got {n!r}")
 
 

@@ -83,7 +83,7 @@ def _cmd_generator(args) -> int:
         return EXIT_OK
 
     name = f"{args.kind}-d{args.d}"
-    if field.selfadjoint:
+    if field.selfadjoint and field.ambient_dim in (2, 3):
         model = bandscan.BandModel.from_field(
             field,
             chiral=None if grading is None else grading.matrix,
@@ -92,8 +92,8 @@ def _cmd_generator(args) -> int:
         )
         _emit_json(model.to_payload(), args.out)
     else:
-        # The Dirac phase has a non-Hermitian coefficient, so it is emitted in
-        # the field schema rather than as a (Hermitian) band model.
+        # A band model is Hermitian with 2 or 3 variables; other fields (the
+        # Dirac phase, and generators in more variables) use the field schema.
         payload = field.with_domain(EUCLIDEAN).to_payload()
         payload["name"] = name
         _emit_json(payload, args.out)

@@ -33,12 +33,15 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(data) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed complex matrix: {exc}") from None
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ModelFormatError(
             f"complex matrix must be square with [re, im] entries, got shape {arr.shape}"
         )
+    # The conversion above also takes JSON's true and numeric strings such as "1".
+    if any(type(v) not in (int, float) for row in data for entry in row for v in entry):
+        raise ModelFormatError("malformed complex matrix: entries must be JSON numbers")
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError("complex matrix has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -213,6 +213,11 @@ CHIRAL_PAYLOAD = chiral_dirac_model().to_payload()
 ZERO_2X2 = [[[0.0, 0.0]] * 2] * 2
 
 
+def sigma1_term(one):
+    """The x1 term of CHIRAL_PAYLOAD, sigma_1, with its upper 1 written as ``one``."""
+    return {"powers": [1, 0], "matrix": [[[0.0, 0.0], [one, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -233,6 +238,28 @@ ZERO_2X2 = [[[0.0, 0.0]] * 2] * 2
             id="bool-powers",
         ),
         pytest.param({**CHIRAL_PAYLOAD, "fermi": "zero"}, "'fermi' must be a number", id="fermi"),
+        # float() would read these two as 1.0 and 0.25, and the next two entries as 1.0.
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "fermi": True}, "'fermi' must be a number", id="bool-fermi"
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "fermi": "0.25"}, "'fermi' must be a number", id="str-fermi"
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [CHIRAL_PAYLOAD["terms"][0], sigma1_term(True)]},
+            "malformed complex matrix",
+            id="bool-entry",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [CHIRAL_PAYLOAD["terms"][0], sigma1_term("1")]},
+            "malformed complex matrix",
+            id="str-entry",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [CHIRAL_PAYLOAD["terms"][0], sigma1_term(10**400)]},
+            "malformed complex matrix: int too large",
+            id="huge-int-entry",
+        ),
         pytest.param({**CHIRAL_PAYLOAD, "terms": {}}, "'terms' must be a list", id="terms-dict"),
         pytest.param(
             {**CHIRAL_PAYLOAD, "terms": [{"matrix": ZERO_2X2}]},
@@ -431,6 +458,9 @@ def test_charge_crossing_refuses_zero_resolution(model, point):
         charge_crossing(model(), point, radius=0.5, resolution=0)
     default = charge_crossing(model(), point, radius=0.5)
     assert default.charge.resolution == charge.DEFAULT_RESOLUTION[len(point) - 1]
+    # A numpy integer is an integer too.
+    numpy_16 = charge_crossing(model(), point, radius=0.5, resolution=np.int64(16))
+    assert numpy_16 == charge_crossing(model(), point, radius=0.5, resolution=16)
 
 
 def test_charge_2d_needs_chiral():

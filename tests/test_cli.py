@@ -109,6 +109,14 @@ def test_generator_dirac_hamiltonian_model_is_chiral():
     assert payload["chiral"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 
 
+@pytest.mark.parametrize("kind, d, variables", [("weyl", 4, 5), ("dirac-hamiltonian", 3, 4)])
+def test_generator_exports_fields_beyond_three_variables(capsys, kind, d, variables):
+    # A band model has 2 or 3 variables; the rest go out in the field schema.
+    assert main(["generator", "--kind", kind, "--d", str(d)]) == 0
+    field = MatrixPolyField.from_payload(json.loads(capsys.readouterr().out))
+    assert (field.ambient_dim, field.size, field.selfadjoint) == (variables, 4, True)
+
+
 def test_generator_point_evaluation():
     proc = run_cli("generator", "--kind", "dirac-phase", "--d", "1", "--point", "0", "1")
     assert proc.returncode == 0

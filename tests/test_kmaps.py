@@ -72,11 +72,21 @@ def test_chart_round_trip():
         single = kmaps.chart_inverse(xs[k])
         assert np.array_equal(stacked.disc_y[k], single.disc_y)
         assert np.array_equal(stacked.euclid_z[k], single.euclid_z)
+    # chart acts on the last axis too, with the per-row results to the last bit.
+    batch = kmaps.chart(ys)
+    assert batch.sphere_x.shape == (len(ys), 5)
+    assert np.array_equal(batch.sphere_x, xs)
+    assert np.max(np.abs(np.linalg.norm(batch.sphere_x, axis=1) - 1.0)) < 1e-13
+    for k in range(0, len(ys), 997):
+        assert np.array_equal(batch.euclid_z[k], kmaps.chart(ys[k]).euclid_z)
+    assert np.max(np.abs(kmaps.chart_inverse(batch.sphere_x).disc_y - ys)) < 1e-12
 
 
 def test_chart_domain_errors():
     with pytest.raises(DomainError):
         kmaps.chart([1.0, 0.0])
+    with pytest.raises(DomainError, match=r"\|\|y\|\| = 3.0"):
+        kmaps.chart([[0.1, 0.0], [0.0, 3.0], [0.2, 0.2]])
     with pytest.raises(DomainError):
         kmaps.chart_inverse([0.5, 0.0, 0.0])  # not a unit vector
     with pytest.raises(PoleError):
@@ -278,6 +288,15 @@ def test_index_identity(d):
     report = kmaps.verify_index_identity(d, samples=1000, seed=0)
     assert report["pass"]
     assert report["max_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_index_identity_residual_is_the_identity_alone(d, seed):
+    # The suite compares at chart(y) for ball points y, with no chart round trip.
+    report = kmaps.verify_index_identity(d, seed=seed)
+    assert report["samples"] == 1000
+    assert report["max_residual"] <= 1e-14
 
 
 def test_index_identity_d5_smoke():
