@@ -79,11 +79,13 @@ class BandModel:
                 raise ChiralSymmetryError(f"chiral matrix has shape {j.shape}, expected {(n, n)}")
             if not np.isfinite(j).all():
                 raise ChiralSymmetryError("chiral matrix must be finite")
-            # J is a unitary involution, so its own residuals need no scale.
-            if max_abs(j - dagger(j)) > COEFFICIENT_TOL:
-                raise ChiralSymmetryError("chiral matrix is not Hermitian")
-            if max_abs(j @ j - np.eye(n)) > COEFFICIENT_TOL:
-                raise ChiralSymmetryError("chiral matrix does not square to the identity")
+            # J is a unitary involution, so its own residuals need no scale; J is
+            # finite, so a residual past float range (inf, or NaN from inf - inf) fails.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not max_abs(j - dagger(j)) <= COEFFICIENT_TOL:
+                    raise ChiralSymmetryError("chiral matrix is not Hermitian")
+                if not max_abs(j @ j - np.eye(n)) <= COEFFICIENT_TOL:
+                    raise ChiralSymmetryError("chiral matrix does not square to the identity")
             # trace(J) is the size of the +1 eigenspace minus that of the -1 one.
             trace = round(np.trace(j).real)
             if self.dimension == 2 and trace != 0:
@@ -142,10 +144,14 @@ class BandModel:
         # type() rather than float(), which would take JSON's true and "0.25" for numbers.
         if type(fermi) not in (int, float):
             raise ModelFormatError(f"'fermi' must be a number, got {fermi!r}")
+        try:
+            fermi = float(fermi)
+        except OverflowError:  # an integer literal beyond float range
+            raise ModelFormatError("'fermi' is an integer beyond float range") from None
         return cls(
             field=fld,
             chiral=chiral,
-            fermi=float(fermi),
+            fermi=fermi,
             name=payload.get("name"),
             comment=payload.get("comment"),
         )
@@ -182,7 +188,7 @@ def load_model(path) -> BandModel:
             payload = json.load(handle)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
     return BandModel.from_payload(payload)
 
@@ -369,11 +375,10 @@ def charge_crossing(
             result = charge_mod.chern_2(model.field, model.fermi, resolution, point, radius)
             positive = WEYL
         else:
-            # As in chern_2, the model is judged before the pullback: the pulled-back
-            # constant term keeps rounding that a small enclosure cannot bound.
             block = generators.chiral_lower_block(model.field, model.chiral)
-            restricted = block.affine_pullback(point, radius)
-            result = charge_mod.winding_1(restricted, resolution=resolution)
+            result = charge_mod._assemble(
+                lambda grid: charge_mod._winding_raw(block, grid, point, radius), 1, resolution
+            )
             positive = DIRAC_CHIRAL
     except GapClosedError as exc:
         raise EnclosureInvalidError(

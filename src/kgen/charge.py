@@ -27,7 +27,8 @@ S^(d-1).
 
 The kernels walk the grid in fixed-size node chunks, evaluating, inverting or
 diagonalizing and integrating one chunk at a time into a running sum, so their
-memory does not grow with the resolution.
+memory does not grow with the resolution.  An enclosing sphere |x - c| = r is
+the same grid moved chunk by chunk, to nodes c + r u with tangents r du.
 
 Clifford-linear fields, the generators among them, need no eigensolver and no
 inverse.  When the traceless part A = h - f0 I of a Hermitian field squares
@@ -208,11 +209,31 @@ def _gated_inverse(u: np.ndarray, scalar_gram: bool) -> np.ndarray:
     return uinv
 
 
-def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
+def _chunk_fields(field: MatrixPolyField, grid: SphereGrid, center=None, radius=1.0):
+    """``(slice, values, derivatives)`` of ``field`` on each node chunk of ``grid``
+    or, given ``center``, of the grid moved to |x - center| = ``radius``: nodes
+    center + radius u and tangents radius du, so by the chain rule the integrand is
+    that of the restricted field.  A value or derivative that is not finite there
+    (the model overflows) is refused with a ValueError, as the gap scan refuses one."""
+    for sl in chunks(len(grid.weights)):
+        if center is None:
+            yield (sl, *field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl]))
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            h, d = field.evaluate_batch(center + radius * grid.nodes[sl],
+                                        radius * grid.dx_dparam[sl])
+        if not (np.isfinite(h).all() and np.isfinite(d).all()):
+            raise ValueError(
+                f"field is not finite on the sphere of radius {radius} about "
+                f"{center.tolist()}; the model overflows there"
+            )
+        yield sl, h, d
+
+
+def _winding_raw(field: MatrixPolyField, grid: SphereGrid, center=None, radius=1.0) -> float:
     w = grid.weights
     total = 0.0
-    for sl in chunks(len(w)):
-        u, d = field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl])
+    for sl, u, d in _chunk_fields(field, grid, center, radius):
         uinv = _gated_inverse(u, field.scalar_gram)
         if grid.dim == 1:
             log_deriv = np.einsum("mij,mji->m", uinv, d[:, 0], optimize=True)
@@ -229,13 +250,14 @@ def _winding_raw(field: MatrixPolyField, grid: SphereGrid) -> float:
     return float(np.real(-total / (24.0 * np.pi**2)))
 
 
-def _chern_raw(field: MatrixPolyField, fermi: float, grid: SphereGrid) -> float:
+def _chern_raw(
+    field: MatrixPolyField, fermi: float, grid: SphereGrid, center=None, radius=1.0
+) -> float:
     w = grid.weights
     total = 0.0
     n_occ = None
     closed = field.scalar_square
-    for sl in chunks(len(w)):
-        h, d = field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl])
+    for sl, h, d in _chunk_fields(field, grid, center, radius):
         if closed:
             # Bands f0 - s and f0 + s, each of multiplicity N / 2.
             f0, a, s = scalar_split(h)
@@ -307,16 +329,18 @@ def chern_2(
     radius: float = 1.0,
 ) -> ChargeResult:
     """Chern number of the band below ``fermi`` for a gapped field on S^2, or, given
-    ``center``, on the sphere |x - center| = ``radius``.  Hermiticity is judged on
-    ``field`` before the pullback, whose constant term keeps the field's rounding."""
+    ``center``, on the sphere |x - center| = ``radius``, where the field is
+    evaluated on the moved grid."""
     _check_field(field, 2)
     if field.non_hermitian_terms():
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")
     if center is not None:
-        field = field.affine_pullback(center, radius)
-    return _assemble(lambda grid: _chern_raw(field, fermi, grid), 2, resolution)
+        center = np.asarray(center, dtype=float)
+        if center.shape != (3,):
+            raise DimensionMismatchError("center must match the ambient dimension")
+    return _assemble(lambda grid: _chern_raw(field, fermi, grid, center, radius), 2, resolution)
 
 
 def winding_3(field: MatrixPolyField, resolution: int | None = None) -> ChargeResult:

@@ -64,6 +64,8 @@ class MatrixPolyField:
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != self.ambient_dim or any(a < 0 for a in alpha):
                 raise ModelFormatError(f"bad multi-index {alpha} for dimension {self.ambient_dim}")
+            if max(alpha, default=0) > np.iinfo(np.int64).max:  # numpy's power exponent
+                raise ModelFormatError("powers must fit a signed 64-bit integer (below 2^63)")
             mat = np.array(mat, dtype=complex)
             if mat.shape != (n, n):
                 raise ModelFormatError(
@@ -165,9 +167,10 @@ class MatrixPolyField:
     def affine_pullback(self, center, radius: float) -> "MatrixPolyField":
         """Exact recomposition under x = center + radius * u.
 
-        Restricting a model to a small sphere around a band crossing is this
-        pullback followed by evaluation at unit vectors u.  A coefficient that
-        overflows is refused with a ValueError.
+        Its values at unit vectors u are the field's on the sphere
+        |x - center| = radius.  The charge kernels do not use it: they evaluate
+        the field itself on the moved grid.  A coefficient that overflows is
+        refused with a ValueError.
         """
         center = np.asarray(center, dtype=float)
         if center.shape != (self.ambient_dim,):
@@ -232,9 +235,11 @@ class MatrixPolyField:
 
     def failing_terms(self, residual) -> list:
         """Sorted multi-indices alpha whose ``residual(M_alpha)`` exceeds
-        COEFFICIENT_TOL times the largest coefficient entry of the field."""
+        COEFFICIENT_TOL times the largest coefficient entry of the field.  A
+        residual past float range is inf, which fails, and warns nothing."""
         bound = COEFFICIENT_TOL * max((max_abs(m) for m in self.terms.values()), default=0.0)
-        return sorted(alpha for alpha, mat in self.terms.items() if residual(mat) > bound)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sorted(alpha for alpha, mat in self.terms.items() if residual(mat) > bound)
 
     def non_hermitian_terms(self) -> list:
         """The :meth:`failing_terms` of Hermiticity, M_alpha = M_alpha^*."""

@@ -1,6 +1,7 @@
 """Band models: loading, gap scans, crossing detection and charging."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,9 +125,9 @@ def test_rotated_models_load_and_scan_at_any_scale(scale):
 
 
 def test_small_chiral_enclosure_away_from_the_origin_is_charged():
-    # ((x1 - 0.61)^2 - 0.05^2) sigma_1 + x2 sigma_2 pulled back to radius 1e-5
-    # at x1 = 0.66: its constant term is rotation rounding far above 1e-12 of
-    # the pulled-back entries.  The chiral block is taken from the model's own
+    # ((x1 - 0.61)^2 - 0.05^2) sigma_1 + x2 sigma_2 on a circle of radius 1e-5
+    # about x1 = 0.66: h(0.66, 0) is rotation rounding far above 1e-12 of the
+    # entries there.  The chiral block is taken from the model's own
     # coefficients, so the charge still computes.
     terms = {
         (2, 0): SIGMA_1,
@@ -146,9 +147,9 @@ WEYL_AT_2_3 = {(2, 0, 0): SIGMA_1, (0, 0, 0): -(2.3**2) * SIGMA_1, (0, 1, 0): SI
 
 @pytest.mark.parametrize("radius", [1e-3, 1e-4, 1e-6])
 def test_small_weyl_enclosure_away_from_the_origin_is_charged(radius):
-    # The pulled-back constant term of the rotated model is rounding of order
-    # eps * 2.3^2, far above 1e-12 of the entries of a small enclosure;
-    # Hermiticity is judged on the model's coefficients, before the pullback.
+    # On a small enclosure the rotated model's entries are of order the radius,
+    # and h(2.3, 0, 0) cancels terms of order 2.3^2 to rounding; Hermiticity is
+    # judged on the model's coefficients, not on the enclosure.
     model = rotated(WEYL_AT_2_3, 1.0, seed=0)
     result = charge_crossing(model, [2.3, 0.0, 0.0], radius, resolution=16)
     assert abs(result.charge.charge) == 1
@@ -207,6 +208,10 @@ def test_load_rejects_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ModelFormatError):
         load_model(path)
+    # Valid JSON, but past the digit limit of Python's int conversion.
+    path.write_text('{"dimension": 1' + "0" * 5000 + "}")
+    with pytest.raises(ModelFormatError, match="not valid JSON"):
+        load_model(path)
 
 
 CHIRAL_PAYLOAD = chiral_dirac_model().to_payload()
@@ -259,6 +264,20 @@ def sigma1_term(one):
             {**CHIRAL_PAYLOAD, "terms": [CHIRAL_PAYLOAD["terms"][0], sigma1_term(10**400)]},
             "malformed complex matrix: int too large",
             id="huge-int-entry",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "fermi": 10**400}, "'fermi' is an integer beyond float range",
+            id="huge-int-fermi",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [{"powers": [10**400, 0], "matrix": ZERO_2X2}]},
+            "powers must fit a signed 64-bit integer",
+            id="huge-int-power",
+        ),
+        pytest.param(
+            {**CHIRAL_PAYLOAD, "terms": [{"powers": [0, 2**63], "matrix": ZERO_2X2}]},
+            "powers must fit a signed 64-bit integer",
+            id="power-2^63",
         ),
         pytest.param({**CHIRAL_PAYLOAD, "terms": {}}, "'terms' must be a list", id="terms-dict"),
         pytest.param(
@@ -472,6 +491,45 @@ def test_chiral_dirac_winding():
     report = charge_crossing(chiral_dirac_model(), [0.0, 0.0], radius=0.5)
     assert report.classification == "dirac-chiral"
     assert abs(report.charge.charge) == 1
+
+
+def test_enclosures_are_charged_without_recomposing_the_model(monkeypatch):
+    # Each enclosure evaluates the model on the moved grid; the recomposed
+    # field x -> h(center + radius x) gives the same raws to rounding.
+    weyl, weyl_center = two_weyl_model(), [0.0, 0.0, 0.5]
+    dirac, dirac_center = chiral_dirac_model(), [0.1, 0.0]
+    block = generators.chiral_lower_block(dirac.field, SIGMA_3)
+    expected = [
+        charge.chern_2(weyl.field.affine_pullback(weyl_center, 0.4)),
+        charge.winding_1(block.affine_pullback(dirac_center, 0.4)),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enclosures must not recompose the model")
+
+    monkeypatch.setattr(MatrixPolyField, "affine_pullback", refuse)
+    results = [charge_crossing(weyl, weyl_center, 0.4).charge,
+               charge_crossing(dirac, dirac_center, 0.4).charge]
+    for result, reference in zip(results, expected):
+        assert abs(result.charge) == 1 and result.charge == reference.charge
+        assert np.allclose(result.convergence_pair, reference.convergence_pair, rtol=0, atol=1e-12)
+
+
+def test_high_degree_enclosure_is_charged_in_bounded_memory():
+    # x1 s1 + x2 s2 + x3 s3 + 0.01 (x1 x2 x3)^8 s3 with the standard Pauli
+    # matrices (s2 = -SIGMA_2): recomposing it about the centre would expand
+    # the last monomial into 9^3 terms and peak near 280 MiB.
+    terms = {(1, 0, 0): SIGMA_1, (0, 1, 0): -SIGMA_2, (0, 0, 1): SIGMA_3,
+             (8, 8, 8): 0.01 * SIGMA_3}
+    model = BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True))
+    tracemalloc.start()
+    try:
+        report = charge_crossing(model, [1e-3] * 3, radius=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.charge.convergence_pair == (-1.0, -1.0)
+    assert peak < 48 * 2**20
 
 
 def test_enclosure_rejects_gapless_sphere():

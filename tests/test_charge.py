@@ -387,14 +387,26 @@ def test_chern_requires_selfadjoint():
 
 
 def test_chern_on_an_enclosing_sphere_is_the_chern_of_the_pullback():
-    # The enclosure form pulls back after the Hermiticity check, bit for bit
-    # the pullback a caller would form.
+    # The enclosure form evaluates the field on the moved grid, and matches
+    # the recomposed field a caller would form bit for bit; Hermiticity is
+    # judged on the field itself.
     field = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT))
     center = np.array([0.1, -0.2, 0.05])
     direct = chern_2(field.affine_pullback(center, 0.5), resolution=16)
     assert chern_2(field, resolution=16, center=center, radius=0.5) == direct
     with pytest.raises(ValueError, match="self-adjoint"):
         chern_2(MatrixPolyField(3, 1, {(1, 0, 0): [[1j]]}), center=center, radius=0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chern_enclosure_refuses_a_bad_center_and_an_overflowing_sphere():
+    field = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT))
+    with pytest.raises(DimensionMismatchError, match="center must match"):
+        chern_2(field, center=[0.0, 0.0], radius=0.5)
+    # |x|^2 of the moved nodes overflows: refused as bad input, not as a closed gap.
+    square = MatrixPolyField(3, 2, {(2, 0, 0): np.eye(2), (0, 0, 0): -np.eye(2)})
+    with pytest.raises(ValueError, match=r"not finite on the sphere of radius 1e\+200"):
+        chern_2(square.plus(field), center=[0.0, 0.0, 0.0], radius=1e200)
 
 
 def test_chern_gap_closed():

@@ -436,13 +436,13 @@ def test_non_finite_box_center_radius_rejected(weyl_path, capsys, command, extra
 def test_overflowing_gap_rejected(two_weyl_path, capsys, command, extra):
     # Finite inputs at which x3^2 overflows: the gap there is not finite, so
     # nothing may be reported from it (an empty scan, a charge 0).  At
-    # --radius 1e200 the centre's gap is finite and the enclosure's pulled-back
-    # model overflows instead.
+    # --radius 1e200 the centre's gap is finite and the model overflows on the
+    # enclosing sphere instead.
     assert main([command, two_weyl_path, *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     if extra == ["--radius", "1e200"]:
-        assert "pullback to radius 1e+200 about [0.0, 0.0, 0.0] overflows" in captured.err
+        assert "not finite on the sphere of radius 1e+200 about [0.0, 0.0, 0.0]" in captured.err
     else:
         assert "gap is not finite" in captured.err
 

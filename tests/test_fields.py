@@ -251,6 +251,17 @@ def test_algebra_refuses_mismatched_dimensions(call, message):
         call(MatrixPolyField(2, 2, {(1, 0): np.eye(2)}))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_powers_must_fit_a_signed_64_bit_integer():
+    # x^(2^63 - 1) is evaluated (to 0 inside the unit interval); 2^63 is refused
+    # where the field is built, before any evaluation could overflow on it.
+    field = MatrixPolyField(1, 1, {(2**63 - 1,): [[1.0]]})
+    assert field.evaluate([0.5])[0, 0] == 0.0
+    for power in (2**63, 10**400):
+        with pytest.raises(ModelFormatError, match="powers must fit a signed 64-bit integer"):
+            MatrixPolyField(1, 1, {(power,): [[1.0]]})
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         MatrixPolyField(2, 2, {(0,): np.eye(2)})
