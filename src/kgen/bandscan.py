@@ -26,6 +26,7 @@ from .errors import (
     KgenError,
     MissingChiralError,
     ModelFormatError,
+    ModelOverflowError,
 )
 from .fields import COEFFICIENT_TOL, EUCLIDEAN, MatrixPolyField
 from .serialize import matrix_from_json, matrix_to_json, poly_from_json, terms_to_json
@@ -205,7 +206,8 @@ def gap_at(model: BandModel, x) -> float:
 
 
 def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
-    """Gaps at (M, m) points; a non-finite gap (the model overflows) is refused.
+    """Gaps at (M, m) points; a non-finite gap (the model overflows) is refused
+    with ModelOverflowError.
 
     A field with ``scalar_square`` has the bands f0 - s and f0 + s at each
     point (``_linalg.scalar_split``), so its gap is ||f0 - fermi| - s| with no
@@ -225,7 +227,7 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
         bad = ~np.isfinite(gaps[sl])
         if bad.any():
             where = points[sl][bad][0].tolist()
-            raise ValueError(f"gap is not finite at {where}; the model overflows there")
+            raise ModelOverflowError(f"gap is not finite at {where}; the model overflows there")
     return gaps
 
 

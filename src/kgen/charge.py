@@ -28,7 +28,12 @@ S^(d-1).
 The kernels walk the grid in fixed-size node chunks, evaluating, inverting or
 diagonalizing and integrating one chunk at a time into a running sum, so their
 memory does not grow with the resolution.  An enclosing sphere |x - c| = r is
-the same grid moved chunk by chunk, to nodes c + r u with tangents r du.
+the same grid moved chunk by chunk, to nodes c + r u with tangents r du.  The
+products of the S^3 and closed-form Chern integrands take each chunk once,
+after its gates, into the layout of ``_linalg.products``: node-last for
+matrices up to 4 x 4 (the 2 x 2 generators and their direct sums), so that a
+product is a few elementwise calls over the nodes, and stacked for larger
+ones.
 
 Clifford-linear fields, the generators among them, need no eigensolver and no
 inverse.  When the traceless part A = h - f0 I of a Hermitian field squares
@@ -61,10 +66,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import chunks, dagger, matmul, rms_singular, scalar_split, trace3
+from ._linalg import chunks, dagger, products, rms_singular, scalar_split
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
+    ModelOverflowError,
     UnsupportedDimensionError,
 )
 from .fields import MatrixPolyField
@@ -214,7 +220,8 @@ def _chunk_fields(field: MatrixPolyField, grid: SphereGrid, center=None, radius=
     or, given ``center``, of the grid moved to |x - center| = ``radius``: nodes
     center + radius u and tangents radius du, so by the chain rule the integrand is
     that of the restricted field.  A value or derivative that is not finite there
-    (the model overflows) is refused with a ValueError, as the gap scan refuses one."""
+    (the model overflows) is refused with ModelOverflowError, as the gap scan
+    refuses one."""
     for sl in chunks(len(grid.weights)):
         if center is None:
             yield (sl, *field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl]))
@@ -223,7 +230,7 @@ def _chunk_fields(field: MatrixPolyField, grid: SphereGrid, center=None, radius=
             h, d = field.evaluate_batch(center + radius * grid.nodes[sl],
                                         radius * grid.dx_dparam[sl])
         if not (np.isfinite(h).all() and np.isfinite(d).all()):
-            raise ValueError(
+            raise ModelOverflowError(
                 f"field is not finite on the sphere of radius {radius} about "
                 f"{center.tolist()}; the model overflows there"
             )
@@ -232,6 +239,7 @@ def _chunk_fields(field: MatrixPolyField, grid: SphereGrid, center=None, radius=
 
 def _winding_raw(field: MatrixPolyField, grid: SphereGrid, center=None, radius=1.0) -> float:
     w = grid.weights
+    arrange, matmul, trace3 = products(field.size)
     total = 0.0
     for sl, u, d in _chunk_fields(field, grid, center, radius):
         uinv = _gated_inverse(u, field.scalar_gram)
@@ -242,7 +250,7 @@ def _winding_raw(field: MatrixPolyField, grid: SphereGrid, center=None, radius=1
         # dim == 3: tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
         # over the 3! orderings, which cyclicity reduces to
         # 3 (tr(l1 l2 l3) - tr(l1 l3 l2)).
-        l1, l2, l3 = np.moveaxis(matmul(uinv[:, None], d), 1, 0)
+        l1, l2, l3 = matmul(arrange(uinv), arrange(d))
         integrand = trace3(l1, l2, l3) - trace3(l1, l3, l2)
         total += np.sum(w[sl] * 3.0 * integrand)
     if grid.dim == 1:
@@ -257,6 +265,7 @@ def _chern_raw(
     total = 0.0
     n_occ = None
     closed = field.scalar_square
+    arrange, _, trace3 = products(field.size)
     for sl, h, d in _chunk_fields(field, grid, center, radius):
         if closed:
             # Bands f0 - s and f0 + s, each of multiplicity N / 2.
@@ -269,12 +278,15 @@ def _chern_raw(
         if not gap > GAP_MIN:  # NaN fails it too
             raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
         # The sphere is connected, so a band count below fermi that differs
-        # between nodes means the gap closes between them.
+        # between nodes means the gap closes between them.  The range named is
+        # the count at the first node and at the first node that differs from
+        # it, so it does not depend on the chunk size.
         counts = multiplicity * np.count_nonzero(vals < fermi, axis=1)
         if n_occ is None:
             n_occ = int(counts[0])
-        if np.any(counts != n_occ):
-            low, high = min(n_occ, counts.min()), max(n_occ, counts.max())
+        differs = np.flatnonzero(counts != n_occ)
+        if differs.size:
+            low, high = sorted((n_occ, int(counts[differs[0]])))
             raise GapClosedError(
                 f"number of bands below fermi varies on the grid ({low} to {high})"
             )
@@ -288,7 +300,8 @@ def _chern_raw(
             # keeps s > GAP_MIN.
             a /= s[:, None, None]
             d /= s[:, None, None, None]
-            integrand = -trace3(a, d[:, 0], d[:, 1]).imag / 4.0
+            d0, d1 = arrange(d)
+            integrand = -trace3(arrange(a), d0, d1).imag / 4.0
         else:
             # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
             # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.

@@ -50,6 +50,11 @@ class PoleError(DomainError):
     """Stereographic chart evaluated at its excluded pole."""
 
 
+class ModelOverflowError(KgenError, ValueError):
+    """The model's value or derivative is not finite at finite points where it
+    must be evaluated (a gap sample or an enclosure's quadrature node)."""
+
+
 class ModelFormatError(KgenError, ValueError):
     """A model or field file does not parse, or a field's coefficients violate
     the schema (multi-index, shape, domain, dimension or size)."""

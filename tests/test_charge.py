@@ -771,17 +771,119 @@ def test_chunked_chern_sees_band_count_change_in_a_later_chunk(monkeypatch):
 def test_kernel_memory_bounded_by_the_chunk():
     # The S^3 grid at n = 48 has 221,184 nodes; the kernel's working set is one
     # chunk of them, and the grid itself is built without tiled temporaries.
-    field = dirac3()
+    # The 4 x 4 field's node-last copies are four times those of the 2 x 2 one.
+    fields = (dirac3(), dirac3().direct_sum(dirac3().reflect(0)))
+    kernel_peaks = []
     tracemalloc.start()
     try:
         grid = sphere_grid(3, 48)
         grid_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        charge._winding_raw(field, grid)
-        kernel_peak = tracemalloc.get_traced_memory()[1] - start
+        for field in fields:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            charge._winding_raw(field, grid)
+            kernel_peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
     grid_bytes = sum(getattr(grid, name).nbytes for name in ("nodes", "weights", "dx_dparam"))
     assert grid_peak <= 1.25 * grid_bytes
-    assert kernel_peak < 32 * 2**20
+    assert max(kernel_peaks) < 32 * 2**20
+
+
+def copies(field, k, rng):
+    """The direct sum of k copies of ``field``, mixed by a random unitary."""
+    total = field
+    for _ in range(k - 1):
+        total = total.direct_sum(field)
+    return total.conjugated_by(random_unitary(rng, total.size))
+
+
+@pytest.mark.parametrize("size", [2, 4, 6])
+def test_node_last_products_match_the_stacked_ones(monkeypatch, size):
+    # PLANAR_MAX pinned to 0 sends every size through the stacked ``@`` path and
+    # pinned to ``size`` through the node-last one, 6 x 6 included; the default
+    # sends 2 x 2 and 4 x 4 node-last and 6 x 6 stacked.
+    rng = np.random.default_rng(size)
+    gram = copies(dirac3(), size // 2, rng)
+    general = random_invertible_phase(rng, dirac3(), size)
+    closed = copies(weyl2(), size // 2, rng)
+    assert gram.scalar_gram and not general.scalar_gram and closed.scalar_square
+    s2, s3 = sphere_grid(2, 8), sphere_grid(3, 6)
+    raws = []
+    for planar_max in (0, _linalg.PLANAR_MAX, size):
+        monkeypatch.setattr(_linalg, "PLANAR_MAX", planar_max)
+        raws.append([
+            charge._winding_raw(gram, s3),
+            charge._winding_raw(general, s3),
+            charge._chern_raw(closed, 0.0, s2),
+        ])
+    k = size // 2
+    expected = [k * winding_3(dirac3(), 6).raw, k * chern_sign_weyl()]
+    assert np.allclose([raws[0][0], raws[0][2]], expected, atol=1e-6)
+    assert np.max(np.abs(np.subtract(raws[1:], raws[0]))) <= 1e-12
+
+
+# -- charge algebra as properties -------------------------------------------------
+
+# Each charge with its generator: summands are one or two copies of it (2 x 2
+# or 4 x 4 on S^2 and S^3), so sums of two run from 4 x 4 to 8 x 8 and cross
+# PLANAR_MAX.  Unequal velocities break the scalar square and Gram matrix, so
+# those sums take the eigh / inv path.
+CHARGES = {"winding_1": (winding_1, dirac1), "chern_2": (chern_2, weyl2),
+           "winding_3": (winding_3, dirac3)}
+
+summands = st.tuples(st.integers(1, 2), st.booleans(), st.sampled_from([1.0, 2.0]))
+algebra = dict(
+    kind=st.sampled_from(sorted(CHARGES)),
+    seed=st.integers(0, 2**32 - 1),
+    first=summands,
+    second=summands,
+    resolution=st.integers(8, 12),
+)
+
+
+def summand(base, spec, rng):
+    count, reflected, velocity = spec
+    field = scaled(base.reflect(0) if reflected else base, velocity)
+    return copies(field, count, rng)
+
+
+def draw(kind, seed, first, second):
+    fn, base = CHARGES[kind]
+    rng = np.random.default_rng(seed)
+    return fn, rng, summand(base(), first, rng), summand(base(), second, rng)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**algebra)
+def test_charges_add_under_direct_sums(kind, seed, first, second, resolution):
+    fn, _, a, b = draw(kind, seed, first, second)
+    ra, rb, rsum = (fn(f, resolution=resolution) for f in (a, b, a.direct_sum(b)))
+    assert ra.converged and rb.converged and rsum.converged
+    assert rsum.charge == ra.charge + rb.charge
+    assert np.allclose(rsum.convergence_pair, np.add(ra.convergence_pair, rb.convergence_pair),
+                       rtol=0, atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**algebra, axis=st.integers(0, 3))
+def test_reflection_flips_the_charge(kind, seed, first, second, resolution, axis):
+    fn, _, a, b = draw(kind, seed, first, second)
+    field = a.direct_sum(b)
+    axis %= field.ambient_dim
+    result = fn(field, resolution=resolution)
+    mirrored = fn(field.reflect(axis), resolution=resolution)
+    assert result.converged and mirrored.converged
+    assert mirrored.charge == -result.charge
+
+
+@settings(max_examples=15, deadline=None)
+@given(**algebra)
+def test_conjugation_leaves_the_charge(kind, seed, first, second, resolution):
+    fn, rng, a, b = draw(kind, seed, first, second)
+    field = a.direct_sum(b)
+    result = fn(field, resolution=resolution)
+    turned = fn(field.conjugated_by(random_unitary(rng, field.size)), resolution=resolution)
+    assert result.converged and turned.converged
+    assert turned.charge == result.charge
+    assert np.allclose(turned.convergence_pair, result.convergence_pair, rtol=0, atol=1e-12)

@@ -447,6 +447,41 @@ def test_overflowing_gap_rejected(two_weyl_path, capsys, command, extra):
         assert "gap is not finite" in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_enclosure_is_that_crossings_error(tmp_path, capsys):
+    # (x1 - 0.7)(x1 + 0.1) s1 + x2 s2 + x3 s3 plus x1^(2^40) s1, which is 0 at
+    # both crossings and finite in the box but overflows past |x1| = 1: the
+    # enclosure of radius 0.4 about 0.7 reaches x1 = 1.1, the one about -0.1
+    # does not.  scan reports both crossings and exits 1; charge exits 2.
+    terms = {
+        (2, 0, 0): SIGMA_1,
+        (1, 0, 0): -0.6 * SIGMA_1,
+        (0, 0, 0): -0.07 * SIGMA_1,
+        (2**40, 0, 0): SIGMA_1,
+        (0, 1, 0): SIGMA_2,
+        (0, 0, 1): SIGMA_3,
+    }
+    path = str(tmp_path / "overflow.json")
+    bandscan.save_model(
+        bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True)), path
+    )
+    assert main(["scan", path]) == 1
+    inside, outside = json.loads(capsys.readouterr().out)
+    assert np.allclose([inside["location"][0], outside["location"][0]], [-0.1, 0.7])
+    assert inside["error"] is None and abs(inside["charge"]["charge"]) == 1
+    assert outside["charge"] is None
+    assert outside["error"].startswith(
+        "ModelOverflowError: field is not finite on the sphere of radius 0.4 about [0.7"
+    )
+    assert main(["charge", path, "--center", "0.7", "0", "0", "--radius", "0.4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: field is not finite on the sphere of radius 0.4 about [0.7, 0.0, 0.0]; "
+        "the model overflows there\n"
+    )
+
+
 @pytest.mark.parametrize("point", [["inf", "1"], ["0", "-inf"], ["nan", "1"]])
 def test_non_finite_point_rejected(capsys, point):
     argv = ["generator", "--kind", "dirac-phase", "--d", "1", "--point", *point]

@@ -279,7 +279,7 @@ def test_gap_gates_run_on_the_closed_form_path():
     assert closed.scalar_square and weyl_shifted().scalar_square
     with pytest.raises(GapClosedError, match=r"min \|eig - fermi\| = 0.0"):
         chern_2(closed, fermi=1.0)
-    with pytest.raises(GapClosedError, match=r"number of bands below fermi varies .*\(0 to 2\)"):
+    with pytest.raises(GapClosedError, match=r"number of bands below fermi varies .*\(1 to 2\)"):
         chern_2(weyl_shifted(), fermi=0.5, resolution=64)
     zero = MatrixPolyField(2, 2, {(0, 0): np.zeros((2, 2))}, SPHERE)
     assert zero.scalar_gram
