@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,16 @@ class BandModel:
     def terms(self):
         return self.field.terms
 
+    @cached_property
+    def chiral_block(self) -> MatrixPolyField:
+        """Lower-left block of the field in the eigenbasis of the chiral matrix,
+        whose winding is the charge of a two-dimensional crossing."""
+        if self.chiral is None:
+            raise MissingChiralError(
+                "two-dimensional charges need a chiral symmetry; model has none"
+            )
+        return generators.chiral_lower_block(self.field, self.chiral)
+
     @classmethod
     def from_field(
         cls,
@@ -201,8 +212,14 @@ def save_model(model: BandModel, path) -> None:
 
 
 def gap_at(model: BandModel, x) -> float:
-    """Distance of the spectrum of h(x) to the Fermi level."""
-    return float(_gap_batch(model, np.asarray(x, dtype=float)[None, :])[0])
+    """Distance of the spectrum of h(x) to the Fermi level; ``x`` must be a
+    finite point of R^m."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.dimension,):
+        raise ValueError(f"point must have shape ({model.dimension},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"point must be finite, got {x.tolist()}")
+    return float(_gap_batch(model, x[None, :])[0])
 
 
 def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
@@ -356,31 +373,19 @@ def charge_crossing(
 ) -> CrossingReport:
     """Assign an integer charge to a crossing by enclosing it with a sphere.
 
-    m = 3: Chern number of the model restricted to the enclosing sphere.
-    m = 2: winding of the chiral off-diagonal block on the enclosing circle
-    (requires the model to carry a chiral matrix).  A kernel's GapClosedError
-    at the enclosure's quadrature nodes is raised as EnclosureInvalidError.
+    m = 3: ``charge.chern_2`` of the model on the enclosing sphere.
+    m = 2: ``charge.winding_1`` of ``model.chiral_block`` on the enclosing
+    circle.  The point is checked by :func:`gap_at` and the sphere by the
+    charge layer; a kernel's GapClosedError at the enclosure's quadrature
+    nodes is raised as EnclosureInvalidError.
     """
-    point = np.asarray(point, dtype=float)
-    dim = model.dimension
-    if point.shape != (dim,):
-        raise ValueError(f"point must have shape ({dim},)")
-    if not np.all(np.isfinite(point)):
-        raise ValueError(f"point must be finite, got {point.tolist()}")
-    if not np.isfinite(radius) or radius <= 0:
-        raise ValueError(f"enclosure radius must be finite and positive, got {radius}")
-    if dim == 2 and model.chiral is None:
-        raise MissingChiralError("two-dimensional charges need a chiral symmetry; model has none")
     gap = gap_at(model, point)
     try:
-        if dim == 3:
+        if model.dimension == 3:
             result = charge_mod.chern_2(model.field, model.fermi, resolution, point, radius)
             positive = WEYL
         else:
-            block = generators.chiral_lower_block(model.field, model.chiral)
-            result = charge_mod._assemble(
-                lambda grid: charge_mod._winding_raw(block, grid, point, radius), 1, resolution
-            )
+            result = charge_mod.winding_1(model.chiral_block, resolution, point, radius)
             positive = DIRAC_CHIRAL
     except GapClosedError as exc:
         raise EnclosureInvalidError(

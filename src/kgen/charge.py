@@ -28,7 +28,10 @@ S^(d-1).
 The kernels walk the grid in fixed-size node chunks, evaluating, inverting or
 diagonalizing and integrating one chunk at a time into a running sum, so their
 memory does not grow with the resolution.  An enclosing sphere |x - c| = r is
-the same grid moved chunk by chunk, to nodes c + r u with tangents r du.  The
+the same grid moved chunk by chunk, to nodes c + r u with tangents r du.
+``chern_2`` and ``winding_1`` take it as ``center, radius``, which
+``_check_field`` alone checks: a finite center in the ambient dimension, a
+finite radius > 0, and the unit sphere when no center is given.  The
 products of the S^3 and closed-form Chern integrands take each chunk once,
 after its gates, into the layout of ``_linalg.products``: node-last for
 matrices up to 4 x 4 (the 2 x 2 generators and their direct sums), so that a
@@ -172,13 +175,26 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     return SphereGrid(dim, nodes.reshape(-1, dim + 1), weights, dx.reshape(-1, dim, dim + 1))
 
 
-def _check_field(field: MatrixPolyField, dim: int):
+def _check_field(field: MatrixPolyField, dim: int, center=None, radius=1.0):
+    """The float center of a valid sphere |x - center| = radius (None: the unit sphere)."""
     if not isinstance(field, MatrixPolyField):
         raise TypeError("charge computations need exact derivatives; pass a MatrixPolyField")
     if field.ambient_dim != dim + 1:
         raise DimensionMismatchError(
             f"a field on S^{dim} needs ambient dimension {dim + 1}, got {field.ambient_dim}"
         )
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"enclosure radius must be finite and positive, got {radius}")
+    if center is None:
+        if radius != 1.0:
+            raise ValueError(f"a radius of {radius} needs a center; the unit sphere has radius 1")
+        return None
+    center = np.asarray(center, dtype=float)
+    if center.shape != (dim + 1,):
+        raise DimensionMismatchError("center must match the ambient dimension")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be finite, got {center.tolist()}")
+    return center
 
 
 def _gated_inverse(u: np.ndarray, scalar_gram: bool) -> np.ndarray:
@@ -331,10 +347,14 @@ def _assemble(raw_fn, dim: int, resolution: int | None) -> ChargeResult:
     )
 
 
-def winding_1(field: MatrixPolyField, resolution: int | None = None) -> ChargeResult:
-    """Winding number of an invertible field on the circle."""
-    _check_field(field, 1)
-    return _assemble(lambda grid: _winding_raw(field, grid), 1, resolution)
+def winding_1(
+    field: MatrixPolyField, resolution: int | None = None, center=None, radius: float = 1.0
+) -> ChargeResult:
+    """Winding number of an invertible field on the circle or, given ``center``,
+    on the circle |x - center| = ``radius``, where the field is evaluated on the
+    moved grid."""
+    center = _check_field(field, 1, center, radius)
+    return _assemble(lambda grid: _winding_raw(field, grid, center, radius), 1, resolution)
 
 
 def chern_2(
@@ -344,15 +364,11 @@ def chern_2(
     """Chern number of the band below ``fermi`` for a gapped field on S^2, or, given
     ``center``, on the sphere |x - center| = ``radius``, where the field is
     evaluated on the moved grid."""
-    _check_field(field, 2)
+    center = _check_field(field, 2, center, radius)
     if field.non_hermitian_terms():
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")
-    if center is not None:
-        center = np.asarray(center, dtype=float)
-        if center.shape != (3,):
-            raise DimensionMismatchError("center must match the ambient dimension")
     return _assemble(lambda grid: _chern_raw(field, fermi, grid, center, radius), 2, resolution)
 
 

@@ -44,7 +44,8 @@ def matrix_from_json(data) -> np.ndarray:
         raise ModelFormatError("malformed complex matrix: entries must be JSON numbers")
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError("complex matrix has non-finite entries")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # A view, not re + 1j * im, which turns the sign of a -0.0 part into +0.0.
+    return arr.view(complex)[..., 0]
 
 
 def terms_to_json(terms: dict) -> list:

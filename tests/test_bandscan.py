@@ -485,17 +485,23 @@ def test_charge_crossing_refuses_zero_resolution(model, point):
 def test_charge_2d_needs_chiral():
     with pytest.raises(MissingChiralError):
         charge_crossing(massive_dirac_model(), [0.0, 0.0], radius=0.5)
+    with pytest.raises(MissingChiralError):
+        massive_dirac_model().chiral_block
 
 
 def test_chiral_dirac_winding():
-    report = charge_crossing(chiral_dirac_model(), [0.0, 0.0], radius=0.5)
+    model = chiral_dirac_model()
+    # The charged block is built once per model, not once per crossing.
+    assert model.chiral_block is model.chiral_block
+    report = charge_crossing(model, [0.0, 0.0], radius=0.5)
     assert report.classification == "dirac-chiral"
     assert abs(report.charge.charge) == 1
 
 
 def test_enclosures_are_charged_without_recomposing_the_model(monkeypatch):
     # Each enclosure evaluates the model on the moved grid; the recomposed
-    # field x -> h(center + radius x) gives the same raws to rounding.
+    # field x -> h(center + radius x) gives the same raws to rounding, through
+    # charge_crossing and through the public winding_1 alike.
     weyl, weyl_center = two_weyl_model(), [0.0, 0.0, 0.5]
     dirac, dirac_center = chiral_dirac_model(), [0.1, 0.0]
     block = generators.chiral_lower_block(dirac.field, SIGMA_3)
@@ -509,8 +515,9 @@ def test_enclosures_are_charged_without_recomposing_the_model(monkeypatch):
 
     monkeypatch.setattr(MatrixPolyField, "affine_pullback", refuse)
     results = [charge_crossing(weyl, weyl_center, 0.4).charge,
-               charge_crossing(dirac, dirac_center, 0.4).charge]
-    for result, reference in zip(results, expected):
+               charge_crossing(dirac, dirac_center, 0.4).charge,
+               charge.winding_1(block, center=dirac_center, radius=0.4)]
+    for result, reference in zip(results, expected + expected[1:]):
         assert abs(result.charge) == 1 and result.charge == reference.charge
         assert np.allclose(result.convergence_pair, reference.convergence_pair, rtol=0, atol=1e-12)
 
@@ -554,9 +561,11 @@ def test_enclosure_cutting_a_fermi_surface_is_invalid():
     "call, message",
     [
         (lambda: charge_crossing(weyl_model(), [0.0, 0.0], 0.5), r"point must have shape \(3,\)"),
+        (lambda: bandscan.gap_at(weyl_model(), [0.0, 0.0]), r"point must have shape \(3,\)"),
+        (lambda: bandscan.gap_at(weyl_model(), [0.0, np.inf, 0.0]), r"point must be finite"),
         (lambda: bandscan.gap_map(weyl_model(), [(-1, 1)] * 2, 8), r"box must have 3 \(lo, hi\)"),
     ],
-    ids=["point", "box"],
+    ids=["point", "gap_at-point", "gap_at-finite", "box"],
 )
 def test_wrong_number_of_coordinates_refused(call, message):
     with pytest.raises(ValueError, match=message):

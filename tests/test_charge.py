@@ -409,6 +409,44 @@ def test_chern_enclosure_refuses_a_bad_center_and_an_overflowing_sphere():
         chern_2(square.plus(field), center=[0.0, 0.0, 0.0], radius=1e200)
 
 
+BAD_RADIUS = "enclosure radius must be finite and positive"
+
+
+@pytest.mark.parametrize(
+    "charge_fn, field, dim",
+    [(chern_2, weyl2, 3), (winding_1, dirac1, 2)],
+    ids=["chern_2", "winding_1"],
+)
+@pytest.mark.parametrize(
+    "center, radius, message",
+    [
+        ("origin", -0.5, BAD_RADIUS),
+        ("origin", 0.0, BAD_RADIUS),
+        ("origin", np.nan, BAD_RADIUS),
+        ("origin", np.inf, BAD_RADIUS),
+        ("origin", -np.inf, BAD_RADIUS),
+        (np.nan, 0.5, "center must be finite"),
+        (np.inf, 0.5, "center must be finite"),
+        ("short", 0.5, "center must match the ambient dimension"),
+        (None, 0.1, "needs a center"),
+    ],
+    ids=["negative", "zero", "nan", "inf", "-inf", "nan-center", "inf-center", "short-center",
+         "no-center"],
+)
+def test_enclosure_refuses_a_bad_sphere(charge_fn, field, dim, center, radius, message):
+    # A sphere that is not one is refused before any grid is built, rather than
+    # charged with the opposite orientation (radius < 0), as 0 (radius 0), as
+    # the unit sphere (no center) or as an overflowing model (NaN).
+    if center == "origin":
+        center = [0.0] * dim
+    elif center == "short":
+        center = [0.0] * (dim - 1)
+    elif center is not None:
+        center = [center] + [0.0] * (dim - 1)
+    with pytest.raises(ValueError, match=message):
+        charge_fn(field(), center=center, radius=radius)
+
+
 def test_chern_gap_closed():
     # Fermi level sitting exactly on a band closes the gap at every node.
     field = MatrixPolyField(
