@@ -226,25 +226,27 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
     """Gaps at (M, m) points; a non-finite gap (the model overflows) is refused
     with ModelOverflowError.
 
-    A field with ``scalar_square`` has the bands f0 - s and f0 + s at each
+    The gap is the smallest over the field's sectors
+    (``MatrixPolyField.sectors``), whose spectra make up that of the field.
+    A sector with ``scalar_square`` has the bands f0 - s and f0 + s at each
     point (``_linalg.scalar_split``), so its gap is ||f0 - fermi| - s| with no
-    eigensolver; other fields are diagonalized.
+    eigensolver; other sectors are diagonalized.
     """
-    field = model.field
-    gaps = np.empty(len(points))
+    gaps = np.full(len(points), np.inf)
     for sl in chunks(len(points)):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            h = field.evaluate_batch(points[sl])
-            if field.scalar_square:
-                f0, _, s = scalar_split(h)
-                gaps[sl] = np.abs(np.abs(f0 - model.fermi) - s)
-            else:
-                vals = np.linalg.eigvalsh(h)
-                gaps[sl] = np.min(np.abs(vals - model.fermi), axis=1)
-        bad = ~np.isfinite(gaps[sl])
-        if bad.any():
-            where = points[sl][bad][0].tolist()
-            raise ModelOverflowError(f"gap is not finite at {where}; the model overflows there")
+        for field in model.field.sectors:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                h = field.evaluate_batch(points[sl])
+                if field.scalar_square:
+                    f0, _, s = scalar_split(h)
+                    gap = np.abs(np.abs(f0 - model.fermi) - s)
+                else:
+                    gap = np.min(np.abs(np.linalg.eigvalsh(h) - model.fermi), axis=1)
+            bad = ~np.isfinite(gap)
+            if bad.any():
+                where = points[sl][bad][0].tolist()
+                raise ModelOverflowError(f"gap is not finite at {where}; the model overflows there")
+            np.minimum(gaps[sl], gap, out=gaps[sl])
     return gaps
 
 

@@ -25,6 +25,15 @@ needs no gauge fixing.  The grids on S^2 and S^3 are suspensions of the grid
 one dimension down, the same way the generator on S^d is built from the one on
 S^(d-1).
 
+Charges of a direct sum add, and so do the integrands: the spectral
+projection, the inverse and the traces of a block-diagonal field are those of
+its blocks.  Each charge therefore splits the field into its decoupled
+sectors (``MatrixPolyField.sectors``), runs the kernel on each with the same
+grid and sums the raws; a field of one sector goes through the kernel as it
+is.  Each sector has its own gates and its own closed-form verdicts, and a
+band count below the Fermi level that varies within one sector is refused
+even where the total count does not vary (the gap of that sector closes).
+
 The kernels walk the grid in fixed-size node chunks, evaluating, inverting or
 diagonalizing and integrating one chunk at a time into a running sum, so their
 memory does not grow with the resolution.  An enclosing sphere |x - c| = r is
@@ -329,11 +338,23 @@ def _chern_raw(
     return float(total / (2.0 * np.pi))
 
 
-def _assemble(raw_fn, dim: int, resolution: int | None) -> ChargeResult:
+def _sectors_raw(raw_fn, field: MatrixPolyField, grid: SphereGrid) -> float:
+    """Sum of ``raw_fn(sector, grid)`` over the sectors of ``field``, from the
+    first raw rather than from 0, so that a one-sector field keeps the bits of
+    its raw (0 + -0.0 would be 0.0)."""
+    first, *rest = (raw_fn(sector, grid) for sector in field.sectors)
+    return sum(rest, first)
+
+
+def _assemble(raw_fn, field: MatrixPolyField, dim: int, resolution: int | None) -> ChargeResult:
+    """Charge of ``field`` from ``raw_fn(sector, grid)`` at the resolution and at
+    twice it.  Each grid is built once and shared by the sectors; the one at
+    the resolution is freed before the one at twice it is built."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION[dim]
-    raw_n = raw_fn(sphere_grid(dim, resolution))
-    raw_2n = raw_fn(sphere_grid(dim, 2 * resolution))
+    raw_n, raw_2n = (
+        _sectors_raw(raw_fn, field, sphere_grid(dim, n)) for n in (resolution, 2 * resolution)
+    )
     charge = int(np.rint(raw_n))
     residual = abs(raw_n - charge)
     converged = abs(raw_2n - charge) <= residual + 1e-9 and residual < PASS_RESIDUAL
@@ -354,7 +375,9 @@ def winding_1(
     on the circle |x - center| = ``radius``, where the field is evaluated on the
     moved grid."""
     center = _check_field(field, 1, center, radius)
-    return _assemble(lambda grid: _winding_raw(field, grid, center, radius), 1, resolution)
+    return _assemble(
+        lambda sector, grid: _winding_raw(sector, grid, center, radius), field, 1, resolution
+    )
 
 
 def chern_2(
@@ -369,13 +392,15 @@ def chern_2(
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")
-    return _assemble(lambda grid: _chern_raw(field, fermi, grid, center, radius), 2, resolution)
+    return _assemble(
+        lambda sector, grid: _chern_raw(sector, fermi, grid, center, radius), field, 2, resolution
+    )
 
 
 def winding_3(field: MatrixPolyField, resolution: int | None = None) -> ChargeResult:
     """Degree-type winding of an invertible field on S^3."""
     _check_field(field, 3)
-    return _assemble(lambda grid: _winding_raw(field, grid), 3, resolution)
+    return _assemble(_winding_raw, field, 3, resolution)
 
 
 def charge_of(

@@ -231,6 +231,33 @@ class MatrixPolyField:
     def _coefficients(self) -> np.ndarray:
         return self._stacked.view(complex).reshape(-1, self.size, self.size)
 
+    # -- decoupled sectors ----------------------------------------------------
+
+    @cached_property
+    def sectors(self) -> tuple:
+        """The field split into its decoupled blocks: one sub-field per
+        connected component of the indices, where i and j are joined when some
+        coefficient has M[i, j] or M[j, i] nonzero (NaN counts as nonzero),
+        with the sub-blocks M[b, b] as coefficients, in order of their lowest
+        index.  ``(self,)`` when there is one component.
+
+        The field is unitarily a direct sum of these, so its spectrum and
+        singular values are the union of theirs, and its charges the sum of
+        theirs.  Each sector is judged for ``scalar_square`` and
+        ``scalar_gram`` on its own."""
+        coupled = np.any(self._coefficients() != 0, axis=0)
+        reach = coupled | coupled.T | np.eye(self.size, dtype=bool)
+        # Each boolean square doubles the path length that reach covers.
+        for _ in range((self.size - 1).bit_length()):
+            reach = reach @ reach
+        blocks = sorted({tuple(np.flatnonzero(row)) for row in reach})
+        if len(blocks) == 1:
+            return (self,)
+        return tuple(
+            replace(self, size=len(b), terms={a: m[np.ix_(b, b)] for a, m in self.terms.items()})
+            for b in blocks
+        )
+
     # -- checks and serialization -------------------------------------------
 
     def failing_terms(self, residual) -> list:

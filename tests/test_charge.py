@@ -297,15 +297,21 @@ def counting(monkeypatch, *names):
     return calls
 
 
+def dense_unitary(n):
+    """The n x n Fourier matrix over sqrt(n): unitary, with no zero entry, so a
+    direct sum conjugated by it is one sector."""
+    return np.fft.fft(np.eye(n)) / np.sqrt(n)
+
+
 def test_winding_svd_runs_only_where_the_frobenius_bound_fails(monkeypatch):
-    # dirac1 + 1.25 dirac1 has U*U = diag(1, 1.5625) |x|^2, so it takes the
-    # general path.  Every singular value of the scaled field is at least
-    # 1.2e-8 > GAP_MIN, but the bound 1 / ||U^-1||_F = 1.2e-8 / sqrt(1.64) is
-    # not, so each of the two grids takes the SVD and the charge survives.
-    # Unscaled fields never call the SVD.
+    # dirac1 + 1.25 dirac1, mixed into one sector, has U*U = W* diag(1, 1.5625)
+    # W |x|^2, so it takes the general path.  Every singular value of the
+    # scaled field is at least 1.2e-8 > GAP_MIN, but the bound
+    # 1 / ||U^-1||_F = 1.2e-8 / sqrt(1.64) is not, so each of the two grids
+    # takes the SVD and the charge survives.  Unscaled fields never call the SVD.
     calls = counting(monkeypatch, "svd")
-    mixed = dirac1().direct_sum(scaled(dirac1(), 1.25))
-    assert not mixed.scalar_gram
+    mixed = dirac1().direct_sum(scaled(dirac1(), 1.25)).conjugated_by(dense_unitary(2))
+    assert len(mixed.sectors) == 1 and not mixed.scalar_gram
     result = winding_1(scaled(mixed, 1.2e-8))
     assert (result.charge, result.converged, len(calls)) == (2, True, 2)
     calls.clear()
@@ -475,6 +481,15 @@ def test_chern_gap_closing_between_nodes():
     assert np.min(np.abs(vals - 0.5)) > charge.GAP_MIN
     with pytest.raises(GapClosedError, match="number of bands below fermi"):
         chern_2(field, fermi=0.5, resolution=64)
+
+
+def test_chern_of_a_sector_whose_gap_closes_is_refused():
+    # x3 diag(1, -1) squares to x3^2 I, so as one field its bands are +-|x3|,
+    # one below 0 at every node: it read as charge 0, converged.  Its sectors
+    # x3 and -x3 each cross 0 on the equator, between the nodes.
+    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])}, SPHERE, selfadjoint=True)
+    with pytest.raises(GapClosedError, match="number of bands below fermi varies"):
+        chern_2(field)
 
 
 # -- winding on the 3-sphere ------------------------------------------------------
@@ -925,3 +940,36 @@ def test_conjugation_leaves_the_charge(kind, seed, first, second, resolution):
     assert result.converged and turned.converged
     assert turned.charge == result.charge
     assert np.allclose(turned.convergence_pair, result.convergence_pair, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**algebra)
+def test_sectors_charge_as_the_mixed_sum(kind, seed, first, second, resolution):
+    # P*(A + B)P is split into A and B; W*(A + B)W, for a dense unitary W, is
+    # one sector.  The same charge either way.
+    fn, rng, a, b = draw(kind, seed, first, second)
+    field = a.direct_sum(b)
+    permuted = field.conjugated_by(np.eye(field.size)[rng.permutation(field.size)])
+    mixed = field.conjugated_by(random_unitary(rng, field.size))
+    assert (len(permuted.sectors), len(mixed.sectors)) == (2, 1)
+    split, whole = (fn(f, resolution=resolution) for f in (permuted, mixed))
+    assert (split.charge, split.converged) == (whole.charge, whole.converged)
+    assert np.allclose(split.convergence_pair, whole.convergence_pair, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [*sorted(CHARGES), "constant"])
+def test_a_one_sector_field_keeps_the_bits_of_its_kernels(kind):
+    # The sector sum starts from the first raw, so a raw of -0.0 stays -0.0.
+    if kind == "constant":
+        fn, field = winding_3, MatrixPolyField(4, 2, {(0, 0, 0, 0): dense_unitary(2)}, SPHERE)
+    else:
+        fn, base = CHARGES[kind]
+        field = copies(base(), 2, np.random.default_rng(7))
+    assert len(field.sectors) == 1 and field.sectors[0] is field
+    dim = field.ambient_dim - 1
+    if fn is chern_2:
+        raws = [charge._chern_raw(field, 0.0, sphere_grid(dim, n)) for n in (8, 16)]
+    else:
+        raws = [charge._winding_raw(field, sphere_grid(dim, n)) for n in (8, 16)]
+    pair = fn(field, resolution=8).convergence_pair
+    assert list(map(repr, pair)) == list(map(repr, raws))

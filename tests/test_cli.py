@@ -206,6 +206,20 @@ def test_charge_command_enclosure_through_crossing(two_weyl_path):
     assert json.loads(proc.stdout)["converged"] is False
 
 
+def test_charge_command_refuses_a_sector_whose_gap_closes(tmp_path, capsys):
+    # x3 diag(1, -1) has the bands +-|x3|, which meet on the plane x3 = 0; its
+    # sectors x3 and -x3 each change sign there, between the nodes of the
+    # enclosing sphere.  As one 2 x 2 field it read as charge 0, converged.
+    terms = {(0, 0, 1): np.diag([1.0, -1.0]).astype(complex)}
+    model = bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True))
+    path = tmp_path / "split.json"
+    bandscan.save_model(model, path)
+    assert main(["charge", str(path), "--radius", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "number of bands below fermi varies" in captured.err
+
+
 def test_charge_command_malformed_model(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{oops")
@@ -241,11 +255,13 @@ def test_scan_command_two_weyl(two_weyl_path, tmp_path):
 @pytest.fixture()
 def two_velocity_path(tmp_path):
     # Weyl fields with velocities 1 and 2 squared to |x|^2 and 4 |x|^2: their
-    # sum has no scalar square, so every stage takes the eigensolver path.
+    # sum, mixed by a dense unitary into one sector, has no scalar square, so
+    # every stage takes the eigensolver path.
     weyl = generators.weyl_field(2, clifford.LEFT)
     fast = dataclasses.replace(weyl, terms={a: 2.0 * m for a, m in weyl.terms.items()})
-    model = bandscan.BandModel.from_field(weyl.direct_sum(fast), name="two-velocity")
-    assert not model.field.scalar_square
+    mixed = weyl.direct_sum(fast).conjugated_by(np.fft.fft(np.eye(4)) / 2.0)
+    model = bandscan.BandModel.from_field(mixed, name="two-velocity")
+    assert len(model.field.sectors) == 1 and not model.field.scalar_square
     path = tmp_path / "two_velocity.json"
     bandscan.save_model(model, path)
     return str(path)

@@ -4,9 +4,10 @@ A field whose traceless part squares to a multiple of I (``scalar_square``)
 has its gaps and Berry curvature from two traces per node; one whose Gram
 matrix U*U is a multiple of I (``scalar_gram``) is inverted as U* / q.  The
 general path (``eigvalsh``, ``eigh``, ``inv``) is the reference: the same
-field with its cached flag overridden to False takes it.
+field with its cached flag overridden to False on every sector takes it.
 """
 
+import contextlib
 import dataclasses
 import itertools
 
@@ -57,20 +58,40 @@ def clifford_field(rng, gammas, m, scale, phase=False):
 
 
 def general(field, flag):
-    """The same field with its cached ``flag`` forced to False."""
+    """The same field with its cached ``flag`` forced to False on every sector."""
     copy = dataclasses.replace(field)
-    copy.__dict__[flag] = False
+    for sector in copy.sectors:
+        sector.__dict__[flag] = False
     return copy
 
 
+@contextlib.contextmanager
+def spying(*names):
+    """Calls to the named ``numpy.linalg`` functions made inside the block."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            real = getattr(np.linalg, name)
+            mp.setattr(
+                np.linalg, name, lambda *a, _n=name, _r=real, **k: calls.append(_n) or _r(*a, **k)
+            )
+        yield calls
+
+
+def dense_unitary(n):
+    """The n x n Fourier matrix over sqrt(n): unitary, with no zero entry."""
+    return np.fft.fft(np.eye(n)) / np.sqrt(n)
+
+
 def missed_by(field, rel):
-    """field + field', where field' scales the x1 coefficient by 1 + rel: each
-    summand keeps the Clifford property, their sum misses it by about rel."""
+    """field + field', where field' scales the x1 coefficient by 1 + rel, mixed
+    by a dense unitary into one sector: each summand keeps the Clifford
+    property, their sum misses it by about rel."""
     x1 = tuple(int(k == 0) for k in range(field.ambient_dim))
     bumped = dataclasses.replace(
         field, terms={a: (1.0 + rel) * m if a == x1 else m for a, m in field.terms.items()}
     )
-    return field.direct_sum(bumped)
+    return field.direct_sum(bumped).conjugated_by(dense_unitary(2 * field.size))
 
 
 def outcome(fn, *args, **kwargs):
@@ -130,7 +151,9 @@ def test_chern_raws_match_the_general_path(seed, gammas, scale, doubled, fermi):
     if doubled:
         field = field.direct_sum(field)
     assert field.scalar_square
-    reference = outcome(chern_2, general(field, "scalar_square"), fermi, resolution=4)
+    with spying("eigh") as calls:
+        reference = outcome(chern_2, general(field, "scalar_square"), fermi, resolution=4)
+    assert calls
     assert_same(outcome(chern_2, field, fermi, resolution=4), reference)
 
 
@@ -142,7 +165,9 @@ def test_winding_raws_match_the_general_path(seed, gammas, scale, doubled, dim):
         field = field.direct_sum(field)
     assert field.scalar_gram
     winding = winding_1 if dim == 1 else winding_3
-    reference = outcome(winding, general(field, "scalar_gram"), resolution=4)
+    with spying("inv") as calls:
+        reference = outcome(winding, general(field, "scalar_gram"), resolution=4)
+    assert calls
     assert_same(outcome(winding, field, resolution=4), reference)
 
 
@@ -152,20 +177,29 @@ def test_a_near_miss_takes_the_general_path(seed, gammas):
     rng = np.random.default_rng(seed)
     hermitian = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 3, 0.3), 1e-9)
     phase = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 2, 0.3, True), 1e-9)
+    assert len(hermitian.sectors) == len(phase.sectors) == 1
     assert not hermitian.scalar_square
     assert not phase.scalar_gram
     model = bandscan.BandModel.from_field(hermitian)
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("eigh", "eigvalsh", "inv"):
-            real = getattr(np.linalg, name)
-            mp.setattr(
-                np.linalg, name, lambda *a, _n=name, _r=real, **k: calls.append(_n) or _r(*a, **k)
-            )
+    with spying("eigh", "eigvalsh", "inv") as calls:
         bandscan._gap_batch(model, rng.uniform(-1.0, 1.0, (8, 3)))
         outcome(chern_2, hermitian, resolution=4)
         outcome(winding_1, phase, resolution=4)
     assert {"eigh", "eigvalsh", "inv"} <= set(calls)
+
+
+def test_a_false_scalar_square_verdict_is_split_away():
+    # 1e7 x0 (s3 x I) + x1 (s1 x I) + x2 (s1 x s3) passes the coefficient test,
+    # so as one field its gap at (0, 1, 1) / sqrt(2) read 1.0.  Its sectors
+    # 1e7 x0 s3 + (x1 +- x2) s1 are 2 x 2, where the closed form is exact.
+    s1, s3, i2 = clifford.SIGMA_1, clifford.SIGMA_3, np.eye(2)
+    terms = {(1, 0, 0): 1e7 * np.kron(s3, i2), (0, 1, 0): np.kron(s1, i2),
+             (0, 0, 1): np.kron(s1, s3)}
+    model = bandscan.BandModel.from_field(MatrixPolyField(3, 4, terms))
+    point = np.array([[0.0, 1.0, 1.0]]) / np.sqrt(2.0)
+    assert model.field.scalar_square
+    assert np.min(np.abs(np.linalg.eigvalsh(model.field.evaluate_batch(point)))) < 1e-15
+    assert bandscan._gap_batch(model, point)[0] == 0.0
 
 
 def scaled(field, factor):
@@ -219,12 +253,18 @@ def test_a_large_term_does_not_loosen_the_verdict():
 
 def test_an_offset_crossing_pulled_back_takes_the_general_path():
     # At a crossing the pulled-back constant term is about 1000 I, while the
-    # traceless terms shrink with the enclosure's radius.
+    # traceless terms shrink with the enclosure's radius.  Weyl fields with
+    # velocities 1 and 3 are mixed into one sector, which has no scalar square,
+    # by (H x H) / 2: the mixed coefficients are (2 I - X) x sigma', whose
+    # entries are 0, +-1 or +-2 (times 1 or i), so the moved grid and the
+    # pullback round alike and the raws agree to the bit.
     weyl = generators.weyl_field(2, clifford.LEFT)
-    field = offset(weyl.direct_sum(scaled(weyl, 2.0)), 1000.0)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]])
+    mixed = weyl.direct_sum(scaled(weyl, 3.0)).conjugated_by(np.kron(h, h) / 2)
+    field = offset(mixed, 1000.0)
     center, radius = np.zeros(3), 5e-4
     pulled = field.affine_pullback(center, radius)
-    assert not pulled.scalar_square
+    assert len(pulled.sectors) == 1 and not pulled.scalar_square
     result = chern_2(field, fermi=1000.0, center=center, radius=radius)
     assert result.charge == 2 * chern_sign_weyl()
     reference = chern_2(general(pulled, "scalar_square"), fermi=1000.0)

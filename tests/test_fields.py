@@ -158,6 +158,33 @@ def test_direct_sum_blocks():
     assert np.max(np.abs(v[:2, 2:])) == 0.0
 
 
+def test_sectors_undo_an_interleaved_direct_sum():
+    rng = np.random.default_rng(6)
+    a = random_poly_field(rng, size=2)
+    b = random_poly_field(rng, size=3)
+    # P*(a + b)P puts a on the indices 0, 2 and b on 1, 3, 4.
+    interleaved = a.direct_sum(b).conjugated_by(np.eye(5)[[0, 2, 1, 3, 4]])
+    first, second = interleaved.sectors
+    for sector, part in ((first, a), (second, b)):
+        assert sector.size == part.size
+        assert all(np.array_equal(sector.terms[k], part.terms[k]) for k in part.terms)
+
+
+def test_a_dense_conjugate_is_one_sector():
+    rng = np.random.default_rng(7)
+    field = random_poly_field(rng, size=2).direct_sum(random_poly_field(rng, size=2))
+    w, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    mixed = field.conjugated_by(w)
+    assert len(field.sectors) == 2
+    assert len(mixed.sectors) == 1 and mixed.sectors[0] is mixed
+
+
+def test_the_zero_field_is_one_sector_per_index():
+    sectors = MatrixPolyField(3, 4, {(1, 0, 0): np.zeros((4, 4))}).sectors
+    assert [s.size for s in sectors] == [1, 1, 1, 1]
+    assert all(max_abs(s.terms[(1, 0, 0)]) == 0.0 for s in sectors)
+
+
 def test_reflect():
     rng = np.random.default_rng(3)
     field = random_poly_field(rng)
