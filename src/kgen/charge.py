@@ -34,9 +34,14 @@ is.  Each sector has its own gates and its own closed-form verdicts, and a
 band count below the Fermi level that varies within one sector is refused
 even where the total count does not vary (the gap of that sector closes).
 
-The kernels walk the grid in fixed-size node chunks, evaluating, inverting or
-diagonalizing and integrating one chunk at a time into a running sum, so their
-memory does not grow with the resolution.  An enclosing sphere |x - c| = r is
+The kernels walk the grid in fixed-size chunks of rows, generating,
+evaluating, inverting or diagonalizing and integrating one chunk at a time
+into a running sum.  They never hold a grid whole: a ``GridRows``, cached per
+(dim, n), keeps only the polar angles' sines, cosines and weights and the
+grid one dimension down (at most 2 n^2 rows, the S^2 inside S^3), and each
+chunk's rows are products of the two, written into one block per kernel call
+together with the field's values and derivatives there.  So their memory does
+not grow with the resolution.  An enclosing sphere |x - c| = r is
 the same grid moved chunk by chunk, to nodes c + r u with tangents r du.
 ``chern_2`` and ``winding_1`` take it as ``center, radius``, which
 ``_check_field`` alone checks: a finite center in the ambient dimension, a
@@ -109,6 +114,25 @@ class SphereGrid:
     weights: np.ndarray  # (M,)
     dx_dparam: np.ndarray  # (M, dim, dim + 1)
 
+    @property
+    def size(self) -> int:
+        return len(self.weights)
+
+    def rows(self, start: int, stop: int, out: SphereGrid | None = None) -> SphereGrid:
+        """Rows ``start:stop``, copied into the leading rows of ``out`` (into
+        fresh arrays when it is None)."""
+        grid = _leading_rows(self.dim, stop - start, out)
+        for name in ("nodes", "weights", "dx_dparam"):
+            getattr(grid, name)[...] = getattr(self, name)[start:stop]
+        return grid
+
+
+def _leading_rows(dim: int, k: int, out: SphereGrid | None) -> SphereGrid:
+    """The first ``k`` rows of ``out``, views, or k rows of fresh arrays."""
+    if out is None:
+        return SphereGrid(dim, np.empty((k, dim + 1)), np.empty(k), np.empty((k, dim, dim + 1)))
+    return SphereGrid(dim, out.nodes[:k], out.weights[:k], out.dx_dparam[:k])
+
 
 @dataclass(frozen=True)
 class ChargeResult:
@@ -138,7 +162,8 @@ def check_resolution(n) -> None:
 
 
 def sphere_grid(dim: int, n: int) -> SphereGrid:
-    """Build the quadrature grid at resolution ``n``.
+    """Build the quadrature grid at resolution ``n``: all the rows that the
+    charge kernels generate chunk by chunk (:class:`GridRows`), in fresh arrays.
 
     S^1 is n equispaced angles.  S^d for d = 2, 3 is the suspension of an
     inner grid on S^(d-1): x = (sin psi * y, cos psi), so d/dpsi =
@@ -150,17 +175,90 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     psi = theta, and (psi, theta, phi) on S^3; nodes run over psi first, then
     the inner grid.
     """
+    rows = _grid_rows(dim, n)
+    return rows.rows(0, rows.size)
+
+
+@dataclass(frozen=True)
+class GridRows:
+    """The grid on S^dim at one resolution, held as the small factors that
+    each of its ``size`` rows is made from.
+
+    Row r of S^1 is the angle 2 pi r / n.  On S^2 and S^3, row r is polar node
+    p and inner row q, (p, q) = divmod(r, inner.size), and each entry is one
+    product of a factor of p (``sin``, ``cos``, ``psi_weights``) and an entry
+    of q, as in :func:`sphere_grid`.  Every operation is elementwise, so any
+    run of rows is generated with the bits of the whole grid, and the kernels
+    take the grid one chunk of rows at a time and never hold it whole.
+    """
+
+    dim: int
+    size: int
+    inner: SphereGrid | None = None
+    sin: np.ndarray | None = None
+    cos: np.ndarray | None = None
+    psi_weights: np.ndarray | None = None
+
+    def rows(self, start: int, stop: int, out: SphereGrid | None = None) -> SphereGrid:
+        """Rows ``start:stop``, generated into the leading rows of ``out`` (into
+        fresh arrays when it is None)."""
+        grid = _leading_rows(self.dim, stop - start, out)
+        if self.dim == 1:
+            theta = 2.0 * np.pi * np.arange(start, stop) / self.size
+            np.cos(theta, out=grid.nodes[:, 0])
+            np.sin(theta, out=grid.nodes[:, 1])
+            np.negative(grid.nodes[:, 1], out=grid.dx_dparam[:, 0, 0])
+            grid.dx_dparam[:, 0, 1] = grid.nodes[:, 0]
+            grid.weights[...] = 2.0 * np.pi / self.size
+            return grid
+        # At most three runs: the rest of one psi block, whole blocks, and the
+        # start of another, each written through a (blocks, rows, ...) view.
+        m_in = self.inner.size
+        r = start
+        while r < stop:
+            p, q = divmod(r, m_in)
+            if q == 0 and stop - r >= m_in:
+                ps, qs = slice(p, p + (stop - r) // m_in), slice(0, m_in)
+            else:
+                ps, qs = slice(p, p + 1), slice(q, min(m_in, q + stop - r))
+            end = r + (ps.stop - ps.start) * (qs.stop - qs.start)
+            self._fill(grid, r - start, end - start, ps, qs)
+            r = end
+        return grid
+
+    def _fill(self, grid: SphereGrid, lo: int, hi: int, ps: slice, qs: slice) -> None:
+        d = self.dim
+        nb, nq = ps.stop - ps.start, qs.stop - qs.start
+        nodes = grid.nodes[lo:hi].reshape(nb, nq, d + 1)
+        dx = grid.dx_dparam[lo:hi].reshape(nb, nq, d, d + 1)
+        s = self.sin[ps, None, None]
+        c = self.cos[ps, None, None]
+        y = self.inner.nodes[qs]
+        np.multiply(s, y, out=nodes[..., :d])
+        nodes[..., d] = c[..., 0]
+        np.multiply(c, y, out=dx[:, :, 0, :d])
+        dx[:, :, 0, d] = -s[..., 0]
+        np.multiply(s[..., None], self.inner.dx_dparam[qs], out=dx[:, :, 1:, :d])
+        dx[:, :, 1:, d] = 0.0
+        np.multiply(self.psi_weights[ps, None], self.inner.weights[qs],
+                    out=grid.weights[lo:hi].reshape(nb, nq))
+
+
+def _grid_rows(dim: int, n: int) -> GridRows:
+    """The :class:`GridRows` of S^dim at resolution ``n``, both checked before
+    the cache is consulted."""
     if dim not in (1, 2, 3):
         raise UnsupportedDimensionError(f"supported sphere dimensions are 1, 2, 3; got {dim}")
     check_resolution(n)
+    return _cached_grid_rows(dim, int(n))
 
+
+def _build_grid_rows(dim: int, n: int) -> GridRows:
+    # The largest factor is the inner S^2 of an S^3 grid, 2 n^2 rows.
     if dim == 1:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        dx = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
-        return SphereGrid(1, nodes, np.full(n, 2.0 * np.pi / n), dx)
-
-    inner = sphere_grid(1, 2 * n) if dim == 2 else sphere_grid(2, n)
+        return GridRows(1, n)
+    inner = _build_grid_rows(1, 2 * n) if dim == 2 else _build_grid_rows(2, n)
+    inner = inner.rows(0, inner.size)
     x, w = np.polynomial.legendre.leggauss(n)
     if dim == 2:
         psi = np.arccos(x)
@@ -168,20 +266,13 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     else:
         psi = 0.5 * np.pi * (x + 1.0)
         w_psi = 0.5 * np.pi * w
-    # Each array is filled in place through an (n, m_in, ...) view: psi
-    # blocks by broadcasting, so no tiled copy of the inner grid is made.
-    m_in = len(inner.nodes)
-    s = np.sin(psi)[:, None, None]
-    c = np.cos(psi)[:, None, None]
-    nodes = np.empty((n, m_in, dim + 1))
-    np.multiply(s, inner.nodes, out=nodes[..., :dim])
-    nodes[..., dim] = c[..., 0]
-    dx = np.zeros((n, m_in, dim, dim + 1))
-    np.multiply(c, inner.nodes, out=dx[:, :, 0, :dim])
-    dx[:, :, 0, dim] = -s[..., 0]
-    np.multiply(s[..., None], inner.dx_dparam, out=dx[:, :, 1:, :dim])
-    weights = np.outer(w_psi, inner.weights).reshape(-1)
-    return SphereGrid(dim, nodes.reshape(-1, dim + 1), weights, dx.reshape(-1, dim, dim + 1))
+    rows = GridRows(dim, n * inner.size, inner, np.sin(psi), np.cos(psi), w_psi)
+    for a in (inner.nodes, inner.weights, inner.dx_dparam, rows.sin, rows.cos, w_psi):
+        a.setflags(write=False)  # the cache shares them with every caller
+    return rows
+
+
+_cached_grid_rows = lru_cache(maxsize=16)(_build_grid_rows)
 
 
 def _check_field(field: MatrixPolyField, dim: int, center=None, radius=1.0):
@@ -240,58 +331,78 @@ def _gated_inverse(u: np.ndarray, scalar_gram: bool) -> np.ndarray:
     return uinv
 
 
-def _chunk_fields(field: MatrixPolyField, grid: SphereGrid, center=None, radius=1.0):
-    """``(slice, values, derivatives)`` of ``field`` on each node chunk of ``grid``
-    or, given ``center``, of the grid moved to |x - center| = ``radius``: nodes
-    center + radius u and tangents radius du, so by the chain rule the integrand is
-    that of the restricted field.  A value or derivative that is not finite there
-    (the model overflows) is refused with ModelOverflowError, as the gap scan
-    refuses one."""
-    for sl in chunks(len(grid.weights)):
+def _chunk_block(dim: int, n: int, m: int):
+    """``(rows, values, derivatives)`` for chunks of up to ``m`` rows on S^dim
+    and an n x n field: a :class:`SphereGrid` of m rows and (m, n, n) and
+    (m, dim, n, n) complex arrays, all carved from one allocation."""
+    floats = m * ((dim + 1) ** 2 + 1)  # the nodes, weights and tangents of m rows
+    head = (floats + 1) // 2
+    block = np.empty(head + (1 + dim) * m * n * n, dtype=complex)
+    f = block[:head].view(float)
+    a, b = m * (dim + 1), m * (dim + 2)
+    rows = SphereGrid(dim, f[:a].reshape(m, dim + 1), f[a:b], f[b:floats].reshape(m, dim, dim + 1))
+    size = m * n * n
+    return rows, block[head:head + size].reshape(m, n, n), block[head + size:].reshape(m, dim, n, n)
+
+
+def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0):
+    """``(rows, values, derivatives)`` of ``field`` on each row chunk of ``grid``
+    (a :class:`GridRows` or a :class:`SphereGrid`) or, given ``center``, of the
+    grid moved to |x - center| = ``radius``: nodes center + radius u and tangents
+    radius du, so by the chain rule the integrand is that of the restricted
+    field.  A value or derivative that is not finite there (the model
+    overflows) is refused with ModelOverflowError, as the gap scan refuses one.
+
+    Every chunk is written into one :func:`_chunk_block` made for the call, so
+    a chunk is valid until the next one is drawn, and the heap is not grown
+    and given back chunk by chunk."""
+    block = None
+    for sl in chunks(grid.size):
+        m = min(sl.stop, grid.size) - sl.start
+        if block is None:  # the first chunk is the largest
+            block = _chunk_block(grid.dim, field.size, m)
+        row_buffer, values, derivs = block
+        rows = grid.rows(sl.start, sl.start + m, row_buffer)
+        out = values[:m], derivs[:m]
         if center is None:
-            yield (sl, *field.evaluate_batch(grid.nodes[sl], grid.dx_dparam[sl]))
+            yield (rows, *field.evaluate_batch(rows.nodes, rows.dx_dparam, out))
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            h, d = field.evaluate_batch(center + radius * grid.nodes[sl],
-                                        radius * grid.dx_dparam[sl])
+            h, d = field.evaluate_batch(center + radius * rows.nodes, radius * rows.dx_dparam, out)
         if not (np.isfinite(h).all() and np.isfinite(d).all()):
             raise ModelOverflowError(
                 f"field is not finite on the sphere of radius {radius} about "
                 f"{center.tolist()}; the model overflows there"
             )
-        yield sl, h, d
+        yield rows, h, d
 
 
-def _winding_raw(field: MatrixPolyField, grid: SphereGrid, center=None, radius=1.0) -> float:
-    w = grid.weights
+def _winding_raw(field: MatrixPolyField, grid, center=None, radius=1.0) -> float:
     arrange, matmul, trace3 = products(field.size)
     total = 0.0
-    for sl, u, d in _chunk_fields(field, grid, center, radius):
+    for rows, u, d in _chunk_fields(field, grid, center, radius):
         uinv = _gated_inverse(u, field.scalar_gram)
         if grid.dim == 1:
             log_deriv = np.einsum("mij,mji->m", uinv, d[:, 0], optimize=True)
-            total += np.sum(w[sl] * log_deriv)
+            total += np.sum(rows.weights * log_deriv)
             continue
         # dim == 3: tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
         # over the 3! orderings, which cyclicity reduces to
         # 3 (tr(l1 l2 l3) - tr(l1 l3 l2)).
         l1, l2, l3 = matmul(arrange(uinv), arrange(d))
         integrand = trace3(l1, l2, l3) - trace3(l1, l3, l2)
-        total += np.sum(w[sl] * 3.0 * integrand)
+        total += np.sum(rows.weights * 3.0 * integrand)
     if grid.dim == 1:
         return float(np.real(total / (2.0j * np.pi)))
     return float(np.real(-total / (24.0 * np.pi**2)))
 
 
-def _chern_raw(
-    field: MatrixPolyField, fermi: float, grid: SphereGrid, center=None, radius=1.0
-) -> float:
-    w = grid.weights
+def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1.0) -> float:
     total = 0.0
     n_occ = None
     closed = field.scalar_square
     arrange, _, trace3 = products(field.size)
-    for sl, h, d in _chunk_fields(field, grid, center, radius):
+    for rows, h, d in _chunk_fields(field, grid, center, radius):
         if closed:
             # Bands f0 - s and f0 + s, each of multiplicity N / 2.
             f0, a, s = scalar_split(h)
@@ -334,11 +445,11 @@ def _chern_raw(
             denom = vals[:, :n_occ, None] - vals[:, None, n_occ:]
             k0, k1 = (occ_h @ d[:, a] @ vecs[:, :, n_occ:] / denom for a in (0, 1))
             integrand = 2.0 * np.sum(k0 * k1.conj(), axis=(1, 2)).imag
-        total += np.sum(w[sl] * integrand)
+        total += np.sum(rows.weights * integrand)
     return float(total / (2.0 * np.pi))
 
 
-def _sectors_raw(raw_fn, field: MatrixPolyField, grid: SphereGrid) -> float:
+def _sectors_raw(raw_fn, field: MatrixPolyField, grid: GridRows) -> float:
     """Sum of ``raw_fn(sector, grid)`` over the sectors of ``field``, from the
     first raw rather than from 0, so that a one-sector field keeps the bits of
     its raw (0 + -0.0 would be 0.0)."""
@@ -348,12 +459,12 @@ def _sectors_raw(raw_fn, field: MatrixPolyField, grid: SphereGrid) -> float:
 
 def _assemble(raw_fn, field: MatrixPolyField, dim: int, resolution: int | None) -> ChargeResult:
     """Charge of ``field`` from ``raw_fn(sector, grid)`` at the resolution and at
-    twice it.  Each grid is built once and shared by the sectors; the one at
-    the resolution is freed before the one at twice it is built."""
+    twice it.  The grids are the cached :class:`GridRows`, whose rows each
+    sector's kernel generates chunk by chunk."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION[dim]
     raw_n, raw_2n = (
-        _sectors_raw(raw_fn, field, sphere_grid(dim, n)) for n in (resolution, 2 * resolution)
+        _sectors_raw(raw_fn, field, _grid_rows(dim, n)) for n in (resolution, 2 * resolution)
     )
     charge = int(np.rint(raw_n))
     residual = abs(raw_n - charge)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -83,12 +84,15 @@ class MatrixPolyField:
     def evaluate(self, x) -> np.ndarray:
         return self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0]
 
-    def evaluate_batch(self, points, tangents=None):
+    def evaluate_batch(self, points, tangents=None, out=None):
         """Values (M, N, N) at (M, m) points; with tangents (M, k, m), the pair
-        ``(values, derivatives)``, the derivatives along the tangents (M, k, N, N).
+        ``(values, derivatives)``, the derivatives along the tangents (M, k, N, N),
+        written into ``out`` when it is such a pair of C-contiguous arrays.
 
         One pass over the terms builds the monomials and their product-rule
-        derivatives; each is multiplied once by the stacked coefficients.
+        derivatives; each is multiplied once by the stacked coefficients.  A
+        power of 1 skips x ** 1, x ** 0 and the products by 1, which are exact,
+        so a linear term's derivative is its tangent component, added to 0.0.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.ambient_dim:
@@ -105,19 +109,26 @@ class MatrixPolyField:
                 )
             dmono = np.zeros(tan.shape[:2] + (n_terms,))
         for t, alpha in enumerate(self.terms):
-            powers = {j: pts[:, j] ** p for j, p in enumerate(alpha) if p}
-            mono[:, t] = math.prod(powers.values())
+            powers = {j: pts[:, j] if p == 1 else pts[:, j] ** p for j, p in enumerate(alpha) if p}
+            value = _product(powers.values())
+            mono[:, t] = 1.0 if value is None else value
             if tangents is None:
                 continue
             for j in powers:
-                rest = math.prod(v for i, v in powers.items() if i != j)
-                slope = alpha[j] * pts[:, j] ** (alpha[j] - 1) * rest
-                dmono[:, :, t] += tan[:, :, j] * slope[:, None]
-        values = (mono @ self._stacked).view(complex).reshape(-1, n, n)
+                slope = _product(v for i, v in powers.items() if i != j)
+                if alpha[j] > 1:
+                    factor = alpha[j] * pts[:, j] ** (alpha[j] - 1)
+                    slope = factor if slope is None else factor * slope
+                dmono[:, :, t] += tan[:, :, j] if slope is None else tan[:, :, j] * slope[:, None]
         if tangents is None:
-            return values
-        derivs = (dmono.reshape(math.prod(tan.shape[:2]), n_terms) @ self._stacked).view(complex)
-        return values, derivs.reshape(tan.shape[:2] + (n, n))
+            return (mono @ self._stacked).view(complex).reshape(-1, n, n)
+        if out is None:
+            out = (np.empty((len(pts), n, n), dtype=complex),
+                   np.empty(tan.shape[:2] + (n, n), dtype=complex))
+        for rows, result in zip((mono, dmono), out):
+            flat = rows.reshape(math.prod(rows.shape[:-1]), n_terms)
+            np.matmul(flat, self._stacked, out=result.view(float).reshape(len(flat), 2 * n * n))
+        return out
 
     # -- algebra ------------------------------------------------------------
 
@@ -296,6 +307,15 @@ class MatrixPolyField:
                 f"'selfadjoint' is true but the coefficients at multi-indices {bad} are not Hermitian"
             )
         return field
+
+
+def _product(factors):
+    """The factors multiplied left to right, None when there are none.  Unlike
+    ``math.prod`` it does not start from 1, whose product is exact but costs a
+    pass over the nodes."""
+    factors = iter(factors)
+    first = next(factors, None)
+    return None if first is None else reduce(operator.mul, factors, first)
 
 
 def _over_largest(mats: np.ndarray, axis) -> np.ndarray:

@@ -196,9 +196,13 @@ def test_grid_argument_validation():
 
 
 def reference_sphere_grid(dim, n):
-    """The suspension built from tiled and concatenated copies of the inner grid."""
+    """The suspension built from tiled and concatenated copies of the inner grid,
+    down to the circle built from all n angles at once."""
     if dim == 1:
-        return sphere_grid(1, n)
+        theta = 2.0 * np.pi * np.arange(n) / n
+        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        dx = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
+        return charge.SphereGrid(1, nodes, np.full(n, 2.0 * np.pi / n), dx)
     inner = reference_sphere_grid(1, 2 * n) if dim == 2 else reference_sphere_grid(2, n)
     x, w = np.polynomial.legendre.leggauss(n)
     if dim == 2:
@@ -220,14 +224,47 @@ def reference_sphere_grid(dim, n):
     return charge.SphereGrid(dim, nodes, weights, dx)
 
 
+GRID_ARRAYS = ("nodes", "weights", "dx_dparam")
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", [4, 7, 12])
 def test_grid_suspension_matches_tiled_construction(dim, n):
-    # Filling preallocated arrays by broadcasting does the same elementwise
-    # arithmetic as tiling the inner grid, so every array is bit-identical.
+    # Each entry is the same elementwise product as in the tiled inner grid,
+    # so every array is bit-identical, signed zeros included: at n = 7,
+    # dx_dparam holds 10 negative zeros on S^2 and 91 on S^3.
     grid, ref = sphere_grid(dim, n), reference_sphere_grid(dim, n)
-    for name in ("nodes", "weights", "dx_dparam"):
-        assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+    for name in GRID_ARRAYS:
+        assert getattr(grid, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "dim,n,chunk",
+    [
+        (1, 257, 100),
+        (1, 8192, _linalg.CHUNK),
+        (2, 7, 7),  # half a psi block of 14 rows
+        (2, 7, 30),  # part of a block, whole blocks, part of another
+        (3, 7, 150),
+        (3, 7, _linalg.CHUNK),  # one chunk of 686 rows
+        (3, 48, _linalg.CHUNK),  # 4,608 inner rows: chunks straddle two blocks
+        (3, 48, 10_000),
+    ],
+)
+def test_chunk_rows_match_the_whole_grid(dim, n, chunk):
+    # Rows generated chunk by chunk into one reused buffer, as the kernels take
+    # them, are byte for byte the rows of sphere_grid and of the tiled grid.
+    rows = charge._grid_rows(dim, n)
+    buffer = charge._chunk_block(dim, 1, min(chunk, rows.size))[0]
+    parts = {name: [] for name in GRID_ARRAYS}
+    for start in range(0, rows.size, chunk):
+        part = rows.rows(start, min(start + chunk, rows.size), buffer)
+        for name in GRID_ARRAYS:
+            parts[name].append(getattr(part, name).tobytes())
+    whole, ref = sphere_grid(dim, n), reference_sphere_grid(dim, n)
+    for name in GRID_ARRAYS:
+        chunked = b"".join(parts[name])
+        assert chunked == getattr(whole, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 # -- winding on the circle -------------------------------------------------------
@@ -841,6 +878,50 @@ def test_kernel_memory_bounded_by_the_chunk():
     grid_bytes = sum(getattr(grid, name).nbytes for name in ("nodes", "weights", "dx_dparam"))
     assert grid_peak <= 1.25 * grid_bytes
     assert max(kernel_peaks) < 32 * 2**20
+
+
+def test_charge_memory_does_not_grow_with_the_resolution():
+    # The kernels generate each chunk's rows from the cached factors, so a whole
+    # winding_3 call (rows at n and 2n, factors built afresh) stays far below
+    # the 28.7 MiB of sphere_grid(3, 48), and the peak of chern_2 at
+    # resolution 256 (2n = 512: 1,048,576 nodes) is that at 64.
+    charge._cached_grid_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        winding_3(dirac3())
+        winding_peak = tracemalloc.get_traced_memory()[1]
+        chern_peaks = []
+        for resolution in (64, 256):
+            charge._cached_grid_rows.cache_clear()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            chern_2(weyl2(), resolution=resolution)
+            chern_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert winding_peak < 8 * 2**20
+    assert chern_peaks[1] < chern_peaks[0] + 2**20
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 5, 7]))
+def test_kernels_on_generated_rows_keep_the_bits_of_the_whole_grid(seed, n):
+    # Seven-row chunks split the psi blocks; each raw is that of sphere_grid.
+    rng = np.random.default_rng(seed)
+    s1, s3 = (random_invertible_phase(rng, base, 2) for base in (dirac1(), dirac3()))
+    s2 = random_gapped_weyl(rng, 3)
+    fermi = float(rng.uniform(-0.4, 0.4))
+    kernels = [
+        (1, lambda grid: charge._winding_raw(s1, grid)),
+        (2, lambda grid: charge._chern_raw(s2, fermi, grid)),
+        (2, lambda grid: charge._chern_raw(s2, fermi, grid, np.array([0.05, -0.1, 0.02]), 1.1)),
+        (3, lambda grid: charge._winding_raw(s3, grid)),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_linalg, "CHUNK", 7)
+        for dim, kernel in kernels:
+            whole = kernel(sphere_grid(dim, n))
+            assert repr(kernel(charge._grid_rows(dim, n))) == repr(whole)
 
 
 def copies(field, k, rng):

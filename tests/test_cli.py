@@ -543,7 +543,7 @@ def test_2d_charge_without_chiral_is_a_usage_error(unchiral_dirac_path, capsys, 
     def no_grid(*args, **kwargs):
         raise AssertionError("the enclosure grid is built before the chiral check")
 
-    monkeypatch.setattr(bandscan.charge_mod, "sphere_grid", no_grid)
+    monkeypatch.setattr(bandscan.charge_mod, "_grid_rows", no_grid)
     assert main(["charge", unchiral_dirac_path, "--radius", "0.5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,7 @@
 """Matrix polynomial fields: evaluation, exact derivatives, transformations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -143,6 +145,57 @@ def test_tangent_shape_checks():
         field.evaluate_batch(np.zeros((4, 2)), np.zeros((4, 2)))
     with pytest.raises(DimensionMismatchError):
         field.evaluate_batch(np.zeros((4, 2)), np.zeros((3, 1, 2)))
+
+
+def product_rule_evaluation(field, pts, tangents):
+    """Values and tangent derivatives from the product-rule loop with every power
+    and product taken: x ** 1, x ** 0 and the factors of 1 included."""
+    n_terms, n = len(field.terms), field.size
+    mono = np.empty((len(pts), n_terms))
+    dmono = np.zeros(tangents.shape[:2] + (n_terms,))
+    for t, alpha in enumerate(field.terms):
+        powers = {j: pts[:, j] ** p for j, p in enumerate(alpha) if p}
+        mono[:, t] = math.prod(powers.values())
+        for j in powers:
+            rest = math.prod(v for i, v in powers.items() if i != j)
+            slope = alpha[j] * pts[:, j] ** (alpha[j] - 1) * rest
+            dmono[:, :, t] += tangents[:, :, j] * slope[:, None]
+    stacked = np.array(list(field.terms.values())).view(float).reshape(n_terms, 2 * n * n)
+    values = (mono @ stacked).view(complex).reshape(-1, n, n)
+    derivs = (dmono.reshape(-1, n_terms) @ stacked).view(complex)
+    return values, derivs.reshape(tangents.shape[:2] + (n, n))
+
+
+@pytest.mark.parametrize(
+    "alphas",
+    [
+        [(0, 0, 1)],  # x2 alone
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],  # linear, as the generators are
+        [(0, 0, 0), (1, 0, 0), (0, 0, 1)],  # with a constant term
+        [(2, 1, 0), (0, 0, 1)],  # x0^2 x1 + x2
+        [(3, 1, 0), (1, 2, 1), (0, 3, 0), (1, 1, 1)],
+    ],
+)
+def test_evaluation_is_bit_identical_to_the_full_product_rule(alphas):
+    # Skipping x ** 1, x ** 0 and the products by 1 is exact, and a linear
+    # term's derivative still adds its tangent to 0.0, so -0.0 tangents give
+    # the same bits too.
+    rng = np.random.default_rng(len(alphas))
+    terms = {a: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for a in alphas}
+    terms[alphas[0]] = np.eye(2)
+    field = MatrixPolyField(3, 2, terms)
+    pts = rng.uniform(-1.5, 1.5, (9, 3))
+    pts[0] = [0.0, -0.0, 1.0]
+    tangents = rng.standard_normal((9, 3, 3))
+    tangents[::2, 1] = -0.0
+    tangents[1, :, 2] = -0.0
+    expected = [a.tobytes() for a in product_rule_evaluation(field, pts, tangents)]
+    assert [a.tobytes() for a in field.evaluate_batch(pts, tangents)] == expected
+    assert field.evaluate_batch(pts).tobytes() == expected[0]
+    out = (np.empty((9, 2, 2), dtype=complex), np.empty((9, 3, 2, 2), dtype=complex))
+    result = field.evaluate_batch(pts, tangents, out)
+    assert all(r is o for r, o in zip(result, out))
+    assert [a.tobytes() for a in out] == expected
 
 
 def test_direct_sum_blocks():
