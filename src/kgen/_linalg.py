@@ -56,8 +56,8 @@ def rms_singular(a: np.ndarray) -> np.ndarray:
 def scalar_split(h: np.ndarray):
     """``(f0, a, s)`` for each matrix of a stack: f0 = Re tr h / N, the traceless
     part a = h - f0 I, formed in place of ``h``, and s = ``rms_singular(a)``.
-    Where a^2 is a multiple of I (``MatrixPolyField.scalar_square``), the
-    spectrum of h is f0 - s and f0 + s, half of the N eigenvalues each."""
+    A 2 x 2 Hermitian h has the eigenvalues f0 - s and f0 + s: a is traceless,
+    so by Cayley-Hamilton a^2 = -det(a) I = s^2 I."""
     n = h.shape[-1]
     f0 = np.trace(h, axis1=-2, axis2=-1).real / n
     diag = np.arange(n)

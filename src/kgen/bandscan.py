@@ -228,20 +228,23 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
 
     The gap is the smallest over the field's sectors
     (``MatrixPolyField.sectors``), whose spectra make up that of the field.
-    A sector with ``scalar_square`` has the bands f0 - s and f0 + s at each
-    point (``_linalg.scalar_split``), so its gap is ||f0 - fermi| - s| with no
-    eigensolver; other sectors are diagonalized.
+    A 2 x 2 sector has the bands f0 - s and f0 + s at each point
+    (``_linalg.scalar_split``), so its gap is ||f0 - fermi| - s| with no
+    eigensolver; larger sectors go to ``eigvalsh``, once their values are
+    known to be finite (it does not converge on inf or NaN).
     """
     gaps = np.full(len(points), np.inf)
     for sl in chunks(len(points)):
         for field in model.field.sectors:
             with np.errstate(over="ignore", invalid="ignore"):  # refused just below
                 h = field.evaluate_batch(points[sl])
-                if field.scalar_square:
+                if field.size == 2:
                     f0, _, s = scalar_split(h)
                     gap = np.abs(np.abs(f0 - model.fermi) - s)
-                else:
+                elif np.isfinite(h).all():
                     gap = np.min(np.abs(np.linalg.eigvalsh(h) - model.fermi), axis=1)
+                else:  # eigvalsh would not converge; mark the points to refuse
+                    gap = np.where(np.isfinite(h).all(axis=(1, 2)), 0.0, np.nan)
             bad = ~np.isfinite(gap)
             if bad.any():
                 where = points[sl][bad][0].tolist()

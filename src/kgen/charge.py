@@ -30,7 +30,7 @@ projection, the inverse and the traces of a block-diagonal field are those of
 its blocks.  Each charge therefore splits the field into its decoupled
 sectors (``MatrixPolyField.sectors``), runs the kernel on each with the same
 grid and sums the raws; a field of one sector goes through the kernel as it
-is.  Each sector has its own gates and its own closed-form verdicts, and a
+is.  Each sector has its own gates and takes its own path, and a
 band count below the Fermi level that varies within one sector is refused
 even where the total count does not vary (the gap of that sector closes).
 
@@ -52,18 +52,17 @@ matrices up to 4 x 4 (the 2 x 2 generators and their direct sums), so that a
 product is a few elementwise calls over the nodes, and stacked for larger
 ones.
 
-Clifford-linear fields, the generators among them, need no eigensolver and no
-inverse.  When the traceless part A = h - f0 I of a Hermitian field squares
-to s^2 I (``MatrixPolyField.scalar_square``), with f0 = Re tr h / N and
-s = ||A||_F / sqrt(N), the bands are f0 +- s, N/2 of each; below a Fermi
-level between them P = (I - A / s) / 2, and
+Two cases need no eigensolver and no inverse.  A 2 x 2 Hermitian sector, the
+even generator x . sigma and every two-band crossing among them, has the bands
+f0 +- s by Cayley-Hamilton, with f0 = Re tr h / 2, A = h - f0 I and
+s = ||A||_F / sqrt(2); below a Fermi level between them P = (I - A / s) / 2, and
 
     tr(P [d_0 P, d_1 P]) = -tr(A [d_0 A, d_1 A]) / (8 s^3).
 
 When U*U = q I (``MatrixPolyField.scalar_gram``), with q = ||U||_F^2 / N,
 U^-1 = U* / q and sigma_min(U) = sqrt(q) exactly.  Both closed forms divide
 by s or sqrt(q) before they multiply, so they stay finite wherever the
-field's entries are.  Every other field takes
+field's entries are.  Every other sector takes
 the general path: ``eigh`` for the Chern integrand, and ``inv`` for the
 windings, whose invertibility is certified from that inverse via
 sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs only on a chunk where that bound
@@ -276,9 +275,13 @@ _cached_grid_rows = lru_cache(maxsize=16)(_build_grid_rows)
 
 
 def _check_field(field: MatrixPolyField, dim: int, center=None, radius=1.0):
-    """The float center of a valid sphere |x - center| = radius (None: the unit sphere)."""
+    """The float center of a valid sphere |x - center| = radius (None: the unit
+    sphere).  The field's coefficients must be finite: ``eigh`` does not
+    converge on NaN or inf."""
     if not isinstance(field, MatrixPolyField):
         raise TypeError("charge computations need exact derivatives; pass a MatrixPolyField")
+    if not all(np.isfinite(mat).all() for mat in field.terms.values()):
+        raise ValueError("field coefficients must be finite")
     if field.ambient_dim != dim + 1:
         raise DimensionMismatchError(
             f"a field on S^{dim} needs ambient dimension {dim + 1}, got {field.ambient_dim}"
@@ -400,16 +403,14 @@ def _winding_raw(field: MatrixPolyField, grid, center=None, radius=1.0) -> float
 def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1.0) -> float:
     total = 0.0
     n_occ = None
-    closed = field.scalar_square
+    closed = field.size == 2
     arrange, _, trace3 = products(field.size)
     for rows, h, d in _chunk_fields(field, grid, center, radius):
         if closed:
-            # Bands f0 - s and f0 + s, each of multiplicity N / 2.
             f0, a, s = scalar_split(h)
-            vals, multiplicity = np.stack([f0 - s, f0 + s], axis=1), field.size // 2
+            vals = np.stack([f0 - s, f0 + s], axis=1)
         else:
             vals, vecs = np.linalg.eigh(h)
-            multiplicity = 1
         gap = float(np.min(np.abs(vals - fermi)))
         if not gap > GAP_MIN:  # NaN fails it too
             raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
@@ -417,7 +418,7 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
         # between nodes means the gap closes between them.  The range named is
         # the count at the first node and at the first node that differs from
         # it, so it does not depend on the chunk size.
-        counts = multiplicity * np.count_nonzero(vals < fermi, axis=1)
+        counts = np.count_nonzero(vals < fermi, axis=1)
         if n_occ is None:
             n_occ = int(counts[0])
         differs = np.flatnonzero(counts != n_occ)
@@ -428,7 +429,7 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
             )
 
         if closed:
-            if n_occ != multiplicity:
+            if n_occ != 1:
                 continue  # P is 0 or I: no curvature
             # P = (I - a / s) / 2, so tr(P [d_0 P, d_1 P]) = -tr(a [d_0 h, d_1 h]) / (8 s^3)
             # = -i Im tr(a d_0 h d_1 h) / (4 s^3).  Each factor is divided by s

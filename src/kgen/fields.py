@@ -209,24 +209,6 @@ class MatrixPolyField:
     # rescaling never changes a verdict, and a NaN or inf coefficient fails.
 
     @cached_property
-    def scalar_square(self) -> bool:
-        """Whether h(x) - f0(x) I squares to a multiple of I for every x, with
-        f0 = Re tr h / N, for Hermitian coefficients: N is even and the
-        traceless parts of every pair of coefficients anti-commute to a
-        multiple of I.  The bands are then f0 +- s (``_linalg.scalar_split``).
-
-        The traceless parts are judged over their own largest entry: a scalar
-        part leaves the structure of the spectrum as it is, so however large
-        it is, it must not loosen the bound."""
-        if self.size % 2:
-            return False
-        mats = self._coefficients()
-        with np.errstate(invalid="ignore"):  # an inf entry gives NaN, which fails
-            scalars = np.trace(mats, axis1=1, axis2=2)[:, None, None] / self.size
-            traceless = _over_largest(mats - scalars * np.eye(self.size), axis=None)
-        return _pairs_scalar(traceless, traceless)
-
-    @cached_property
     def scalar_gram(self) -> bool:
         """Whether U(x)* U(x) = q(x) I for every x: M_a* M_b + M_b* M_a is a
         multiple of I for every pair of coefficients.  Then U^-1 = U* / q, and
@@ -236,7 +218,7 @@ class MatrixPolyField:
         held to the product of its own sizes: a large term whose pairs all
         vanish, such as i c x_0 I beside Hermitian terms, must not loosen the
         bound on the others."""
-        unit = _over_largest(self._coefficients(), axis=(1, 2))
+        unit = _over_largest(self._coefficients())
         return _pairs_scalar(dagger(unit), unit)
 
     def _coefficients(self) -> np.ndarray:
@@ -254,8 +236,9 @@ class MatrixPolyField:
 
         The field is unitarily a direct sum of these, so its spectrum and
         singular values are the union of theirs, and its charges the sum of
-        theirs.  Each sector is judged for ``scalar_square`` and
-        ``scalar_gram`` on its own."""
+        theirs.  Each sector is judged for ``scalar_gram`` on its own, and
+        the charge kernels and gap scan take the closed-form bands of a 2 x 2
+        sector."""
         coupled = np.any(self._coefficients() != 0, axis=0)
         reach = coupled | coupled.T | np.eye(self.size, dtype=bool)
         # Each boolean square doubles the path length that reach covers.
@@ -318,10 +301,10 @@ def _product(factors):
     return None if first is None else reduce(operator.mul, factors, first)
 
 
-def _over_largest(mats: np.ndarray, axis) -> np.ndarray:
-    """``mats`` over their largest entry magnitude along ``axis`` (None: of the
-    whole stack), with an all-zero block left as it is; inf gives NaN."""
-    largest = np.max(np.abs(mats), axis=axis, keepdims=True) if mats.size else 1.0
+def _over_largest(mats: np.ndarray) -> np.ndarray:
+    """Each matrix of a (T, N, N) stack over its largest entry magnitude, with
+    an all-zero matrix left as it is; inf gives NaN."""
+    largest = np.max(np.abs(mats), axis=(1, 2), keepdims=True) if mats.size else 1.0
     with np.errstate(invalid="ignore"):  # inf / inf is NaN, which fails the tests
         return mats / np.where(largest == 0.0, 1.0, largest)
 

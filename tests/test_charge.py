@@ -370,17 +370,24 @@ def test_winding_closed_form_needs_no_svd_or_inv(monkeypatch):
 
 @pytest.mark.parametrize("winding, ambient", [(winding_1, 2), (winding_3, 4)])
 def test_winding_nan_field_raises(winding, ambient):
-    terms = {(0,) * ambient: [[np.nan]], (1,) + (0,) * (ambient - 1): [[1.0]]}
-    with pytest.raises((np.linalg.LinAlgError, GapClosedError)):
-        winding(MatrixPolyField(ambient, 1, terms, SPHERE))
+    # Refused before any node is evaluated, whichever path the sector takes.
+    for size in (1, 2, 4):
+        for bad in (np.nan, np.inf):
+            terms = {(0,) * ambient: np.diag([bad] * size), (1,) + (0,) * (ambient - 1): np.eye(size)}
+            with pytest.raises(ValueError, match="field coefficients must be finite"):
+                winding(MatrixPolyField(ambient, size, terms, SPHERE))
 
 
 def test_chern_nan_field_raises():
-    # NaN eigenvalues leave no band below fermi, so an ungated kernel would sum
-    # over an empty block and report a converged charge 0.
-    nan = MatrixPolyField(3, 2, {(0, 0, 0): np.nan * np.eye(2)}, SPHERE, selfadjoint=True)
-    with pytest.raises(GapClosedError):
-        chern_2(weyl2().plus(nan), resolution=8)
+    # A NaN or inf coefficient is refused up front: on a 4 x 4 sector eigh
+    # would not converge, and NaN bands would leave none below fermi.
+    pair = weyl2().direct_sum(weyl2()).conjugated_by(dense_unitary(4))
+    for field in (weyl2(), pair):
+        n = field.size
+        for bad in (np.nan, np.inf):
+            shift = MatrixPolyField(3, n, {(0, 0, 0): np.diag([bad] * n)}, SPHERE, selfadjoint=True)
+            with pytest.raises(ValueError, match="field coefficients must be finite"):
+                chern_2(field.plus(shift), resolution=8)
 
 
 # -- Chern number on the 2-sphere -------------------------------------------------
@@ -936,12 +943,13 @@ def copies(field, k, rng):
 def test_node_last_products_match_the_stacked_ones(monkeypatch, size):
     # PLANAR_MAX pinned to 0 sends every size through the stacked ``@`` path and
     # pinned to ``size`` through the node-last one, 6 x 6 included; the default
-    # sends 2 x 2 and 4 x 4 node-last and 6 x 6 stacked.
+    # sends 2 x 2 and 4 x 4 node-last and 6 x 6 stacked.  Of the Chern fields only
+    # the 2 x 2 one takes the closed form, whose integrand uses the products.
     rng = np.random.default_rng(size)
     gram = copies(dirac3(), size // 2, rng)
     general = random_invertible_phase(rng, dirac3(), size)
-    closed = copies(weyl2(), size // 2, rng)
-    assert gram.scalar_gram and not general.scalar_gram and closed.scalar_square
+    bands = copies(weyl2(), size // 2, rng)
+    assert gram.scalar_gram and not general.scalar_gram
     s2, s3 = sphere_grid(2, 8), sphere_grid(3, 6)
     raws = []
     for planar_max in (0, _linalg.PLANAR_MAX, size):
@@ -949,7 +957,7 @@ def test_node_last_products_match_the_stacked_ones(monkeypatch, size):
         raws.append([
             charge._winding_raw(gram, s3),
             charge._winding_raw(general, s3),
-            charge._chern_raw(closed, 0.0, s2),
+            charge._chern_raw(bands, 0.0, s2),
         ])
     k = size // 2
     expected = [k * winding_3(dirac3(), 6).raw, k * chern_sign_weyl()]
@@ -961,8 +969,7 @@ def test_node_last_products_match_the_stacked_ones(monkeypatch, size):
 
 # Each charge with its generator: summands are one or two copies of it (2 x 2
 # or 4 x 4 on S^2 and S^3), so sums of two run from 4 x 4 to 8 x 8 and cross
-# PLANAR_MAX.  Unequal velocities break the scalar square and Gram matrix, so
-# those sums take the eigh / inv path.
+# PLANAR_MAX.  Chern sectors of two mixed copies are 4 x 4 and take eigh.
 CHARGES = {"winding_1": (winding_1, dirac1), "chern_2": (chern_2, weyl2),
            "winding_3": (winding_3, dirac3)}
 

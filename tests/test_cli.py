@@ -15,6 +15,7 @@ import pytest
 from kgen import bandscan, cli, clifford, generators
 from kgen.charge import chern_sign_weyl
 from kgen.cli import main
+from kgen.errors import ModelOverflowError
 from kgen.fields import EUCLIDEAN, MatrixPolyField
 from kgen.serialize import matrix_to_json
 
@@ -254,14 +255,13 @@ def test_scan_command_two_weyl(two_weyl_path, tmp_path):
 
 @pytest.fixture()
 def two_velocity_path(tmp_path):
-    # Weyl fields with velocities 1 and 2 squared to |x|^2 and 4 |x|^2: their
-    # sum, mixed by a dense unitary into one sector, has no scalar square, so
-    # every stage takes the eigensolver path.
+    # Weyl fields with velocities 1 and 2, mixed by a dense unitary into one
+    # 4 x 4 sector, so every stage takes the eigensolver path.
     weyl = generators.weyl_field(2, clifford.LEFT)
     fast = dataclasses.replace(weyl, terms={a: 2.0 * m for a, m in weyl.terms.items()})
     mixed = weyl.direct_sum(fast).conjugated_by(np.fft.fft(np.eye(4)) / 2.0)
     model = bandscan.BandModel.from_field(mixed, name="two-velocity")
-    assert len(model.field.sectors) == 1 and not model.field.scalar_square
+    assert len(model.field.sectors) == 1 and model.field.size == 4
     path = tmp_path / "two_velocity.json"
     bandscan.save_model(model, path)
     return str(path)
@@ -461,6 +461,26 @@ def test_overflowing_gap_rejected(two_weyl_path, capsys, command, extra):
         assert "not finite on the sphere of radius 1e+200 about [0.0, 0.0, 0.0]" in captured.err
     else:
         assert "gap is not finite" in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_gap_rejected_on_a_four_band_sector(two_weyl_path, tmp_path, capsys):
+    # The two-Weyl model beside twice itself, mixed by a dense unitary into one
+    # 4 x 4 sector: its gap goes to eigvalsh, which must not be given the
+    # overflowed values (it does not converge on them).
+    two_weyl = bandscan.load_model(two_weyl_path).field
+    double = dataclasses.replace(two_weyl, terms={a: 2.0 * m for a, m in two_weyl.terms.items()})
+    mixed = two_weyl.direct_sum(double).conjugated_by(np.fft.fft(np.eye(4)) / 2.0)
+    model = bandscan.BandModel.from_field(mixed)
+    assert len(model.field.sectors) == 1
+    with pytest.raises(ModelOverflowError, match=r"gap is not finite at \[0.0, 0.0, 1e\+200\]"):
+        bandscan.gap_at(model, [0.0, 0.0, 1e200])
+    path = str(tmp_path / "mixed.json")
+    bandscan.save_model(model, path)
+    assert main(["scan", path, "--box", "-1e200", "1e200", "--grid", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gap is not finite" in captured.err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

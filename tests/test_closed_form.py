@@ -1,25 +1,35 @@
-"""Closed-form spectra of Clifford-linear fields against the general path.
+"""Closed-form spectra against the general path.
 
-A field whose traceless part squares to a multiple of I (``scalar_square``)
-has its gaps and Berry curvature from two traces per node; one whose Gram
-matrix U*U is a multiple of I (``scalar_gram``) is inverted as U* / q.  The
-general path (``eigvalsh``, ``eigh``, ``inv``) is the reference: the same
-field with its cached flag overridden to False on every sector takes it.
+A 2 x 2 Hermitian sector has the bands f0 +- s (Cayley-Hamilton), so its gaps
+and Berry curvature come from two traces per node; a field whose Gram matrix
+U*U is a multiple of I (``scalar_gram``) is inverted as U* / q.  The
+references are ``eigvalsh``, the projector-form ``reference_chern_raw`` of
+test_charge.py and, for the windings, the same field with its cached
+``scalar_gram`` overridden to False on every sector, which takes ``inv``.
 """
 
 import contextlib
 import dataclasses
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgen import bandscan, clifford, generators
-from kgen.charge import chern_2, chern_sign_weyl, winding_1, winding_3
+from kgen import bandscan, charge, clifford, generators
+from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, winding_3
 from kgen.errors import GapClosedError
 from kgen.fields import SPHERE, MatrixPolyField
+
+# The oracles of test_charge.py, loaded by path: test modules are not a package.
+_spec = importlib.util.spec_from_file_location(
+    "charge_oracles", Path(__file__).resolve().with_name("test_charge.py")
+)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 GAMMA_SETS = {
     "pauli": (clifford.SIGMA_1, clifford.SIGMA_2, clifford.SIGMA_3),
@@ -126,7 +136,6 @@ def test_gaps_match_eigvalsh(seed, gammas, scale, doubled):
         field = field.direct_sum(field)
     model = bandscan.BandModel.from_field(field, fermi=float(rng.uniform(-1.0, 1.0)))
     points = rng.uniform(-1.5, 1.5, (64, 3))
-    assert model.field.scalar_square
     vals = np.linalg.eigvalsh(model.field.evaluate_batch(points))
     reference = np.min(np.abs(vals - model.fermi), axis=1)
     scale_at = np.max(np.abs(vals), axis=1) + abs(model.fermi)
@@ -144,16 +153,72 @@ def test_gaps_do_not_overflow_before_eigvalsh_does(r):
     assert abs(bandscan._gap_batch(model, point)[0] - reference) <= 1e-12 * reference
 
 
+def two_band(rng, scale):
+    """x . sigma mixed by a random unitary, plus a random 2 x 2 Hermitian
+    polynomial of degree <= 2 with sup norm <= ``scale`` on the unit sphere:
+    its coefficients carry no Clifford structure."""
+    bump = {}
+    for a in monomials(3):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        bump[a] = z + z.conj().T
+    bound = sum(np.linalg.norm(m, 2) for m in bump.values())
+    bump = MatrixPolyField(3, 2, {a: scale * m / bound for a, m in bump.items()}, SPHERE, True)
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    return weyl.conjugated_by(oracles.random_unitary(rng, 2)).plus(bump)
+
+
+def reference_outcome(field, fermi, grid):
+    """``reference_chern_raw``, or GapClosedError where ``eigvalsh`` puts an
+    eigenvalue of a sector within GAP_MIN of fermi or the count below it of
+    one sector varies over the grid."""
+    for sector in field.sectors:
+        vals = np.linalg.eigvalsh(sector.evaluate_batch(grid.nodes))
+        counts = np.count_nonzero(vals < fermi, axis=1)
+        if np.min(np.abs(vals - fermi)) <= charge.GAP_MIN or np.ptp(counts):
+            return GapClosedError
+    return oracles.reference_chern_raw(field, fermi, grid)
+
+
+def raw_outcome(field, fermi, grid):
+    try:
+        return charge._chern_raw(field, fermi, grid)
+    except GapClosedError:
+        return GapClosedError
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.3, 3.0, 10.0]),
+    fermi=st.floats(-0.5, 0.5),
+    n=st.sampled_from([4, 5, 7]),
+)
+def test_two_band_polynomials_match_the_references(seed, scale, fermi, n):
+    rng = np.random.default_rng(seed)
+    field = two_band(rng, scale)
+    model = bandscan.BandModel.from_field(field, fermi=fermi)
+    points = rng.uniform(-1.5, 1.5, (64, 3))
+    vals = np.linalg.eigvalsh(field.evaluate_batch(points))
+    reference = np.min(np.abs(vals - fermi), axis=1)
+    scale_at = np.max(np.abs(vals), axis=1) + abs(fermi)
+    grid = sphere_grid(2, n)  # its Gauss-Legendre nodes come from eigvalsh
+    with spying("eigh", "eigvalsh") as calls:
+        gaps = bandscan._gap_batch(model, points)
+        raw = raw_outcome(field, fermi, grid)
+    assert calls == []
+    assert np.all(np.abs(gaps - reference) <= 1e-12 * scale_at)
+    assert_same(raw, reference_outcome(field, fermi, grid))
+
+
 @settings(max_examples=25, deadline=None)
 @given(**cases, fermi=st.floats(-0.5, 0.5))
 def test_chern_raws_match_the_general_path(seed, gammas, scale, doubled, fermi):
     field = clifford_field(np.random.default_rng(seed), GAMMA_SETS[gammas], 3, scale)
     if doubled:
         field = field.direct_sum(field)
-    assert field.scalar_square
-    with spying("eigh") as calls:
-        reference = outcome(chern_2, general(field, "scalar_square"), fermi, resolution=4)
-    assert calls
+    reference = tuple(reference_outcome(field, fermi, sphere_grid(2, n)) for n in (4, 8))
+    if GapClosedError in reference:
+        reference = GapClosedError
     assert_same(outcome(chern_2, field, fermi, resolution=4), reference)
 
 
@@ -177,8 +242,7 @@ def test_a_near_miss_takes_the_general_path(seed, gammas):
     rng = np.random.default_rng(seed)
     hermitian = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 3, 0.3), 1e-9)
     phase = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 2, 0.3, True), 1e-9)
-    assert len(hermitian.sectors) == len(phase.sectors) == 1
-    assert not hermitian.scalar_square
+    assert len(hermitian.sectors) == len(phase.sectors) == 1 and hermitian.size >= 4
     assert not phase.scalar_gram
     model = bandscan.BandModel.from_field(hermitian)
     with spying("eigh", "eigvalsh", "inv") as calls:
@@ -188,18 +252,27 @@ def test_a_near_miss_takes_the_general_path(seed, gammas):
     assert {"eigh", "eigvalsh", "inv"} <= set(calls)
 
 
-def test_a_false_scalar_square_verdict_is_split_away():
-    # 1e7 x0 (s3 x I) + x1 (s1 x I) + x2 (s1 x s3) passes the coefficient test,
-    # so as one field its gap at (0, 1, 1) / sqrt(2) read 1.0.  Its sectors
-    # 1e7 x0 s3 + (x1 +- x2) s1 are 2 x 2, where the closed form is exact.
+def test_a_four_band_field_gets_the_eigvalsh_gap_split_or_mixed():
+    # 1e7 x0 (s3 x I) + x1 (s1 x I) + x2 (s1 x s3) passed a coefficient test of
+    # the Clifford structure within a tolerance, so as one field its gap at
+    # (0, 1, 1) / sqrt(2) read 1.0.  Its sectors 1e7 x0 s3 + (x1 +- x2) s1 are
+    # 2 x 2, where the closed form is exact; mixed by a dense unitary it is one
+    # 4 x 4 sector, which goes to eigvalsh.
     s1, s3, i2 = clifford.SIGMA_1, clifford.SIGMA_3, np.eye(2)
     terms = {(1, 0, 0): 1e7 * np.kron(s3, i2), (0, 1, 0): np.kron(s1, i2),
              (0, 0, 1): np.kron(s1, s3)}
-    model = bandscan.BandModel.from_field(MatrixPolyField(3, 4, terms))
+    split = MatrixPolyField(3, 4, terms, SPHERE, selfadjoint=True)
+    mixed = split.conjugated_by(dense_unitary(4))
+    assert [len(f.sectors) for f in (split, mixed)] == [2, 1]
     point = np.array([[0.0, 1.0, 1.0]]) / np.sqrt(2.0)
-    assert model.field.scalar_square
-    assert np.min(np.abs(np.linalg.eigvalsh(model.field.evaluate_batch(point)))) < 1e-15
-    assert bandscan._gap_batch(model, point)[0] == 0.0
+    for field in (split, mixed):
+        vals = np.linalg.eigvalsh(field.evaluate_batch(point))
+        gap = bandscan._gap_batch(bandscan.BandModel.from_field(field), point)[0]
+        assert gap <= np.min(np.abs(vals)) < 1e-15
+    # The same spectrum everywhere: the same gates, and charges within rounding.
+    center = np.array([1.0, 0.0, 0.0])
+    for kwargs in (dict(fermi=0.5), dict(center=center, radius=0.5)):
+        assert_same(outcome(chern_2, mixed, **kwargs), outcome(chern_2, split, **kwargs))
 
 
 def scaled(field, factor):
@@ -208,24 +281,20 @@ def scaled(field, factor):
 
 def test_the_structure_survives_conjugation_reflection_and_equal_direct_sums():
     rng = np.random.default_rng(5)
-    weyl = generators.weyl_field(2, clifford.LEFT)
     dirac = generators.dirac_phase_field(3, clifford.LEFT)
-    for field, flag in ((weyl, "scalar_square"), (dirac, "scalar_gram")):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        w = np.linalg.qr(z)[0]
-        for variant in (field, field.conjugated_by(w), field.reflect(0), field.direct_sum(field)):
-            assert getattr(variant, flag)
-    # Unequal squares, an odd size, a Gram matrix that is not scalar.
-    assert not weyl.direct_sum(scaled(weyl, 2.0)).scalar_square
-    assert not MatrixPolyField(3, 1, {(1, 0, 0): [[1.0]]}, selfadjoint=True).scalar_square
+    w = oracles.random_unitary(rng, 2)
+    for variant in (dirac, dirac.conjugated_by(w), dirac.reflect(0), dirac.direct_sum(dirac)):
+        assert variant.scalar_gram
+    # Unequal Gram matrices, a Gram matrix that is not scalar.
+    assert not dirac.direct_sum(scaled(dirac, 2.0)).scalar_gram
     assert not MatrixPolyField(2, 2, {(0, 0): np.diag([1.0, 0.0])}).scalar_gram
 
 
 @pytest.mark.parametrize("factor", [1e-6, 1.0, 1e6])
 def test_the_verdict_does_not_depend_on_the_scale(factor):
-    weyl = generators.weyl_field(2, clifford.LEFT)
-    assert scaled(weyl, factor).scalar_square
-    assert not scaled(missed_by(weyl, 1e-9), factor).scalar_square
+    dirac = generators.dirac_phase_field(3, clifford.LEFT)
+    assert scaled(dirac, factor).scalar_gram
+    assert not scaled(missed_by(dirac, 1e-9), factor).scalar_gram
 
 
 def offset(field, f0):
@@ -235,13 +304,9 @@ def offset(field, f0):
 
 
 def test_a_large_term_does_not_loosen_the_verdict():
-    # Squares |x|^2 and 16 |x|^2: their mismatch is 1.5e-13 of (1e7)^2, but a
-    # scalar term leaves the spectrum's structure alone and must not hide it.
-    weyl = generators.weyl_field(2, clifford.LEFT)
-    assert not offset(weyl.direct_sum(scaled(weyl, 4.0)), 1e7).scalar_square
-    assert offset(weyl.direct_sum(weyl), 1e7).scalar_square
     # i c x0 I pairs to zero with each Hermitian term; the Gram test holds the
     # others to their own sizes.
+    weyl = generators.weyl_field(2, clifford.LEFT)
     blocks = []
     for v in (1.0, 4.0):
         terms = {(0,) + a: v * m for a, m in weyl.terms.items()}
@@ -254,20 +319,20 @@ def test_a_large_term_does_not_loosen_the_verdict():
 def test_an_offset_crossing_pulled_back_takes_the_general_path():
     # At a crossing the pulled-back constant term is about 1000 I, while the
     # traceless terms shrink with the enclosure's radius.  Weyl fields with
-    # velocities 1 and 3 are mixed into one sector, which has no scalar square,
-    # by (H x H) / 2: the mixed coefficients are (2 I - X) x sigma', whose
-    # entries are 0, +-1 or +-2 (times 1 or i), so the moved grid and the
-    # pullback round alike and the raws agree to the bit.
+    # velocities 1 and 3 are mixed into one 4 x 4 sector by (H x H) / 2: the
+    # mixed coefficients are (2 I - X) x sigma', whose entries are 0, +-1 or
+    # +-2 (times 1 or i), so the moved grid and the pullback round alike and
+    # the raws agree to the bit.
     weyl = generators.weyl_field(2, clifford.LEFT)
     h = np.array([[1.0, 1.0], [1.0, -1.0]])
     mixed = weyl.direct_sum(scaled(weyl, 3.0)).conjugated_by(np.kron(h, h) / 2)
     field = offset(mixed, 1000.0)
     center, radius = np.zeros(3), 5e-4
     pulled = field.affine_pullback(center, radius)
-    assert len(pulled.sectors) == 1 and not pulled.scalar_square
+    assert len(pulled.sectors) == 1 and pulled.size == 4
     result = chern_2(field, fermi=1000.0, center=center, radius=radius)
     assert result.charge == 2 * chern_sign_weyl()
-    reference = chern_2(general(pulled, "scalar_square"), fermi=1000.0)
+    reference = chern_2(pulled, fermi=1000.0)
     assert result.convergence_pair == reference.convergence_pair
 
 
@@ -279,14 +344,14 @@ def test_closed_form_charges_do_not_overflow(factor):
     dirac1 = generators.dirac_phase_field(1, clifford.LEFT)
     dirac3 = generators.dirac_phase_field(3, clifford.LEFT)
     weyl = generators.weyl_field(2, clifford.LEFT)
-    for charge, field in (
+    for fn, field in (
         (winding_1, dirac1.direct_sum(dirac1)),
         (winding_3, dirac3),
         (chern_2, weyl.direct_sum(weyl)),
     ):
         big = scaled(field, factor)
-        assert big.scalar_square or big.scalar_gram
-        assert_same(outcome(charge, big, resolution=8), outcome(charge, field, resolution=8))
+        assert fn is chern_2 or big.scalar_gram  # the Chern sectors are 2 x 2
+        assert_same(outcome(fn, big, resolution=8), outcome(fn, field, resolution=8))
     assert winding_1(scaled(dirac1.direct_sum(dirac1), factor)).charge == 2
 
 
@@ -316,7 +381,7 @@ def weyl_shifted():
 def test_gap_gates_run_on_the_closed_form_path():
     # The fields of the gate tests in test_charge.py take the closed form.
     closed = MatrixPolyField(3, 2, {(0, 0, 0): np.diag([1.0, -1.0])}, SPHERE, selfadjoint=True)
-    assert closed.scalar_square and weyl_shifted().scalar_square
+    assert closed.size == weyl_shifted().size == 2
     with pytest.raises(GapClosedError, match=r"min \|eig - fermi\| = 0.0"):
         chern_2(closed, fermi=1.0)
     with pytest.raises(GapClosedError, match=r"number of bands below fermi varies .*\(1 to 2\)"):
@@ -334,15 +399,20 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
     phase = generators.dirac_phase_field(1, clifford.LEFT).plus(
         MatrixPolyField(2, 1, {(0, 0): [[np.nan]]}, SPHERE)
     )
-    assert not hermitian.scalar_square and not phase.scalar_gram
-    # Forced onto the closed form, each is refused before any division.
-    hermitian.__dict__["scalar_square"] = True
+    assert not phase.scalar_gram
+    # The charges refuse such coefficients up front; the kernels, given their
+    # NaN values, refuse them at the closed-form gates before any division.
+    for fn, field in ((chern_2, hermitian), (winding_1, phase)):
+        with pytest.raises(ValueError, match="field coefficients must be finite"):
+            fn(field, resolution=8)
     phase.__dict__["scalar_gram"] = True
     with pytest.raises(GapClosedError, match=r"min \|eig - fermi\| = nan"):
-        chern_2(hermitian, resolution=8)
+        charge._chern_raw(hermitian, 0.0, sphere_grid(2, 8))
     with pytest.raises(GapClosedError, match="min singular value nan"):
-        winding_1(phase, resolution=8)
-    model = bandscan.BandModel.from_field(generators.weyl_field(2, clifford.LEFT))
-    assert model.field.scalar_square
-    with pytest.raises(ValueError, match="gap is not finite"):
-        bandscan._gap_batch(model, np.array([[np.nan, 0.0, 0.0]]))
+        charge._winding_raw(phase, sphere_grid(1, 8))
+    # A NaN point, on a 2 x 2 sector and on a 4 x 4 one.
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    for field in (weyl, weyl.direct_sum(weyl).conjugated_by(dense_unitary(4))):
+        model = bandscan.BandModel.from_field(field)
+        with pytest.raises(ValueError, match="gap is not finite"):
+            bandscan._gap_batch(model, np.array([[np.nan, 0.0, 0.0]]))
