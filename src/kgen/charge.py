@@ -52,21 +52,23 @@ matrices up to 4 x 4 (the 2 x 2 generators and their direct sums), so that a
 product is a few elementwise calls over the nodes, and stacked for larger
 ones.
 
-Two cases need no eigensolver and no inverse.  A 2 x 2 Hermitian sector, the
-even generator x . sigma and every two-band crossing among them, has the bands
-f0 +- s by Cayley-Hamilton, with f0 = Re tr h / 2, A = h - f0 I and
-s = ||A||_F / sqrt(2); below a Fermi level between them P = (I - A / s) / 2, and
+Sectors of size at most 2 need no eigensolver and no inverse, and their
+closed forms are exact.  A 2 x 2 Hermitian sector, the even generator
+x . sigma and every two-band crossing among them, has the bands f0 +- s by
+Cayley-Hamilton, with f0 = Re tr h / 2, A = h - f0 I and s = ||A||_F / sqrt(2);
+below a Fermi level between them P = (I - A / s) / 2, and
 
     tr(P [d_0 P, d_1 P]) = -tr(A [d_0 A, d_1 A]) / (8 s^3).
 
-When U*U = q I (``MatrixPolyField.scalar_gram``), with q = ||U||_F^2 / N,
-U^-1 = U* / q and sigma_min(U) = sqrt(q) exactly.  Both closed forms divide
-by s or sqrt(q) before they multiply, so they stay finite wherever the
-field's entries are.  Every other sector takes
+A 1 x 1 or 2 x 2 winding sector, the odd generators among them, has
+U^-1 = adj(V) / (det V s) with s = ||U||_F / sqrt(N) and V = U / s
+(``_gated_inverse``).  Both closed forms divide by s before they multiply, so
+they stay finite wherever the field's entries are.  Every larger sector takes
 the general path: ``eigh`` for the Chern integrand, and ``inv`` for the
 windings, whose invertibility is certified from that inverse via
 sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs only on a chunk where that bound
 is <= GAP_MIN.  Both paths apply the same gates, each before any division.
+A model that overflows on its sphere is refused (``_sectors_raw``).
 
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
@@ -82,7 +84,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import chunks, dagger, products, rms_singular, scalar_split
+from ._linalg import chunks, products, rms_singular, scalar_split
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
@@ -300,34 +302,49 @@ def _check_field(field: MatrixPolyField, dim: int, center=None, radius=1.0):
     return center
 
 
-def _gated_inverse(u: np.ndarray, scalar_gram: bool) -> np.ndarray:
+def _gated_inverse(u: np.ndarray) -> np.ndarray:
     """Inverses of a stack of matrices, refused where one is (nearly) singular.
 
-    With ``scalar_gram`` (U*U = q I), every singular value of U is
-    sigma = sqrt(q) = ``rms_singular(U)``, and U^-1 = U* / sigma / sigma,
-    divided twice so that entries past about 1e154 do not overflow q.
-    Otherwise sigma_min(U) = 1 / ||U^-1||_2 >= 1 / ||U^-1||_F, so the SVD runs
-    only when that bound fails to clear GAP_MIN somewhere (NaN fails it) or
-    ``inv`` finds an exactly singular matrix.  A failed ``inv`` is
-    refused even when the SVD puts sigma_min above GAP_MIN: LU can meet an
-    exact zero pivot there.
+    A 1 x 1 or 2 x 2 U has U^-1 = adj(V) / (det V s), with s = ``rms_singular(U)``
+    and V = U / s formed entry by entry, so that nothing overflows.  As
+    ||V||_F^2 = N, sigma_min(U) is s |det V| for N = 1 and
+    s |det V| / sqrt(1 + sqrt(1 - |det V|^2)) for N = 2, so the gate
+    sigma_min > GAP_MIN is exact (NaN fails it).  A larger U takes ``inv``, and
+    the SVD runs only where sigma_min >= 1 / ||U^-1||_F does not clear GAP_MIN.
+    Where ``inv`` meets an exact zero pivot, or |det V| <= 4 eps (rounding
+    noise: its two products are at most 1 in modulus together), U is refused
+    even if the SVD puts sigma_min above GAP_MIN.
     """
-    if scalar_gram:
-        sigma = rms_singular(u)[:, None, None]
-        sv_min = float(np.min(sigma))
-        uinv = dagger(u) / sigma / sigma if sv_min > GAP_MIN else None
+    uinv = sv_min = None
+    if u.shape[-1] <= 2:
+        s = rms_singular(u)
+        r = 1.0 / np.maximum(s, np.finfo(float).tiny)  # V = 0 where U = 0
+        v = [u[:, i, j] * r for i, j in np.ndindex(u.shape[1:])]
+        det = v[0] if len(v) == 1 else v[0] * v[3] - v[1] * v[2]
+        m = np.abs(det)
+        sv = s * m if len(v) == 1 else s * m / np.sqrt(1.0 + np.sqrt(np.maximum(1 - m * m, 0)))
+        sv_min = float(np.min(sv))
+        if sv_min > GAP_MIN and np.min(m) > 4.0 * np.finfo(float).eps:
+            scale = 1.0 / (det * s)
+            if len(v) == 1:
+                return scale[:, None, None]
+            uinv = np.empty_like(u)
+            for (i, j), entry in zip(np.ndindex(2, 2), (v[3], -v[1], -v[2], v[0])):
+                np.multiply(entry, scale, out=uinv[:, i, j])
+            return uinv
     else:
         try:
             uinv = np.linalg.inv(u)
         except np.linalg.LinAlgError:
-            uinv = None
+            pass
         else:
             # An underflowing norm gives inf (right); an overflowing one 0 (the SVD decides).
             with np.errstate(over="ignore", divide="ignore"):
                 if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
                     return uinv
+    if sv_min is None or sv_min > GAP_MIN:  # the SVD decides, or names sigma_min
         sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
-    if uinv is None or sv_min <= GAP_MIN:
+    if uinv is None or not sv_min > GAP_MIN:
         raise GapClosedError(
             f"field is (nearly) singular on the grid: min singular value {sv_min}"
         )
@@ -353,8 +370,8 @@ def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0):
     (a :class:`GridRows` or a :class:`SphereGrid`) or, given ``center``, of the
     grid moved to |x - center| = ``radius``: nodes center + radius u and tangents
     radius du, so by the chain rule the integrand is that of the restricted
-    field.  A value or derivative that is not finite there (the model
-    overflows) is refused with ModelOverflowError, as the gap scan refuses one.
+    field.  LAPACK misreads values that are not finite, so those of a sector
+    larger than 2 x 2 are refused here, and :func:`_sectors_raw` refuses others.
 
     Every chunk is written into one :func:`_chunk_block` made for the call, so
     a chunk is valid until the next one is drawn, and the heap is not grown
@@ -368,23 +385,27 @@ def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0):
         rows = grid.rows(sl.start, sl.start + m, row_buffer)
         out = values[:m], derivs[:m]
         if center is None:
-            yield (rows, *field.evaluate_batch(rows.nodes, rows.dx_dparam, out))
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            h, d = field.evaluate_batch(rows.nodes, rows.dx_dparam, out)
+        else:
             h, d = field.evaluate_batch(center + radius * rows.nodes, radius * rows.dx_dparam, out)
-        if not (np.isfinite(h).all() and np.isfinite(d).all()):
-            raise ModelOverflowError(
-                f"field is not finite on the sphere of radius {radius} about "
-                f"{center.tolist()}; the model overflows there"
-            )
+        if field.size > 2 and not np.isfinite(h).all():
+            raise _overflow_error("field", center, radius)
         yield rows, h, d
+
+
+def _overflow_error(what: str, center, radius) -> ModelOverflowError:
+    where = (
+        "the unit sphere" if center is None
+        else f"the sphere of radius {radius} about {center.tolist()}"
+    )
+    return ModelOverflowError(f"{what} is not finite on {where}; the model overflows there")
 
 
 def _winding_raw(field: MatrixPolyField, grid, center=None, radius=1.0) -> float:
     arrange, matmul, trace3 = products(field.size)
     total = 0.0
     for rows, u, d in _chunk_fields(field, grid, center, radius):
-        uinv = _gated_inverse(u, field.scalar_gram)
+        uinv = _gated_inverse(u)
         if grid.dim == 1:
             log_deriv = np.einsum("mij,mji->m", uinv, d[:, 0], optimize=True)
             total += np.sum(rows.weights * log_deriv)
@@ -450,22 +471,41 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
     return float(total / (2.0 * np.pi))
 
 
-def _sectors_raw(raw_fn, field: MatrixPolyField, grid: GridRows) -> float:
-    """Sum of ``raw_fn(sector, grid)`` over the sectors of ``field``, from the
-    first raw rather than from 0, so that a one-sector field keeps the bits of
-    its raw (0 + -0.0 would be 0.0)."""
-    first, *rest = (raw_fn(sector, grid) for sector in field.sectors)
+def _sectors_raw(kernel, field: MatrixPolyField, grid: GridRows, center=None, radius=1.0) -> float:
+    """Sum of ``kernel(sector, grid, center, radius)`` over the sectors of
+    ``field``, from the first raw rather than from 0, so that a one-sector
+    field keeps the bits of its raw (0 + -0.0 would be 0.0).
+
+    Values that overflow on the sphere fail a gate or leave a raw that is not
+    finite, so only there is a sector checked for them (every chunk would cost
+    about 4% of a closed-form kernel) and refused with ModelOverflowError."""
+    raws = []
+    with np.errstate(over="ignore", invalid="ignore"):  # refused here instead
+        for sector in field.sectors:
+            try:
+                raw, error = kernel(sector, grid, center, radius), None
+            except GapClosedError as exc:
+                raw, error = np.nan, exc
+            if not np.isfinite(raw):
+                for _, h, d in _chunk_fields(sector, grid, center, radius):
+                    if not (np.isfinite(h).all() and np.isfinite(d).all()):
+                        raise _overflow_error("field", center, radius)
+                raise error or _overflow_error("charge integrand", center, radius)
+            raws.append(raw)
+    first, *rest = raws
     return sum(rest, first)
 
 
-def _assemble(raw_fn, field: MatrixPolyField, dim: int, resolution: int | None) -> ChargeResult:
-    """Charge of ``field`` from ``raw_fn(sector, grid)`` at the resolution and at
-    twice it.  The grids are the cached :class:`GridRows`, whose rows each
-    sector's kernel generates chunk by chunk."""
+def _assemble(kernel, field: MatrixPolyField, dim: int, resolution: int | None,
+              center=None, radius=1.0) -> ChargeResult:
+    """Charge of ``field`` from ``kernel(sector, grid, center, radius)`` at the
+    resolution and at twice it.  The grids are the cached :class:`GridRows`,
+    whose rows each sector's kernel generates chunk by chunk."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION[dim]
     raw_n, raw_2n = (
-        _sectors_raw(raw_fn, field, _grid_rows(dim, n)) for n in (resolution, 2 * resolution)
+        _sectors_raw(kernel, field, _grid_rows(dim, n), center, radius)
+        for n in (resolution, 2 * resolution)
     )
     charge = int(np.rint(raw_n))
     residual = abs(raw_n - charge)
@@ -487,9 +527,7 @@ def winding_1(
     on the circle |x - center| = ``radius``, where the field is evaluated on the
     moved grid."""
     center = _check_field(field, 1, center, radius)
-    return _assemble(
-        lambda sector, grid: _winding_raw(sector, grid, center, radius), field, 1, resolution
-    )
+    return _assemble(_winding_raw, field, 1, resolution, center, radius)
 
 
 def chern_2(
@@ -505,7 +543,8 @@ def chern_2(
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")
     return _assemble(
-        lambda sector, grid: _chern_raw(sector, fermi, grid, center, radius), field, 2, resolution
+        lambda sector, grid, center, radius: _chern_raw(sector, fermi, grid, center, radius),
+        field, 2, resolution, center, radius,
     )
 
 

@@ -204,26 +204,6 @@ class MatrixPolyField:
     def with_domain(self, domain: str) -> "MatrixPolyField":
         return replace(self, domain=domain)
 
-    # -- Clifford structure ---------------------------------------------------
-    # Tested once, on first use, from the coefficients over their own size:
-    # rescaling never changes a verdict, and a NaN or inf coefficient fails.
-
-    @cached_property
-    def scalar_gram(self) -> bool:
-        """Whether U(x)* U(x) = q(x) I for every x: M_a* M_b + M_b* M_a is a
-        multiple of I for every pair of coefficients.  Then U^-1 = U* / q, and
-        every singular value of U(x) is sqrt(q), q = ||U||_F^2 / N.
-
-        Each coefficient is judged over its own largest entry, so a pair is
-        held to the product of its own sizes: a large term whose pairs all
-        vanish, such as i c x_0 I beside Hermitian terms, must not loosen the
-        bound on the others."""
-        unit = _over_largest(self._coefficients())
-        return _pairs_scalar(dagger(unit), unit)
-
-    def _coefficients(self) -> np.ndarray:
-        return self._stacked.view(complex).reshape(-1, self.size, self.size)
-
     # -- decoupled sectors ----------------------------------------------------
 
     @cached_property
@@ -236,10 +216,9 @@ class MatrixPolyField:
 
         The field is unitarily a direct sum of these, so its spectrum and
         singular values are the union of theirs, and its charges the sum of
-        theirs.  Each sector is judged for ``scalar_gram`` on its own, and
-        the charge kernels and gap scan take the closed-form bands of a 2 x 2
-        sector."""
-        coupled = np.any(self._coefficients() != 0, axis=0)
+        theirs.  The charge kernels and the gap scan take exact closed forms on
+        the bands of a 2 x 2 sector and the inverse of a 1 x 1 or 2 x 2 one."""
+        coupled = np.any(self._stacked.reshape(-1, self.size, self.size, 2) != 0, axis=(0, 3))
         reach = coupled | coupled.T | np.eye(self.size, dtype=bool)
         # Each boolean square doubles the path length that reach covers.
         for _ in range((self.size - 1).bit_length()):
@@ -299,25 +278,6 @@ def _product(factors):
     factors = iter(factors)
     first = next(factors, None)
     return None if first is None else reduce(operator.mul, factors, first)
-
-
-def _over_largest(mats: np.ndarray) -> np.ndarray:
-    """Each matrix of a (T, N, N) stack over its largest entry magnitude, with
-    an all-zero matrix left as it is; inf gives NaN."""
-    largest = np.max(np.abs(mats), axis=(1, 2), keepdims=True) if mats.size else 1.0
-    with np.errstate(invalid="ignore"):  # inf / inf is NaN, which fails the tests
-        return mats / np.where(largest == 0.0, 1.0, largest)
-
-
-def _pairs_scalar(left: np.ndarray, right: np.ndarray) -> bool:
-    """Whether left[a] right[b] + left[b] right[a] lies within COEFFICIENT_TOL
-    of a multiple of I for every pair a, b of the (T, N, N) stacks; NaN fails."""
-    n = left.shape[-1]
-    prods = left[:, None] @ right[None]
-    sym = prods + prods.swapaxes(0, 1)
-    diag = np.arange(n)
-    sym[..., diag, diag] -= np.trace(sym, axis1=-2, axis2=-1)[..., None] / n
-    return bool(max_abs(sym) <= COEFFICIENT_TOL)
 
 
 @dataclass(frozen=True)

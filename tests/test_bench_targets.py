@@ -35,9 +35,9 @@ def test_every_traced_function_is_an_attribute_of_its_owner():
 
 
 def test_every_benchmark_field_splits_into_sectors_of_at_most_two_bands():
-    # The charge kernels and the gap scan take the closed-form bands on 2 x 2
-    # sectors and an eigensolver on larger ones; the benchmark's timings
-    # assume the former.
+    # The charge kernels and the gap scan take the closed-form bands and
+    # inverses on sectors of size <= 2, and eigh, eigvalsh and inv on larger
+    # ones; the benchmark's timings assume the former.
     workloads = load("workloads")
     fields = {}
     for workload in ("sphere_charge", "gap_map", "band_scan"):

@@ -19,6 +19,7 @@ from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, windin
 from kgen.errors import (
     DimensionMismatchError,
     GapClosedError,
+    ModelOverflowError,
     UnsupportedDimensionError,
 )
 from kgen.fields import SPHERE, MatrixPolyField
@@ -311,8 +312,9 @@ def test_winding_singular_constant_is_gap_closed(ambient, constant):
 
 
 def test_winding_exact_zero_pivot_is_gap_closed():
-    # sigma_min = 5.7e-8 clears GAP_MIN, but LU meets an exact zero pivot, so
-    # inv fails; the field is refused with the SVD's sigma_min.
+    # sigma_min = 5.7e-8 clears GAP_MIN, but det(U / s) = 2.8e-17 is rounding
+    # noise (LU meets an exact zero pivot there), so the closed form refuses
+    # the field as inv does, with the SVD's sigma_min.
     constant = [[3e9, 1e9], [1e9, (1e9 / 3e9) * 1e9]]
     with pytest.raises(GapClosedError, match="min singular value 5.6"):
         winding_1(MatrixPolyField(2, 2, {(0, 0): constant}, SPHERE))
@@ -341,31 +343,56 @@ def dense_unitary(n):
 
 
 def test_winding_svd_runs_only_where_the_frobenius_bound_fails(monkeypatch):
-    # dirac1 + 1.25 dirac1, mixed into one sector, has U*U = W* diag(1, 1.5625)
-    # W |x|^2, so it takes the general path.  Every singular value of the
-    # scaled field is at least 1.2e-8 > GAP_MIN, but the bound
-    # 1 / ||U^-1||_F = 1.2e-8 / sqrt(1.64) is not, so each of the two grids
+    # dirac1 + 1.25 dirac1 + 1.5 dirac1, mixed into one 3 x 3 sector, has
+    # U*U = W* diag(1, 1.5625, 2.25) W |x|^2, so it takes inv.  Every singular
+    # value of the scaled field is at least 1.2e-8 > GAP_MIN, but the bound
+    # 1 / ||U^-1||_F = 1.2e-8 / sqrt(2.08) is not, so each of the two grids
     # takes the SVD and the charge survives.  Unscaled fields never call the SVD.
     calls = counting(monkeypatch, "svd")
-    mixed = dirac1().direct_sum(scaled(dirac1(), 1.25)).conjugated_by(dense_unitary(2))
-    assert len(mixed.sectors) == 1 and not mixed.scalar_gram
+    mixed = dirac1().direct_sum(scaled(dirac1(), 1.25)).direct_sum(scaled(dirac1(), 1.5))
+    mixed = mixed.conjugated_by(dense_unitary(3))
+    assert [s.size for s in mixed.sectors] == [3]
     result = winding_1(scaled(mixed, 1.2e-8))
-    assert (result.charge, result.converged, len(calls)) == (2, True, 2)
+    assert (result.charge, result.converged, len(calls)) == (3, True, 2)
     calls.clear()
-    assert winding_1(mixed).charge == 2
+    assert winding_1(mixed).charge == 3
     assert winding_1(dirac1().direct_sum(dirac1())).charge == 2
     assert winding_3(dirac3(), resolution=16).converged
     assert len(calls) == 0
 
 
 def test_winding_closed_form_needs_no_svd_or_inv(monkeypatch):
-    # The doubled field has U*U = |x|^2 I, so sigma_min = 1.2e-8 exactly at
-    # this scale: no Frobenius bound to miss, and no inverse to form.
+    # Sectors of size 1 and 2 take the closed form, whose sigma_min is exact:
+    # at this scale sigma_min = 1.2e-8, with no Frobenius bound to miss and no
+    # inverse to form, whether U*U is a multiple of I (the doubled phase) or
+    # not (dirac1 + 1.25 dirac1 mixed into one 2 x 2 sector).
     calls = counting(monkeypatch, "svd", "inv")
     double = dirac1().direct_sum(dirac1())
-    assert double.scalar_gram
-    result = winding_1(scaled(double, 1.2e-8))
-    assert (result.charge, result.converged, calls) == (2, True, [])
+    mixed = dirac1().direct_sum(scaled(dirac1(), 1.25)).conjugated_by(dense_unitary(2))
+    assert [s.size for s in mixed.sectors] == [2]
+    for field in (double, mixed):
+        result = winding_1(scaled(field, 1.2e-8))
+        assert (result.charge, result.converged, calls) == (2, True, [])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_model_that_overflows_on_the_unit_sphere_is_refused_as_on_an_enclosure():
+    # Finite coefficients whose values overflow at some nodes of the unit
+    # sphere: a 1 x 1 phase and a 2 x 2 Hermitian field, both on closed forms.
+    # Their values fail a gate or leave the raw NaN; either way the model is
+    # refused as an overflowing one, as on the same sphere given as an enclosure.
+    s1, s3 = clifford.SIGMA_1, clifford.SIGMA_3
+    phase = MatrixPolyField(2, 1, {(1, 0): [[1.5e308 * (1 - 1j)]], (0, 1): [[1.5e308 * (1 + 1j)]]})
+    bands = MatrixPolyField(
+        3, 2, {(1, 0, 0): 1.5e308 * s3, (0, 1, 0): 1.5e308 * s3, (0, 0, 1): 1.5e308 * s1},
+        selfadjoint=True,
+    )
+    for fn, field in ((winding_1, phase), (chern_2, bands)):
+        with pytest.raises(ModelOverflowError, match="not finite on the unit sphere"):
+            fn(field)
+        origin = [0.0] * field.ambient_dim
+        with pytest.raises(ModelOverflowError, match=r"not finite on the sphere of radius 1.0"):
+            fn(field, center=origin, radius=1.0)
 
 
 @pytest.mark.parametrize("winding, ambient", [(winding_1, 2), (winding_3, 4)])
@@ -943,13 +970,13 @@ def copies(field, k, rng):
 def test_node_last_products_match_the_stacked_ones(monkeypatch, size):
     # PLANAR_MAX pinned to 0 sends every size through the stacked ``@`` path and
     # pinned to ``size`` through the node-last one, 6 x 6 included; the default
-    # sends 2 x 2 and 4 x 4 node-last and 6 x 6 stacked.  Of the Chern fields only
-    # the 2 x 2 one takes the closed form, whose integrand uses the products.
+    # sends 2 x 2 and 4 x 4 node-last and 6 x 6 stacked.  The 2 x 2 fields take
+    # the closed forms, whose integrands use the products, and larger ones inv
+    # and eigh.
     rng = np.random.default_rng(size)
     gram = copies(dirac3(), size // 2, rng)
     general = random_invertible_phase(rng, dirac3(), size)
     bands = copies(weyl2(), size // 2, rng)
-    assert gram.scalar_gram and not general.scalar_gram
     s2, s3 = sphere_grid(2, 8), sphere_grid(3, 6)
     raws = []
     for planar_max in (0, _linalg.PLANAR_MAX, size):

@@ -1,11 +1,13 @@
-"""Closed-form spectra against the general path.
+"""Closed-form spectra and inverses against the general path.
 
 A 2 x 2 Hermitian sector has the bands f0 +- s (Cayley-Hamilton), so its gaps
-and Berry curvature come from two traces per node; a field whose Gram matrix
-U*U is a multiple of I (``scalar_gram``) is inverted as U* / q.  The
-references are ``eigvalsh``, the projector-form ``reference_chern_raw`` of
-test_charge.py and, for the windings, the same field with its cached
-``scalar_gram`` overridden to False on every sector, which takes ``inv``.
+and Berry curvature come from two traces per node.  A 1 x 1 or 2 x 2 winding
+sector is inverted as adj(V) / (det V s) with V = U / s, and its smallest
+singular value follows from |det V|.  Both are exact at those sizes, so every
+such sector takes them, and larger ones take ``eigvalsh``, ``eigh`` and
+``inv``.  The references are ``eigvalsh``, ``inv`` and the SVD, and the
+projector-form ``reference_chern_raw`` and ``inv``-based winding kernels of
+test_charge.py.
 """
 
 import contextlib
@@ -65,14 +67,6 @@ def clifford_field(rng, gammas, m, scale, phase=False):
             terms[a] = terms.get(a, 0) + c * g
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return MatrixPolyField(m, n, terms, SPHERE, selfadjoint=not phase).conjugated_by(q)
-
-
-def general(field, flag):
-    """The same field with its cached ``flag`` forced to False on every sector."""
-    copy = dataclasses.replace(field)
-    for sector in copy.sectors:
-        sector.__dict__[flag] = False
-    return copy
 
 
 @contextlib.contextmanager
@@ -222,34 +216,102 @@ def test_chern_raws_match_the_general_path(seed, gammas, scale, doubled, fermi):
     assert_same(outcome(chern_2, field, fermi, resolution=4), reference)
 
 
+def reference_winding_outcome(field, grid):
+    """The ``inv``-based reference raw of test_charge.py, or GapClosedError
+    where the SVD puts a singular value at or below GAP_MIN."""
+    if np.linalg.svd(field.evaluate_batch(grid.nodes), compute_uv=False).min() <= charge.GAP_MIN:
+        return GapClosedError
+    if grid.dim == 1:
+        return oracles.reference_winding1_raw(field, grid)
+    return oracles.reference_winding3_raw(field, grid)
+
+
+def winding_reference(field, dim):
+    """(raw_n, raw_2n) of :func:`reference_winding_outcome` at resolution 4,
+    or GapClosedError."""
+    reference = tuple(reference_winding_outcome(field, sphere_grid(dim, n)) for n in (4, 8))
+    return GapClosedError if GapClosedError in reference else reference
+
+
 @settings(max_examples=25, deadline=None)
 @given(**cases, dim=st.sampled_from([1, 3]))
 def test_winding_raws_match_the_general_path(seed, gammas, scale, doubled, dim):
+    # Sectors of the Pauli and rep3 fields are 2 x 2 and take the closed form;
+    # those of rep5 are 4 x 4 and take inv.
     field = clifford_field(np.random.default_rng(seed), GAMMA_SETS[gammas], dim + 1, scale, True)
     if doubled:
         field = field.direct_sum(field)
-    assert field.scalar_gram
     winding = winding_1 if dim == 1 else winding_3
     with spying("inv") as calls:
-        reference = outcome(winding, general(field, "scalar_gram"), resolution=4)
-    assert calls
-    assert_same(outcome(winding, field, resolution=4), reference)
+        closed = outcome(winding, field, resolution=4)
+    assert bool(calls) == (gammas == "rep5")
+    assert_same(closed, winding_reference(field, dim))
+
+
+def small_phase(rng, base, size, scale):
+    """``base``, padded by I to ``size`` and mixed by a random unitary, plus a
+    random complex polynomial of degree <= 2 with sup norm <= ``scale`` on the
+    unit sphere: no Clifford structure, and sigma_min >= 1 - scale there."""
+    m = base.ambient_dim
+    if size > base.size:
+        pad = np.eye(size - base.size)
+        base = base.direct_sum(MatrixPolyField(m, size - base.size, {(0,) * m: pad}, SPHERE))
+    bump = {a: rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            for a in monomials(m)}
+    bound = sum(np.linalg.norm(b, 2) for b in bump.values())
+    bump = MatrixPolyField(m, size, {a: scale * b / bound for a, b in bump.items()}, SPHERE)
+    return base.conjugated_by(oracles.random_unitary(rng, size)).plus(bump)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim_size=st.sampled_from([(1, 1), (1, 2), (3, 2)]),
+    scale=st.sampled_from([0.3, 0.9]),
+    n=st.sampled_from([4, 5, 7]),
+)
+def test_small_phases_match_inv_the_svd_and_the_reference_kernels(seed, dim_size, scale, n):
+    dim, size = dim_size
+    rng = np.random.default_rng(seed)
+    field = small_phase(rng, generators.dirac_phase_field(dim, clifford.LEFT), size, scale)
+    assert [s.size for s in field.sectors] == [size]
+    grid = sphere_grid(dim, n)
+    u = field.evaluate_batch(grid.nodes)
+    with spying("inv", "svd") as calls:
+        uinv = charge._gated_inverse(u)
+        raw = charge._winding_raw(field, grid)
+    assert calls == []
+    reference = np.linalg.inv(u)
+    assert np.max(np.abs(uinv - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert abs(raw - reference_winding_outcome(field, grid)) <= 1e-12
+    # The gate sigma_min > GAP_MIN clears each node scaled to a sigma_min of
+    # GAP_MIN (1 + 1e-12) and refuses it at GAP_MIN (1 - 1e-12).
+    sv_min = np.linalg.svd(u, compute_uv=False)[:, -1]
+    for node, sv in zip(u, sv_min):
+        charge._gated_inverse(node[None] * (charge.GAP_MIN * (1 + 1e-12) / sv))
+        with pytest.raises(GapClosedError, match="min singular value"):
+            charge._gated_inverse(node[None] * (charge.GAP_MIN * (1 - 1e-12) / sv))
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), gammas=st.sampled_from(sorted(GAMMA_SETS)))
 def test_a_near_miss_takes_the_general_path(seed, gammas):
+    # Two Clifford fields whose sum misses the Clifford property by 1e-9, or
+    # by 1e-13, within the coefficient tolerance of earlier versions, mixed
+    # into one sector of at least 4 x 4.
     rng = np.random.default_rng(seed)
-    hermitian = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 3, 0.3), 1e-9)
-    phase = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 2, 0.3, True), 1e-9)
-    assert len(hermitian.sectors) == len(phase.sectors) == 1 and hermitian.size >= 4
-    assert not phase.scalar_gram
-    model = bandscan.BandModel.from_field(hermitian)
-    with spying("eigh", "eigvalsh", "inv") as calls:
-        bandscan._gap_batch(model, rng.uniform(-1.0, 1.0, (8, 3)))
-        outcome(chern_2, hermitian, resolution=4)
-        outcome(winding_1, phase, resolution=4)
-    assert {"eigh", "eigvalsh", "inv"} <= set(calls)
+    for rel in (1e-9, 1e-13):
+        hermitian = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 3, 0.3), rel)
+        phase = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 2, 0.3, True), rel)
+        assert len(hermitian.sectors) == len(phase.sectors) == 1
+        assert min(hermitian.size, phase.size) >= 4
+        model = bandscan.BandModel.from_field(hermitian)
+        with spying("eigh", "eigvalsh", "inv") as calls:
+            bandscan._gap_batch(model, rng.uniform(-1.0, 1.0, (8, 3)))
+            outcome(chern_2, hermitian, resolution=4)
+            winding = outcome(winding_1, phase, resolution=4)
+        assert {"eigh", "eigvalsh", "inv"} <= set(calls)
+        assert_same(winding, winding_reference(phase, 1))
 
 
 def test_a_four_band_field_gets_the_eigvalsh_gap_split_or_mixed():
@@ -280,40 +342,25 @@ def scaled(field, factor):
 
 
 def test_the_structure_survives_conjugation_reflection_and_equal_direct_sums():
+    # Each variant of the Dirac phase, and its sum with twice itself (whose
+    # Gram matrix is not scalar), splits into 2 x 2 sectors, which take the
+    # closed form with no inv or SVD and match the inv-based reference.
     rng = np.random.default_rng(5)
     dirac = generators.dirac_phase_field(3, clifford.LEFT)
     w = oracles.random_unitary(rng, 2)
-    for variant in (dirac, dirac.conjugated_by(w), dirac.reflect(0), dirac.direct_sum(dirac)):
-        assert variant.scalar_gram
-    # Unequal Gram matrices, a Gram matrix that is not scalar.
-    assert not dirac.direct_sum(scaled(dirac, 2.0)).scalar_gram
-    assert not MatrixPolyField(2, 2, {(0, 0): np.diag([1.0, 0.0])}).scalar_gram
-
-
-@pytest.mark.parametrize("factor", [1e-6, 1.0, 1e6])
-def test_the_verdict_does_not_depend_on_the_scale(factor):
-    dirac = generators.dirac_phase_field(3, clifford.LEFT)
-    assert scaled(dirac, factor).scalar_gram
-    assert not scaled(missed_by(dirac, 1e-9), factor).scalar_gram
+    for variant in (dirac, dirac.conjugated_by(w), dirac.reflect(0), dirac.direct_sum(dirac),
+                    dirac.direct_sum(scaled(dirac, 2.0))):
+        assert {s.size for s in variant.sectors} == {2}
+        with spying("inv", "svd") as calls:
+            closed = outcome(winding_3, variant, resolution=4)
+        assert calls == []
+        assert_same(closed, winding_reference(variant, 3))
 
 
 def offset(field, f0):
     """field + f0 I."""
     shift = {(0,) * field.ambient_dim: f0 * np.eye(field.size)}
     return field.plus(MatrixPolyField(field.ambient_dim, field.size, shift, SPHERE, True))
-
-
-def test_a_large_term_does_not_loosen_the_verdict():
-    # i c x0 I pairs to zero with each Hermitian term; the Gram test holds the
-    # others to their own sizes.
-    weyl = generators.weyl_field(2, clifford.LEFT)
-    blocks = []
-    for v in (1.0, 4.0):
-        terms = {(0,) + a: v * m for a, m in weyl.terms.items()}
-        terms[(1, 0, 0, 0)] = 1e7j * np.eye(2)
-        blocks.append(MatrixPolyField(4, 2, terms, SPHERE))
-    assert not blocks[0].direct_sum(blocks[1]).scalar_gram
-    assert blocks[0].direct_sum(blocks[0]).scalar_gram
 
 
 def test_an_offset_crossing_pulled_back_takes_the_general_path():
@@ -350,7 +397,7 @@ def test_closed_form_charges_do_not_overflow(factor):
         (chern_2, weyl.direct_sum(weyl)),
     ):
         big = scaled(field, factor)
-        assert fn is chern_2 or big.scalar_gram  # the Chern sectors are 2 x 2
+        assert max(s.size for s in big.sectors) <= 2  # closed forms throughout
         assert_same(outcome(fn, big, resolution=8), outcome(fn, field, resolution=8))
     assert winding_1(scaled(dirac1.direct_sum(dirac1), factor)).charge == 2
 
@@ -360,11 +407,17 @@ def test_closed_form_charges_do_not_overflow(factor):
 def test_general_path_gate_does_not_overflow(winding, d, resolution):
     # The bound 1 / ||U^-1||_F squares the entries of U^-1: at scale 1e200 they
     # underflow (the bound is inf, and right), at 1e-200 they overflow (the
-    # bound is 0, and the SVD refuses the field).  Neither may warn.
+    # bound is 0, and the SVD refuses the field).  Neither may warn.  Copies of
+    # the Dirac phase at velocities 1, 2, ..., mixed into one sector larger
+    # than 2 x 2, take inv.
     dirac = generators.dirac_phase_field(d, clifford.LEFT)
-    double = dirac.direct_sum(dirac)
-    big, small = (general(scaled(double, f), "scalar_gram") for f in (1e200, 1e-200))
-    assert winding(big, resolution=resolution).charge == 2
+    copies = dirac
+    while copies.size <= 2:
+        copies = copies.direct_sum(scaled(dirac, copies.size // dirac.size + 1))
+    copies = copies.conjugated_by(dense_unitary(copies.size))
+    assert len(copies.sectors) == 1
+    big, small = (scaled(copies, f) for f in (1e200, 1e-200))
+    assert winding(big, resolution=resolution).charge == copies.size // dirac.size
     with pytest.raises(GapClosedError, match="min singular value"):
         winding(small, resolution=resolution)
 
@@ -387,7 +440,6 @@ def test_gap_gates_run_on_the_closed_form_path():
     with pytest.raises(GapClosedError, match=r"number of bands below fermi varies .*\(1 to 2\)"):
         chern_2(weyl_shifted(), fermi=0.5, resolution=64)
     zero = MatrixPolyField(2, 2, {(0, 0): np.zeros((2, 2))}, SPHERE)
-    assert zero.scalar_gram
     with pytest.raises(GapClosedError, match="min singular value 0.0"):
         winding_1(zero)
 
@@ -399,13 +451,11 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
     phase = generators.dirac_phase_field(1, clifford.LEFT).plus(
         MatrixPolyField(2, 1, {(0, 0): [[np.nan]]}, SPHERE)
     )
-    assert not phase.scalar_gram
     # The charges refuse such coefficients up front; the kernels, given their
     # NaN values, refuse them at the closed-form gates before any division.
     for fn, field in ((chern_2, hermitian), (winding_1, phase)):
         with pytest.raises(ValueError, match="field coefficients must be finite"):
             fn(field, resolution=8)
-    phase.__dict__["scalar_gram"] = True
     with pytest.raises(GapClosedError, match=r"min \|eig - fermi\| = nan"):
         charge._chern_raw(hermitian, 0.0, sphere_grid(2, 8))
     with pytest.raises(GapClosedError, match="min singular value nan"):
