@@ -115,25 +115,6 @@ class SphereGrid:
     weights: np.ndarray  # (M,)
     dx_dparam: np.ndarray  # (M, dim, dim + 1)
 
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-    def rows(self, start: int, stop: int, out: SphereGrid | None = None) -> SphereGrid:
-        """Rows ``start:stop``, copied into the leading rows of ``out`` (into
-        fresh arrays when it is None)."""
-        grid = _leading_rows(self.dim, stop - start, out)
-        for name in ("nodes", "weights", "dx_dparam"):
-            getattr(grid, name)[...] = getattr(self, name)[start:stop]
-        return grid
-
-
-def _leading_rows(dim: int, k: int, out: SphereGrid | None) -> SphereGrid:
-    """The first ``k`` rows of ``out``, views, or k rows of fresh arrays."""
-    if out is None:
-        return SphereGrid(dim, np.empty((k, dim + 1)), np.empty(k), np.empty((k, dim, dim + 1)))
-    return SphereGrid(dim, out.nodes[:k], out.weights[:k], out.dx_dparam[:k])
-
 
 @dataclass(frozen=True)
 class ChargeResult:
@@ -186,11 +167,12 @@ class GridRows:
     each of its ``size`` rows is made from.
 
     Row r of S^1 is the angle 2 pi r / n.  On S^2 and S^3, row r is polar node
-    p and inner row q, (p, q) = divmod(r, inner.size), and each entry is one
-    product of a factor of p (``sin``, ``cos``, ``psi_weights``) and an entry
-    of q, as in :func:`sphere_grid`.  Every operation is elementwise, so any
-    run of rows is generated with the bits of the whole grid, and the kernels
-    take the grid one chunk of rows at a time and never hold it whole.
+    p and inner row q, (p, q) = divmod(r, m) over the m rows of ``inner``, and
+    each entry is one product of a factor of p (``sin``, ``cos``,
+    ``psi_weights``) and an entry of q, as in :func:`sphere_grid`.  Every
+    operation is elementwise, so any run of rows is generated with the bits of
+    the whole grid, and the kernels take the grid one chunk of rows at a time
+    and never hold it whole.
     """
 
     dim: int
@@ -203,8 +185,12 @@ class GridRows:
     def rows(self, start: int, stop: int, out: SphereGrid | None = None) -> SphereGrid:
         """Rows ``start:stop``, generated into the leading rows of ``out`` (into
         fresh arrays when it is None)."""
-        grid = _leading_rows(self.dim, stop - start, out)
-        if self.dim == 1:
+        k, d = stop - start, self.dim
+        if out is None:
+            grid = SphereGrid(d, np.empty((k, d + 1)), np.empty(k), np.empty((k, d, d + 1)))
+        else:
+            grid = SphereGrid(d, out.nodes[:k], out.weights[:k], out.dx_dparam[:k])
+        if d == 1:
             theta = 2.0 * np.pi * np.arange(start, stop) / self.size
             np.cos(theta, out=grid.nodes[:, 0])
             np.sin(theta, out=grid.nodes[:, 1])
@@ -214,7 +200,7 @@ class GridRows:
             return grid
         # At most three runs: the rest of one psi block, whole blocks, and the
         # start of another, each written through a (blocks, rows, ...) view.
-        m_in = self.inner.size
+        m_in = len(self.inner.weights)
         r = start
         while r < stop:
             p, q = divmod(r, m_in)
@@ -259,7 +245,8 @@ def _build_grid_rows(dim: int, n: int) -> GridRows:
     if dim == 1:
         return GridRows(1, n)
     inner = _build_grid_rows(1, 2 * n) if dim == 2 else _build_grid_rows(2, n)
-    inner = inner.rows(0, inner.size)
+    m_in = inner.size
+    inner = inner.rows(0, m_in)
     x, w = np.polynomial.legendre.leggauss(n)
     if dim == 2:
         psi = np.arccos(x)
@@ -267,7 +254,7 @@ def _build_grid_rows(dim: int, n: int) -> GridRows:
     else:
         psi = 0.5 * np.pi * (x + 1.0)
         w_psi = 0.5 * np.pi * w
-    rows = GridRows(dim, n * inner.size, inner, np.sin(psi), np.cos(psi), w_psi)
+    rows = GridRows(dim, n * m_in, inner, np.sin(psi), np.cos(psi), w_psi)
     for a in (inner.nodes, inner.weights, inner.dx_dparam, rows.sin, rows.cos, w_psi):
         a.setflags(write=False)  # the cache shares them with every caller
     return rows
@@ -366,8 +353,8 @@ def _chunk_block(dim: int, n: int, m: int):
 
 
 def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0):
-    """``(rows, values, derivatives)`` of ``field`` on each row chunk of ``grid``
-    (a :class:`GridRows` or a :class:`SphereGrid`) or, given ``center``, of the
+    """``(rows, values, derivatives)`` of ``field`` on each row chunk of the
+    :class:`GridRows` ``grid`` or, given ``center``, of the
     grid moved to |x - center| = ``radius``: nodes center + radius u and tangents
     radius du, so by the chain rule the integrand is that of the restricted
     field.  LAPACK misreads values that are not finite, so those of a sector

@@ -825,9 +825,8 @@ def random_invertible_phase(rng, base, size):
 )
 def test_chern_kernel_matches_projector_form(seed, size, fermi, n):
     field = random_gapped_weyl(np.random.default_rng(seed), size)
-    grid = sphere_grid(2, n)
-    new = charge._chern_raw(field, fermi, grid)
-    assert abs(new - reference_chern_raw(field, fermi, grid)) <= 1e-12
+    new = charge._chern_raw(field, fermi, charge._grid_rows(2, n))
+    assert abs(new - reference_chern_raw(field, fermi, sphere_grid(2, n))) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -838,9 +837,8 @@ def test_chern_kernel_matches_projector_form(seed, size, fermi, n):
 )
 def test_winding3_kernel_matches_two_einsum_form(seed, size, n):
     field = random_invertible_phase(np.random.default_rng(seed), dirac3(), size)
-    grid = sphere_grid(3, n)
-    new = charge._winding_raw(field, grid)
-    assert abs(new - reference_winding3_raw(field, grid)) <= 1e-12
+    new = charge._winding_raw(field, charge._grid_rows(3, n))
+    assert abs(new - reference_winding3_raw(field, sphere_grid(3, n))) <= 1e-12
 
 
 def reference_winding1_raw(field, grid):
@@ -861,13 +859,14 @@ def test_chunked_kernels_match_single_batch_forms(seed, size, n):
     s2 = random_gapped_weyl(rng, size + 1)
     s3 = random_invertible_phase(rng, dirac3(), size + 1)
     fermi = float(rng.uniform(-0.4, 0.4))
+    rows = {dim: charge._grid_rows(dim, n) for dim in (1, 2, 3)}
     grids = {dim: sphere_grid(dim, n) for dim in (1, 2, 3)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_linalg, "CHUNK", 7)
         raws = (
-            charge._winding_raw(s1, grids[1]),
-            charge._chern_raw(s2, fermi, grids[2]),
-            charge._winding_raw(s3, grids[3]),
+            charge._winding_raw(s1, rows[1]),
+            charge._chern_raw(s2, fermi, rows[2]),
+            charge._winding_raw(s3, rows[3]),
         )
     refs = (
         reference_winding1_raw(s1, grids[1]),
@@ -889,7 +888,7 @@ def test_chunked_chern_sees_band_count_change_in_a_later_chunk(monkeypatch):
     counts = np.count_nonzero(np.linalg.eigvalsh(field.evaluate_batch(grid.nodes)) < 0.5, axis=1)
     assert np.array_equal(counts, np.repeat([2, 2, 1, 0], 8))
     with pytest.raises(GapClosedError, match=r"number of bands below fermi varies .*\(1 to 2\)"):
-        charge._chern_raw(field, 0.5, grid)
+        charge._chern_raw(field, 0.5, charge._grid_rows(2, 4))
 
 
 def test_kernel_memory_bounded_by_the_chunk():
@@ -902,10 +901,11 @@ def test_kernel_memory_bounded_by_the_chunk():
     try:
         grid = sphere_grid(3, 48)
         grid_peak = tracemalloc.get_traced_memory()[1]
+        rows = charge._grid_rows(3, 48)
         for field in fields:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            charge._winding_raw(field, grid)
+            charge._winding_raw(field, rows)
             kernel_peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
@@ -939,23 +939,27 @@ def test_charge_memory_does_not_grow_with_the_resolution():
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 5, 7]))
-def test_kernels_on_generated_rows_keep_the_bits_of_the_whole_grid(seed, n):
-    # Seven-row chunks split the psi blocks; each raw is that of sphere_grid.
+def test_kernels_on_generated_rows_match_the_reference_kernels(seed, n):
+    # Seven-row chunks split the psi blocks, on the unit sphere and on an
+    # enclosing one, whose reference is the pulled-back field's.
     rng = np.random.default_rng(seed)
     s1, s3 = (random_invertible_phase(rng, base, 2) for base in (dirac1(), dirac3()))
     s2 = random_gapped_weyl(rng, 3)
     fermi = float(rng.uniform(-0.4, 0.4))
-    kernels = [
-        (1, lambda grid: charge._winding_raw(s1, grid)),
-        (2, lambda grid: charge._chern_raw(s2, fermi, grid)),
-        (2, lambda grid: charge._chern_raw(s2, fermi, grid, np.array([0.05, -0.1, 0.02]), 1.1)),
-        (3, lambda grid: charge._winding_raw(s3, grid)),
+    center, radius = np.array([0.05, -0.1, 0.02]), 1.1
+    s1_grid, s2_grid, s3_grid = (sphere_grid(dim, n) for dim in (1, 2, 3))
+    cases = [
+        (1, lambda rows: charge._winding_raw(s1, rows), reference_winding1_raw(s1, s1_grid)),
+        (2, lambda rows: charge._chern_raw(s2, fermi, rows),
+         reference_chern_raw(s2, fermi, s2_grid)),
+        (2, lambda rows: charge._chern_raw(s2, fermi, rows, center, radius),
+         reference_chern_raw(s2.affine_pullback(center, radius), fermi, s2_grid)),
+        (3, lambda rows: charge._winding_raw(s3, rows), reference_winding3_raw(s3, s3_grid)),
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_linalg, "CHUNK", 7)
-        for dim, kernel in kernels:
-            whole = kernel(sphere_grid(dim, n))
-            assert repr(kernel(charge._grid_rows(dim, n))) == repr(whole)
+        for dim, kernel, reference in cases:
+            assert abs(kernel(charge._grid_rows(dim, n)) - reference) <= 1e-12
 
 
 def copies(field, k, rng):
@@ -977,7 +981,7 @@ def test_node_last_products_match_the_stacked_ones(monkeypatch, size):
     gram = copies(dirac3(), size // 2, rng)
     general = random_invertible_phase(rng, dirac3(), size)
     bands = copies(weyl2(), size // 2, rng)
-    s2, s3 = sphere_grid(2, 8), sphere_grid(3, 6)
+    s2, s3 = charge._grid_rows(2, 8), charge._grid_rows(3, 6)
     raws = []
     for planar_max in (0, _linalg.PLANAR_MAX, size):
         monkeypatch.setattr(_linalg, "PLANAR_MAX", planar_max)
@@ -1083,8 +1087,8 @@ def test_a_one_sector_field_keeps_the_bits_of_its_kernels(kind):
     assert len(field.sectors) == 1 and field.sectors[0] is field
     dim = field.ambient_dim - 1
     if fn is chern_2:
-        raws = [charge._chern_raw(field, 0.0, sphere_grid(dim, n)) for n in (8, 16)]
+        raws = [charge._chern_raw(field, 0.0, charge._grid_rows(dim, n)) for n in (8, 16)]
     else:
-        raws = [charge._winding_raw(field, sphere_grid(dim, n)) for n in (8, 16)]
+        raws = [charge._winding_raw(field, charge._grid_rows(dim, n)) for n in (8, 16)]
     pair = fn(field, resolution=8).convergence_pair
     assert list(map(repr, pair)) == list(map(repr, raws))

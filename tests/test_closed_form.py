@@ -195,10 +195,11 @@ def test_two_band_polynomials_match_the_references(seed, scale, fermi, n):
     vals = np.linalg.eigvalsh(field.evaluate_batch(points))
     reference = np.min(np.abs(vals - fermi), axis=1)
     scale_at = np.max(np.abs(vals), axis=1) + abs(fermi)
-    grid = sphere_grid(2, n)  # its Gauss-Legendre nodes come from eigvalsh
+    # Gauss-Legendre nodes come from eigvalsh, so both grids are built first.
+    grid, rows = sphere_grid(2, n), charge._grid_rows(2, n)
     with spying("eigh", "eigvalsh") as calls:
         gaps = bandscan._gap_batch(model, points)
-        raw = raw_outcome(field, fermi, grid)
+        raw = raw_outcome(field, fermi, rows)
     assert calls == []
     assert np.all(np.abs(gaps - reference) <= 1e-12 * scale_at)
     assert_same(raw, reference_outcome(field, fermi, grid))
@@ -279,7 +280,7 @@ def test_small_phases_match_inv_the_svd_and_the_reference_kernels(seed, dim_size
     u = field.evaluate_batch(grid.nodes)
     with spying("inv", "svd") as calls:
         uinv = charge._gated_inverse(u)
-        raw = charge._winding_raw(field, grid)
+        raw = charge._winding_raw(field, charge._grid_rows(dim, n))
     assert calls == []
     reference = np.linalg.inv(u)
     assert np.max(np.abs(uinv - reference)) <= 1e-12 * np.max(np.abs(reference))
@@ -457,9 +458,9 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
         with pytest.raises(ValueError, match="field coefficients must be finite"):
             fn(field, resolution=8)
     with pytest.raises(GapClosedError, match=r"min \|eig - fermi\| = nan"):
-        charge._chern_raw(hermitian, 0.0, sphere_grid(2, 8))
+        charge._chern_raw(hermitian, 0.0, charge._grid_rows(2, 8))
     with pytest.raises(GapClosedError, match="min singular value nan"):
-        charge._winding_raw(phase, sphere_grid(1, 8))
+        charge._winding_raw(phase, charge._grid_rows(1, 8))
     # A NaN point, on a 2 x 2 sector and on a 4 x 4 one.
     weyl = generators.weyl_field(2, clifford.LEFT)
     for field in (weyl, weyl.direct_sum(weyl).conjugated_by(dense_unitary(4))):
