@@ -42,14 +42,15 @@ def rms_singular(a: np.ndarray) -> np.ndarray:
     """||a||_F / sqrt(N) for each matrix of a C-contiguous complex (M, N, N)
     stack: the root mean square of its singular values, and each of them
     where they are all equal.  The squares overflow from entries of about
-    1e154 on; there ``hypot`` takes the norm, so the result stays finite
-    wherever the entries are."""
+    1e154 on, and ||a||_F itself from about 1.3e308; there ``hypot`` takes
+    the norm of the entries divided by sqrt(N), so the result is finite
+    wherever it is representable."""
     n = a.shape[-1]
     flat = a.reshape(len(a), -1).view(float)
     rms = np.sqrt(np.einsum("mi,mi->m", flat, flat) / n)
     big = np.isinf(rms)
     if big.any():
-        rms[big] = np.hypot.reduce(flat[big], axis=1) / np.sqrt(n)
+        rms[big] = np.hypot.reduce(flat[big] / np.sqrt(n), axis=1)
     return rms
 
 

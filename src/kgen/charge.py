@@ -36,12 +36,13 @@ even where the total count does not vary (the gap of that sector closes).
 
 The kernels walk the grid in fixed-size chunks of rows, generating,
 evaluating, inverting or diagonalizing and integrating one chunk at a time
-into a running sum.  They never hold a grid whole: a ``GridRows``, cached per
-(dim, n), keeps only the polar angles' sines, cosines and weights and the
-grid one dimension down (at most 2 n^2 rows, the S^2 inside S^3), and each
-chunk's rows are products of the two, written into one block per kernel call
-together with the field's values and derivatives there.  So their memory does
-not grow with the resolution.  An enclosing sphere |x - c| = r is
+into a running sum.  They take a grid only as a ``GridRows`` and never hold
+it whole: cached per (dim, n), it keeps only the polar angles' sines, cosines
+and weights and the grid one dimension down (at most 2 n^2 rows, the S^2
+inside S^3), and each chunk's rows are products of the two, written into one
+block per kernel call together with the field's values and derivatives
+there.  So their memory does not grow with the resolution; ``sphere_grid``
+gives callers the same rows whole.  An enclosing sphere |x - c| = r is
 the same grid moved chunk by chunk, to nodes c + r u with tangents r du.
 ``chern_2`` and ``winding_1`` take it as ``center, radius``, which
 ``_check_field`` alone checks: a finite center in the ambient dimension, a
@@ -64,8 +65,9 @@ A 1 x 1 or 2 x 2 winding sector, the odd generators among them, has
 U^-1 = adj(V) / (det V s) with s = ||U||_F / sqrt(N) and V = U / s
 (``_gated_inverse``).  Both closed forms divide by s before they multiply, so
 they stay finite wherever the field's entries are.  Every larger sector takes
-the general path: ``eigh`` for the Chern integrand, and ``inv`` for the
-windings, whose invertibility is certified from that inverse via
+the general path: ``eigh`` of h / s for the Chern integrand, with s =
+||h||_F / sqrt(N), so that no band difference overflows either, and ``inv``
+for the windings, whose invertibility is certified from that inverse via
 sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs only on a chunk where that bound
 is <= GAP_MIN.  Both paths apply the same gates, each before any division.
 A model that overflows on its sphere is refused (``_sectors_raw``).
@@ -292,8 +294,9 @@ def _check_field(field: MatrixPolyField, dim: int, center=None, radius=1.0):
 def _gated_inverse(u: np.ndarray) -> np.ndarray:
     """Inverses of a stack of matrices, refused where one is (nearly) singular.
 
-    A 1 x 1 or 2 x 2 U has U^-1 = adj(V) / (det V s), with s = ``rms_singular(U)``
-    and V = U / s formed entry by entry, so that nothing overflows.  As
+    A 1 x 1 or 2 x 2 U has U^-1 = adj(V) (1 / s) / det V, with s =
+    ``rms_singular(U)`` and V = U / s formed entry by entry, so that nothing
+    overflows (det V s can, near float max).  As
     ||V||_F^2 = N, sigma_min(U) is s |det V| for N = 1 and
     s |det V| / sqrt(1 + sqrt(1 - |det V|^2)) for N = 2, so the gate
     sigma_min > GAP_MIN is exact (NaN fails it).  A larger U takes ``inv``, and
@@ -312,7 +315,7 @@ def _gated_inverse(u: np.ndarray) -> np.ndarray:
         sv = s * m if len(v) == 1 else s * m / np.sqrt(1.0 + np.sqrt(np.maximum(1 - m * m, 0)))
         sv_min = float(np.min(sv))
         if sv_min > GAP_MIN and np.min(m) > 4.0 * np.finfo(float).eps:
-            scale = 1.0 / (det * s)
+            scale = r / det
             if len(v) == 1:
                 return scale[:, None, None]
             uinv = np.empty_like(u)
@@ -418,7 +421,12 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
             f0, a, s = scalar_split(h)
             vals = np.stack([f0 - s, f0 + s], axis=1)
         else:
-            vals, vecs = np.linalg.eigh(h)
+            # eigh takes h / s, s = rms_singular(h) floored at tiny (h = 0 stays
+            # 0), and E = s lam: no difference E_o - E_u below overflows.
+            s = np.maximum(rms_singular(h), np.finfo(float).tiny)
+            h /= s[:, None, None]
+            lam, vecs = np.linalg.eigh(h)
+            vals = s[:, None] * lam
         gap = float(np.min(np.abs(vals - fermi)))
         if not gap > GAP_MIN:  # NaN fails it too
             raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
@@ -449,9 +457,11 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
             integrand = -trace3(arrange(a), d0, d1).imag / 4.0
         else:
             # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
-            # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u.
+            # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u,
+            # each taken as <o| d_a h / s |u> / (lam_o - lam_u).
+            d /= s[:, None, None, None]
             occ_h = vecs[:, :, :n_occ].conj().transpose(0, 2, 1)
-            denom = vals[:, :n_occ, None] - vals[:, None, n_occ:]
+            denom = lam[:, :n_occ, None] - lam[:, None, n_occ:]
             k0, k1 = (occ_h @ d[:, a] @ vecs[:, :, n_occ:] / denom for a in (0, 1))
             integrand = 2.0 * np.sum(k0 * k1.conj(), axis=(1, 2)).imag
         total += np.sum(rows.weights * integrand)

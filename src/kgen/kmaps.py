@@ -41,8 +41,10 @@ IDENTITY_TOL = 1e-10
 # conditioning loss of sqrt(1 - ||y||^2) at the boundary.
 BALL_CUTOFF = 0.999
 
-# Invertibility threshold for the deformation scan.
+# Invertibility threshold for the deformation scan, and its number of
+# equispaced t-values in [0, 1].
 HOMOTOPY_SV_MIN = 1e-3
+HOMOTOPY_T_POINTS = 11
 
 # Interior points on which a lift's admissibility is checked (half as many
 # boundary points are added).
@@ -197,8 +199,9 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     return func_of_hermitian(b, f)
 
 
-def homotopy_scan(d: int = 2, t_points: int = 11, samples: int = 500, seed: int = 0) -> dict:
-    """Minimum singular value of the deformation over a (t, y) grid.
+def homotopy_scan(d: int = 2, samples: int = 500, seed: int = 0) -> dict:
+    """Minimum singular value of the deformation over the grid of
+    HOMOTOPY_T_POINTS t-values and ``samples`` points y.
 
     Uses the Weyl contraction lift in d+1 ball variables.  PASS means the
     smallest singular value over the whole grid stays above 1e-3, i.e. the
@@ -206,16 +209,13 @@ def homotopy_scan(d: int = 2, t_points: int = 11, samples: int = 500, seed: int 
     """
     if d % 2 != 0:
         raise ValueError(f"the scanned lift requires even d, got {d}")
-    if t_points < 1:
-        raise ValueError(f"t_points must be >= 1, got {t_points}")
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
     rng = np.random.default_rng(seed)
     points = ball_points(d + 1, samples, rng)
-    ts = np.linspace(0.0, 1.0, t_points)
     min_sv = np.inf
-    for t in ts:
+    for t in np.linspace(0.0, 1.0, HOMOTOPY_T_POINTS):
         for y in points:
             sv = np.linalg.svd(homotopy_at(lift, float(t), y), compute_uv=False)[-1]
             min_sv = min(min_sv, float(sv))
@@ -225,7 +225,7 @@ def homotopy_scan(d: int = 2, t_points: int = 11, samples: int = 500, seed: int 
         samples,
         max(0.0, HOMOTOPY_SV_MIN - min_sv),
         min_sv > HOMOTOPY_SV_MIN,
-        t_points=int(t_points),
+        t_points=HOMOTOPY_T_POINTS,
         min_singular_value=float(min_sv),
         threshold=HOMOTOPY_SV_MIN,
         seed=int(seed),

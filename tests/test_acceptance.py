@@ -108,8 +108,12 @@ def test_criterion_3_exp_identity(tmp_path):
 
 
 def test_criterion_4_homotopy_invertible():
-    scan_report = kmaps.homotopy_scan(d=2, t_points=11, samples=500, seed=0)
-    passed = scan_report["pass"] and scan_report["min_singular_value"] > 1e-3
+    scan_report = kmaps.homotopy_scan(d=2, samples=500, seed=0)
+    passed = (
+        scan_report["pass"]
+        and scan_report["min_singular_value"] > 1e-3
+        and (scan_report["t_points"], scan_report["samples"]) == (11, 500)
+    )
     report(4, "deformation invertible over 11 x 500 grid", bool(passed),
            f"min singular value {scan_report['min_singular_value']:.4f}")
 

@@ -395,6 +395,48 @@ def test_a_model_that_overflows_on_the_unit_sphere_is_refused_as_on_an_enclosure
             fn(field, center=origin, radius=1.0)
 
 
+def test_a_zero_pivot_in_inv_is_gap_closed(monkeypatch):
+    # (x0 - 1) A + x1 B, for dense random 3 x 3 A and B, is one 3 x 3 sector,
+    # so it takes inv, and it is exactly 0 at the grid node (1, 0): inv raises
+    # LinAlgError on that chunk, and the SVD names sigma_min.
+    rng = np.random.default_rng(0)
+    a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    field = MatrixPolyField(2, 3, {(0, 0): -a, (1, 0): a, (0, 1): b}, SPHERE)
+    assert [s.size for s in field.sectors] == [3]
+    raised, inv = [], np.linalg.inv
+
+    def spied_inv(u):
+        try:
+            return inv(u)
+        except np.linalg.LinAlgError:
+            raised.append(len(u))
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", spied_inv)
+    with pytest.raises(GapClosedError, match="min singular value 0.0"):
+        winding_1(field)
+    assert len(raised) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_values_of_a_large_sector_never_reach_lapack(monkeypatch):
+    # 1.5e308 (1 + x0^2 + x1^2 + x2^2) A, with A = F diag(1, 2, 3) F* scaled to
+    # a largest entry of 1 (F the 3 x 3 Fourier matrix), has finite
+    # coefficients and one 3 x 3 sector, whose values overflow at every node
+    # of the unit sphere.  They are refused chunk by chunk before eigh, which
+    # misreads values that are not finite.
+    f = dense_unitary(3)
+    a = f @ np.diag([1.0, 2.0, 3.0]) @ f.conj().T
+    a *= 1.5e308 / np.max(np.abs(a))
+    terms = {alpha: a for alpha in ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))}
+    field = MatrixPolyField(3, 3, terms, SPHERE, selfadjoint=True)
+    assert [s.size for s in field.sectors] == [3]
+    calls = counting(monkeypatch, "eigh")
+    with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
+        chern_2(field)
+    assert calls == []
+
+
 @pytest.mark.parametrize("winding, ambient", [(winding_1, 2), (winding_3, 4)])
 def test_winding_nan_field_raises(winding, ambient):
     # Refused before any node is evaluated, whichever path the sector takes.

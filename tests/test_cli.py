@@ -181,6 +181,24 @@ def test_charge_command_weyl(weyl_path):
     assert set(payload) == {"raw", "charge", "residual", "resolution", "converged"}
 
 
+def test_charge_command_near_float_max(weyl_path, tmp_path, capsys):
+    # 1.5e308 times the Weyl model: ||h||_F overflows on the unit sphere, but
+    # its gap, ||h||_F / sqrt(2) = 1.5e308 |x|, does not, nor does the charge.
+    weyl = bandscan.load_model(weyl_path).field
+    big = dataclasses.replace(weyl, terms={a: 1.5e308 * m for a, m in weyl.terms.items()})
+    model = bandscan.BandModel.from_field(big)
+    assert abs(bandscan.gap_at(model, [0.6, 0.0, 0.8]) - 1.5e308) <= 1e-15 * 1.5e308
+    path = str(tmp_path / "big.json")
+    bandscan.save_model(model, path)
+    payloads = []
+    for model_path in (weyl_path, path):
+        assert main(["charge", model_path, "--center", "0", "0", "0", "--radius", "1"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert abs(payloads[0]["charge"]) == 1
+    assert [p["charge"] for p in payloads] == [payloads[0]["charge"]] * 2
+    assert payloads[1]["converged"] is True
+
+
 def test_charge_command_gapped_is_zero(tmp_path):
     # Bands pushed above the Fermi level: empty projection, charge 0.
     terms = {

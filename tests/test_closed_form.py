@@ -385,10 +385,11 @@ def test_an_offset_crossing_pulled_back_takes_the_general_path():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("factor", [1e103, 1e160, 1e300])
+@pytest.mark.parametrize("factor", [1e103, 1e160, 1e300, 1.3e308, 1.7e308])
 def test_closed_form_charges_do_not_overflow(factor):
     # ||U||_F^2, s^3 and the triple trace overflow from entries of about
-    # 1e103 or 1e154 on; each closed form divides before it multiplies.
+    # 1e103 or 1e154 on; each closed form divides before it multiplies.  From
+    # 1.3e308 on, ||U||_F and det V s overflow too, though s does not.
     dirac1 = generators.dirac_phase_field(1, clifford.LEFT)
     dirac3 = generators.dirac_phase_field(3, clifford.LEFT)
     weyl = generators.weyl_field(2, clifford.LEFT)
@@ -421,6 +422,35 @@ def test_general_path_gate_does_not_overflow(winding, d, resolution):
     assert winding(big, resolution=resolution).charge == copies.size // dirac.size
     with pytest.raises(GapClosedError, match="min singular value"):
         winding(small, resolution=resolution)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_general_chern_path_does_not_overflow():
+    # Weyl beside twice itself, mixed by the 4 x 4 Fourier matrix into one
+    # sector, takes eigh.  Scaled by 5e307 its values are finite (the largest
+    # coefficient is 7.5e307), but a band difference E_o - E_u reaches 2e308.
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    mixed = weyl.direct_sum(scaled(weyl, 2.0)).conjugated_by(dense_unitary(4))
+    assert [s.size for s in mixed.sectors] == [4]
+    big = scaled(mixed, 5e307)
+    assert_same(outcome(chern_2, big, resolution=8), outcome(chern_2, mixed, resolution=8))
+    result = chern_2(big)
+    assert (result.charge, result.converged) == (2 * chern_sign_weyl(), True)
+
+
+def test_general_chern_path_takes_a_node_where_the_field_is_zero():
+    # (x0 - 1) A, for a dense positive A, is one 3 x 3 sector that is exactly 0
+    # at the node (1, 0, 0) of the grid at resolution 5, and whose bands all
+    # lie below fermi 0.5: gapped, charge 0.  There the scale s is 0, and h / s
+    # would be NaN.
+    f = dense_unitary(3)
+    a = f @ np.diag([1.0, 2.0, 3.0]) @ f.conj().T
+    field = MatrixPolyField(3, 3, {(0, 0, 0): -a, (1, 0, 0): a}, SPHERE, selfadjoint=True)
+    assert [s.size for s in field.sectors] == [3]
+    values = field.evaluate_batch(sphere_grid(2, 5).nodes)
+    assert np.count_nonzero(np.all(values == 0, axis=(1, 2))) == 1
+    result = chern_2(field, fermi=0.5, resolution=5)
+    assert (result.charge, result.converged, result.convergence_pair) == (0, True, (0.0, 0.0))
 
 
 # -- gates on the closed-form path ---------------------------------------------
