@@ -247,8 +247,7 @@ def _build_grid_rows(dim: int, n: int) -> GridRows:
     if dim == 1:
         return GridRows(1, n)
     inner = _build_grid_rows(1, 2 * n) if dim == 2 else _build_grid_rows(2, n)
-    m_in = inner.size
-    inner = inner.rows(0, m_in)
+    inner = inner.rows(0, inner.size)
     x, w = np.polynomial.legendre.leggauss(n)
     if dim == 2:
         psi = np.arccos(x)
@@ -256,7 +255,7 @@ def _build_grid_rows(dim: int, n: int) -> GridRows:
     else:
         psi = 0.5 * np.pi * (x + 1.0)
         w_psi = 0.5 * np.pi * w
-    rows = GridRows(dim, n * m_in, inner, np.sin(psi), np.cos(psi), w_psi)
+    rows = GridRows(dim, n * len(inner.weights), inner, np.sin(psi), np.cos(psi), w_psi)
     for a in (inner.nodes, inner.weights, inner.dx_dparam, rows.sin, rows.cos, w_psi):
         a.setflags(write=False)  # the cache shares them with every caller
     return rows
@@ -357,11 +356,12 @@ def _chunk_block(dim: int, n: int, m: int):
 
 def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0):
     """``(rows, values, derivatives)`` of ``field`` on each row chunk of the
-    :class:`GridRows` ``grid`` or, given ``center``, of the
-    grid moved to |x - center| = ``radius``: nodes center + radius u and tangents
-    radius du, so by the chain rule the integrand is that of the restricted
-    field.  LAPACK misreads values that are not finite, so those of a sector
-    larger than 2 x 2 are refused here, and :func:`_sectors_raw` refuses others.
+    :class:`GridRows` ``grid`` or, given ``center``, of the grid moved to
+    |x - center| = ``radius``: nodes center + radius u and tangents radius du,
+    so by the chain rule the integrand is that of the restricted field.
+    LAPACK misreads values that are not finite, so those of a sector larger
+    than 2 x 2 are refused here, chunk by chunk, before ``eigh`` or ``inv``
+    sees them, and :func:`_sectors_raw` refuses others.
 
     Every chunk is written into one :func:`_chunk_block` made for the call, so
     a chunk is valid until the next one is drawn, and the heap is not grown
