@@ -58,10 +58,12 @@ def scalar_split(h: np.ndarray):
     """``(f0, a, s)`` for each matrix of a stack: f0 = Re tr h / N, the traceless
     part a = h - f0 I, formed in place of ``h``, and s = ``rms_singular(a)``.
     A 2 x 2 Hermitian h has the eigenvalues f0 - s and f0 + s: a is traceless,
-    so by Cayley-Hamilton a^2 = -det(a) I = s^2 I."""
+    so by Cayley-Hamilton a^2 = -det(a) I = s^2 I.  Each diagonal entry is
+    divided by N before the sum, so f0 is finite wherever the entries are
+    (their sum can overflow)."""
     n = h.shape[-1]
-    f0 = np.trace(h, axis1=-2, axis2=-1).real / n
     diag = np.arange(n)
+    f0 = np.sum(h[:, diag, diag].real / n, axis=1)
     h[:, diag, diag] -= f0[:, None]
     return f0, h, rms_singular(h)
 

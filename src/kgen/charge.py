@@ -64,13 +64,16 @@ below a Fermi level between them P = (I - A / s) / 2, and
 A 1 x 1 or 2 x 2 winding sector, the odd generators among them, has
 U^-1 = adj(V) / (det V s) with s = ||U||_F / sqrt(N) and V = U / s
 (``_gated_inverse``).  Both closed forms divide by s before they multiply, so
-they stay finite wherever the field's entries are.  Every larger sector takes
-the general path: ``eigh`` of h / s for the Chern integrand, with s =
-||h||_F / sqrt(N), so that no band difference overflows either, and ``inv``
-for the windings, whose invertibility is certified from that inverse via
-sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs only on a chunk where that bound
-is <= GAP_MIN.  Both paths apply the same gates, each before any division.
-A model that overflows on its sphere is refused (``_sectors_raw``).
+they stay finite wherever the field's entries are and its derivatives divided
+by s are.  Every larger sector takes the general path: ``eigh`` of h / s for
+the Chern integrand, with s = ||h||_F / sqrt(N), so that no band difference
+overflows either, and ``inv`` for the windings, whose invertibility is
+certified from that inverse via sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs
+only on a chunk where that bound is <= GAP_MIN.  Both paths apply the same
+gates, each before any division.  A model whose values or derivatives
+overflow on its sphere is refused chunk by chunk (``_chunk_fields``), before
+any gate reads them, and a summed raw that is not finite is refused too
+(``_assemble``).
 
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
@@ -359,9 +362,9 @@ def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0):
     :class:`GridRows` ``grid`` or, given ``center``, of the grid moved to
     |x - center| = ``radius``: nodes center + radius u and tangents radius du,
     so by the chain rule the integrand is that of the restricted field.
-    LAPACK misreads values that are not finite, so those of a sector larger
-    than 2 x 2 are refused here, chunk by chunk, before ``eigh`` or ``inv``
-    sees them, and :func:`_sectors_raw` refuses others.
+    A chunk whose values or derivatives are not finite (the model overflows
+    there) is refused here, for every sector size, before any gate, ``eigh``
+    or ``inv`` reads it: this is the one check of overflow on the sphere.
 
     Every chunk is written into one :func:`_chunk_block` made for the call, so
     a chunk is valid until the next one is drawn, and the heap is not grown
@@ -378,7 +381,7 @@ def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0):
             h, d = field.evaluate_batch(rows.nodes, rows.dx_dparam, out)
         else:
             h, d = field.evaluate_batch(center + radius * rows.nodes, radius * rows.dx_dparam, out)
-        if field.size > 2 and not np.isfinite(h).all():
+        if not (np.isfinite(h.view(float)).all() and np.isfinite(d.view(float)).all()):
             raise _overflow_error("field", center, radius)
         yield rows, h, d
 
@@ -468,42 +471,26 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
     return float(total / (2.0 * np.pi))
 
 
-def _sectors_raw(kernel, field: MatrixPolyField, grid: GridRows, center=None, radius=1.0) -> float:
-    """Sum of ``kernel(sector, grid, center, radius)`` over the sectors of
-    ``field``, from the first raw rather than from 0, so that a one-sector
-    field keeps the bits of its raw (0 + -0.0 would be 0.0).
-
-    Values that overflow on the sphere fail a gate or leave a raw that is not
-    finite, so only there is a sector checked for them (every chunk would cost
-    about 4% of a closed-form kernel) and refused with ModelOverflowError."""
-    raws = []
-    with np.errstate(over="ignore", invalid="ignore"):  # refused here instead
-        for sector in field.sectors:
-            try:
-                raw, error = kernel(sector, grid, center, radius), None
-            except GapClosedError as exc:
-                raw, error = np.nan, exc
-            if not np.isfinite(raw):
-                for _, h, d in _chunk_fields(sector, grid, center, radius):
-                    if not (np.isfinite(h).all() and np.isfinite(d).all()):
-                        raise _overflow_error("field", center, radius)
-                raise error or _overflow_error("charge integrand", center, radius)
-            raws.append(raw)
-    first, *rest = raws
-    return sum(rest, first)
-
-
 def _assemble(kernel, field: MatrixPolyField, dim: int, resolution: int | None,
               center=None, radius=1.0) -> ChargeResult:
-    """Charge of ``field`` from ``kernel(sector, grid, center, radius)`` at the
-    resolution and at twice it.  The grids are the cached :class:`GridRows`,
-    whose rows each sector's kernel generates chunk by chunk."""
+    """Charge of ``field`` from ``kernel(sector, grid, center, radius)``, summed
+    over its sectors, at the resolution and at twice it.  The grids are the
+    cached :class:`GridRows`, whose rows each sector's kernel generates chunk
+    by chunk.  The sum starts from the first raw rather than from 0, so that a
+    one-sector field keeps the bits of its raw (0 + -0.0 would be 0.0)."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION[dim]
-    raw_n, raw_2n = (
-        _sectors_raw(kernel, field, _grid_rows(dim, n), center, radius)
-        for n in (resolution, 2 * resolution)
-    )
+    raws = []
+    # Evaluation may overflow before _chunk_fields refuses the chunk.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (resolution, 2 * resolution):
+            grid = _grid_rows(dim, n)
+            first, *rest = (kernel(sector, grid, center, radius) for sector in field.sectors)
+            raw = sum(rest, first)
+            if not np.isfinite(raw):
+                raise _overflow_error("charge integrand", center, radius)
+            raws.append(raw)
+    raw_n, raw_2n = raws
     charge = int(np.rint(raw_n))
     residual = abs(raw_n - charge)
     converged = abs(raw_2n - charge) <= residual + 1e-9 and residual < PASS_RESIDUAL

@@ -207,8 +207,10 @@ def homotopy_scan(d: int = 2, samples: int = 500, seed: int = 0) -> dict:
     smallest singular value over the whole grid stays above 1e-3, i.e. the
     deformation never leaves the invertibles.
     """
-    if d % 2 != 0:
-        raise ValueError(f"the scanned lift requires even d, got {d}")
+    if d % 2 != 0 or not 0 <= d < clifford.MAX_D:
+        raise ValueError(
+            f"the scanned lift needs an even d from 0 to {clifford.MAX_D - 1}, got {d}"
+        )
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
@@ -252,7 +254,7 @@ def verify_index_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     doubled representation at the sphere point ``chart(y)``.  The residual
     therefore measures the identity alone, with no chart round trip.
     """
-    if d % 2 != 1 or d > 5:
+    if d not in (1, 3, 5):
         raise ValueError(f"supported odd dimensions are 1, 3, 5; got {d}")
     check_samples(samples)
     rep = clifford.build_rep(d, clifford.LEFT)
@@ -278,7 +280,7 @@ def verify_exp_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     x = (y sqrt(1 - ||y||^2), 2 ||y||^2 - 1) into the Dirac phase of the same
     representation must agree entrywise.
     """
-    if d % 2 != 0 or d > 4:
+    if d not in (2, 4):
         raise ValueError(f"supported even dimensions are 2, 4; got {d}")
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)

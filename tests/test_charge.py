@@ -379,8 +379,8 @@ def test_winding_closed_form_needs_no_svd_or_inv(monkeypatch):
 def test_a_model_that_overflows_on_the_unit_sphere_is_refused_as_on_an_enclosure():
     # Finite coefficients whose values overflow at some nodes of the unit
     # sphere: a 1 x 1 phase and a 2 x 2 Hermitian field, both on closed forms.
-    # Their values fail a gate or leave the raw NaN; either way the model is
-    # refused as an overflowing one, as on the same sphere given as an enclosure.
+    # The chunk that holds them is refused before any gate reads it, as on the
+    # same sphere given as an enclosure.
     s1, s3 = clifford.SIGMA_1, clifford.SIGMA_3
     phase = MatrixPolyField(2, 1, {(1, 0): [[1.5e308 * (1 - 1j)]], (0, 1): [[1.5e308 * (1 + 1j)]]})
     bands = MatrixPolyField(
@@ -435,6 +435,56 @@ def test_overflowing_values_of_a_large_sector_never_reach_lapack(monkeypatch):
     with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
         chern_2(field)
     assert calls == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sector_whose_derivatives_overflow_is_refused():
+    # c x0^4 s3 + x1 s1 + x2 s2 is gapped, and its values stay below c on the
+    # unit sphere; its derivatives along the tangents reach about 1.3 c, which
+    # is finite at c = 1e308 and not at 1.7e308.  The 2 x 2 sector is then
+    # refused before any gate reads it.
+    def field(c):
+        terms = {(4, 0, 0): c * clifford.SIGMA_3, (0, 1, 0): clifford.SIGMA_1,
+                 (0, 0, 1): clifford.SIGMA_2}
+        return MatrixPolyField(3, 2, terms, SPHERE, selfadjoint=True)
+
+    assert chern_2(field(1e308)).convergence_pair == (0.0, 0.0)
+    with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
+        chern_2(field(1.7e308))
+
+
+def test_a_closed_gap_stops_the_kernel_at_the_failing_chunk(monkeypatch):
+    # x2 diag(1, -1) is two 1 x 1 sectors.  The band count of the first one
+    # changes at the equator, inside the second of the two chunks of the
+    # default S^2 grid: its kernel stops there, and nothing is evaluated again.
+    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])}, SPHERE, selfadjoint=True)
+    assert [s.size for s in field.sectors] == [1, 1]
+    calls, evaluate = [], MatrixPolyField.evaluate_batch
+
+    def spied(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatrixPolyField, "evaluate_batch", spied)
+    with pytest.raises(GapClosedError, match=r"bands below fermi varies .*\(0 to 1\)"):
+        chern_2(field)
+    assert calls == [_linalg.CHUNK] * 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_integrand_that_overflows_on_finite_values_is_refused():
+    # c x1 s1 + c (x2 - r) s2 + eps s3, with c = 2^500, eps = 1e-5 and r the x2
+    # of the node (sin psi, 0, cos psi) at phi = 0, is finite and gapped (s >=
+    # eps), and exactly eps s3 at that node.  There both derivatives are about
+    # c, so the closed-form integrand, of order (c / eps)^2, overflows.
+    n = 8
+    r = sphere_grid(2, n).nodes[0, 2]
+    c, eps = 2.0**500, 1e-5
+    terms = {(0, 1, 0): c * clifford.SIGMA_1, (0, 0, 1): c * clifford.SIGMA_2,
+             (0, 0, 0): -c * r * clifford.SIGMA_2 + eps * clifford.SIGMA_3}
+    field = MatrixPolyField(3, 2, terms, SPHERE, selfadjoint=True)
+    with pytest.raises(ModelOverflowError, match="charge integrand is not finite on the unit"):
+        chern_2(field, resolution=n)
 
 
 @pytest.mark.parametrize("winding, ambient", [(winding_1, 2), (winding_3, 4)])
@@ -895,12 +945,16 @@ def reference_winding1_raw(field, grid):
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 3), n=st.sampled_from([4, 5]))
 def test_chunked_kernels_match_single_batch_forms(seed, size, n):
     # Seven-node chunks split every ring of every grid, so each kernel carries
-    # its running sum (and the Chern band count) across many chunk boundaries.
+    # its running sum (and the Chern band count) across many chunk boundaries,
+    # on the unit sphere and on an enclosing one, whose reference is the
+    # pulled-back field's.  The 2 x 2 phases take the closed-form inverse.
     rng = np.random.default_rng(seed)
     s1 = random_invertible_phase(rng, dirac1(), size)
     s2 = random_gapped_weyl(rng, size + 1)
     s3 = random_invertible_phase(rng, dirac3(), size + 1)
+    s3_closed = random_invertible_phase(rng, dirac3(), 2)
     fermi = float(rng.uniform(-0.4, 0.4))
+    center, radius = np.array([0.05, -0.1, 0.02]), 1.1
     rows = {dim: charge._grid_rows(dim, n) for dim in (1, 2, 3)}
     grids = {dim: sphere_grid(dim, n) for dim in (1, 2, 3)}
     with pytest.MonkeyPatch.context() as mp:
@@ -908,12 +962,16 @@ def test_chunked_kernels_match_single_batch_forms(seed, size, n):
         raws = (
             charge._winding_raw(s1, rows[1]),
             charge._chern_raw(s2, fermi, rows[2]),
+            charge._chern_raw(s2, fermi, rows[2], center, radius),
             charge._winding_raw(s3, rows[3]),
+            charge._winding_raw(s3_closed, rows[3]),
         )
     refs = (
         reference_winding1_raw(s1, grids[1]),
         reference_chern_raw(s2, fermi, grids[2]),
+        reference_chern_raw(s2.affine_pullback(center, radius), fermi, grids[2]),
         reference_winding3_raw(s3, grids[3]),
+        reference_winding3_raw(s3_closed, grids[3]),
     )
     assert np.max(np.abs(np.subtract(raws, refs))) <= 1e-12
 
@@ -977,31 +1035,6 @@ def test_charge_memory_does_not_grow_with_the_resolution():
         tracemalloc.stop()
     assert winding_peak < 8 * 2**20
     assert chern_peaks[1] < chern_peaks[0] + 2**20
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 5, 7]))
-def test_kernels_on_generated_rows_match_the_reference_kernels(seed, n):
-    # Seven-row chunks split the psi blocks, on the unit sphere and on an
-    # enclosing one, whose reference is the pulled-back field's.
-    rng = np.random.default_rng(seed)
-    s1, s3 = (random_invertible_phase(rng, base, 2) for base in (dirac1(), dirac3()))
-    s2 = random_gapped_weyl(rng, 3)
-    fermi = float(rng.uniform(-0.4, 0.4))
-    center, radius = np.array([0.05, -0.1, 0.02]), 1.1
-    s1_grid, s2_grid, s3_grid = (sphere_grid(dim, n) for dim in (1, 2, 3))
-    cases = [
-        (1, lambda rows: charge._winding_raw(s1, rows), reference_winding1_raw(s1, s1_grid)),
-        (2, lambda rows: charge._chern_raw(s2, fermi, rows),
-         reference_chern_raw(s2, fermi, s2_grid)),
-        (2, lambda rows: charge._chern_raw(s2, fermi, rows, center, radius),
-         reference_chern_raw(s2.affine_pullback(center, radius), fermi, s2_grid)),
-        (3, lambda rows: charge._winding_raw(s3, rows), reference_winding3_raw(s3, s3_grid)),
-    ]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_linalg, "CHUNK", 7)
-        for dim, kernel, reference in cases:
-            assert abs(kernel(charge._grid_rows(dim, n)) - reference) <= 1e-12
 
 
 def copies(field, k, rng):

@@ -158,6 +158,7 @@ def test_verify_suites_pass():
         ("--suite", "index", "--d", "1", "--samples", "200"),
         ("--suite", "exp", "--d", "2", "--samples", "200"),
         ("--suite", "homotopy", "--d", "2", "--samples", "100"),
+        ("--suite", "homotopy", "--d", "0", "--samples", "20"),
         ("--suite", "fredholm", "--samples", "20"),
     ):
         proc = run_cli("verify", *args)
@@ -361,6 +362,24 @@ def test_verify_clifford_refuses_d_above_max(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "d = 14 exceeds" in captured.err
+
+
+@pytest.mark.parametrize(
+    "suite, d, message",
+    [
+        ("exp", "0", "supported even dimensions are 2, 4; got 0"),
+        ("exp", "-2", "supported even dimensions are 2, 4; got -2"),
+        ("index", "-1", "supported odd dimensions are 1, 3, 5; got -1"),
+        ("homotopy", "14", "needs an even d from 0 to 12, got 14"),
+        ("homotopy", "-2", "needs an even d from 0 to 12, got -2"),
+    ],
+    ids=["exp-0", "exp-neg", "index-neg", "homotopy-14", "homotopy-neg"],
+)
+def test_verify_refuses_d_outside_the_suite(capsys, suite, d, message):
+    assert main(["verify", "--suite", suite, "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_non_list_powers_is_a_format_error(weyl_path, tmp_path, capsys):

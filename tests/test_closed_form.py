@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 from kgen import bandscan, charge, clifford, generators
 from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, winding_3
-from kgen.errors import GapClosedError
+from kgen.cli import main
+from kgen.errors import GapClosedError, ModelOverflowError
 from kgen.fields import SPHERE, MatrixPolyField
 
 # The oracles of test_charge.py, loaded by path: test modules are not a package.
@@ -405,6 +407,25 @@ def test_closed_form_charges_do_not_overflow(factor):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_large_scalar_part_does_not_overflow(tmp_path, capsys):
+    # 1e308 I + 5e307 Weyl at fermi 1e308: every entry is at most 1.5e308 on
+    # the unit sphere, and the gap is 5e307, but the trace, the sum of the
+    # diagonal, overflows; f0 divides each entry by 2 before the sum.
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    shift = MatrixPolyField(3, 2, {(0, 0, 0): 1e308 * np.eye(2)}, SPHERE, selfadjoint=True)
+    field = scaled(weyl, 5e307).plus(shift)
+    result = chern_2(field, fermi=1e308)
+    assert (result.charge, result.converged) == (chern_sign_weyl(), True)
+    model = bandscan.BandModel.from_field(field, fermi=1e308)
+    assert abs(bandscan.gap_at(model, [0.6, 0.0, 0.8]) - 5e307) <= 1e-15 * 5e307
+    path = str(tmp_path / "f0.json")
+    bandscan.save_model(model, path)
+    assert main(["charge", path, "--center", "0", "0", "0", "--radius", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["charge"], payload["converged"]) == (chern_sign_weyl(), True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("winding, d, resolution", [(winding_1, 1, None), (winding_3, 3, 8)])
 def test_general_path_gate_does_not_overflow(winding, d, resolution):
     # The bound 1 / ||U^-1||_F squares the entries of U^-1: at scale 1e200 they
@@ -483,14 +504,18 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
         MatrixPolyField(2, 1, {(0, 0): [[np.nan]]}, SPHERE)
     )
     # The charges refuse such coefficients up front; the kernels, given their
-    # NaN values, refuse them at the closed-form gates before any division.
+    # NaN values, refuse each chunk before any gate reads it, and the
+    # closed-form winding gate refuses NaN itself before any division.
     for fn, field in ((chern_2, hermitian), (winding_1, phase)):
         with pytest.raises(ValueError, match="field coefficients must be finite"):
             fn(field, resolution=8)
-    with pytest.raises(GapClosedError, match=r"min \|eig - fermi\| = nan"):
+    with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
         charge._chern_raw(hermitian, 0.0, charge._grid_rows(2, 8))
-    with pytest.raises(GapClosedError, match="min singular value nan"):
+    with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
         charge._winding_raw(phase, charge._grid_rows(1, 8))
+    for size in (1, 2):
+        with pytest.raises(GapClosedError, match="min singular value nan"):
+            charge._gated_inverse(np.full((3, size, size), np.nan, dtype=complex))
     # A NaN point, on a 2 x 2 sector and on a 4 x 4 one.
     weyl = generators.weyl_field(2, clifford.LEFT)
     for field in (weyl, weyl.direct_sum(weyl).conjugated_by(dense_unitary(4))):
