@@ -65,9 +65,6 @@ class BandModel:
             )
         if not np.isfinite(self.fermi):
             raise ModelFormatError(f"Fermi level must be finite, got {self.fermi}")
-        # A non-finite entry would pass the residual tests below: NaN > bound is False.
-        if not all(np.isfinite(mat).all() for mat in self.terms.values()):
-            raise ModelFormatError("model coefficients must be finite")
         bad = self.field.non_hermitian_terms()
         if bad:
             raise HermiticityError(f"non-Hermitian coefficients at multi-indices {bad}")
@@ -228,17 +225,18 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
 
     The gap is the smallest over the field's sectors
     (``MatrixPolyField.sectors``), whose spectra make up that of the field.
-    A 2 x 2 sector has the bands f0 - s and f0 + s at each point
-    (``_linalg.scalar_split``), so its gap is ||f0 - fermi| - s| with no
-    eigensolver; larger sectors go to ``eigvalsh``, once their values are
-    known to be finite (it does not converge on inf or NaN).
+    A 2 x 2 sector has the bands f0 - s and f0 + s at each point, and a 1 x 1
+    one the band f0, with s = 0 (``_linalg.scalar_split``), so its gap is
+    ||f0 - fermi| - s| with no eigensolver; larger sectors go to ``eigvalsh``
+    once their values, which can overflow, are known to be finite (it does not
+    converge on inf or NaN).
     """
     gaps = np.full(len(points), np.inf)
     for sl in chunks(len(points)):
         for field in model.field.sectors:
             with np.errstate(over="ignore", invalid="ignore"):  # refused just below
                 h = field.evaluate_batch(points[sl])
-                if field.size == 2:
+                if field.size <= 2:
                     f0, _, s = scalar_split(h)
                     gap = np.abs(np.abs(f0 - model.fermi) - s)
                 elif np.isfinite(h).all():

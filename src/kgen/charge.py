@@ -54,10 +54,11 @@ product is a few elementwise calls over the nodes, and stacked for larger
 ones.
 
 Sectors of size at most 2 need no eigensolver and no inverse, and their
-closed forms are exact.  A 2 x 2 Hermitian sector, the even generator
-x . sigma and every two-band crossing among them, has the bands f0 +- s by
-Cayley-Hamilton, with f0 = Re tr h / 2, A = h - f0 I and s = ||A||_F / sqrt(2);
-below a Fermi level between them P = (I - A / s) / 2, and
+closed forms are exact.  A 1 x 1 Hermitian sector is its own band h = f0,
+with P = 0 or I.  A 2 x 2 one, the even generator x . sigma and every two-band
+crossing among them, has the bands f0 +- s by Cayley-Hamilton, with
+f0 = Re tr h / 2, A = h - f0 I and s = ||A||_F / sqrt(2); below a Fermi level
+between them P = (I - A / s) / 2, and
 
     tr(P [d_0 P, d_1 P]) = -tr(A [d_0 A, d_1 A]) / (8 s^3).
 
@@ -70,10 +71,10 @@ the Chern integrand, with s = ||h||_F / sqrt(N), so that no band difference
 overflows either, and ``inv`` for the windings, whose invertibility is
 certified from that inverse via sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs
 only on a chunk where that bound is <= GAP_MIN.  Both paths apply the same
-gates, each before any division.  A model whose values or derivatives
-overflow on its sphere is refused chunk by chunk (``_chunk_fields``), before
-any gate reads them, and a summed raw that is not finite is refused too
-(``_assemble``).
+gates, each before any division.  Coefficients are finite (the field's
+constructor refuses any other), but values or derivatives that overflow on
+the sphere are refused chunk by chunk (``_chunk_fields``), before any gate
+reads them, and a summed raw that is not finite is refused too (``_assemble``).
 
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
@@ -269,12 +270,9 @@ _cached_grid_rows = lru_cache(maxsize=16)(_build_grid_rows)
 
 def _check_field(field: MatrixPolyField, dim: int, center=None, radius=1.0):
     """The float center of a valid sphere |x - center| = radius (None: the unit
-    sphere).  The field's coefficients must be finite: ``eigh`` does not
-    converge on NaN or inf."""
+    sphere).  Coefficients are finite: the field's constructor refuses others."""
     if not isinstance(field, MatrixPolyField):
         raise TypeError("charge computations need exact derivatives; pass a MatrixPolyField")
-    if not all(np.isfinite(mat).all() for mat in field.terms.values()):
-        raise ValueError("field coefficients must be finite")
     if field.ambient_dim != dim + 1:
         raise DimensionMismatchError(
             f"a field on S^{dim} needs ambient dimension {dim + 1}, got {field.ambient_dim}"
@@ -417,12 +415,12 @@ def _winding_raw(field: MatrixPolyField, grid, center=None, radius=1.0) -> float
 def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1.0) -> float:
     total = 0.0
     n_occ = None
-    closed = field.size == 2
+    closed = field.size <= 2
     arrange, _, trace3 = products(field.size)
     for rows, h, d in _chunk_fields(field, grid, center, radius):
         if closed:
             f0, a, s = scalar_split(h)
-            vals = np.stack([f0 - s, f0 + s], axis=1)
+            vals = f0[:, None] if field.size == 1 else np.stack([f0 - s, f0 + s], axis=1)
         else:
             # eigh takes h / s, s = rms_singular(h) floored at tiny (h = 0 stays
             # 0), and E = s lam: no difference E_o - E_u below overflows.
@@ -446,10 +444,10 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
             raise GapClosedError(
                 f"number of bands below fermi varies on the grid ({low} to {high})"
             )
+        if n_occ in (0, field.size):
+            continue  # P is 0 or I: no curvature
 
         if closed:
-            if n_occ != 1:
-                continue  # P is 0 or I: no curvature
             # P = (I - a / s) / 2, so tr(P [d_0 P, d_1 P]) = -tr(a [d_0 h, d_1 h]) / (8 s^3)
             # = -i Im tr(a d_0 h d_1 h) / (4 s^3).  Each factor is divided by s
             # first, so that neither the trace nor s^3 overflows; the gate above

@@ -52,7 +52,7 @@ class MatrixPolyField:
     selfadjoint: bool = False
 
     def __post_init__(self):
-        # The one check of the coefficient schema, for fields read from files too.
+        # The one check of the coefficient schema, for read and derived fields alike.
         n = self.size
         if self.domain not in _DOMAINS:
             raise ModelFormatError(f"unknown domain tag {self.domain!r}")
@@ -61,10 +61,13 @@ class MatrixPolyField:
                 f"'dimension' and 'size' must be >= 1, got {self.ambient_dim} and {n}"
             )
         frozen = {}
-        for alpha, mat in self.terms.items():
-            alpha = tuple(int(a) for a in alpha)
+        for key, mat in self.terms.items():
+            try:  # index() refuses 1.5 and "2", which int() would truncate or parse
+                alpha = tuple(map(operator.index, key))
+            except TypeError:
+                alpha = ()  # refused just below: the dimension is at least 1
             if len(alpha) != self.ambient_dim or any(a < 0 for a in alpha):
-                raise ModelFormatError(f"bad multi-index {alpha} for dimension {self.ambient_dim}")
+                raise ModelFormatError(f"bad multi-index {key} for dimension {self.ambient_dim}")
             if max(alpha, default=0) > np.iinfo(np.int64).max:  # numpy's power exponent
                 raise ModelFormatError("powers must fit a signed 64-bit integer (below 2^63)")
             mat = np.array(mat, dtype=complex)
@@ -72,6 +75,8 @@ class MatrixPolyField:
                 raise ModelFormatError(
                     f"coefficient of {alpha} has shape {mat.shape}, expected {(n, n)}"
                 )
+            if not np.isfinite(mat).all():
+                raise ModelFormatError(f"coefficient of {alpha} is not finite")
             mat.setflags(write=False)
             frozen[alpha] = mat
         object.__setattr__(self, "terms", MappingProxyType(frozen))
@@ -181,14 +186,14 @@ class MatrixPolyField:
         Its values at unit vectors u are the field's on the sphere
         |x - center| = radius.  The charge kernels do not use it: they evaluate
         the field itself on the moved grid.  A coefficient that overflows is
-        refused with a ValueError.
+        refused by the constructor, as not finite.
         """
         center = np.asarray(center, dtype=float)
         if center.shape != (self.ambient_dim,):
             raise DimensionMismatchError("center must match the ambient dimension")
         radius = np.float64(radius)  # its powers then overflow to inf, not OverflowError
         new_terms: dict = {}
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        with np.errstate(over="ignore", invalid="ignore"):  # replace() refuses inf and NaN
             for alpha, mat in self.terms.items():
                 for ks in itertools.product(*[range(a + 1) for a in alpha]):
                     coeff = 1.0
@@ -197,8 +202,6 @@ class MatrixPolyField:
                     if coeff == 0.0:
                         continue
                     new_terms[ks] = new_terms.get(ks, 0) + coeff * mat
-        if not all(np.isfinite(mat).all() for mat in new_terms.values()):
-            raise ValueError(f"pullback to radius {radius} about {center.tolist()} overflows")
         return replace(self, terms=new_terms)
 
     def with_domain(self, domain: str) -> "MatrixPolyField":
@@ -210,14 +213,14 @@ class MatrixPolyField:
     def sectors(self) -> tuple:
         """The field split into its decoupled blocks: one sub-field per
         connected component of the indices, where i and j are joined when some
-        coefficient has M[i, j] or M[j, i] nonzero (NaN counts as nonzero),
-        with the sub-blocks M[b, b] as coefficients, in order of their lowest
-        index.  ``(self,)`` when there is one component.
+        coefficient has M[i, j] or M[j, i] nonzero, with the sub-blocks M[b, b]
+        as coefficients, in order of their lowest index.  ``(self,)`` when
+        there is one component.
 
         The field is unitarily a direct sum of these, so its spectrum and
         singular values are the union of theirs, and its charges the sum of
         theirs.  The charge kernels and the gap scan take exact closed forms on
-        the bands of a 2 x 2 sector and the inverse of a 1 x 1 or 2 x 2 one."""
+        the bands and the inverse of a sector of size at most 2."""
         coupled = np.any(self._stacked.reshape(-1, self.size, self.size, 2) != 0, axis=(0, 3))
         reach = coupled | coupled.T | np.eye(self.size, dtype=bool)
         # Each boolean square doubles the path length that reach covers.

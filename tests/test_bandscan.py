@@ -341,12 +341,13 @@ def test_two_dimensional_model_needs_equal_chiral_eigenspaces():
 )
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_load_rejects_non_finite_values(tmp_path, where, value):
-    # A model built in Python is refused too, so save_model never writes NaN.
+    # A model built in Python is refused too, so save_model never writes NaN:
+    # a coefficient by the field's constructor, the chiral matrix by the model's.
     if where.startswith("built"):
         coefficient, chiral = SIGMA_1.copy(), SIGMA_3.copy()
         (coefficient if where == "built-coefficient" else chiral)[1, 1] = value
-        field = MatrixPolyField(2, 2, {(1, 0): coefficient, (0, 1): SIGMA_2}, EUCLIDEAN)
         with pytest.raises(ModelFormatError, match="finite"):
+            field = MatrixPolyField(2, 2, {(1, 0): coefficient, (0, 1): SIGMA_2}, EUCLIDEAN)
             BandModel(field, chiral=chiral)
         return
     payload = chiral_dirac_model().to_payload()

@@ -19,6 +19,7 @@ from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, windin
 from kgen.errors import (
     DimensionMismatchError,
     GapClosedError,
+    ModelFormatError,
     ModelOverflowError,
     UnsupportedDimensionError,
 )
@@ -489,23 +490,24 @@ def test_an_integrand_that_overflows_on_finite_values_is_refused():
 
 @pytest.mark.parametrize("winding, ambient", [(winding_1, 2), (winding_3, 4)])
 def test_winding_nan_field_raises(winding, ambient):
-    # Refused before any node is evaluated, whichever path the sector takes.
+    # Refused where the field is made, so no winding, whichever path its
+    # sector would take, ever sees it.
     for size in (1, 2, 4):
         for bad in (np.nan, np.inf):
             terms = {(0,) * ambient: np.diag([bad] * size), (1,) + (0,) * (ambient - 1): np.eye(size)}
-            with pytest.raises(ValueError, match="field coefficients must be finite"):
+            with pytest.raises(ModelFormatError, match=r"coefficient of \(0, .*\) is not finite"):
                 winding(MatrixPolyField(ambient, size, terms, SPHERE))
 
 
 def test_chern_nan_field_raises():
-    # A NaN or inf coefficient is refused up front: on a 4 x 4 sector eigh
-    # would not converge, and NaN bands would leave none below fermi.
+    # A NaN or inf coefficient is refused where the field is made: on a 4 x 4
+    # sector eigh would not converge, and NaN bands would leave none below fermi.
     pair = weyl2().direct_sum(weyl2()).conjugated_by(dense_unitary(4))
     for field in (weyl2(), pair):
         n = field.size
         for bad in (np.nan, np.inf):
-            shift = MatrixPolyField(3, n, {(0, 0, 0): np.diag([bad] * n)}, SPHERE, selfadjoint=True)
-            with pytest.raises(ValueError, match="field coefficients must be finite"):
+            with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
+                shift = MatrixPolyField(3, n, {(0, 0, 0): np.diag([bad] * n)}, SPHERE, selfadjoint=True)
                 chern_2(field.plus(shift), resolution=8)
 
 

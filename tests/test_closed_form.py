@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from kgen import bandscan, charge, clifford, generators
 from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, winding_3
 from kgen.cli import main
-from kgen.errors import GapClosedError, ModelOverflowError
+from kgen.errors import GapClosedError, ModelFormatError, ModelOverflowError
 from kgen.fields import SPHERE, MatrixPolyField
 
 # The oracles of test_charge.py, loaded by path: test modules are not a package.
@@ -340,6 +340,29 @@ def test_a_four_band_field_gets_the_eigvalsh_gap_split_or_mixed():
         assert_same(outcome(chern_2, mixed, **kwargs), outcome(chern_2, split, **kwargs))
 
 
+def test_one_by_one_sectors_need_no_eigensolver():
+    # x0 s3 + x1 I + 0.5 x2 s3 is diagonal: two 1 x 1 sectors, each its own
+    # band, so each gap is |h_ii - fermi|.  In weyl + [2 + 0.5 x3] the 1 x 1
+    # sector has no band below 0 on the sphere, and adds nothing to the charge.
+    s3 = clifford.SIGMA_3
+    diagonal = MatrixPolyField(3, 2, {(1, 0, 0): s3, (0, 1, 0): np.eye(2), (0, 0, 1): 0.5 * s3},
+                               SPHERE, selfadjoint=True)
+    model = bandscan.BandModel.from_field(diagonal, fermi=0.25)
+    points = np.random.default_rng(7).standard_normal((1000, 3))
+    bands = np.diagonal(diagonal.evaluate_batch(points), axis1=1, axis2=2).real
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]], (0, 0, 1): [[0.5]]}, SPHERE,
+                                           selfadjoint=True))
+    assert [[f.size for f in g.sectors] for g in (diagonal, flat)] == [[1, 1], [2, 1]]
+    reference = chern_2(weyl)
+    with spying("eigh", "eigvalsh") as calls:
+        gaps = bandscan._gap_batch(model, points)
+        result = chern_2(flat)
+    assert calls == []
+    assert np.array_equal(gaps, np.min(np.abs(bands - 0.25), axis=1))
+    assert result == reference
+
+
 def scaled(field, factor):
     return dataclasses.replace(field, terms={a: factor * m for a, m in field.terms.items()})
 
@@ -498,21 +521,28 @@ def test_gap_gates_run_on_the_closed_form_path():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
-    nan = MatrixPolyField(3, 2, {(0, 0, 0): np.nan * np.eye(2)}, SPHERE, selfadjoint=True)
-    hermitian = generators.weyl_field(2, clifford.LEFT).plus(nan)
-    phase = generators.dirac_phase_field(1, clifford.LEFT).plus(
+    # No field holds a NaN coefficient: the constructor refuses it.
+    with pytest.raises(ModelFormatError, match="not finite"):
+        MatrixPolyField(3, 2, {(0, 0, 0): np.nan * np.eye(2)}, SPHERE, selfadjoint=True)
+    with pytest.raises(ModelFormatError, match="not finite"):
         MatrixPolyField(2, 1, {(0, 0): [[np.nan]]}, SPHERE)
+    # Finite coefficients can still overflow at a node, here where x0 + x1 >
+    # 1.06.  The kernels refuse such a chunk before any gate reads it, and the
+    # closed-form winding gate refuses NaN itself before any division.  Their
+    # one caller, _assemble, runs them under this errstate, since evaluation
+    # warns of the overflow.
+    big = {(1, 0, 0): 1.7e308 * np.eye(2), (0, 1, 0): 1.7e308 * np.eye(2)}
+    hermitian = generators.weyl_field(2, clifford.LEFT).plus(
+        MatrixPolyField(3, 2, big, SPHERE, selfadjoint=True)
     )
-    # The charges refuse such coefficients up front; the kernels, given their
-    # NaN values, refuse each chunk before any gate reads it, and the
-    # closed-form winding gate refuses NaN itself before any division.
-    for fn, field in ((chern_2, hermitian), (winding_1, phase)):
-        with pytest.raises(ValueError, match="field coefficients must be finite"):
-            fn(field, resolution=8)
-    with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
-        charge._chern_raw(hermitian, 0.0, charge._grid_rows(2, 8))
-    with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
-        charge._winding_raw(phase, charge._grid_rows(1, 8))
+    phase = generators.dirac_phase_field(1, clifford.LEFT).plus(
+        MatrixPolyField(2, 1, {(1, 0): [[1.7e308]], (0, 1): [[1.7e308]]}, SPHERE)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
+            charge._chern_raw(hermitian, 0.0, charge._grid_rows(2, 8))
+        with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
+            charge._winding_raw(phase, charge._grid_rows(1, 8))
     for size in (1, 2):
         with pytest.raises(GapClosedError, match="min singular value nan"):
             charge._gated_inverse(np.full((3, size, size), np.nan, dtype=complex))

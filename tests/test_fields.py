@@ -272,9 +272,10 @@ def test_affine_pullback_exact():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("center, radius", [([0.0, 0.0], 1.341e154), ([1e200, 0.0], 1.0)])
 def test_affine_pullback_refuses_overflow(center, radius):
-    # radius**2 overflows, or the centre's square does; either coefficient is inf.
+    # radius**2 overflows, or the centre's square does; either coefficient is
+    # inf, which the constructor refuses.
     field = MatrixPolyField(2, 1, {(2, 0): [[1.0]], (0, 1): [[1.0]]})
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match="not finite"):
         field.affine_pullback(center, radius)
 
 
@@ -340,6 +341,48 @@ def test_powers_must_fit_a_signed_64_bit_integer():
     for power in (2**63, 10**400):
         with pytest.raises(ModelFormatError, match="powers must fit a signed 64-bit integer"):
             MatrixPolyField(1, 1, {(power,): [[1.0]]})
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        # int() would read 1.5 as 1, -0.5 as 0 and "2" as 2, and merge 1.9 into 1.
+        ({(1.5, 0): [[1.0]]}, r"\(1.5, 0\)"),
+        ({(-0.5, 0): [[1.0]]}, r"\(-0.5, 0\)"),
+        ({("2", 0): [[1.0]]}, r"\('2', 0\)"),
+        ({(1, 0): [[1.0]], (1.9, 0): [[2.0]]}, r"\(1.9, 0\)"),
+    ],
+    ids=["fraction", "negative-fraction", "string", "merged"],
+)
+def test_powers_must_be_integers(terms, message):
+    with pytest.raises(ModelFormatError, match="bad multi-index " + message):
+        MatrixPolyField(2, 1, terms)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_coefficients_must_be_finite(bad):
+    with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 2\) is not finite"):
+        MatrixPolyField(2, 2, {(1, 0): np.eye(2), (0, 2): np.diag([1.0, bad])})
+
+
+BIG = MatrixPolyField(2, 2, {(0, 0): 1e308 * np.eye(2)})
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda: BIG.plus(BIG),
+        lambda: MatrixPolyField(2, 1, {(3, 0): [[1e308]]}).derivative(0),
+        lambda: BIG.conjugated_by(2.0 * np.eye(2)),
+    ],
+    ids=["plus", "derivative", "conjugated_by"],
+)
+def test_derived_fields_that_overflow_are_refused(derive):
+    # Every derived field goes through the constructor; the arithmetic warns
+    # of its overflow, and the constructor refuses the inf (or NaN) it leaves.
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(ModelFormatError, match="is not finite"):
+            derive()
 
 
 def test_shape_validation():
