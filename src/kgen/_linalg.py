@@ -2,7 +2,7 @@
 
 Everything operates on plain complex ndarrays and acts on the last two axes,
 so a stack of matrices of shape (..., N, N) is processed in one call and a
-single matrix is a stack of one; only the charge kernels' products
+single matrix is a stack of one; only the S^3 winding kernel's products
 (``products``) hold small matrices node-last instead.  Matrix functions go
 through eigendecomposition, which is adequate for the desk-scale sizes used here
 (N <= 64) and keeps scipy out of the dependency set.
@@ -54,6 +54,16 @@ def rms_singular(a: np.ndarray) -> np.ndarray:
     return rms
 
 
+def column_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a real (k, M) array.  Where the squares
+    overflow, ``hypot`` takes it, so it is finite wherever it is representable."""
+    norms = np.sqrt(np.einsum("km,km->m", x, x))
+    big = np.isinf(norms)
+    if big.any():
+        norms[big] = np.hypot.reduce(x[:, big], axis=0)
+    return norms
+
+
 def scalar_split(h: np.ndarray):
     """``(f0, a, s)`` for each matrix of a stack: f0 = Re tr h / N, the traceless
     part a = h - f0 I, formed in place of ``h``, and s = ``rms_singular(a)``.
@@ -68,16 +78,17 @@ def scalar_split(h: np.ndarray):
     return f0, h, rms_singular(h)
 
 
-# Products of small matrices.  On 2 x 2 and 4 x 4 matrices most of the cost of
-# numpy's batched ``@`` and ``einsum`` is per-matrix overhead.  Up to
-# PLANAR_MAX the charge kernels hold a chunk node-last, as contiguous
-# (..., N, N, M) arrays, and a product unrolls its j-sum into elementwise
-# calls over the M nodes; above it they keep (..., M, N, N) stacks and ``@``.  The S^3 winding integrand
-# (three products U^-1 d_a, two triple traces, the transposes included) over
-# 2^18 nodes in 4,096-node chunks, on 2 cores with numpy 2.4.6 and OpenBLAS:
+# Products of small matrices, for the S^3 winding integrand of sectors of 3 x 3
+# and up (1 x 1 and 2 x 2 sectors take the determinant forms of ``charge``).
+# On 4 x 4 matrices most of the cost of numpy's batched ``@`` and ``einsum`` is
+# per-matrix overhead.  Up to PLANAR_MAX the kernel holds a chunk node-last,
+# as contiguous (..., N, N, M) arrays, and a product unrolls its j-sum into
+# elementwise calls over the M nodes; above it, it keeps (..., M, N, N) stacks
+# and ``@``.  The integrand (three products U^-1 d_a, two triple traces, the
+# transposes included) over 2^18 nodes in 4,096-node chunks, on 2 cores with
+# numpy 2.4.6 and OpenBLAS:
 #
 #     N    stacked ``@``    node-last
-#     2    0.56-0.68 s      0.045-0.053 s
 #     4    0.93-0.96 s      0.47-0.54 s
 #     6    1.2-1.5 s        1.3-1.6 s
 #     8    1.8-1.9 s        3.3-3.6 s

@@ -35,46 +35,57 @@ band count below the Fermi level that varies within one sector is refused
 even where the total count does not vary (the gap of that sector closes).
 
 The kernels walk the grid in fixed-size chunks of rows, generating,
-evaluating, inverting or diagonalizing and integrating one chunk at a time
-into a running sum.  They take a grid only as a ``GridRows`` and never hold
-it whole: cached per (dim, n), it keeps only the polar angles' sines, cosines
-and weights and the grid one dimension down (at most 2 n^2 rows, the S^2
-inside S^3), and each chunk's rows are products of the two, written into one
-block per kernel call together with the field's values and derivatives
-there.  So their memory does not grow with the resolution; ``sphere_grid``
-gives callers the same rows whole.  An enclosing sphere |x - c| = r is
-the same grid moved chunk by chunk, to nodes c + r u with tangents r du.
-``chern_2`` and ``winding_1`` take it as ``center, radius``, which
-``_check_field`` alone checks: a finite center in the ambient dimension, a
-finite radius > 0, and the unit sphere when no center is given.  The
-products of the S^3 and closed-form Chern integrands take each chunk once,
-after its gates, into the layout of ``_linalg.products``: node-last for
-matrices up to 4 x 4 (the 2 x 2 generators and their direct sums), so that a
+evaluating, gating and integrating one chunk at a time into a running sum.
+They take a grid only as a ``GridRows`` and never hold it whole: cached per
+(dim, n), it keeps only the polar angles' sines, cosines and weights and the
+grid one dimension down (at most 2 n^2 rows, the S^2 inside S^3), and each
+chunk's rows are products of the two.  Its Gauss-Legendre rule comes from a
+Newton iteration in O(n) memory (``_gauss_legendre``).  A chunk's rows, the
+field's values and derivatives there and the node-last rows of the closed
+forms below are written into one block, which ``_assemble`` makes once per
+charge, for the largest sector and the larger grid, and hands to every
+sector's kernel.  So their memory does not grow with the resolution;
+``sphere_grid`` gives callers the same rows whole.  An enclosing sphere
+|x - c| = r is the same grid moved chunk by chunk, to nodes c + r u with
+tangents r du.  ``chern_2`` and ``winding_1`` take it as ``center, radius``,
+which ``_check_field`` alone checks: a finite center in the ambient
+dimension, a finite radius > 0, and the unit sphere when no center is given.
+The products of the general S^3 integrand take each chunk once, after its
+gates, into the layout of ``_linalg.products``: node-last for matrices up to
+4 x 4 (direct sums of two generators mixed into one sector), so that a
 product is a few elementwise calls over the nodes, and stacked for larger
 ones.
 
-Sectors of size at most 2 need no eigensolver and no inverse, and their
-closed forms are exact.  A 1 x 1 Hermitian sector is its own band h = f0,
-with P = 0 or I.  A 2 x 2 one, the even generator x . sigma and every two-band
-crossing among them, has the bands f0 +- s by Cayley-Hamilton, with
-f0 = Re tr h / 2, A = h - f0 I and s = ||A||_F / sqrt(2); below a Fermi level
-between them P = (I - A / s) / 2, and
+Sectors of size at most 2 need no eigensolver, no inverse and no matrix
+product, and their closed forms are exact.  A 1 x 1 Hermitian sector is its
+own band h = f0, with P = 0 or I.  A 2 x 2 one, the even generator x . sigma
+and every two-band crossing among them, is h = f0 I + a . sigma in the real
+Pauli coordinates of its Hermitian part, with the bands f0 +- s, s = |a|;
+below a Fermi level between them P = (I - a . sigma / s) / 2, and
 
-    tr(P [d_0 P, d_1 P]) = -tr(A [d_0 A, d_1 A]) / (8 s^3).
+    tr(P [d_0 P, d_1 P]) = -(i / 2) (a / s) . (d_0 a / s x d_1 a / s),
 
-A 1 x 1 or 2 x 2 winding sector, the odd generators among them, has
-U^-1 = adj(V) / (det V s) with s = ||U||_F / sqrt(N) and V = U / s
-(``_gated_inverse``).  Both closed forms divide by s before they multiply, so
-they stay finite wherever the field's entries are and its derivatives divided
-by s are.  Every larger sector takes the general path: ``eigh`` of h / s for
-the Chern integrand, with s = ||h||_F / sqrt(N), so that no band difference
-overflows either, and ``inv`` for the windings, whose invertibility is
-certified from that inverse via sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs
-only on a chunk where that bound is <= GAP_MIN.  Both paths apply the same
-gates, each before any division.  Coefficients are finite (the field's
-constructor refuses any other), but values or derivatives that overflow on
-the sphere are refused chunk by chunk (``_chunk_fields``), before any gate
-reads them, and a summed raw that is not finite is refused too (``_assemble``).
+the two-band form of the curvature above (``_two_band_curvature``).  A 1 x 1
+or 2 x 2 winding sector, the odd generators among them, is gated from
+V = U / s, s = ||U||_F / sqrt(N), and det V alone (``_closed_gate``).  On S^1
+it has U^-1 = adj(V) / (det V s) (``_gated_inverse``).  On S^3 the l_a =
+U^-1 d_a U of a 1 x 1 sector commute, so it adds nothing, and a 2 x 2 one has
+
+    3 (tr(l_1 l_2 l_3) - tr(l_1 l_3 l_2)) = -3 det[U, d_1 U, d_2 U, d_3 U] / (det U)^2,
+
+the 4 x 4 determinant stacking each matrix's four entries, taken on V and
+d_a U / s by its Laplace expansion in 2 x 2 minors (``_winding3_closed``).
+The closed forms divide by s before they multiply, so they stay finite
+wherever the field's entries are and its derivatives divided by s are.
+Every larger sector takes the general path: ``eigh`` of h / s for the Chern
+integrand, with s = ||h||_F / sqrt(N), so that no band difference overflows
+either, and ``inv`` for the windings, whose invertibility is certified from
+that inverse via sigma_min(U) >= 1 / ||U^-1||_F; the SVD runs only on a
+chunk where that bound is <= GAP_MIN.  Both paths apply the same gates, each
+before any division.  Coefficients are finite (the field's constructor
+refuses any other), but values or derivatives that overflow on the sphere
+are refused chunk by chunk (``_chunk_fields``), before any gate reads them,
+and a summed raw that is not finite is refused too (``_assemble``).
 
 The normalizations above are fixed by requiring integrality, additivity under
 direct sums and charge +1 for the scalar winding x1 + i x2.  Which sign the
@@ -90,7 +101,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import chunks, products, rms_singular, scalar_split
+from . import _linalg
+from ._linalg import chunks, column_norms, products, rms_singular
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
@@ -252,7 +264,7 @@ def _build_grid_rows(dim: int, n: int) -> GridRows:
         return GridRows(1, n)
     inner = _build_grid_rows(1, 2 * n) if dim == 2 else _build_grid_rows(2, n)
     inner = inner.rows(0, inner.size)
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     if dim == 2:
         psi = np.arccos(x)
         w_psi = w / np.sin(psi)
@@ -266,6 +278,40 @@ def _build_grid_rows(dim: int, n: int) -> GridRows:
 
 
 _cached_grid_rows = lru_cache(maxsize=16)(_build_grid_rows)
+
+
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1] in O(n) memory.
+
+    Newton's method runs on the angles theta of the roots x = cos theta of P_n,
+    vectorized over the roots, with P_n and P_(n-1) from the three-term
+    recurrence; the weights 2 sin^2 theta / (n P_(n-1)(x))^2 take sin theta from
+    the angle, so they keep their relative accuracy next to x = +-1 (Hale and
+    Townsend, SIAM J. Sci. Comput. 35, A652 (2013)).  Tricomi's estimates start
+    within 4e-4 of the angles for every n >= 4 (closer as n grows), and each
+    step about squares the error, so four steps reach rounding.  The roots in
+    [0, 1) are mirrored: the rule is symmetric to the bit, with the node 0 for
+    odd n.
+    """
+    k = np.arange(n // 2 + n % 2, 0, -1)
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
+    for _ in range(4):
+        x = np.cos(theta)
+        p, p_prev = _legendre_pair(n, x)
+        theta += np.sin(theta) * p / (n * (p_prev - x * p))  # n (...) = sin^2 theta P_n'(x)
+    x = np.cos(theta)
+    p, p_prev = _legendre_pair(n, x)
+    w = 2.0 * (np.sin(theta) / (n * (p_prev - x * p))) ** 2
+    x[: n % 2] = 0.0
+    return np.concatenate([-x[n % 2:][::-1], x]), np.concatenate([w[n % 2:][::-1], w])
+
+
+def _legendre_pair(n: int, x: np.ndarray):
+    """(P_n(x), P_(n-1)(x)) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, p_prev
 
 
 def _check_field(field: MatrixPolyField, dim: int, center=None, radius=1.0):
@@ -291,97 +337,121 @@ def _check_field(field: MatrixPolyField, dim: int, center=None, radius=1.0):
     return center
 
 
+def _closed_gate(u: np.ndarray, v: np.ndarray):
+    """Refuse a stack of 1 x 1 or 2 x 2 matrices U where one is (nearly)
+    singular; else ``(det V, 1 / s)``, with V = U / s written node-last into
+    the (N^2, M) rows ``v`` entry by entry and s = ``rms_singular(U)`` (1 / s
+    is floored at 1 / tiny, so V = 0 where U = 0).
+
+    As ||V||_F^2 = N, sigma_min(U) is s |det V| for N = 1 and
+    s |det V| / sqrt(1 + sqrt(1 - |det V|^2)) for N = 2, so the gate
+    sigma_min > GAP_MIN is exact (NaN fails it).  Where |det V| <= 4 eps
+    (rounding noise: its two products are at most 1 in modulus together), U is
+    refused as ``inv`` refuses an exact zero pivot, and the SVD names sigma_min.
+    """
+    s = rms_singular(u)
+    r = 1.0 / np.maximum(s, np.finfo(float).tiny)
+    np.multiply(u.reshape(len(u), -1).T, r, out=v)
+    det = v[0] if len(v) == 1 else v[0] * v[3] - v[1] * v[2]
+    m = np.abs(det)
+    sv = s * m if len(v) == 1 else s * m / np.sqrt(1.0 + np.sqrt(np.maximum(1 - m * m, 0)))
+    sv_min = float(np.min(sv))
+    if sv_min > GAP_MIN and np.min(m) > 4.0 * np.finfo(float).eps:
+        return det, r
+    if sv_min > GAP_MIN:
+        sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
+    raise _singular_error(sv_min)
+
+
+def _singular_error(sv_min: float) -> GapClosedError:
+    return GapClosedError(f"field is (nearly) singular on the grid: min singular value {sv_min}")
+
+
 def _gated_inverse(u: np.ndarray) -> np.ndarray:
     """Inverses of a stack of matrices, refused where one is (nearly) singular.
 
-    A 1 x 1 or 2 x 2 U has U^-1 = adj(V) (1 / s) / det V, with s =
-    ``rms_singular(U)`` and V = U / s formed entry by entry, so that nothing
-    overflows (det V s can, near float max).  As
-    ||V||_F^2 = N, sigma_min(U) is s |det V| for N = 1 and
-    s |det V| / sqrt(1 + sqrt(1 - |det V|^2)) for N = 2, so the gate
-    sigma_min > GAP_MIN is exact (NaN fails it).  A larger U takes ``inv``, and
-    the SVD runs only where sigma_min >= 1 / ||U^-1||_F does not clear GAP_MIN.
-    Where ``inv`` meets an exact zero pivot, or |det V| <= 4 eps (rounding
-    noise: its two products are at most 1 in modulus together), U is refused
-    even if the SVD puts sigma_min above GAP_MIN.
+    A 1 x 1 or 2 x 2 U passes :func:`_closed_gate` and has
+    U^-1 = adj(V) (1 / s) / det V, so that nothing overflows (det V s can, near
+    float max).  A larger U takes ``inv``, and the SVD runs only where
+    sigma_min >= 1 / ||U^-1||_F does not clear GAP_MIN.  Where ``inv`` meets an
+    exact zero pivot, U is refused even if the SVD puts sigma_min above GAP_MIN.
     """
-    uinv = sv_min = None
-    if u.shape[-1] <= 2:
-        s = rms_singular(u)
-        r = 1.0 / np.maximum(s, np.finfo(float).tiny)  # V = 0 where U = 0
-        v = [u[:, i, j] * r for i, j in np.ndindex(u.shape[1:])]
-        det = v[0] if len(v) == 1 else v[0] * v[3] - v[1] * v[2]
-        m = np.abs(det)
-        sv = s * m if len(v) == 1 else s * m / np.sqrt(1.0 + np.sqrt(np.maximum(1 - m * m, 0)))
-        sv_min = float(np.min(sv))
-        if sv_min > GAP_MIN and np.min(m) > 4.0 * np.finfo(float).eps:
-            scale = r / det
-            if len(v) == 1:
-                return scale[:, None, None]
-            uinv = np.empty_like(u)
-            for (i, j), entry in zip(np.ndindex(2, 2), (v[3], -v[1], -v[2], v[0])):
-                np.multiply(entry, scale, out=uinv[:, i, j])
-            return uinv
+    n = u.shape[-1]
+    if n <= 2:
+        v = np.empty((n * n, len(u)), dtype=complex)
+        det, r = _closed_gate(u, v)
+        scale = r / det
+        if n == 1:
+            return scale[:, None, None]
+        uinv = np.empty_like(u)
+        for (i, j), entry in zip(np.ndindex(2, 2), (v[3], -v[1], -v[2], v[0])):
+            np.multiply(entry, scale, out=uinv[:, i, j])
+        return uinv
+    uinv = None
+    try:
+        uinv = np.linalg.inv(u)
+    except np.linalg.LinAlgError:
+        pass
     else:
-        try:
-            uinv = np.linalg.inv(u)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            # An underflowing norm gives inf (right); an overflowing one 0 (the SVD decides).
-            with np.errstate(over="ignore", divide="ignore"):
-                if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
-                    return uinv
-    if sv_min is None or sv_min > GAP_MIN:  # the SVD decides, or names sigma_min
-        sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
+        # An underflowing norm gives inf (right); an overflowing one 0 (the SVD decides).
+        with np.errstate(over="ignore", divide="ignore"):
+            if np.all(1.0 / np.linalg.norm(uinv, axis=(1, 2)) > GAP_MIN):
+                return uinv
+    sv_min = float(np.linalg.svd(u, compute_uv=False)[..., -1].min())
     if uinv is None or not sv_min > GAP_MIN:
-        raise GapClosedError(
-            f"field is (nearly) singular on the grid: min singular value {sv_min}"
-        )
+        raise _singular_error(sv_min)
     return uinv
 
 
 def _chunk_block(dim: int, n: int, m: int):
-    """``(rows, values, derivatives)`` for chunks of up to ``m`` rows on S^dim
-    and an n x n field: a :class:`SphereGrid` of m rows and (m, n, n) and
-    (m, dim, n, n) complex arrays, all carved from one allocation."""
+    """``(rows, work)`` for chunks of up to ``m`` rows on S^dim and sectors of
+    up to n x n, carved from one allocation: a :class:`SphereGrid` of m rows,
+    and a flat complex array that holds a chunk's values and derivatives and,
+    for a sector of at most 2 x 2, as many entries again for the node-last
+    rows of the closed forms (:func:`_chunk_fields`)."""
     floats = m * ((dim + 1) ** 2 + 1)  # the nodes, weights and tangents of m rows
     head = (floats + 1) // 2
-    block = np.empty(head + (1 + dim) * m * n * n, dtype=complex)
+    # A k x k sector takes (1 + dim) m k^2 entries, twice that for k <= 2: at
+    # most 8 (1 + dim) m <= (1 + dim) m n^2 when n >= 3.
+    block = np.empty(head + (1 + dim) * m * (2 * n * n if n <= 2 else n * n), dtype=complex)
     f = block[:head].view(float)
     a, b = m * (dim + 1), m * (dim + 2)
     rows = SphereGrid(dim, f[:a].reshape(m, dim + 1), f[a:b], f[b:floats].reshape(m, dim, dim + 1))
-    size = m * n * n
-    return rows, block[head:head + size].reshape(m, n, n), block[head + size:].reshape(m, dim, n, n)
+    return rows, block[head:]
 
 
-def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0):
-    """``(rows, values, derivatives)`` of ``field`` on each row chunk of the
-    :class:`GridRows` ``grid`` or, given ``center``, of the grid moved to
+def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0, block=None):
+    """``(rows, values, derivatives, spare)`` of ``field`` on each row chunk of
+    the :class:`GridRows` ``grid`` or, given ``center``, of the grid moved to
     |x - center| = ``radius``: nodes center + radius u and tangents radius du,
     so by the chain rule the integrand is that of the restricted field.
     A chunk whose values or derivatives are not finite (the model overflows
     there) is refused here, for every sector size, before any gate, ``eigh``
     or ``inv`` reads it: this is the one check of overflow on the sphere.
 
-    Every chunk is written into one :func:`_chunk_block` made for the call, so
+    Every chunk is written into ``block``, a :func:`_chunk_block` for at least
+    this field and the grid's largest chunk (made for the call when None), so
     a chunk is valid until the next one is drawn, and the heap is not grown
-    and given back chunk by chunk."""
-    block = None
+    and given back chunk by chunk.  ``spare`` is the block's flat complex room
+    for as many entries as the values and derivatives on a sector of at most
+    2 x 2, and None on a larger one."""
+    n, dim = field.size, grid.dim
+    if block is None:
+        block = _chunk_block(dim, n, min(_linalg.CHUNK, grid.size))
+    row_buffer, work = block
     for sl in chunks(grid.size):
         m = min(sl.stop, grid.size) - sl.start
-        if block is None:  # the first chunk is the largest
-            block = _chunk_block(grid.dim, field.size, m)
-        row_buffer, values, derivs = block
         rows = grid.rows(sl.start, sl.start + m, row_buffer)
-        out = values[:m], derivs[:m]
+        size = m * n * n
+        out = work[:size].reshape(m, n, n), work[size:(1 + dim) * size].reshape(m, dim, n, n)
+        spare = work[(1 + dim) * size:2 * (1 + dim) * size] if n <= 2 else None
         if center is None:
             h, d = field.evaluate_batch(rows.nodes, rows.dx_dparam, out)
         else:
             h, d = field.evaluate_batch(center + radius * rows.nodes, radius * rows.dx_dparam, out)
         if not (np.isfinite(h.view(float)).all() and np.isfinite(d.view(float)).all()):
             raise _overflow_error("field", center, radius)
-        yield rows, h, d
+        yield rows, h, d, spare
 
 
 def _overflow_error(what: str, center, radius) -> ModelOverflowError:
@@ -392,35 +462,115 @@ def _overflow_error(what: str, center, radius) -> ModelOverflowError:
     return ModelOverflowError(f"{what} is not finite on {where}; the model overflows there")
 
 
-def _winding_raw(field: MatrixPolyField, grid, center=None, radius=1.0) -> float:
-    arrange, matmul, trace3 = products(field.size)
+def _winding_raw(field: MatrixPolyField, grid, center=None, radius=1.0, block=None) -> float:
+    closed = field.size <= 2
+    if grid.dim == 3 and not closed:
+        arrange, matmul, trace3 = products(field.size)
     total = 0.0
-    for rows, u, d in _chunk_fields(field, grid, center, radius):
-        uinv = _gated_inverse(u)
+    for rows, u, d, spare in _chunk_fields(field, grid, center, radius, block):
         if grid.dim == 1:
+            uinv = _gated_inverse(u)
             log_deriv = np.einsum("mij,mji->m", uinv, d[:, 0], optimize=True)
             total += np.sum(rows.weights * log_deriv)
-            continue
-        # dim == 3: tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
-        # over the 3! orderings, which cyclicity reduces to
-        # 3 (tr(l1 l2 l3) - tr(l1 l3 l2)).
-        l1, l2, l3 = matmul(arrange(uinv), arrange(d))
-        integrand = trace3(l1, l2, l3) - trace3(l1, l3, l2)
-        total += np.sum(rows.weights * 3.0 * integrand)
+        elif closed:
+            integrand = _winding3_closed(u, d, spare)
+            if integrand is not None:
+                total += np.sum(rows.weights * integrand)
+        else:
+            # tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
+            # over the 3! orderings, which cyclicity reduces to
+            # 3 (tr(l1 l2 l3) - tr(l1 l3 l2)).
+            l1, l2, l3 = matmul(arrange(_gated_inverse(u)), arrange(d))
+            integrand = trace3(l1, l2, l3) - trace3(l1, l3, l2)
+            total += np.sum(rows.weights * 3.0 * integrand)
     if grid.dim == 1:
         return float(np.real(total / (2.0j * np.pi)))
     return float(np.real(-total / (24.0 * np.pi**2)))
 
 
-def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1.0) -> float:
+def _winding3_closed(u: np.ndarray, d: np.ndarray, spare: np.ndarray):
+    """The S^3 integrand 3 (tr(l1 l2 l3) - tr(l1 l3 l2)), l_a = U^-1 d_a U, at
+    each node of a chunk of a 1 x 1 or 2 x 2 sector, after its gate; None on a
+    1 x 1 one, where the l_a commute.
+
+    On 2 x 2 matrices it is -3 det[U, d_1 U, d_2 U, d_3 U] / (det U)^2, the
+    4 x 4 determinant stacking each matrix's entries row-major, and both
+    determinants scale alike, so it is taken of V = U / s and d_a U / s, held
+    node-last in ``spare``.  The 4 x 4 determinant is the Laplace expansion in
+    the 2 x 2 minors of its rows (V, d_1 U / s) and (d_2 U / s, d_3 U / s).
+    """
+    m, n = len(u), u.shape[-1]
+    x = spare[:4 * n * n * m].reshape(4, n * n, m)
+    det, r = _closed_gate(u, x[0])
+    if n == 1:
+        return None
+    np.multiply(np.moveaxis(d.reshape(m, 3, 4), 0, -1), r, out=x[1:])
+    v, d1, d2, d3 = x
+
+    def p(j, k):
+        return v[j] * d1[k] - v[k] * d1[j]
+
+    def q(j, k):
+        return d2[j] * d3[k] - d2[k] * d3[j]
+
+    det4 = (p(0, 1) * q(2, 3) - p(0, 2) * q(1, 3) + p(0, 3) * q(1, 2)
+            + p(1, 2) * q(0, 3) - p(1, 3) * q(0, 2) + p(2, 3) * q(0, 1))
+    return -3.0 * det4 / (det * det)
+
+
+# f0 = Re tr h / 2 and the real Pauli coordinates a of the Hermitian part of a
+# 2 x 2 matrix h = f0 I + a . sigma, from its entries as floats
+# (Re h00, Im h00, Re h01, Im h01, Re h10, Im h10, Re h11, Im h11).  Each
+# entry is halved before the sum, so neither overflows.
+_PAULI = 0.5 * np.array([
+    [1, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 1, 0, 1, 0, 0, 0],
+    [0, 0, 0, -1, 0, 1, 0, 0],
+    [1, 0, 0, 0, 0, 0, -1, 0],
+], dtype=float)
+
+
+def _pauli_split(h: np.ndarray, d: np.ndarray, spare: np.ndarray):
+    """``(f0, a, s)`` for a chunk of a 2 x 2 Hermitian sector: f0 = Re tr h / 2,
+    the real Pauli coordinates a (3, 3, M) of h, d_0 h and d_1 h, held
+    node-last in ``spare``, and s = |a[0]|, so that h has the bands f0 +- s.
+
+    Each is one product with the constant ``_PAULI``, whose entries are 0 and
+    +-1/2, so it is exact but for the one rounding of each sum.
+    """
+    m = len(h)
+    coords = spare.view(float)[:12 * m].reshape(3, 4, m)
+    np.matmul(_PAULI, h.view(float).reshape(m, 8).T, out=coords[0])
+    np.matmul(_PAULI, d.view(float).reshape(m, 2, 8).transpose(1, 2, 0), out=coords[1:])
+    a = coords[:, 1:]
+    return coords[0, 0], a, column_norms(a[0])
+
+
+def _two_band_curvature(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Im tr(P [d_0 P, d_1 P]) at each node of a gapped 2 x 2 chunk with one
+    band below fermi, from the ``(a, s)`` of :func:`_pauli_split`.
+
+    P = (I - a . sigma / s) / 2, so tr(P [d_0 P, d_1 P]) =
+    -(i / 2) (a / s) . (d_0 a / s x d_1 a / s): the parts of d a along a drop
+    out of the triple product.  Each factor is divided by s, in place, before
+    it multiplies, so that nothing overflows; the gap gate keeps s > GAP_MIN.
+    """
+    a /= s
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = a
+    return -0.5 * (a1 * (b2 * c3 - b3 * c2) + a2 * (b3 * c1 - b1 * c3) + a3 * (b1 * c2 - b2 * c1))
+
+
+def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1.0,
+               block=None) -> float:
     total = 0.0
     n_occ = None
     closed = field.size <= 2
-    arrange, _, trace3 = products(field.size)
-    for rows, h, d in _chunk_fields(field, grid, center, radius):
-        if closed:
-            f0, a, s = scalar_split(h)
-            vals = f0[:, None] if field.size == 1 else np.stack([f0 - s, f0 + s], axis=1)
+    for rows, h, d, spare in _chunk_fields(field, grid, center, radius, block):
+        if field.size == 1:
+            vals = h[:, 0, 0].real[:, None]
+        elif closed:
+            f0, a, s = _pauli_split(h, d, spare)
+            vals = np.stack([f0 - s, f0 + s], axis=1)
         else:
             # eigh takes h / s, s = rms_singular(h) floored at tiny (h = 0 stays
             # 0), and E = s lam: no difference E_o - E_u below overflows.
@@ -448,14 +598,7 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
             continue  # P is 0 or I: no curvature
 
         if closed:
-            # P = (I - a / s) / 2, so tr(P [d_0 P, d_1 P]) = -tr(a [d_0 h, d_1 h]) / (8 s^3)
-            # = -i Im tr(a d_0 h d_1 h) / (4 s^3).  Each factor is divided by s
-            # first, so that neither the trace nor s^3 overflows; the gate above
-            # keeps s > GAP_MIN.
-            a /= s[:, None, None]
-            d /= s[:, None, None, None]
-            d0, d1 = arrange(d)
-            integrand = -trace3(arrange(a), d0, d1).imag / 4.0
+            integrand = _two_band_curvature(a, s)
         else:
             # Berry curvature in the eigenbasis: tr(P [dP_0, dP_1]) = 2i Im sum k_0 conj(k_1)
             # with k_a = <o| d_a h |u> / (E_o - E_u) over occupied o and unoccupied u,
@@ -471,19 +614,24 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
 
 def _assemble(kernel, field: MatrixPolyField, dim: int, resolution: int | None,
               center=None, radius=1.0) -> ChargeResult:
-    """Charge of ``field`` from ``kernel(sector, grid, center, radius)``, summed
-    over its sectors, at the resolution and at twice it.  The grids are the
-    cached :class:`GridRows`, whose rows each sector's kernel generates chunk
-    by chunk.  The sum starts from the first raw rather than from 0, so that a
-    one-sector field keeps the bits of its raw (0 + -0.0 would be 0.0)."""
+    """Charge of ``field`` from ``kernel(sector, grid, center, radius, block)``,
+    summed over its sectors, at the resolution and at twice it.  The grids are
+    the cached :class:`GridRows`, whose rows each sector's kernel generates
+    chunk by chunk into ``block``, one :func:`_chunk_block` for the largest
+    sector and the larger grid's chunks.  The sum starts from the first raw
+    rather than from 0, so that a one-sector field keeps the bits of its raw
+    (0 + -0.0 would be 0.0)."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION[dim]
+    grids = [_grid_rows(dim, n) for n in (resolution, 2 * resolution)]
+    size = max(sector.size for sector in field.sectors)
+    block = _chunk_block(dim, size, min(_linalg.CHUNK, grids[1].size))
     raws = []
     # Evaluation may overflow before _chunk_fields refuses the chunk.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in (resolution, 2 * resolution):
-            grid = _grid_rows(dim, n)
-            first, *rest = (kernel(sector, grid, center, radius) for sector in field.sectors)
+        for grid in grids:
+            first, *rest = (kernel(sector, grid, center, radius, block)
+                            for sector in field.sectors)
             raw = sum(rest, first)
             if not np.isfinite(raw):
                 raise _overflow_error("charge integrand", center, radius)
@@ -525,7 +673,9 @@ def chern_2(
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")
     return _assemble(
-        lambda sector, grid, center, radius: _chern_raw(sector, fermi, grid, center, radius),
+        lambda sector, grid, center, radius, block: _chern_raw(
+            sector, fermi, grid, center, radius, block
+        ),
         field, 2, resolution, center, radius,
     )
 

@@ -197,16 +197,43 @@ def test_grid_argument_validation():
         sphere_grid(2, 3)
 
 
+@pytest.mark.parametrize("n", [4, 5, 24, 64, 512, 1024])
+def test_gauss_legendre_rule_matches_leggauss(n):
+    x, w = charge._gauss_legendre(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - xr)) <= 1e-14
+    # leggauss's own weights next to +-1 are off by up to 1.5e-14 at n = 1024
+    # (against a 50-digit reference, where this rule is within 1e-16).
+    assert np.max(np.abs(w - wr)) <= (1e-14 if n < 1024 else 2e-14)
+    # Exact, to rounding, on the Legendre polynomials of degree < 2n.
+    moments = w @ np.polynomial.legendre.legvander(x, 2 * n - 1)
+    assert np.max(np.abs(moments - np.eye(1, 2 * n)[0] * 2.0)) <= 2e-15
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_gauss_legendre_memory_is_linear_in_n():
+    # leggauss(2048) builds a 2048 x 2048 companion matrix, 32 MiB.
+    tracemalloc.start()
+    try:
+        charge._gauss_legendre(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def reference_sphere_grid(dim, n):
     """The suspension built from tiled and concatenated copies of the inner grid,
-    down to the circle built from all n angles at once."""
+    down to the circle built from all n angles at once, on the kernels'
+    Gauss-Legendre rule (checked against ``leggauss`` on its own above)."""
     if dim == 1:
         theta = 2.0 * np.pi * np.arange(n) / n
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         dx = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
         return charge.SphereGrid(1, nodes, np.full(n, 2.0 * np.pi / n), dx)
     inner = reference_sphere_grid(1, 2 * n) if dim == 2 else reference_sphere_grid(2, n)
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = charge._gauss_legendre(n)
     if dim == 2:
         psi = np.arccos(x)
         w_psi = w / np.sin(psi)
@@ -996,7 +1023,8 @@ def test_chunked_chern_sees_band_count_change_in_a_later_chunk(monkeypatch):
 def test_kernel_memory_bounded_by_the_chunk():
     # The S^3 grid at n = 48 has 221,184 nodes; the kernel's working set is one
     # chunk of them, and the grid itself is built without tiled temporaries.
-    # The 4 x 4 field's node-last copies are four times those of the 2 x 2 one.
+    # The 2 x 2 field takes the determinant form, whose node-last rows are in
+    # the kernel's block; the 4 x 4 one, passed whole, inv and the products.
     fields = (dirac3(), dirac3().direct_sum(dirac3().reflect(0)))
     kernel_peaks = []
     tracemalloc.start()
@@ -1039,6 +1067,27 @@ def test_charge_memory_does_not_grow_with_the_resolution():
     assert chern_peaks[1] < chern_peaks[0] + 2**20
 
 
+def test_one_chunk_block_serves_every_sector_at_both_resolutions(monkeypatch):
+    # A mixed 4 x 4 sector (products), a 2 x 2 one (determinant form) and a
+    # 1 x 1 one share the block made for the largest, and each sector's raw
+    # is the one it gets in a block of its own.
+    rng = np.random.default_rng(11)
+    dirac = dirac3()
+    mixed = dirac.direct_sum(dirac.reflect(1)).conjugated_by(random_unitary(rng, 4))
+    scalar = MatrixPolyField(4, 1, {(0, 0, 0, 0): [[3.0]], (1, 0, 0, 0): [[1j]]}, SPHERE)
+    field = mixed.direct_sum(dirac.conjugated_by(random_unitary(rng, 2))).direct_sum(scalar)
+    assert [s.size for s in field.sectors] == [4, 2, 1]
+    alone = [sum(charge._winding_raw(s, charge._grid_rows(3, n)) for s in field.sectors)
+             for n in (6, 12)]
+    made = []
+    real_block = charge._chunk_block
+    monkeypatch.setattr(charge, "_chunk_block", lambda *a: made.append(a) or real_block(*a))
+    result = winding_3(field, 6)
+    assert made == [(3, 4, min(_linalg.CHUNK, charge._grid_rows(3, 12).size))]
+    assert np.max(np.abs(np.subtract(result.convergence_pair, alone))) <= 1e-15
+    assert (result.charge, result.converged) == (1, True)
+
+
 def copies(field, k, rng):
     """The direct sum of k copies of ``field``, mixed by a random unitary."""
     total = field
@@ -1051,9 +1100,10 @@ def copies(field, k, rng):
 def test_node_last_products_match_the_stacked_ones(monkeypatch, size):
     # PLANAR_MAX pinned to 0 sends every size through the stacked ``@`` path and
     # pinned to ``size`` through the node-last one, 6 x 6 included; the default
-    # sends 2 x 2 and 4 x 4 node-last and 6 x 6 stacked.  The 2 x 2 fields take
-    # the closed forms, whose integrands use the products, and larger ones inv
-    # and eigh.
+    # sends 4 x 4 node-last and 6 x 6 stacked.  The 2 x 2 fields take the
+    # determinant forms, which use no products, so their raws must not move
+    # with PLANAR_MAX; the larger winding fields take inv and the products,
+    # and the larger Chern fields eigh.
     rng = np.random.default_rng(size)
     gram = copies(dirac3(), size // 2, rng)
     general = random_invertible_phase(rng, dirac3(), size)

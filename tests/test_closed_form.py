@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgen import bandscan, charge, clifford, generators
+from kgen import _linalg, bandscan, charge, clifford, generators
 from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, winding_3
 from kgen.cli import main
 from kgen.errors import GapClosedError, ModelFormatError, ModelOverflowError
@@ -197,7 +197,6 @@ def test_two_band_polynomials_match_the_references(seed, scale, fermi, n):
     vals = np.linalg.eigvalsh(field.evaluate_batch(points))
     reference = np.min(np.abs(vals - fermi), axis=1)
     scale_at = np.max(np.abs(vals), axis=1) + abs(fermi)
-    # Gauss-Legendre nodes come from eigvalsh, so both grids are built first.
     grid, rows = sphere_grid(2, n), charge._grid_rows(2, n)
     with spying("eigh", "eigvalsh") as calls:
         gaps = bandscan._gap_batch(model, points)
@@ -381,6 +380,80 @@ def test_the_structure_survives_conjugation_reflection_and_equal_direct_sums():
             closed = outcome(winding_3, variant, resolution=4)
         assert calls == []
         assert_same(closed, winding_reference(variant, 3))
+
+
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_winding_determinant_form_matches_the_products_node_by_node(seed):
+    # At each node, random U in GL(2, C), neither unitary nor Clifford, and
+    # random d_a U: 3 (tr(l1 l2 l3) - tr(l1 l3 l2)) with l_a = U^-1 d_a U
+    # from inv and three products, against -3 det[U, d_1 U, d_2 U, d_3 U] /
+    # (det U)^2.  |tr(l1 l2 l3)| <= ||l1|| ||l2|| ||l3||, which sets the scale.
+    rng = np.random.default_rng(seed)
+    m = 4000
+    u, d = complex_normal(rng, m, 2, 2), complex_normal(rng, m, 3, 2, 2)
+    u *= 10.0 ** rng.uniform(-3, 3, (m, 1, 1))  # s is divided out
+    l1, l2, l3 = np.moveaxis(np.linalg.inv(u)[:, None] @ d, 1, 0)
+    products = 3.0 * (np.einsum("mij,mjk,mki->m", l1, l2, l3)
+                      - np.einsum("mij,mjk,mki->m", l1, l3, l2))
+    scale = 3.0 * np.prod([np.linalg.norm(l, axis=(1, 2)) for l in (l1, l2, l3)], axis=0)
+    closed = charge._winding3_closed(u, d, np.empty(16 * m, dtype=complex))
+    assert np.all(np.abs(closed - products) <= 1e-12 * scale)
+    assert charge._winding3_closed(u[:, :1, :1], d[:, :, :1, :1], np.empty(4 * m, complex)) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_two_band_curvature_matches_the_products_node_by_node(seed):
+    # At each node, random Hermitian h and d_a h: the bands f0 +- s against
+    # eigvalsh, and -(1/2) (a / s) . (d_0 a / s x d_1 a / s) against
+    # Im tr(P [d_0 P, d_1 P]) = -Im tr(A d_0 h d_1 h) / (4 s^3), A = h - f0 I,
+    # formed with matrix products; |tr(A d_0 h d_1 h)| / s^3 is at most
+    # ||d_0 h|| ||d_1 h|| / s^2 up to a constant, which sets the scale.
+    rng = np.random.default_rng(seed)
+    m = 4000
+    h, d = complex_normal(rng, m, 2, 2), complex_normal(rng, m, 2, 2, 2)
+    h, d = h + h.conj().swapaxes(-1, -2), d + d.conj().swapaxes(-1, -2)
+    h *= 10.0 ** rng.uniform(-3, 3, (m, 1, 1))
+    vals = np.linalg.eigvalsh(h)
+    f0 = np.trace(h, axis1=1, axis2=2).real / 2
+    a_matrix = h - f0[:, None, None] * np.eye(2)
+    s_ref = np.max(np.abs(vals - f0[:, None]), axis=1)
+    triple = np.einsum("mij,mjk,mki->m", a_matrix, d[:, 0], d[:, 1])
+    products = -triple.imag / (4.0 * s_ref**3)
+    scale = np.prod(np.linalg.norm(d, axis=(2, 3)), axis=1) / s_ref**2
+    f0_closed, a, s = charge._pauli_split(h, d, np.empty(12 * m, dtype=complex))
+    assert np.all(np.abs(np.stack([f0_closed - s, f0_closed + s], axis=1) - vals)
+                  <= 1e-12 * np.max(np.abs(vals), axis=1, keepdims=True))
+    assert np.all(np.abs(charge._two_band_curvature(a, s) - products) <= 1e-12 * scale)
+
+
+def test_two_by_two_sectors_take_no_inverse_eigensolver_or_products():
+    # winding_3 and chern_2 on 2 x 2 sectors with and without a Clifford
+    # structure, conjugated, reflected, summed: no inv, svd, eigh or eigvalsh,
+    # and none of the matrix products of _linalg.
+    rng = np.random.default_rng(3)
+    dirac = generators.dirac_phase_field(3, clifford.LEFT)
+    phases = (dirac.conjugated_by(oracles.random_unitary(rng, 2)),
+              dirac.direct_sum(dirac.reflect(0)),
+              small_phase(rng, dirac, 2, 0.3))
+    weyl = generators.weyl_field(2, clifford.LEFT)
+    pair = weyl.direct_sum(weyl).conjugated_by(np.kron(np.eye(2), oracles.random_unitary(rng, 2)))
+    bands = (pair, two_band(rng, 0.3))
+    assert {s.size for f in phases + bands for s in f.sectors} == {2}
+    helpers = []
+    with spying("inv", "svd", "eigh", "eigvalsh") as calls, pytest.MonkeyPatch.context() as mp:
+        for module in (charge, _linalg):
+            for name in ("products", "_planar_matmul", "_planar_trace3", "_stacked_trace3",
+                         "_nodes_last", "_nodes_first"):
+                if hasattr(module, name):
+                    mp.setattr(module, name, lambda *a, _n=name, **k: helpers.append(_n))
+        results = [winding_3(f, resolution=8) for f in phases]
+        results += [chern_2(f, resolution=8) for f in bands]
+    assert calls == [] and helpers == []
+    assert [r.charge for r in results] == [1, 0, 1] + [2 * chern_sign_weyl(), chern_sign_weyl()]
 
 
 def offset(field, f0):
