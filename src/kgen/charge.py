@@ -39,7 +39,12 @@ evaluating, gating and integrating one chunk at a time into a running sum.
 They take a grid only as a ``GridRows`` and never hold it whole: cached per
 (dim, n), it keeps only the polar angles' sines, cosines and weights and the
 grid one dimension down (at most 2 n^2 rows, the S^2 inside S^3), and each
-chunk's rows are products of the two.  Its Gauss-Legendre rule comes from a
+chunk's rows are products of the two.  Rows are coordinate-major: a chunk's
+nodes are a (dim + 1, M) array and its tangents one contiguous (M, dim) block
+per ambient coordinate, exposed as the (M, dim + 1) and (M, dim, dim + 1)
+views of ``SphereGrid``.  So each product is a contiguous run over the inner
+rows of one polar node, and ``MatrixPolyField.evaluate_batch`` builds its
+monomials from contiguous columns.  Its Gauss-Legendre rule comes from a
 Newton iteration in O(n) memory (``_gauss_legendre``).  A chunk's rows, the
 field's values and derivatives there and the node-last rows of the closed
 forms below are written into one block, which ``_assemble`` makes once per
@@ -125,13 +130,17 @@ class SphereGrid:
     ``weights`` integrate over the parameter domain (d theta d phi ...), which
     is where the kernels' pulled-back integrands live, and ``dx_dparam`` are
     the tangent vectors d(node)/d(parameter) used to pull ambient derivatives
-    back to the parametrization.
+    back to the parametrization.  The grids that this module makes are
+    coordinate-major, and their ``nodes`` and ``dx_dparam`` are transposed
+    views, not C-contiguous: ``nodes.T`` and ``dx_dparam.transpose(2, 0, 1)``
+    hold one contiguous row of nodes and (M, dim) block of tangents per
+    ambient coordinate.
     """
 
     dim: int
-    nodes: np.ndarray  # (M, dim + 1)
+    nodes: np.ndarray  # (M, dim + 1): the transpose of (dim + 1, M) rows
     weights: np.ndarray  # (M,)
-    dx_dparam: np.ndarray  # (M, dim, dim + 1)
+    dx_dparam: np.ndarray  # (M, dim, dim + 1): a view of (dim + 1, M, dim) rows
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,7 @@ class ChargeResult:
             "charge": int(self.charge),
             "residual": float(self.residual),
             "resolution": int(self.resolution),
+            "convergence_pair": [float(v) for v in self.convergence_pair],
             "converged": bool(self.converged),
         }
 
@@ -163,7 +173,9 @@ def check_resolution(n) -> None:
 
 def sphere_grid(dim: int, n: int) -> SphereGrid:
     """Build the quadrature grid at resolution ``n``: all the rows that the
-    charge kernels generate chunk by chunk (:class:`GridRows`), in fresh arrays.
+    charge kernels generate chunk by chunk (:class:`GridRows`), in fresh arrays
+    of the same coordinate-major layout, so ``nodes`` and ``dx_dparam`` are
+    not C-contiguous (see :class:`SphereGrid`).
 
     S^1 is n equispaced angles.  S^d for d = 2, 3 is the suspension of an
     inner grid on S^(d-1): x = (sin psi * y, cos psi), so d/dpsi =
@@ -190,7 +202,10 @@ class GridRows:
     ``psi_weights``) and an entry of q, as in :func:`sphere_grid`.  Every
     operation is elementwise, so any run of rows is generated with the bits of
     the whole grid, and the kernels take the grid one chunk of rows at a time
-    and never hold it whole.
+    and never hold it whole.  Rows are written coordinate-major (see
+    :class:`SphereGrid`), so each product is one long run over the inner rows
+    of a polar node, for one coordinate at a time: contiguous for the nodes
+    and weights, with a stride of dim entries for each tangent.
     """
 
     dim: int
@@ -202,22 +217,24 @@ class GridRows:
 
     def rows(self, start: int, stop: int, out: SphereGrid | None = None) -> SphereGrid:
         """Rows ``start:stop``, generated into the leading rows of ``out`` (into
-        fresh arrays when it is None)."""
+        fresh coordinate-major arrays when it is None)."""
         k, d = stop - start, self.dim
         if out is None:
-            grid = SphereGrid(d, np.empty((k, d + 1)), np.empty(k), np.empty((k, d, d + 1)))
+            grid = _coordinate_major(d, np.empty((d + 1, k)), np.empty(k), np.empty((d + 1, k, d)))
         else:
             grid = SphereGrid(d, out.nodes[:k], out.weights[:k], out.dx_dparam[:k])
         if d == 1:
+            x, t = grid.nodes.T, grid.dx_dparam.transpose(2, 0, 1)
             theta = 2.0 * np.pi * np.arange(start, stop) / self.size
-            np.cos(theta, out=grid.nodes[:, 0])
-            np.sin(theta, out=grid.nodes[:, 1])
-            np.negative(grid.nodes[:, 1], out=grid.dx_dparam[:, 0, 0])
-            grid.dx_dparam[:, 0, 1] = grid.nodes[:, 0]
+            np.cos(theta, out=x[0])
+            np.sin(theta, out=x[1])
+            np.negative(x[1], out=t[0, :, 0])
+            t[1, :, 0] = x[0]
             grid.weights[...] = 2.0 * np.pi / self.size
             return grid
         # At most three runs: the rest of one psi block, whole blocks, and the
-        # start of another, each written through a (blocks, rows, ...) view.
+        # start of another, each written through (coordinate, blocks, rows, ...)
+        # views.
         m_in = len(self.inner.weights)
         r = start
         while r < stop:
@@ -234,19 +251,28 @@ class GridRows:
     def _fill(self, grid: SphereGrid, lo: int, hi: int, ps: slice, qs: slice) -> None:
         d = self.dim
         nb, nq = ps.stop - ps.start, qs.stop - qs.start
-        nodes = grid.nodes[lo:hi].reshape(nb, nq, d + 1)
-        dx = grid.dx_dparam[lo:hi].reshape(nb, nq, d, d + 1)
-        s = self.sin[ps, None, None]
-        c = self.cos[ps, None, None]
-        y = self.inner.nodes[qs]
-        np.multiply(s, y, out=nodes[..., :d])
-        nodes[..., d] = c[..., 0]
-        np.multiply(c, y, out=dx[:, :, 0, :d])
-        dx[:, :, 0, d] = -s[..., 0]
-        np.multiply(s[..., None], self.inner.dx_dparam[qs], out=dx[:, :, 1:, :d])
-        dx[:, :, 1:, d] = 0.0
+        x = grid.nodes.T[:, lo:hi].reshape(d + 1, nb, nq)
+        t = grid.dx_dparam.transpose(2, 0, 1)[:, lo:hi].reshape(d + 1, nb, nq, d)
+        s = self.sin[ps, None]
+        c = self.cos[ps, None]
+        y = self.inner.nodes.T[:, None, qs]
+        dy = self.inner.dx_dparam.transpose(2, 0, 1)[:, None, qs]
+        np.multiply(s, y, out=x[:d])
+        x[d] = c
+        np.multiply(c, y, out=t[:d, ..., 0])
+        for a in range(1, d):
+            np.multiply(s, dy[..., a - 1], out=t[:d, ..., a])
+        t[d] = 0.0
+        t[d, ..., 0] = -s
         np.multiply(self.psi_weights[ps, None], self.inner.weights[qs],
                     out=grid.weights[lo:hi].reshape(nb, nq))
+
+
+def _coordinate_major(dim: int, nodes: np.ndarray, weights: np.ndarray,
+                      tangents: np.ndarray) -> SphereGrid:
+    """The :class:`SphereGrid` held in (dim + 1, M) ``nodes`` and
+    (dim + 1, M, dim) ``tangents``."""
+    return SphereGrid(dim, nodes.T, weights, tangents.transpose(1, 2, 0))
 
 
 def _grid_rows(dim: int, n: int) -> GridRows:
@@ -405,8 +431,11 @@ def _gated_inverse(u: np.ndarray) -> np.ndarray:
 
 def _chunk_block(dim: int, n: int, m: int):
     """``(rows, work)`` for chunks of up to ``m`` rows on S^dim and sectors of
-    up to n x n, carved from one allocation: a :class:`SphereGrid` of m rows,
-    and a flat complex array that holds a chunk's values and derivatives and,
+    up to n x n, carved from one allocation: a :class:`SphereGrid` of m
+    coordinate-major rows ((dim + 1, m) nodes, m weights, (dim + 1, m, dim)
+    tangents), whose leading k rows hold a contiguous run of k nodes and of
+    k x dim tangents per ambient coordinate; and a flat complex array that
+    holds a chunk's values and derivatives and,
     for a sector of at most 2 x 2, as many entries again for the node-last
     rows of the closed forms (:func:`_chunk_fields`)."""
     floats = m * ((dim + 1) ** 2 + 1)  # the nodes, weights and tangents of m rows
@@ -416,7 +445,8 @@ def _chunk_block(dim: int, n: int, m: int):
     block = np.empty(head + (1 + dim) * m * (2 * n * n if n <= 2 else n * n), dtype=complex)
     f = block[:head].view(float)
     a, b = m * (dim + 1), m * (dim + 2)
-    rows = SphereGrid(dim, f[:a].reshape(m, dim + 1), f[a:b], f[b:floats].reshape(m, dim, dim + 1))
+    rows = _coordinate_major(dim, f[:a].reshape(dim + 1, m), f[a:b],
+                             f[b:floats].reshape(dim + 1, m, dim))
     return rows, block[head:]
 
 

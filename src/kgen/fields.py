@@ -92,31 +92,42 @@ class MatrixPolyField:
     def evaluate_batch(self, points, tangents=None, out=None):
         """Values (M, N, N) at (M, m) points; with tangents (M, k, m), the pair
         ``(values, derivatives)``, the derivatives along the tangents (M, k, N, N),
-        written into ``out`` when it is such a pair of C-contiguous arrays.
+        written into ``out`` when it is given: a pair of C-contiguous complex
+        arrays of exactly those shapes (any other ``out`` is refused).
 
-        One pass over the terms builds the monomials and their product-rule
-        derivatives; each is multiplied once by the stacked coefficients.  A
-        power of 1 skips x ** 1, x ** 0 and the products by 1, which are exact,
-        so a linear term's derivative is its tangent component, added to 0.0.
+        One pass over the terms builds the monomials as (T, M) rows and their
+        product-rule derivatives as (T, M, k), from each coordinate's column
+        of the points and (M, k) block of the tangents; each is multiplied once
+        by the stacked coefficients, as the transposed operand of a real GEMM,
+        so the results come out node-first.  The columns and blocks are
+        contiguous runs for the coordinate-major grid rows of the charge
+        kernels, and any layout gives the same bits.  A power of 1 skips
+        x ** 1, x ** 0 and the products by 1, which are exact, so a linear
+        term's derivative is its tangent component, added to 0.0.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.ambient_dim:
             raise DimensionMismatchError(
                 f"points must have shape (M, {self.ambient_dim}), got {pts.shape}"
             )
-        n_terms, n = len(self.terms), self.size
-        mono = np.empty((pts.shape[0], n_terms))
-        if tangents is not None:
+        n_terms, n, m = len(self.terms), self.size, len(pts)
+        if tangents is None:
+            if out is not None:
+                raise ValueError("out holds values and derivatives; pass the tangents too")
+        else:
             tan = np.asarray(tangents, dtype=float)
             if tan.ndim != 3 or (tan.shape[0], tan.shape[2]) != pts.shape:
                 raise DimensionMismatchError(
-                    f"tangents must have shape ({len(pts)}, k, {self.ambient_dim}), got {tan.shape}"
+                    f"tangents must have shape ({m}, k, {self.ambient_dim}), got {tan.shape}"
                 )
-            dmono = np.zeros(tan.shape[:2] + (n_terms,))
+            k = tan.shape[1]
+            out = _checked_out(out, ((m, n, n), (m, k, n, n)))
+            dmono = np.zeros((n_terms, m, k))
+        mono = np.empty((n_terms, m))
         for t, alpha in enumerate(self.terms):
             powers = {j: pts[:, j] if p == 1 else pts[:, j] ** p for j, p in enumerate(alpha) if p}
             value = _product(powers.values())
-            mono[:, t] = 1.0 if value is None else value
+            mono[t] = 1.0 if value is None else value
             if tangents is None:
                 continue
             for j in powers:
@@ -124,15 +135,11 @@ class MatrixPolyField:
                 if alpha[j] > 1:
                     factor = alpha[j] * pts[:, j] ** (alpha[j] - 1)
                     slope = factor if slope is None else factor * slope
-                dmono[:, :, t] += tan[:, :, j] if slope is None else tan[:, :, j] * slope[:, None]
+                dmono[t] += tan[:, :, j] if slope is None else tan[:, :, j] * slope[:, None]
         if tangents is None:
-            return (mono @ self._stacked).view(complex).reshape(-1, n, n)
-        if out is None:
-            out = (np.empty((len(pts), n, n), dtype=complex),
-                   np.empty(tan.shape[:2] + (n, n), dtype=complex))
-        for rows, result in zip((mono, dmono), out):
-            flat = rows.reshape(math.prod(rows.shape[:-1]), n_terms)
-            np.matmul(flat, self._stacked, out=result.view(float).reshape(len(flat), 2 * n * n))
+            return (mono.T @ self._stacked).view(complex).reshape(m, n, n)
+        for rows, result in zip((mono, dmono.reshape(n_terms, m * k)), out):
+            np.matmul(rows.T, self._stacked, out=result.view(float).reshape(rows.shape[1], 2 * n * n))
         return out
 
     # -- algebra ------------------------------------------------------------
@@ -272,6 +279,23 @@ class MatrixPolyField:
                 f"'selfadjoint' is true but the coefficients at multi-indices {bad} are not Hermitian"
             )
         return field
+
+
+def _checked_out(out, shapes):
+    """``out`` as the pair of C-contiguous complex arrays of ``shapes`` that
+    :meth:`MatrixPolyField.evaluate_batch` writes into (fresh when None); any
+    other pair is refused, since the GEMM would write into a reshaped copy of
+    a strided one, or fail on a wrong size."""
+    if out is None:
+        return tuple(np.empty(shape, dtype=complex) for shape in shapes)
+    if not (isinstance(out, (tuple, list)) and len(out) == 2 and all(
+            isinstance(a, np.ndarray) and a.dtype == complex and a.shape == shape
+            and a.flags.c_contiguous and a.flags.writeable for a, shape in zip(out, shapes))):
+        raise DimensionMismatchError(
+            f"out must be a pair of C-contiguous, writeable complex arrays of shapes "
+            f"{shapes[0]} and {shapes[1]}"
+        )
+    return out
 
 
 def _product(factors):

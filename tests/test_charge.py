@@ -296,6 +296,24 @@ def test_chunk_rows_match_the_whole_grid(dim, n, chunk):
         assert chunked == getattr(whole, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_rows_are_coordinate_major(dim):
+    # sphere_grid returns the rows as the kernels hold them, not C-contiguous
+    # copies: nodes are the transpose of a (dim + 1, M) array and tangents a
+    # view of (dim + 1, M, dim), one contiguous (M, dim) block per ambient
+    # coordinate.  A chunk's rows in the kernels' block have the same layout.
+    grid = sphere_grid(dim, 6)
+    chunk = charge._grid_rows(dim, 6).rows(3, 40, charge._chunk_block(dim, 2, 64)[0])
+    for rows in (grid, chunk):
+        assert rows.nodes.T.flags.c_contiguous == (rows is grid)
+        assert all(rows.nodes.T[j].flags.c_contiguous for j in range(dim + 1))
+        assert all(rows.dx_dparam.transpose(2, 0, 1)[j].flags.c_contiguous
+                   for j in range(dim + 1))
+        assert rows.weights.flags.c_contiguous
+    assert not grid.nodes.flags.c_contiguous and not grid.dx_dparam.flags.c_contiguous
+    assert grid.dx_dparam.transpose(2, 0, 1).flags.c_contiguous
+
+
 # -- winding on the circle -------------------------------------------------------
 
 
@@ -850,8 +868,12 @@ def test_resolution_below_four_is_refused(fn, make, resolution):
 
 
 def test_charge_result_payload_keys():
-    payload = winding_1(dirac1()).to_payload()
-    assert set(payload) == {"raw", "charge", "residual", "resolution", "converged"}
+    result = winding_1(dirac1())
+    payload = result.to_payload()
+    assert set(payload) == {"raw", "charge", "residual", "resolution", "convergence_pair",
+                            "converged"}
+    assert payload["convergence_pair"] == list(result.convergence_pair)
+    assert payload["convergence_pair"][0] == payload["raw"]
 
 
 # -- kernels against the projector and two-einsum forms -------------------------

@@ -179,7 +179,9 @@ def test_charge_command_weyl(weyl_path):
     payload = json.loads(proc.stdout)
     assert abs(payload["charge"]) == 1
     assert payload["converged"] is True
-    assert set(payload) == {"raw", "charge", "residual", "resolution", "converged"}
+    assert set(payload) == {"raw", "charge", "residual", "resolution", "convergence_pair",
+                            "converged"}
+    assert payload["convergence_pair"][0] == payload["raw"]
 
 
 def test_charge_command_near_float_max(weyl_path, tmp_path, capsys):
@@ -267,6 +269,8 @@ def test_scan_command_two_weyl(two_weyl_path, tmp_path):
     reports = json.loads(out.read_text())
     assert len(reports) == 2
     assert sum(r["charge"]["charge"] for r in reports) == 0
+    for r in reports:  # each crossing's charge carries its raws at n and 2n
+        assert r["charge"]["convergence_pair"][0] == r["charge"]["raw"]
     lines = gap_csv.read_text().splitlines()
     assert lines[0] == "x1,x2,x3,gap"
     assert len(lines) == 1 + 16**3

@@ -198,6 +198,78 @@ def test_evaluation_is_bit_identical_to_the_full_product_rule(alphas):
     assert [a.tobytes() for a in out] == expected
 
 
+def weyl_points():
+    """The Weyl field on S^2 with 5 points and two tangents at each."""
+    rng = np.random.default_rng(5)
+    field = generators.weyl_field(2, clifford.build_rep(3, "left"))
+    return field, rng.standard_normal((5, 3)), rng.standard_normal((5, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        # Strided views of the right shapes: a GEMM into a reshaped copy of
+        # them would return with ``out`` still all zeros.
+        (np.zeros((5, 2, 4), complex)[:, :, :2], np.zeros((5, 2, 2, 4), complex)[..., :2]),
+        (np.zeros((6, 2, 2), complex), np.zeros((6, 2, 2, 2), complex)),  # 6 rows, not 5
+        (np.zeros((5, 2, 2)), np.zeros((5, 2, 2, 2))),  # float
+        (np.zeros((5, 2, 2), np.complex64), np.zeros((5, 2, 2, 2), np.complex64)),
+        (np.zeros((5, 2, 2), complex), np.zeros((5, 3, 2, 2), complex)),  # three tangents
+        (np.zeros((5, 2, 2), complex),
+         np.frombuffer(bytes(640), complex).reshape(5, 2, 2, 2)),  # read-only
+        (np.zeros((5, 2, 2), complex),),
+        [np.zeros((5, 2, 2), complex), [[0j]]],
+    ],
+)
+def test_evaluate_batch_refuses_an_out_it_cannot_write(out):
+    field, pts, tan = weyl_points()
+    with pytest.raises(DimensionMismatchError, match=r"\(5, 2, 2\) and \(5, 2, 2, 2\)"):
+        field.evaluate_batch(pts, tan, out)
+
+
+def test_evaluate_batch_refuses_an_out_without_tangents():
+    field, pts, _ = weyl_points()
+    out = (np.zeros((5, 2, 2), complex), np.zeros((5, 2, 2, 2), complex))
+    with pytest.raises(ValueError, match="pass the tangents too"):
+        field.evaluate_batch(pts, None, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=exponent_tables(),
+    size=st.integers(1, 3),
+    points=st.integers(0, 9),
+    k=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(table=(3, []), size=2, points=4, k=2, seed=0)  # no terms
+@example(table=(3, [(0, 0, 0)]), size=2, points=4, k=2, seed=0)  # a constant alone
+@example(table=(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]), size=2,
+         points=9, k=3, seed=1)  # linear, as the S^3 generators are
+def test_evaluation_does_not_depend_on_the_layout(table, size, points, k, seed):
+    # The same points and tangents as C-ordered arrays, as coordinate-major
+    # views (the layout of the kernels' grid rows) and as the enclosure's
+    # center + radius * rows, computed from coordinate-major rows.
+    ambient, alphas = table
+    rng = np.random.default_rng(seed)
+    terms = {a: rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+             for a in alphas}
+    field = MatrixPolyField(ambient, size, terms)
+    rows = rng.uniform(-1.0, 1.0, (ambient, points)).T
+    drows = rng.standard_normal((ambient, points, k)).transpose(1, 2, 0)
+    center, radius = rng.uniform(-1.0, 1.0, ambient), rng.uniform(0.1, 2.0)
+    moved = (center + radius * rows, radius * drows)
+    c_ordered = tuple(np.ascontiguousarray(a) for a in moved)
+    assert points < 2 or not moved[0].flags.c_contiguous
+    layouts = (c_ordered, tuple(a.T.copy().T for a in c_ordered), moved)
+    results = [field.evaluate_batch(pts, tan) for pts, tan in layouts]
+    values = [field.evaluate_batch(pts) for pts, _ in layouts]
+    expected = [a.tobytes() for a in results[0]]
+    for (value, deriv), alone in zip(results, values):
+        assert [value.tobytes(), deriv.tobytes()] == expected
+        assert alone.tobytes() == expected[0]
+
+
 def test_direct_sum_blocks():
     rng = np.random.default_rng(2)
     a = random_poly_field(rng, size=2)

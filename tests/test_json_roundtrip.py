@@ -83,7 +83,7 @@ charge_results = st.builds(
     charge=numpy_or_python(st.integers(-8, 8), np.int64),
     residual=numpy_or_python(st.floats(0.0, 0.5), np.float64),
     resolution=numpy_or_python(st.integers(4, 512), np.int64),
-    convergence_pair=st.tuples(FINITE, FINITE),
+    convergence_pair=st.tuples(numpy_or_python(FINITE, np.float64), FINITE),
     converged=numpy_or_python(st.booleans(), np.bool_),
 )
 
@@ -155,6 +155,8 @@ def test_charge_result_payload_is_strict_json(result):
     assert payload["raw"].hex() == float(result.raw).hex()
     assert payload["charge"] == int(result.charge)
     assert payload["converged"] is bool(result.converged)
+    assert [v.hex() for v in payload["convergence_pair"]] == [
+        float(v).hex() for v in result.convergence_pair]
 
 
 @settings(max_examples=60, deadline=None)
