@@ -1,10 +1,12 @@
-"""Small dense-matrix helpers: Hermitian functional calculus and norms.
+"""Small dense-matrix helpers: Hermitian functional calculus, norms, the
+Pauli split of 1 x 1 and 2 x 2 matrices and products of small ones.
 
 Everything operates on plain complex ndarrays and acts on the last two axes,
 so a stack of matrices of shape (..., N, N) is processed in one call and a
-single matrix is a stack of one; only the S^3 winding kernel's products
-(``products``) hold small matrices node-last instead.  Matrix functions go
-through eigendecomposition, which is adequate for the desk-scale sizes used here
+single matrix is a stack of one; only the Pauli coordinates
+(``pauli_split``) and the S^3 winding kernel's products (``products``) hold
+small matrices node-last instead.  Matrix functions go through
+eigendecomposition, which is adequate for the desk-scale sizes used here
 (N <= 64) and keeps scipy out of the dependency set.
 """
 
@@ -64,18 +66,33 @@ def column_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def scalar_split(h: np.ndarray):
-    """``(f0, a, s)`` for each matrix of a stack: f0 = Re tr h / N, the traceless
-    part a = h - f0 I, formed in place of ``h``, and s = ``rms_singular(a)``.
-    A 2 x 2 Hermitian h has the eigenvalues f0 - s and f0 + s: a is traceless,
-    so by Cayley-Hamilton a^2 = -det(a) I = s^2 I.  Each diagonal entry is
-    divided by N before the sum, so f0 is finite wherever the entries are
-    (their sum can overflow)."""
-    n = h.shape[-1]
-    diag = np.arange(n)
-    f0 = np.sum(h[:, diag, diag].real / n, axis=1)
-    h[:, diag, diag] -= f0[:, None]
-    return f0, h, rms_singular(h)
+# f0 = Re tr h / N and the real Pauli coordinates a of the Hermitian part of
+# h = f0 I + a . sigma, from the entries of an N x N h as row-major (re, im)
+# pairs: none for N = 1, and each entry halved before the sum for N = 2, so
+# that neither overflows.
+_PAULI = {1: np.array([[1.0, 0.0]]),
+          2: 0.5 * np.array([[1, 0, 0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 1, 0, 0, 0],
+                             [0, 0, 0, -1, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0, -1, 0]])}
+
+
+def pauli_split(stacks, out: np.ndarray):
+    """``(f0, a, s)`` for node-first stacks of N x N matrices, N <= 2: h
+    (M, N, N), then any more of shape (M, k, N, N), such as its derivatives.
+    f0 = Re tr h / N; a (K, 3, M) holds the Pauli coordinates of all K
+    matrices, h's first, node-last in ``out`` (4 K M floats; a is empty for
+    N = 1); and s = |a[0]|.  So a Hermitian h has the bands f0 - s and
+    f0 + s, and the one band f0 for N = 1.  Each stack is one product with
+    ``_PAULI``, exact but for the one rounding of each sum.
+    """
+    m, n = len(stacks[0]), stacks[0].shape[-1]
+    pauli, flat, k = _PAULI[n], out.view(float), 0
+    for stack in stacks:
+        rows = stack.view(float).reshape(m, -1, 2 * n * n).transpose(1, 2, 0)
+        size = len(pauli) * len(rows) * m
+        np.matmul(pauli, rows, out=flat[k:k + size].reshape(-1, len(pauli), m))
+        k += size
+    coords = flat[:k].reshape(-1, len(pauli), m)
+    return coords[0, 0], coords[:, 1:], column_norms(coords[0, 1:])
 
 
 # Products of small matrices, for the S^3 winding integrand of sectors of 3 x 3

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import charge as charge_mod
 from . import generators
-from ._linalg import chunks, dagger, max_abs, scalar_split
+from ._linalg import CHUNK, chunks, dagger, max_abs, pauli_split
 from .errors import (
     ChiralSymmetryError,
     EnclosureInvalidError,
@@ -226,18 +226,19 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
     The gap is the smallest over the field's sectors
     (``MatrixPolyField.sectors``), whose spectra make up that of the field.
     A 2 x 2 sector has the bands f0 - s and f0 + s at each point, and a 1 x 1
-    one the band f0, with s = 0 (``_linalg.scalar_split``), so its gap is
+    one the band f0, with s = 0 (``_linalg.pauli_split``), so its gap is
     ||f0 - fermi| - s| with no eigensolver; larger sectors go to ``eigvalsh``
     once their values, which can overflow, are known to be finite (it does not
     converge on inf or NaN).
     """
     gaps = np.full(len(points), np.inf)
+    coords = np.empty(4 * min(len(points), CHUNK))  # room for pauli_split
     for sl in chunks(len(points)):
         for field in model.field.sectors:
             with np.errstate(over="ignore", invalid="ignore"):  # refused just below
                 h = field.evaluate_batch(points[sl])
                 if field.size <= 2:
-                    f0, _, s = scalar_split(h)
+                    f0, _, s = pauli_split((h,), coords)
                     gap = np.abs(np.abs(f0 - model.fermi) - s)
                 elif np.isfinite(h).all():
                     gap = np.min(np.abs(np.linalg.eigvalsh(h) - model.fermi), axis=1)

@@ -62,26 +62,28 @@ product is a few elementwise calls over the nodes, and stacked for larger
 ones.
 
 Sectors of size at most 2 need no eigensolver, no inverse and no matrix
-product, and their closed forms are exact.  A 1 x 1 Hermitian sector is its
-own band h = f0, with P = 0 or I.  A 2 x 2 one, the even generator x . sigma
-and every two-band crossing among them, is h = f0 I + a . sigma in the real
-Pauli coordinates of its Hermitian part, with the bands f0 +- s, s = |a|;
-below a Fermi level between them P = (I - a . sigma / s) / 2, and
+product, and their closed forms are exact.  A Hermitian one, the even
+generator x . sigma and every two-band crossing among them, is
+h = f0 I + a . sigma in the Pauli coordinates of its Hermitian part
+(``_linalg.pauli_split``, shared with the gap map): the bands f0 +- s,
+s = |a|, or f0 alone on 1 x 1.  Below a Fermi level between them
+P = (I - a . sigma / s) / 2, and
 
     tr(P [d_0 P, d_1 P]) = -(i / 2) (a / s) . (d_0 a / s x d_1 a / s),
 
 the two-band form of the curvature above (``_two_band_curvature``).  A 1 x 1
 or 2 x 2 winding sector, the odd generators among them, is gated from
-V = U / s, s = ||U||_F / sqrt(N), and det V alone (``_closed_gate``).  On S^1
-it has U^-1 = adj(V) / (det V s) (``_gated_inverse``).  On S^3 the l_a =
-U^-1 d_a U of a 1 x 1 sector commute, so it adds nothing, and a 2 x 2 one has
+V = U / s, s = ||U||_F / sqrt(N), and det V alone (``_closed_gate``), and its
+integrand is one of determinants of V and d_a U / s (``_winding_closed``).  On
+S^1 it is tr(U^-1 dU) = d(det V) / det V.  On S^3 the l_a = U^-1 d_a U of a
+1 x 1 sector commute, so it adds nothing, and a 2 x 2 one has
 
     3 (tr(l_1 l_2 l_3) - tr(l_1 l_3 l_2)) = -3 det[U, d_1 U, d_2 U, d_3 U] / (det U)^2,
 
-the 4 x 4 determinant stacking each matrix's four entries, taken on V and
-d_a U / s by its Laplace expansion in 2 x 2 minors (``_winding3_closed``).
-The closed forms divide by s before they multiply, so they stay finite
-wherever the field's entries are and its derivatives divided by s are.
+the 4 x 4 determinant stacking each matrix's four entries, by its Laplace
+expansion in 2 x 2 minors.  The closed forms divide by s before they
+multiply, so they stay finite wherever the field's entries are and its
+derivatives divided by s are.
 Every larger sector takes the general path: ``eigh`` of h / s for the Chern
 integrand, with s = ||h||_F / sqrt(N), so that no band difference overflows
 either, and ``inv`` for the windings, whose invertibility is certified from
@@ -107,7 +109,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _linalg
-from ._linalg import chunks, column_norms, products, rms_singular
+from ._linalg import chunks, pauli_split, products, rms_singular
 from .errors import (
     DimensionMismatchError,
     GapClosedError,
@@ -394,25 +396,13 @@ def _singular_error(sv_min: float) -> GapClosedError:
 
 
 def _gated_inverse(u: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of matrices, refused where one is (nearly) singular.
+    """Inverses of a stack of matrices larger than 2 x 2 (smaller ones take
+    :func:`_winding_closed`), refused where one is (nearly) singular.
 
-    A 1 x 1 or 2 x 2 U passes :func:`_closed_gate` and has
-    U^-1 = adj(V) (1 / s) / det V, so that nothing overflows (det V s can, near
-    float max).  A larger U takes ``inv``, and the SVD runs only where
-    sigma_min >= 1 / ||U^-1||_F does not clear GAP_MIN.  Where ``inv`` meets an
-    exact zero pivot, U is refused even if the SVD puts sigma_min above GAP_MIN.
+    ``inv`` forms them, and the SVD runs only where sigma_min >= 1 / ||U^-1||_F
+    does not clear GAP_MIN.  Where ``inv`` meets an exact zero pivot, U is
+    refused even if the SVD puts sigma_min above GAP_MIN.
     """
-    n = u.shape[-1]
-    if n <= 2:
-        v = np.empty((n * n, len(u)), dtype=complex)
-        det, r = _closed_gate(u, v)
-        scale = r / det
-        if n == 1:
-            return scale[:, None, None]
-        uinv = np.empty_like(u)
-        for (i, j), entry in zip(np.ndindex(2, 2), (v[3], -v[1], -v[2], v[0])):
-            np.multiply(entry, scale, out=uinv[:, i, j])
-        return uinv
     uinv = None
     try:
         uinv = np.linalg.inv(u)
@@ -498,14 +488,13 @@ def _winding_raw(field: MatrixPolyField, grid, center=None, radius=1.0, block=No
         arrange, matmul, trace3 = products(field.size)
     total = 0.0
     for rows, u, d, spare in _chunk_fields(field, grid, center, radius, block):
-        if grid.dim == 1:
-            uinv = _gated_inverse(u)
-            log_deriv = np.einsum("mij,mji->m", uinv, d[:, 0], optimize=True)
-            total += np.sum(rows.weights * log_deriv)
-        elif closed:
-            integrand = _winding3_closed(u, d, spare)
+        if closed:
+            integrand = _winding_closed(u, d, spare)
             if integrand is not None:
                 total += np.sum(rows.weights * integrand)
+        elif grid.dim == 1:
+            log_deriv = np.einsum("mij,mji->m", _gated_inverse(u), d[:, 0], optimize=True)
+            total += np.sum(rows.weights * log_deriv)
         else:
             # tr((U^-1 dU)^3) pulls back to the signed sum of tr(l1 l2 l3)
             # over the 3! orderings, which cyclicity reduces to
@@ -518,23 +507,27 @@ def _winding_raw(field: MatrixPolyField, grid, center=None, radius=1.0, block=No
     return float(np.real(-total / (24.0 * np.pi**2)))
 
 
-def _winding3_closed(u: np.ndarray, d: np.ndarray, spare: np.ndarray):
-    """The S^3 integrand 3 (tr(l1 l2 l3) - tr(l1 l3 l2)), l_a = U^-1 d_a U, at
-    each node of a chunk of a 1 x 1 or 2 x 2 sector, after its gate; None on a
-    1 x 1 one, where the l_a commute.
+def _winding_closed(u: np.ndarray, d: np.ndarray, spare: np.ndarray):
+    """The winding integrand at each node of a chunk of a 1 x 1 or 2 x 2
+    sector, after its gate, from determinants of V = U / s and d_a U / s, held
+    node-last in ``spare`` (each form's determinants scale alike in s).
 
-    On 2 x 2 matrices it is -3 det[U, d_1 U, d_2 U, d_3 U] / (det U)^2, the
-    4 x 4 determinant stacking each matrix's entries row-major, and both
-    determinants scale alike, so it is taken of V = U / s and d_a U / s, held
-    node-last in ``spare``.  The 4 x 4 determinant is the Laplace expansion in
-    the 2 x 2 minors of its rows (V, d_1 U / s) and (d_2 U / s, d_3 U / s).
+    On S^1 it is tr(U^-1 dU) = d(det V) / det V.  On S^3 it is None on a 1 x 1
+    sector, where the l_a = U^-1 d_a U commute, and on a 2 x 2 one
+    3 (tr(l1 l2 l3) - tr(l1 l3 l2)) = -3 det[U, d_1 U, d_2 U, d_3 U] / (det U)^2,
+    the 4 x 4 determinant stacking each matrix's entries row-major: the
+    Laplace expansion in the 2 x 2 minors of its rows (V, d_1 U / s) and
+    (d_2 U / s, d_3 U / s).
     """
-    m, n = len(u), u.shape[-1]
-    x = spare[:4 * n * n * m].reshape(4, n * n, m)
+    m, n, dim = len(u), u.shape[-1], d.shape[1]
+    x = spare[:(1 + dim) * n * n * m].reshape(1 + dim, n * n, m)
     det, r = _closed_gate(u, x[0])
-    if n == 1:
+    if dim == 3 and n == 1:
         return None
-    np.multiply(np.moveaxis(d.reshape(m, 3, 4), 0, -1), r, out=x[1:])
+    np.multiply(np.moveaxis(d.reshape(m, dim, n * n), 0, -1), r, out=x[1:])
+    if dim == 1:
+        v, e = x
+        return (e[0] if n == 1 else v[0] * e[3] + e[0] * v[3] - v[1] * e[2] - e[1] * v[2]) / det
     v, d1, d2, d3 = x
 
     def p(j, k):
@@ -548,37 +541,9 @@ def _winding3_closed(u: np.ndarray, d: np.ndarray, spare: np.ndarray):
     return -3.0 * det4 / (det * det)
 
 
-# f0 = Re tr h / 2 and the real Pauli coordinates a of the Hermitian part of a
-# 2 x 2 matrix h = f0 I + a . sigma, from its entries as floats
-# (Re h00, Im h00, Re h01, Im h01, Re h10, Im h10, Re h11, Im h11).  Each
-# entry is halved before the sum, so neither overflows.
-_PAULI = 0.5 * np.array([
-    [1, 0, 0, 0, 0, 0, 1, 0],
-    [0, 0, 1, 0, 1, 0, 0, 0],
-    [0, 0, 0, -1, 0, 1, 0, 0],
-    [1, 0, 0, 0, 0, 0, -1, 0],
-], dtype=float)
-
-
-def _pauli_split(h: np.ndarray, d: np.ndarray, spare: np.ndarray):
-    """``(f0, a, s)`` for a chunk of a 2 x 2 Hermitian sector: f0 = Re tr h / 2,
-    the real Pauli coordinates a (3, 3, M) of h, d_0 h and d_1 h, held
-    node-last in ``spare``, and s = |a[0]|, so that h has the bands f0 +- s.
-
-    Each is one product with the constant ``_PAULI``, whose entries are 0 and
-    +-1/2, so it is exact but for the one rounding of each sum.
-    """
-    m = len(h)
-    coords = spare.view(float)[:12 * m].reshape(3, 4, m)
-    np.matmul(_PAULI, h.view(float).reshape(m, 8).T, out=coords[0])
-    np.matmul(_PAULI, d.view(float).reshape(m, 2, 8).transpose(1, 2, 0), out=coords[1:])
-    a = coords[:, 1:]
-    return coords[0, 0], a, column_norms(a[0])
-
-
 def _two_band_curvature(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Im tr(P [d_0 P, d_1 P]) at each node of a gapped 2 x 2 chunk with one
-    band below fermi, from the ``(a, s)`` of :func:`_pauli_split`.
+    band below fermi, from the ``(a, s)`` of ``_linalg.pauli_split``.
 
     P = (I - a . sigma / s) / 2, so tr(P [d_0 P, d_1 P]) =
     -(i / 2) (a / s) . (d_0 a / s x d_1 a / s): the parts of d a along a drop
@@ -596,11 +561,9 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
     n_occ = None
     closed = field.size <= 2
     for rows, h, d, spare in _chunk_fields(field, grid, center, radius, block):
-        if field.size == 1:
-            vals = h[:, 0, 0].real[:, None]
-        elif closed:
-            f0, a, s = _pauli_split(h, d, spare)
-            vals = np.stack([f0 - s, f0 + s], axis=1)
+        if closed:
+            f0, a, s = pauli_split((h, d), spare)
+            vals = f0[:, None] if field.size == 1 else np.stack([f0 - s, f0 + s], axis=1)
         else:
             # eigh takes h / s, s = rms_singular(h) floored at tiny (h = 0 stays
             # 0), and E = s lam: no difference E_o - E_u below overflows.

@@ -14,7 +14,7 @@ import numpy as np
 from . import clifford
 from ._linalg import dagger, func_of_hermitian, max_abs, operator_norm, sq_norms
 from .errors import DimensionMismatchError, NotChiralError
-from .fields import EUCLIDEAN, SPHERE, EvaluableField, MatrixPolyField, unit_index
+from .fields import COEFFICIENT_TOL, EUCLIDEAN, SPHERE, EvaluableField, MatrixPolyField, unit_index
 from .sampling import check_samples, sphere_points
 from .serialize import suite_report
 
@@ -95,20 +95,27 @@ def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep | str):
 def chiral_lower_block(field: MatrixPolyField, j_matrix) -> MatrixPolyField:
     """Lower-left block of a field in the basis where ``j_matrix`` is diag(1, -1).
 
-    Requires every coefficient of the field to anti-commute with ``j_matrix``
-    (checked at coefficient level, relative to the largest coefficient).  The
-    +1 and -1 eigenspaces must have equal dimension for the block to be square.
+    Requires ``j_matrix`` to be a grading, Hermitian with every eigenvalue +-1
+    within COEFFICIENT_TOL (a NaN or inf entry fails), and every coefficient
+    of the field to anti-commute with it (checked at coefficient level,
+    relative to the largest coefficient).  The +1 and -1 eigenspaces must have
+    equal dimension for the block to be square.
     """
     j = np.asarray(j_matrix, dtype=complex)
     if j.shape != (field.size, field.size):
         raise DimensionMismatchError("chiral matrix size does not match the field")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not max_abs(j - dagger(j)) <= COEFFICIENT_TOL:
+            raise NotChiralError("chiral matrix is not Hermitian")
+    vals, vecs = np.linalg.eigh(j)
+    if not np.all(np.abs(np.abs(vals) - 1.0) <= COEFFICIENT_TOL):
+        raise NotChiralError(f"chiral matrix has eigenvalues {vals.tolist()}, not all +-1")
     bad = field.failing_terms(lambda mat: max_abs(j @ mat + mat @ j))
     if bad:
         raise NotChiralError(
             f"coefficients at multi-indices {bad} do not anti-commute with the grading"
         )
 
-    vals, vecs = np.linalg.eigh(j)
     plus = vecs[:, vals > 0]
     minus = vecs[:, vals < 0]
     if plus.shape[1] != minus.shape[1]:

@@ -998,7 +998,7 @@ def test_chunked_kernels_match_single_batch_forms(seed, size, n):
     # Seven-node chunks split every ring of every grid, so each kernel carries
     # its running sum (and the Chern band count) across many chunk boundaries,
     # on the unit sphere and on an enclosing one, whose reference is the
-    # pulled-back field's.  The 2 x 2 phases take the closed-form inverse.
+    # pulled-back field's.  The 2 x 2 phases take the determinant forms.
     rng = np.random.default_rng(seed)
     s1 = random_invertible_phase(rng, dirac1(), size)
     s2 = random_gapped_weyl(rng, size + 1)

@@ -1,13 +1,14 @@
-"""Closed-form spectra and inverses against the general path.
+"""Closed-form spectra and windings against the general path.
 
-A 2 x 2 Hermitian sector has the bands f0 +- s (Cayley-Hamilton), so its gaps
-and Berry curvature come from two traces per node.  A 1 x 1 or 2 x 2 winding
-sector is inverted as adj(V) / (det V s) with V = U / s, and its smallest
-singular value follows from |det V|.  Both are exact at those sizes, so every
-such sector takes them, and larger ones take ``eigvalsh``, ``eigh`` and
-``inv``.  The references are ``eigvalsh``, ``inv`` and the SVD, and the
-projector-form ``reference_chern_raw`` and ``inv``-based winding kernels of
-test_charge.py.
+A 1 x 1 or 2 x 2 Hermitian sector h = f0 I + a . sigma has the bands f0 +- s,
+s = |a| (0 on 1 x 1), so its gaps and Berry curvature come from its Pauli
+coordinates (``_linalg.pauli_split``).  A 1 x 1 or 2 x 2 winding sector is
+gated from V = U / s, whose |det V| gives its smallest singular value, and
+its integrands on S^1 and S^3 are ratios of determinants of V and dU / s.
+Both are exact at those sizes, so every such sector takes them, and larger
+ones take ``eigvalsh``, ``eigh`` and ``inv``.  The references are
+``eigvalsh``, ``inv`` and the SVD, and the projector-form
+``reference_chern_raw`` and ``inv``-based winding kernels of test_charge.py.
 """
 
 import contextlib
@@ -280,19 +281,17 @@ def test_small_phases_match_inv_the_svd_and_the_reference_kernels(seed, dim_size
     grid = sphere_grid(dim, n)
     u = field.evaluate_batch(grid.nodes)
     with spying("inv", "svd") as calls:
-        uinv = charge._gated_inverse(u)
         raw = charge._winding_raw(field, charge._grid_rows(dim, n))
     assert calls == []
-    reference = np.linalg.inv(u)
-    assert np.max(np.abs(uinv - reference)) <= 1e-12 * np.max(np.abs(reference))
     assert abs(raw - reference_winding_outcome(field, grid)) <= 1e-12
     # The gate sigma_min > GAP_MIN clears each node scaled to a sigma_min of
     # GAP_MIN (1 + 1e-12) and refuses it at GAP_MIN (1 - 1e-12).
     sv_min = np.linalg.svd(u, compute_uv=False)[:, -1]
+    v = np.empty((size * size, 1), dtype=complex)
     for node, sv in zip(u, sv_min):
-        charge._gated_inverse(node[None] * (charge.GAP_MIN * (1 + 1e-12) / sv))
+        charge._closed_gate(node[None] * (charge.GAP_MIN * (1 + 1e-12) / sv), v)
         with pytest.raises(GapClosedError, match="min singular value"):
-            charge._gated_inverse(node[None] * (charge.GAP_MIN * (1 - 1e-12) / sv))
+            charge._closed_gate(node[None] * (charge.GAP_MIN * (1 - 1e-12) / sv), v)
 
 
 @settings(max_examples=10, deadline=None)
@@ -388,21 +387,30 @@ def complex_normal(rng, *shape):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_the_winding_determinant_form_matches_the_products_node_by_node(seed):
-    # At each node, random U in GL(2, C), neither unitary nor Clifford, and
-    # random d_a U: 3 (tr(l1 l2 l3) - tr(l1 l3 l2)) with l_a = U^-1 d_a U
-    # from inv and three products, against -3 det[U, d_1 U, d_2 U, d_3 U] /
-    # (det U)^2.  |tr(l1 l2 l3)| <= ||l1|| ||l2|| ||l3||, which sets the scale.
+    # At each node, random U in GL(2, C) or GL(1, C), neither unitary nor
+    # Clifford, and random d_a U, against l_a = U^-1 d_a U from inv and
+    # products.  On S^1, tr(l) against d(det V) / det V, and |tr(l)| <=
+    # ||U^-1|| ||dU|| sets the scale.  On S^3, 3 (tr(l1 l2 l3) - tr(l1 l3 l2))
+    # against -3 det[U, d_1 U, d_2 U, d_3 U] / (det U)^2, and |tr(l1 l2 l3)|
+    # <= ||l1|| ||l2|| ||l3|| sets it.
     rng = np.random.default_rng(seed)
     m = 4000
-    u, d = complex_normal(rng, m, 2, 2), complex_normal(rng, m, 3, 2, 2)
-    u *= 10.0 ** rng.uniform(-3, 3, (m, 1, 1))  # s is divided out
+    u = complex_normal(rng, m, 2, 2) * 10.0 ** rng.uniform(-3, 3, (m, 1, 1))  # s is divided out
+    for n in (1, 2):
+        un, du = u[:, :n, :n], complex_normal(rng, m, 1, n, n)
+        uinv = np.linalg.inv(un)
+        reference = np.trace(uinv @ du[:, 0], axis1=1, axis2=2)
+        scale = np.linalg.norm(uinv, axis=(1, 2)) * np.linalg.norm(du[:, 0], axis=(1, 2))
+        closed = charge._winding_closed(un, du, np.empty(2 * n * n * m, dtype=complex))
+        assert np.all(np.abs(closed - reference) <= 1e-12 * scale)
+    d = complex_normal(rng, m, 3, 2, 2)
     l1, l2, l3 = np.moveaxis(np.linalg.inv(u)[:, None] @ d, 1, 0)
     products = 3.0 * (np.einsum("mij,mjk,mki->m", l1, l2, l3)
                       - np.einsum("mij,mjk,mki->m", l1, l3, l2))
     scale = 3.0 * np.prod([np.linalg.norm(l, axis=(1, 2)) for l in (l1, l2, l3)], axis=0)
-    closed = charge._winding3_closed(u, d, np.empty(16 * m, dtype=complex))
+    closed = charge._winding_closed(u, d, np.empty(16 * m, dtype=complex))
     assert np.all(np.abs(closed - products) <= 1e-12 * scale)
-    assert charge._winding3_closed(u[:, :1, :1], d[:, :, :1, :1], np.empty(4 * m, complex)) is None
+    assert charge._winding_closed(u[:, :1, :1], d[:, :, :1, :1], np.empty(4 * m, complex)) is None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -424,36 +432,49 @@ def test_the_two_band_curvature_matches_the_products_node_by_node(seed):
     triple = np.einsum("mij,mjk,mki->m", a_matrix, d[:, 0], d[:, 1])
     products = -triple.imag / (4.0 * s_ref**3)
     scale = np.prod(np.linalg.norm(d, axis=(2, 3)), axis=1) / s_ref**2
-    f0_closed, a, s = charge._pauli_split(h, d, np.empty(12 * m, dtype=complex))
+    f0_closed, a, s = _linalg.pauli_split((h, d), np.empty(12 * m))
     assert np.all(np.abs(np.stack([f0_closed - s, f0_closed + s], axis=1) - vals)
                   <= 1e-12 * np.max(np.abs(vals), axis=1, keepdims=True))
     assert np.all(np.abs(charge._two_band_curvature(a, s) - products) <= 1e-12 * scale)
 
 
 def test_two_by_two_sectors_take_no_inverse_eigensolver_or_products():
-    # winding_3 and chern_2 on 2 x 2 sectors with and without a Clifford
-    # structure, conjugated, reflected, summed: no inv, svd, eigh or eigvalsh,
-    # and none of the matrix products of _linalg.
+    # winding_1, winding_3, chern_2 and the gap map on 1 x 1 and 2 x 2
+    # sectors with and without a Clifford structure, conjugated, reflected,
+    # summed: no inv, svd, eigh or eigvalsh, no _gated_inverse, and none of
+    # the matrix products of _linalg.
     rng = np.random.default_rng(3)
+    circle = generators.dirac_phase_field(1, clifford.LEFT)
+    loops = (circle, circle.direct_sum(circle.reflect(0)),
+             circle.direct_sum(circle).conjugated_by(oracles.random_unitary(rng, 2)),
+             small_phase(rng, circle, 2, 0.3))
     dirac = generators.dirac_phase_field(3, clifford.LEFT)
     phases = (dirac.conjugated_by(oracles.random_unitary(rng, 2)),
               dirac.direct_sum(dirac.reflect(0)),
               small_phase(rng, dirac, 2, 0.3))
     weyl = generators.weyl_field(2, clifford.LEFT)
     pair = weyl.direct_sum(weyl).conjugated_by(np.kron(np.eye(2), oracles.random_unitary(rng, 2)))
-    bands = (pair, two_band(rng, 0.3))
-    assert {s.size for f in phases + bands for s in f.sectors} == {2}
+    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]]}, SPHERE, selfadjoint=True))
+    bands = (pair, two_band(rng, 0.3), flat)
+    assert [[s.size for s in f.sectors] for f in loops] == [[1], [1, 1], [2], [2]]
+    assert {s.size for f in phases + bands[:2] for s in f.sectors} == {2}
+    assert [s.size for s in flat.sectors] == [2, 1]
+    points = rng.uniform(-1.5, 1.5, (64, 3))
     helpers = []
     with spying("inv", "svd", "eigh", "eigvalsh") as calls, pytest.MonkeyPatch.context() as mp:
         for module in (charge, _linalg):
             for name in ("products", "_planar_matmul", "_planar_trace3", "_stacked_trace3",
-                         "_nodes_last", "_nodes_first"):
+                         "_nodes_last", "_nodes_first", "_gated_inverse"):
                 if hasattr(module, name):
                     mp.setattr(module, name, lambda *a, _n=name, **k: helpers.append(_n))
-        results = [winding_3(f, resolution=8) for f in phases]
+        results = [winding_1(f, resolution=8) for f in loops]
+        results += [winding_3(f, resolution=8) for f in phases]
         results += [chern_2(f, resolution=8) for f in bands]
+        for field in bands:
+            bandscan._gap_batch(bandscan.BandModel.from_field(field), points)
     assert calls == [] and helpers == []
-    assert [r.charge for r in results] == [1, 0, 1] + [2 * chern_sign_weyl(), chern_sign_weyl()]
+    sign = chern_sign_weyl()
+    assert [r.charge for r in results] == [1, 0, 2, 1] + [1, 0, 1] + [2 * sign, sign, sign]
 
 
 def offset(field, f0):
@@ -618,7 +639,8 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
             charge._winding_raw(phase, charge._grid_rows(1, 8))
     for size in (1, 2):
         with pytest.raises(GapClosedError, match="min singular value nan"):
-            charge._gated_inverse(np.full((3, size, size), np.nan, dtype=complex))
+            charge._closed_gate(np.full((3, size, size), np.nan, dtype=complex),
+                                np.empty((size * size, 3), dtype=complex))
     # A NaN point, on a 2 x 2 sector and on a 4 x 4 one.
     weyl = generators.weyl_field(2, clifford.LEFT)
     for field in (weyl, weyl.direct_sum(weyl).conjugated_by(dense_unitary(4))):

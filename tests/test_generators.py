@@ -157,11 +157,17 @@ def test_chiral_block_rejects_commuting_perturbation():
     [
         (2, np.eye(3), DimensionMismatchError, "chiral matrix size"),
         (3, np.diag([1.0, 1.0, -1.0]), NotChiralError, "eigenspaces have sizes 2 and 1"),
+        (3, np.diag([1.0, 0.0, -1.0]), NotChiralError, r"eigenvalues \[-1.0, 0.0, 1.0\]"),
+        (2, np.zeros((2, 2)), NotChiralError, r"eigenvalues \[0.0, 0.0\], not all \+-1"),
+        (2, np.full((2, 2), np.nan), NotChiralError, "not Hermitian"),
+        (2, np.array([[1.0, 1.0], [0.0, -1.0]]), NotChiralError, "not Hermitian"),
     ],
-    ids=["wrong-size", "unequal-eigenspaces"],
+    ids=["wrong-size", "unequal-eigenspaces", "kernel", "zero", "nan", "not-hermitian"],
 )
 def test_chiral_block_refuses_a_grading_without_a_square_block(size, j, error, message):
-    # [[0, 0, 1], [0, 0, 0], [1, 0, 0]] anti-commutes with diag(1, 1, -1).
+    # [[0, 0, 1], [0, 0, 0], [1, 0, 0]] anti-commutes with diag(1, 1, -1) and
+    # with diag(1, 0, -1), whose kernel a 1 x 1 block would drop; [[0, 1],
+    # [1, 0]] anti-commutes with 0.
     mat = np.zeros((size, size))
     mat[0, -1] = mat[-1, 0] = 1.0
     field = MatrixPolyField(2, size, {(1, 0): mat}, EUCLIDEAN, selfadjoint=True)
