@@ -103,7 +103,7 @@ hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -665,9 +665,13 @@ def chern_2(
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")
+    if fermi:  # h - fermi I, folded into the constant coefficient as by a BandModel
+        minus = {(0,) * field.ambient_dim: -fermi * np.eye(field.size)}
+        with np.errstate(over="ignore"):  # the constructor refuses a sum that overflows
+            field = field.plus(replace(field, terms=minus))
     return _assemble(
         lambda sector, grid, center, radius, block: _chern_raw(
-            sector, fermi, grid, center, radius, block
+            sector, 0.0, grid, center, radius, block
         ),
         field, 2, resolution, center, radius,
     )

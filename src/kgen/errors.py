@@ -18,7 +18,7 @@ class InconsistentRepresentationError(KgenError):
 
 
 class NotChiralError(KgenError):
-    """Field does not anti-commute with the proposed grading."""
+    """A proposed grading is not one of the field."""
 
 
 class LiftInvalidError(KgenError):
@@ -64,5 +64,7 @@ class HermiticityError(ModelFormatError):
     """Band-model coefficients do not define a Hermitian field."""
 
 
-class ChiralSymmetryError(ModelFormatError):
-    """Declared chiral matrix is invalid or does not anti-commute with the model."""
+class ChiralSymmetryError(ModelFormatError, NotChiralError):
+    """A chiral matrix is not a grading of the field, for a band model and a
+    chiral block alike (``generators.grading_eigenvectors``); a model load
+    that raises it exits 2."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import clifford
 from ._linalg import dagger, func_of_hermitian, max_abs, operator_norm, sq_norms
-from .errors import DimensionMismatchError, NotChiralError
+from .errors import ChiralSymmetryError, DimensionMismatchError
 from .fields import COEFFICIENT_TOL, EUCLIDEAN, SPHERE, EvaluableField, MatrixPolyField, unit_index
 from .sampling import check_samples, sphere_points
 from .serialize import suite_report
@@ -92,45 +92,45 @@ def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep | str):
     return field, grading
 
 
-def chiral_lower_block(field: MatrixPolyField, j_matrix) -> MatrixPolyField:
-    """Lower-left block of a field in the basis where ``j_matrix`` is diag(1, -1).
-
-    Requires ``j_matrix`` to be a grading, Hermitian with every eigenvalue +-1
-    within COEFFICIENT_TOL (a NaN or inf entry fails), and every coefficient
-    of the field to anti-commute with it (checked at coefficient level,
-    relative to the largest coefficient).  The +1 and -1 eigenspaces must have
-    equal dimension for the block to be square.
-    """
-    j = np.asarray(j_matrix, dtype=complex)
-    if j.shape != (field.size, field.size):
-        raise DimensionMismatchError("chiral matrix size does not match the field")
+def grading_eigenvectors(field: MatrixPolyField, j: np.ndarray):
+    """The +1 and -1 eigenvectors of the chiral matrix ``j`` (of the field's
+    size), as the columns of two arrays, once it is checked to grade ``field``:
+    finite, Hermitian with every eigenvalue +-1 within COEFFICIENT_TOL, and
+    anti-commuting with every coefficient (``field.failing_terms``).  The one
+    check of a chiral matrix, for band models and chiral blocks alike; a
+    residual past float range fails without a numpy warning."""
+    if not np.isfinite(j).all():
+        raise ChiralSymmetryError("chiral matrix is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         if not max_abs(j - dagger(j)) <= COEFFICIENT_TOL:
-            raise NotChiralError("chiral matrix is not Hermitian")
+            raise ChiralSymmetryError("chiral matrix is not Hermitian")
     vals, vecs = np.linalg.eigh(j)
     if not np.all(np.abs(np.abs(vals) - 1.0) <= COEFFICIENT_TOL):
-        raise NotChiralError(f"chiral matrix has eigenvalues {vals.tolist()}, not all +-1")
+        raise ChiralSymmetryError(f"chiral matrix has eigenvalues {vals.tolist()}, not all +-1")
     bad = field.failing_terms(lambda mat: max_abs(j @ mat + mat @ j))
     if bad:
-        raise NotChiralError(
-            f"coefficients at multi-indices {bad} do not anti-commute with the grading"
+        raise ChiralSymmetryError(
+            f"coefficients at multi-indices {bad} do not anti-commute with the chiral matrix"
         )
+    return vecs[:, vals > 0], vecs[:, vals < 0]
 
-    plus = vecs[:, vals > 0]
-    minus = vecs[:, vals < 0]
+
+def chiral_lower_block(field: MatrixPolyField, j_matrix) -> MatrixPolyField:
+    """Lower-left block of a field in the basis where ``j_matrix`` is diag(1, -1),
+    minus^* M plus for each coefficient M; ``j_matrix`` must have the field's
+    size and pass :func:`grading_eigenvectors`, with +1 and -1 eigenspaces of
+    equal size, so that the block is square."""
+    n, j = field.size, np.asarray(j_matrix, dtype=complex)
+    if j.shape != (n, n):
+        raise DimensionMismatchError(f"chiral matrix has shape {j.shape}, expected {(n, n)}")
+    plus, minus = grading_eigenvectors(field, j)
     if plus.shape[1] != minus.shape[1]:
-        raise NotChiralError(
+        raise ChiralSymmetryError(
             f"chiral eigenspaces have sizes {plus.shape[1]} and {minus.shape[1]}; "
             "off-diagonal block is not square"
         )
-    w = np.hstack([plus, minus])
-    half = plus.shape[1]
-
-    new_terms = {}
-    for alpha, mat in field.terms.items():
-        rotated = dagger(w) @ mat @ w
-        new_terms[alpha] = rotated[half:, :half]
-    return MatrixPolyField(field.ambient_dim, half, new_terms, field.domain, selfadjoint=False)
+    terms = {alpha: dagger(minus) @ mat @ plus for alpha, mat in field.terms.items()}
+    return MatrixPolyField(field.ambient_dim, plus.shape[1], terms, field.domain)
 
 
 def chiral_block(field: MatrixPolyField, grading: clifford.Grading) -> MatrixPolyField:

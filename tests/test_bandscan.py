@@ -72,28 +72,6 @@ def test_model_requires_hermitian_coefficients():
         BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN))
 
 
-def test_model_rejects_mass_term_with_chiral():
-    terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2, (0, 0): 0.1 * SIGMA_3}
-    with pytest.raises(ChiralSymmetryError) as info:
-        BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3)
-    assert "(0, 0)" in str(info.value)
-
-
-def test_model_rejects_term_chiral_only_to_rounding_scale():
-    # 5e-11 anti-commutation defect: above the one coefficient tolerance
-    # (1e-12 of the largest entry, here 1) shared with the chiral block
-    # extraction, so the model fails at load instead of in charge_crossing.
-    terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2, (0, 0): 2.5e-11 * SIGMA_3}
-    with pytest.raises(ChiralSymmetryError):
-        BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3)
-
-
-def test_model_rejects_bad_chiral_matrix():
-    terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
-    with pytest.raises(ChiralSymmetryError):
-        BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=0.5 * SIGMA_3)
-
-
 def rotated(terms, scale, chiral=None, seed=3):
     """Model with ``scale`` times ``terms``, conjugated by a seeded random unitary."""
     rng = np.random.default_rng(seed)
@@ -332,8 +310,86 @@ def test_two_dimensional_model_needs_equal_chiral_eigenspaces():
     a, b = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
     a[0, 2] = a[2, 0] = b[1, 2] = b[2, 1] = 1.0
     field = MatrixPolyField(2, 3, {(1, 0): a, (0, 1): b}, EUCLIDEAN, selfadjoint=True)
-    with pytest.raises(ChiralSymmetryError, match="trace 1"):
+    with pytest.raises(ChiralSymmetryError, match="eigenspaces have sizes 2 and 1"):
         BandModel(field, chiral=j)
+
+
+DIRAC_TERMS = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
+# [[0, 0, 1], [0, 0, 0], [1, 0, 0]] anti-commutes with diag(1, 1, -1) and with
+# diag(1, 0, -1); so does [[0, 0, 0], [0, 0, 1], [0, 1, 0]] with the first.
+CORNERS = np.zeros((3, 3), dtype=complex)
+CORNERS[0, 2] = CORNERS[2, 0] = 1.0
+MIDDLE = np.zeros((3, 3), dtype=complex)
+MIDDLE[1, 2] = MIDDLE[2, 1] = 1.0
+
+
+@pytest.mark.parametrize(
+    "terms, j, message",
+    [
+        ({(1, 0): CORNERS, (0, 1): MIDDLE}, np.diag([1.0, 1.0, -1.0]), "eigenspaces have sizes 2 and 1"),
+        ({(1, 0): CORNERS}, np.diag([1.0, 0.0, -1.0]), r"eigenvalues \[-1.0, 0.0, 1.0\], not all"),
+        (DIRAC_TERMS, np.zeros((2, 2)), r"eigenvalues \[0.0, 0.0\], not all \+-1"),
+        (DIRAC_TERMS, np.full((2, 2), np.nan), "chiral matrix is not finite"),
+        (DIRAC_TERMS, np.diag([1.0, -np.inf]), "chiral matrix is not finite"),
+        (DIRAC_TERMS, np.array([[1.0, 1.0], [0.0, -1.0]]), "chiral matrix is not Hermitian"),
+        (DIRAC_TERMS, 0.5 * SIGMA_3, r"eigenvalues \[-0.5, 0.5\], not all \+-1"),
+        ({**DIRAC_TERMS, (0, 0): 0.1 * SIGMA_3}, SIGMA_3, r"\[\(0, 0\)\] do not anti-commute"),
+        # 5e-11 defect: above the coefficient tolerance, 1e-12 of the largest entry.
+        ({**DIRAC_TERMS, (0, 0): 2.5e-11 * SIGMA_3}, SIGMA_3, r"\[\(0, 0\)\] do not anti-commute"),
+        (DIRAC_TERMS, np.array([[1.0, 1e308], [-1e308, -1.0]]), "chiral matrix is not Hermitian"),
+    ],
+    ids=["unequal-eigenspaces", "kernel", "zero", "nan", "inf", "not-hermitian", "half",
+         "mass", "defect", "overflowing-residual"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_model_and_chiral_block_refuse_a_chiral_matrix_alike(terms, j, message):
+    # One check of the chiral matrix: loading a model and extracting the
+    # chiral block refuse each J with the same message.
+    field = MatrixPolyField(2, len(j), terms, EUCLIDEAN, selfadjoint=True)
+    with pytest.raises(ChiralSymmetryError, match=message) as loaded:
+        BandModel(field, chiral=j)
+    with pytest.raises(errors.NotChiralError) as extracted:
+        generators.chiral_lower_block(field, j)
+    assert str(extracted.value) == str(loaded.value)
+
+
+def test_a_two_dimensional_scan_checks_its_chiral_matrix_once(monkeypatch):
+    # The chiral block is built with the model, so neither the scan nor its
+    # two crossings check the chiral matrix again.
+    calls = []
+    check = generators.grading_eigenvectors
+    monkeypatch.setattr(
+        generators, "grading_eigenvectors", lambda *args: calls.append(args) or check(*args)
+    )
+    terms = {(2, 0): SIGMA_1, (0, 0): -0.25 * SIGMA_1, (0, 1): SIGMA_2}
+    model = BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True), chiral=SIGMA_3)
+    reports = scan(model, [(-1, 1)] * 2)
+    assert [r.classification for r in reports] == ["dirac-chiral"] * 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("c", [1e9, 1e15, 1e16, 1e18])
+def test_the_fermi_level_cancels_before_the_model_is_evaluated(c):
+    # w + c I at Fermi level c is w at Fermi level 0.  Folded into the constant
+    # coefficient, c cancels exactly; subtracted from evaluated entries, it
+    # rounded them at its own scale first.
+    w = generators.weyl_field(2, clifford.LEFT)
+    shifted = w.plus(MatrixPolyField(3, 2, {(0, 0, 0): c * np.eye(2)}, w.domain, selfadjoint=True))
+    expected = charge.chern_2(w)
+    assert charge.chern_2(shifted, fermi=c).convergence_pair == expected.convergence_pair
+    [report] = scan(BandModel.from_field(shifted, fermi=c), [(-1, 1)] * 3)
+    assert report.error is None and np.linalg.norm(report.location) < 1e-6
+    assert report.charge.converged and report.charge.charge == expected.charge
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_fermi_level_that_overflows_the_constant_coefficient_is_refused():
+    terms = {(1, 0, 0): SIGMA_1, (0, 0, 0): 1e308 * np.eye(2)}
+    field = MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True)
+    with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
+        BandModel(field, fermi=-1e308)
+    with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
+        charge.chern_2(field, fermi=-1e308)
 
 
 @pytest.mark.parametrize(

@@ -331,7 +331,7 @@ def test_scan_refuses_unequal_chiral_eigenspaces(tmp_path, capsys):
     assert main(["scan", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "trace 1" in captured.err
+    assert "chiral eigenspaces have sizes 2 and 1" in captured.err
 
 
 def test_scan_command_malformed_model(tmp_path):

@@ -155,11 +155,11 @@ def test_chiral_block_rejects_commuting_perturbation():
 @pytest.mark.parametrize(
     "size, j, error, message",
     [
-        (2, np.eye(3), DimensionMismatchError, "chiral matrix size"),
+        (2, np.eye(3), DimensionMismatchError, r"chiral matrix has shape \(3, 3\), expected"),
         (3, np.diag([1.0, 1.0, -1.0]), NotChiralError, "eigenspaces have sizes 2 and 1"),
         (3, np.diag([1.0, 0.0, -1.0]), NotChiralError, r"eigenvalues \[-1.0, 0.0, 1.0\]"),
         (2, np.zeros((2, 2)), NotChiralError, r"eigenvalues \[0.0, 0.0\], not all \+-1"),
-        (2, np.full((2, 2), np.nan), NotChiralError, "not Hermitian"),
+        (2, np.full((2, 2), np.nan), NotChiralError, "chiral matrix is not finite"),
         (2, np.array([[1.0, 1.0], [0.0, -1.0]]), NotChiralError, "not Hermitian"),
     ],
     ids=["wrong-size", "unequal-eigenspaces", "kernel", "zero", "nan", "not-hermitian"],
