@@ -77,6 +77,13 @@ class BandModel:
             if j.shape != (n, n):
                 raise ChiralSymmetryError(f"chiral matrix has shape {j.shape}, expected {(n, n)}")
             if self.dimension == 2:
+                # The winding charges zeros of h, so a crossing at fermi != 0
+                # would be a Fermi line read as points; chirality pins them at 0.
+                if self.fermi:
+                    raise ChiralSymmetryError(
+                        f"a two-dimensional chiral model has its crossings at energy 0; "
+                        f"fermi must be 0, got {self.fermi}"
+                    )
                 self.chiral_block  # built once, here; chiral_lower_block checks J
             else:
                 generators.grading_eigenvectors(self.field, j)

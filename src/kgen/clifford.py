@@ -14,7 +14,7 @@ structural identity holds exactly in floating point, not just to tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -132,10 +132,13 @@ def build_rep(d: int, handedness: str = LEFT) -> CliffordRep:
 
     Base cases are the 1 x 1 representation (+1) and the Pauli matrices; higher
     dimensions come from :func:`extend`, and even d truncates the odd chain.
-    For odd d the requested handedness is enforced by flipping the sign of the
-    first generator when needed, so the scalar-product invariant holds by
-    construction.  ``handedness`` is ignored for even d.
+    Each level of that chain is built once per process and shared, as its
+    generators are read-only.  For odd d the requested handedness is enforced
+    by flipping the sign of the first generator when needed, so the
+    scalar-product invariant holds by construction.  ``handedness`` is ignored
+    for even d.
     """
+    # Checked before the cache, which would take 3.0 for 3.
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"generator count must be a positive integer, got {d!r}")
     if d > MAX_D:
@@ -143,16 +146,21 @@ def build_rep(d: int, handedness: str = LEFT) -> CliffordRep:
     if handedness not in (LEFT, RIGHT):
         raise ValueError(f"handedness must be 'left' or 'right', got {handedness!r}")
 
-    odd_target = d if d % 2 == 1 else d + 1
-    rep = CliffordRep(d=1, gammas=(np.array([[1.0]], dtype=complex),), handedness=LEFT)
-    while rep.d < odd_target:
-        rep = extend(rep)
-
+    rep = _odd_chain(d | 1)
     if d % 2 == 0:
         return CliffordRep(d=d, gammas=rep.gammas[:d], handedness=None)
     if rep.handedness != handedness:
         rep = flip_first(rep)
     return rep
+
+
+@lru_cache(maxsize=None)
+def _odd_chain(k: int) -> CliffordRep:
+    """Level k (odd) of the chain: the 1 x 1 representation (+1), extended
+    (k - 1) / 2 times."""
+    if k == 1:
+        return CliffordRep(d=1, gammas=(np.array([[1.0]], dtype=complex),), handedness=LEFT)
+    return extend(_odd_chain(k - 2))
 
 
 def extend(rep: CliffordRep) -> CliffordRep:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford, generators
-from ._linalg import dagger, func_of_hermitian, max_abs, operator_norm, sq_norms, sqrt_psd
+from ._linalg import CHUNK, dagger, func_of_hermitian, max_abs, operator_norm, sq_norms, sqrt_psd
 from .errors import DomainError, LiftInvalidError, PoleError
 from .fields import DISC, EvaluableField
 from .sampling import ball_points, check_samples, sphere_points
@@ -191,9 +191,11 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     b = b_field.evaluate(np.asarray(y, dtype=float))
 
     def f(vals):
-        vals = np.clip(vals, -1.0, 1.0)
-        real = -t * np.cos(np.pi * vals) + (1.0 - t * t) * (2.0 * vals**2 - 1.0)
-        imag = t * np.sin(np.pi * vals) + (1.0 - t * t) * vals * np.sqrt(1.0 - vals**2)
+        # Plain ufuncs: np.clip's Python wrapper costs more than this arithmetic.
+        vals = np.minimum(np.maximum(vals, -1.0), 1.0)
+        sq = vals * vals
+        real = -t * np.cos(np.pi * vals) + (1.0 - t * t) * (2.0 * sq - 1.0)
+        imag = t * np.sin(np.pi * vals) + (1.0 - t * t) * vals * np.sqrt(1.0 - sq)
         return real + 1j * imag
 
     return func_of_hermitian(b, f)
@@ -205,7 +207,10 @@ def homotopy_scan(d: int = 2, samples: int = 500, seed: int = 0) -> dict:
 
     Uses the Weyl contraction lift in d+1 ball variables.  PASS means the
     smallest singular value over the whole grid stays above 1e-3, i.e. the
-    deformation never leaves the invertibles.
+    deformation never leaves the invertibles.  Each matrix comes from
+    :func:`homotopy_at`; a t-value's matrices go to one batched SVD call, or
+    to several where they hold more than 4 x CHUNK entries, which bounds the
+    memory of a large lift at many samples.
     """
     if d % 2 != 0 or not 0 <= d < clifford.MAX_D:
         raise ValueError(
@@ -216,11 +221,13 @@ def homotopy_scan(d: int = 2, samples: int = 500, seed: int = 0) -> dict:
     lift = generators.weyl_field(d, rep, domain=DISC)
     rng = np.random.default_rng(seed)
     points = ball_points(d + 1, samples, rng)
+    per_call = 4 * CHUNK // lift.size**2
     min_sv = np.inf
-    for t in np.linspace(0.0, 1.0, HOMOTOPY_T_POINTS):
-        for y in points:
-            sv = np.linalg.svd(homotopy_at(lift, float(t), y), compute_uv=False)[-1]
-            min_sv = min(min_sv, float(sv))
+    for t in np.linspace(0.0, 1.0, HOMOTOPY_T_POINTS).tolist():
+        for start in range(0, samples, per_call):
+            block = points[start:start + per_call]
+            stack = np.stack([homotopy_at(lift, t, y) for y in block])
+            min_sv = min(min_sv, float(np.min(np.linalg.svd(stack, compute_uv=False)[:, -1])))
     return suite_report(
         "homotopy",
         d,

@@ -314,6 +314,21 @@ def test_two_dimensional_model_needs_equal_chiral_eigenspaces():
         BandModel(field, chiral=j)
 
 
+@pytest.mark.parametrize("fermi", [0.5, -1e-300])
+def test_a_two_dimensional_chiral_model_is_refused_off_energy_zero(fermi):
+    # Chiral symmetry pins 2-D crossings at energy 0; at fermi 0.5 this model
+    # has a Fermi circle |x| = 0.5, not point crossings.
+    field = chiral_dirac_model().field
+    with pytest.raises(ChiralSymmetryError, match=f"fermi must be 0, got {fermi}"):
+        BandModel(field, chiral=SIGMA_3, fermi=fermi)
+    payload = {**chiral_dirac_model().to_payload(), "fermi": fermi}
+    with pytest.raises(ChiralSymmetryError, match="crossings at energy 0"):
+        BandModel.from_payload(payload)
+    # Without a chiral matrix, or at -0.0, the model loads as before.
+    assert BandModel(field, fermi=fermi).fermi == fermi
+    assert BandModel(field, chiral=SIGMA_3, fermi=-0.0).chiral_block.size == 1
+
+
 DIRAC_TERMS = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
 # [[0, 0, 1], [0, 0, 0], [1, 0, 0]] anti-commutes with diag(1, 1, -1) and with
 # diag(1, 0, -1); so does [[0, 0, 0], [0, 0, 1], [0, 1, 0]] with the first.

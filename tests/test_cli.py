@@ -168,6 +168,18 @@ def test_verify_suites_pass():
         assert {"suite", "d", "samples", "max_residual", "pass"} <= set(payload)
 
 
+def test_verify_clifford_d13_repeats_its_output_in_one_process(capsys):
+    # The second call reuses the chain the first one built.
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "--suite", "clifford", "--d", "13"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == {
+        "suite": "clifford", "d": 13, "samples": 20, "max_residual": 0.0, "pass": True
+    }
+
+
 def test_verify_clifford_reports_zero_residual():
     payload = json.loads(run_cli("verify", "--suite", "clifford", "--d", "9").stdout)
     assert payload["max_residual"] == 0.0
@@ -332,6 +344,21 @@ def test_scan_refuses_unequal_chiral_eigenspaces(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "chiral eigenspaces have sizes 2 and 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["scan"], ["charge", "--radius", "0.5"]], ids=["scan", "charge"])
+def test_a_two_dimensional_chiral_model_off_energy_zero_exits_2(tmp_path, capsys, argv):
+    # x1 s1 + x2 s2 with chiral s3 at fermi 0.5: refused at load, not scanned
+    # as a Fermi circle of point crossings.
+    h, j = generators.dirac_hamiltonian_field(1, clifford.LEFT)
+    model = bandscan.BandModel.from_field(h, chiral=j.matrix)
+    payload = {**model.to_payload(), "fermi": 0.5}
+    path = tmp_path / "fermi.json"
+    path.write_text(json.dumps(payload))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fermi must be 0, got 0.5" in captured.err
 
 
 def test_scan_command_malformed_model(tmp_path):

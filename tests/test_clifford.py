@@ -5,8 +5,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from kgen import clifford
 from kgen.clifford import (
     LEFT,
+    MAX_D,
     RIGHT,
     CliffordRep,
     build_rep,
@@ -208,6 +210,53 @@ def test_build_rep_argument_validation():
         build_rep(14)
     with pytest.raises(ValueError):
         build_rep(3, "sideways")
+
+
+def test_build_rep_checks_its_arguments_before_the_chain_cache():
+    # The cache would take 3.0 for 3, so the checks come first.
+    build_rep(3)
+    for d in (3.0, "3", 0, 14):
+        with pytest.raises(ValueError):
+            build_rep(d)
+
+
+def chain_by_extend(d):
+    """The first odd level >= d of a chain built here from the 1 x 1 rep."""
+    rep = CliffordRep(d=1, gammas=(np.array([[1.0]], dtype=complex),), handedness=LEFT)
+    while rep.d < d:
+        rep = extend(rep)
+    return rep
+
+
+def bits(gammas):
+    return [(g.dtype, g.shape, g.tobytes()) for g in gammas]
+
+
+@pytest.mark.parametrize("d", range(1, MAX_D + 1))
+def test_cached_chain_matches_a_chain_built_by_extend(d):
+    level = chain_by_extend(d)
+    for hand in (LEFT, RIGHT) if d % 2 else (LEFT,):
+        rep = build_rep(d, hand)
+        if d % 2 == 0:
+            expected, label = level.gammas[:d], None
+        elif level.handedness == hand:
+            expected, label = level.gammas, hand
+        else:
+            expected, label = (-level.gammas[0],) + level.gammas[1:], hand
+        assert (rep.d, rep.handedness) == (d, label)
+        assert bits(rep.gammas) == bits(expected)
+        assert not any(g.flags.writeable for g in rep.gammas)
+
+
+def test_each_chain_level_is_built_once(monkeypatch):
+    for d in range(1, MAX_D + 1):
+        build_rep(d)
+    calls = []
+    monkeypatch.setattr(clifford, "extend", lambda rep: calls.append(rep.d) or extend(rep))
+    for d in range(1, MAX_D + 1):
+        for hand in (LEFT, RIGHT):
+            build_rep(d, hand)
+    assert calls == []
 
 
 def test_grading_of_pauli_pair():

@@ -69,8 +69,10 @@ def models(draw):
         n, chiral = draw(st.integers(1, 3)), None
         terms = draw(term_dicts(dim, n, True))
     field = MatrixPolyField(dim, n, terms, EUCLIDEAN, selfadjoint=True)
-    return BandModel(field, chiral=chiral, fermi=draw(FINITE), name=draw(TEXT),
-                     comment=draw(TEXT))
+    # A two-dimensional chiral model has its crossings at energy 0, so its
+    # Fermi level must be 0.
+    fermi = 0.0 if dim == 2 and chiral is not None else draw(FINITE)
+    return BandModel(field, chiral=chiral, fermi=fermi, name=draw(TEXT), comment=draw(TEXT))
 
 
 def numpy_or_python(value_strategy, numpy_type):

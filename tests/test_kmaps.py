@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kgen import clifford, generators, kmaps
+from kgen._linalg import CHUNK, func_of_hermitian
 from kgen.errors import DomainError, LiftInvalidError, PoleError
 from kgen.fields import DISC, EvaluableField, MatrixPolyField
 from kgen.sampling import ball_points
@@ -272,6 +273,76 @@ def test_homotopy_scan_stays_invertible():
     assert report["pass"]
     assert report["min_singular_value"] > 1e-3
     assert report["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("d", [0, 2, 4])
+def test_homotopy_scan_minimum_matches_a_per_point_loop(d, seed):
+    samples = 150
+    lift = disc_weyl_lift(d)
+    points = ball_points(d + 1, samples, np.random.default_rng(seed))
+    expected = min(
+        np.linalg.svd(kmaps.homotopy_at(lift, float(t), y), compute_uv=False)[-1]
+        for t in np.linspace(0.0, 1.0, kmaps.HOMOTOPY_T_POINTS)
+        for y in points
+    )
+    report = kmaps.homotopy_scan(d, samples=samples, seed=seed)
+    assert report["min_singular_value"].hex() == float(expected).hex()
+
+
+def clip_power_homotopy(b, t):
+    """A_t by np.clip and **, term for term as homotopy_at wrote it before."""
+
+    def f(vals):
+        vals = np.clip(vals, -1.0, 1.0)
+        real = -t * np.cos(np.pi * vals) + (1.0 - t * t) * (2.0 * vals**2 - 1.0)
+        imag = t * np.sin(np.pi * vals) + (1.0 - t * t) * vals * np.sqrt(1.0 - vals**2)
+        return real + 1j * imag
+
+    return func_of_hermitian(b, f)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_homotopy_at_keeps_the_bits_of_the_clip_and_power_formula(seed):
+    # Random Hermitian contractions, with eigenvalues at +-1 and one rounding
+    # beyond, where the clip acts.
+    rng = np.random.default_rng(seed)
+    n = 4
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    vals = np.concatenate([[1.0, -1.0 - 2.0**-52], rng.uniform(-1.0, 1.0, n - 2)])
+    b = (q * vals) @ q.conj().T
+    b = 0.5 * (b + b.conj().T)
+    lift = MatrixPolyField(3, n, {(0, 0, 0): b}, DISC, selfadjoint=True)
+    y = rng.uniform(-0.5, 0.5, 3)
+    for t in np.linspace(0.0, 1.0, 11):
+        got = kmaps.homotopy_at(lift, float(t), y)
+        assert got.tobytes() == clip_power_homotopy(lift.evaluate(y), float(t)).tobytes()
+
+
+def spy_svd(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def test_homotopy_scan_takes_one_svd_call_per_t(monkeypatch):
+    shapes = spy_svd(monkeypatch)
+    assert kmaps.homotopy_scan(2, samples=500, seed=0)["pass"]
+    assert shapes == [(500, 2, 2)] * kmaps.HOMOTOPY_T_POINTS
+
+
+def test_homotopy_scan_bounds_the_entries_of_each_svd_call(monkeypatch):
+    shapes = spy_svd(monkeypatch)
+    assert kmaps.homotopy_scan(12, samples=9, seed=0)["pass"]
+    assert len(shapes) == 3 * kmaps.HOMOTOPY_T_POINTS
+    assert sum(s[0] for s in shapes) == 9 * kmaps.HOMOTOPY_T_POINTS
+    assert max(np.prod(s) for s in shapes) <= 4 * CHUNK
 
 
 # -- identity suites -------------------------------------------------------------
