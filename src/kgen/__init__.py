@@ -3,12 +3,11 @@ spheres, K-theory connecting maps, and topological charges of band models."""
 
 from . import bandscan, charge, clifford, fields, generators, kmaps
 from .bandscan import BandModel, CrossingReport, load_model, save_model, scan
-from .charge import ChargeResult, charge_of, chern_2, chern_sign_weyl, winding_1, winding_3
+from .charge import ChargeResult, chern_2, chern_sign_weyl, winding_1, winding_3
 from .clifford import CliffordRep, Grading, build_rep, extend, flip_first, grading_of, handedness_of, verify_rep
 from .fields import EvaluableField, MatrixPolyField
 from .generators import (
     bounded_transform,
-    chiral_block,
     compact_resolvent_profile,
     dirac_hamiltonian_field,
     dirac_phase_field,
@@ -30,12 +29,10 @@ __all__ = [
     "bounded_transform",
     "build_rep",
     "charge",
-    "charge_of",
     "chart",
     "chart_inverse",
     "chern_2",
     "chern_sign_weyl",
-    "chiral_block",
     "clifford",
     "compact_resolvent_profile",
     "dirac_hamiltonian_field",

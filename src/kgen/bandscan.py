@@ -87,14 +87,8 @@ class BandModel:
                 self.chiral_block  # built once, here; chiral_lower_block checks J
             else:
                 generators.grading_eigenvectors(self.field, j)
-        # h - fermi I, the field the gap and the Chern number read: folded into the
-        # constant coefficient, the Fermi level cancels before evaluation rounds.
-        shifted = self.field
-        if self.fermi:
-            minus = {(0,) * self.dimension: -self.fermi * np.eye(self.size)}
-            with np.errstate(over="ignore"):  # the constructor refuses a sum that overflows
-                shifted = shifted.plus(replace(shifted, terms=minus))
-        object.__setattr__(self, "_shifted", shifted)
+        # h - fermi I, the field the gap and the Chern number read.
+        object.__setattr__(self, "_shifted", self.field.shifted(self.fermi))
 
     @property
     def dimension(self) -> int:

@@ -103,7 +103,7 @@ hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -555,8 +555,9 @@ def _two_band_curvature(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return -0.5 * (a1 * (b2 * c3 - b3 * c2) + a2 * (b3 * c1 - b1 * c3) + a3 * (b1 * c2 - b2 * c1))
 
 
-def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1.0,
-               block=None) -> float:
+def _chern_raw(field: MatrixPolyField, grid, center=None, radius=1.0, block=None) -> float:
+    """Raw Chern number of the bands of ``field`` below 0: ``chern_2`` hands
+    it h - fermi I (``MatrixPolyField.shifted``), so fermi is 0 here."""
     total = 0.0
     n_occ = None
     closed = field.size <= 2
@@ -571,14 +572,14 @@ def _chern_raw(field: MatrixPolyField, fermi: float, grid, center=None, radius=1
             h /= s[:, None, None]
             lam, vecs = np.linalg.eigh(h)
             vals = s[:, None] * lam
-        gap = float(np.min(np.abs(vals - fermi)))
+        gap = float(np.min(np.abs(vals)))
         if not gap > GAP_MIN:  # NaN fails it too
             raise GapClosedError(f"spectral gap closes on the grid: min |eig - fermi| = {gap}")
         # The sphere is connected, so a band count below fermi that differs
         # between nodes means the gap closes between them.  The range named is
         # the count at the first node and at the first node that differs from
         # it, so it does not depend on the chunk size.
-        counts = np.count_nonzero(vals < fermi, axis=1)
+        counts = np.count_nonzero(vals < 0.0, axis=1)
         if n_occ is None:
             n_occ = int(counts[0])
         differs = np.flatnonzero(counts != n_occ)
@@ -665,40 +666,13 @@ def chern_2(
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")
-    if fermi:  # h - fermi I, folded into the constant coefficient as by a BandModel
-        minus = {(0,) * field.ambient_dim: -fermi * np.eye(field.size)}
-        with np.errstate(over="ignore"):  # the constructor refuses a sum that overflows
-            field = field.plus(replace(field, terms=minus))
-    return _assemble(
-        lambda sector, grid, center, radius, block: _chern_raw(
-            sector, 0.0, grid, center, radius, block
-        ),
-        field, 2, resolution, center, radius,
-    )
+    return _assemble(_chern_raw, field.shifted(fermi), 2, resolution, center, radius)
 
 
 def winding_3(field: MatrixPolyField, resolution: int | None = None) -> ChargeResult:
     """Degree-type winding of an invertible field on S^3."""
     _check_field(field, 3)
     return _assemble(_winding_raw, field, 3, resolution)
-
-
-def charge_of(
-    field: MatrixPolyField,
-    dim: int,
-    fermi: float | None = None,
-    resolution: int | None = None,
-) -> ChargeResult:
-    """Dispatch to the invariant matching the sphere dimension."""
-    if dim not in (1, 2, 3):
-        raise UnsupportedDimensionError(f"supported sphere dimensions are 1, 2, 3; got {dim}")
-    if dim == 2:
-        return chern_2(field, fermi=0.0 if fermi is None else fermi, resolution=resolution)
-    if fermi is not None:
-        raise ValueError("fermi level applies only to the S^2 Chern number")
-    if field.selfadjoint:
-        raise ValueError("self-adjoint fields carry an even charge; use dim = 2")
-    return winding_1(field, resolution) if dim == 1 else winding_3(field, resolution)
 
 
 @lru_cache(maxsize=1)

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -100,8 +101,24 @@ def _cmd_generator(args) -> int:
     return EXIT_OK
 
 
+# The flags each verify suite reads; a suite refuses any other one it is given.
+VERIFY_FLAGS = {
+    "clifford": ("d",),
+    "index": ("d", "samples", "seed"),
+    "exp": ("d", "samples", "seed"),
+    "homotopy": ("d", "samples", "seed"),
+    "fredholm": ("samples", "seed"),
+}
+
+
 def _cmd_verify(args) -> int:
     suite = args.suite
+    unread = [f"--{flag}" for flag in ("d", "samples", "seed")
+              if getattr(args, flag) is not None and flag not in VERIFY_FLAGS[suite]]
+    if unread:
+        raise UsageError(f"--suite {suite} does not read {', '.join(unread)}")
+    samples = 1000 if args.samples is None else args.samples
+    seed = 0 if args.seed is None else args.seed
     if suite == "clifford":
         d_max = args.d if args.d is not None else 9
         if d_max < 1:
@@ -118,15 +135,15 @@ def _cmd_verify(args) -> int:
         report = suite_report("clifford", d_max, checked, worst, worst == 0.0)
     elif suite == "index":
         d = args.d if args.d is not None else 1
-        report = kmaps.verify_index_identity(d, samples=args.samples, seed=args.seed)
+        report = kmaps.verify_index_identity(d, samples=samples, seed=seed)
     elif suite == "exp":
         d = args.d if args.d is not None else 2
-        report = kmaps.verify_exp_identity(d, samples=args.samples, seed=args.seed)
+        report = kmaps.verify_exp_identity(d, samples=samples, seed=seed)
     elif suite == "homotopy":
         d = args.d if args.d is not None else 2
-        report = kmaps.homotopy_scan(d, samples=args.samples, seed=args.seed)
+        report = kmaps.homotopy_scan(d, samples=samples, seed=seed)
     elif suite == "fredholm":
-        report = generators.verify_fredholm(samples=args.samples, seed=args.seed)
+        report = generators.verify_fredholm(samples=samples, seed=seed)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown suite {suite!r}")
 
@@ -196,16 +213,25 @@ def _cmd_scan(args) -> int:
         raise UsageError("thread count must be >= 1")
     model = bandscan.load_model(args.model)
     box = _parse_box(args.box, model.dimension)
+    created = False
     if args.gap_map is not None:
         # Probe the path before the search, so one that cannot be written fails
-        # at once; append mode leaves an existing map intact if the scan fails.
+        # at once; append mode leaves an existing map intact if the scan fails,
+        # and a map that the probe created is removed again.
+        created = not os.path.exists(args.gap_map)
         with _output(args.gap_map, "a"):
             pass
-    reports = bandscan.scan(model, box, args.grid, args.resolution)
-    _emit_json([r.to_payload() for r in reports], args.out)
-    if args.gap_map is not None:
-        with _output(args.gap_map) as gap_file:
-            _write_gap_map(gap_file, bandscan.gap_map(model, box, args.grid), args.grid)
+    try:
+        reports = bandscan.scan(model, box, args.grid, args.resolution)
+        _emit_json([r.to_payload() for r in reports], args.out)
+        if args.gap_map is not None:
+            rows = bandscan.gap_map(model, box, args.grid)
+            with _output(args.gap_map) as gap_file:
+                _write_gap_map(gap_file, rows, args.grid)
+    except BaseException:
+        if created:
+            os.remove(args.gap_map)
+        raise
 
     if any(r.error is not None for r in reports):
         return EXIT_NUMERICAL
@@ -260,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--d", type=int)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help="default 1000")
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

@@ -187,6 +187,17 @@ class MatrixPolyField:
             new_terms[alpha] = new_terms.get(alpha, 0) + mat
         return replace(self, terms=new_terms, selfadjoint=self.selfadjoint and other.selfadjoint)
 
+    def shifted(self, c: float) -> "MatrixPolyField":
+        """The field x -> F(x) - c I, the one home of the Fermi fold: -c I is
+        folded into the constant coefficient, so that c cancels before
+        evaluation rounds.  The field itself when c is 0; a sum that overflows
+        is refused by the constructor, as not finite."""
+        if not c:
+            return self
+        minus = {(0,) * self.ambient_dim: -c * np.eye(self.size)}
+        with np.errstate(over="ignore"):
+            return self.plus(replace(self, terms=minus))
+
     def affine_pullback(self, center, radius: float) -> "MatrixPolyField":
         """Exact recomposition under x = center + radius * u.
 

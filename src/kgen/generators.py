@@ -78,9 +78,9 @@ def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep | str):
 
     Uses d+1 generators (an even count), so the product grading exists and
     anti-commutes with the field; in the grading eigenbasis the field is block
-    off-diagonal and :func:`chiral_block` extracts the unitary block.  ``rep``
-    is a representation with d + 1 generators or a handedness, as for
-    :func:`weyl_field`.  Returns ``(field, grading)``.
+    off-diagonal and ``chiral_lower_block(field, grading.matrix)`` extracts
+    the unitary block.  ``rep`` is a representation with d + 1 generators or a
+    handedness, as for :func:`weyl_field`.  Returns ``(field, grading)``.
     """
     if d % 2 != 1:
         raise DimensionMismatchError(f"chiral Dirac Hamiltonian requires odd d, got {d}")
@@ -131,11 +131,6 @@ def chiral_lower_block(field: MatrixPolyField, j_matrix) -> MatrixPolyField:
         )
     terms = {alpha: dagger(minus) @ mat @ plus for alpha, mat in field.terms.items()}
     return MatrixPolyField(field.ambient_dim, plus.shape[1], terms, field.domain)
-
-
-def chiral_block(field: MatrixPolyField, grading: clifford.Grading) -> MatrixPolyField:
-    """Off-diagonal block of a chiral field with respect to a grading."""
-    return chiral_lower_block(field, grading.matrix)
 
 
 def bounded_transform(field: MatrixPolyField) -> EvaluableField:

@@ -821,29 +821,7 @@ def test_convergence_improves_with_resolution():
         assert abs(raw_2n - result.charge) <= abs(raw_n - result.charge) + 1e-9
 
 
-# -- dispatch ----------------------------------------------------------------------
-
-
-def test_charge_of_dispatch():
-    assert charge.charge_of(dirac1(), 1).charge == winding_1(dirac1()).charge
-    assert charge.charge_of(weyl2(), 2, fermi=0.0).charge == chern_2(weyl2()).charge
-    assert (
-        charge.charge_of(dirac3(), 3, resolution=16).charge
-        == winding_3(dirac3(), resolution=16).charge
-    )
-
-
-def test_charge_of_rejects_dim4():
-    field = generators.weyl_field(4, clifford.build_rep(5, clifford.LEFT))
-    with pytest.raises(UnsupportedDimensionError):
-        charge.charge_of(field, 4)
-
-
-def test_charge_of_selfadjoint_routing():
-    with pytest.raises(ValueError):
-        charge.charge_of(weyl2(), 3)  # self-adjoint fields go to chern_2 / dim 2
-    with pytest.raises(ValueError):
-        charge.charge_of(dirac1(), 1, fermi=0.5)  # fermi only for dim 2
+# -- argument checks ---------------------------------------------------------------
 
 
 def test_charge_ambient_dimension_check():
@@ -968,7 +946,7 @@ def random_invertible_phase(rng, base, size):
 )
 def test_chern_kernel_matches_projector_form(seed, size, fermi, n):
     field = random_gapped_weyl(np.random.default_rng(seed), size)
-    new = charge._chern_raw(field, fermi, charge._grid_rows(2, n))
+    new = charge._chern_raw(field.shifted(fermi), charge._grid_rows(2, n))
     assert abs(new - reference_chern_raw(field, fermi, sphere_grid(2, n))) <= 1e-12
 
 
@@ -1012,8 +990,8 @@ def test_chunked_kernels_match_single_batch_forms(seed, size, n):
         mp.setattr(_linalg, "CHUNK", 7)
         raws = (
             charge._winding_raw(s1, rows[1]),
-            charge._chern_raw(s2, fermi, rows[2]),
-            charge._chern_raw(s2, fermi, rows[2], center, radius),
+            charge._chern_raw(s2.shifted(fermi), rows[2]),
+            charge._chern_raw(s2.shifted(fermi), rows[2], center, radius),
             charge._winding_raw(s3, rows[3]),
             charge._winding_raw(s3_closed, rows[3]),
         )
@@ -1039,7 +1017,7 @@ def test_chunked_chern_sees_band_count_change_in_a_later_chunk(monkeypatch):
     counts = np.count_nonzero(np.linalg.eigvalsh(field.evaluate_batch(grid.nodes)) < 0.5, axis=1)
     assert np.array_equal(counts, np.repeat([2, 2, 1, 0], 8))
     with pytest.raises(GapClosedError, match=r"number of bands below fermi varies .*\(1 to 2\)"):
-        charge._chern_raw(field, 0.5, charge._grid_rows(2, 4))
+        charge._chern_raw(field.shifted(0.5), charge._grid_rows(2, 4))
 
 
 def test_kernel_memory_bounded_by_the_chunk():
@@ -1137,7 +1115,7 @@ def test_node_last_products_match_the_stacked_ones(monkeypatch, size):
         raws.append([
             charge._winding_raw(gram, s3),
             charge._winding_raw(general, s3),
-            charge._chern_raw(bands, 0.0, s2),
+            charge._chern_raw(bands, s2),
         ])
     k = size // 2
     expected = [k * winding_3(dirac3(), 6).raw, k * chern_sign_weyl()]
@@ -1236,7 +1214,7 @@ def test_a_one_sector_field_keeps_the_bits_of_its_kernels(kind):
     assert len(field.sectors) == 1 and field.sectors[0] is field
     dim = field.ambient_dim - 1
     if fn is chern_2:
-        raws = [charge._chern_raw(field, 0.0, charge._grid_rows(dim, n)) for n in (8, 16)]
+        raws = [charge._chern_raw(field, charge._grid_rows(dim, n)) for n in (8, 16)]
     else:
         raws = [charge._winding_raw(field, charge._grid_rows(dim, n)) for n in (8, 16)]
     pair = fn(field, resolution=8).convergence_pair

@@ -413,6 +413,23 @@ def test_verify_refuses_d_outside_the_suite(capsys, suite, d, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "suite, flags, unread",
+    [
+        ("fredholm", ["--d", "3"], "--d"),
+        ("clifford", ["--samples", "5"], "--samples"),
+        ("clifford", ["--seed", "1"], "--seed"),
+        ("clifford", ["--d", "3", "--samples", "5", "--seed", "1"], "--samples, --seed"),
+    ],
+    ids=["fredholm-d", "clifford-samples", "clifford-seed", "clifford-both"],
+)
+def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, suite, flags, unread):
+    assert main(["verify", "--suite", suite, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--suite {suite} does not read {unread}" in captured.err
+
+
 def test_non_list_powers_is_a_format_error(weyl_path, tmp_path, capsys):
     with open(weyl_path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -757,6 +774,17 @@ def test_failed_scan_leaves_an_existing_gap_map_unchanged(two_weyl_path, tmp_pat
     assert main(["scan", two_weyl_path, *extra, "--gap-map", str(target)]) == 2
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--grid", "7"], ["--resolution", "2"], ["--box", "1", "0"]],
+)
+def test_failed_scan_leaves_no_new_gap_map(two_weyl_path, tmp_path, capsys, extra):
+    target = tmp_path / "new.csv"
+    assert main(["scan", two_weyl_path, *extra, "--gap-map", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 def test_main_callable_directly(capsys):

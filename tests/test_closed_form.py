@@ -178,7 +178,7 @@ def reference_outcome(field, fermi, grid):
 
 def raw_outcome(field, fermi, grid):
     try:
-        return charge._chern_raw(field, fermi, grid)
+        return charge._chern_raw(field.shifted(fermi), grid)
     except GapClosedError:
         return GapClosedError
 
@@ -634,7 +634,7 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
-            charge._chern_raw(hermitian, 0.0, charge._grid_rows(2, 8))
+            charge._chern_raw(hermitian, charge._grid_rows(2, 8))
         with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
             charge._winding_raw(phase, charge._grid_rows(1, 8))
     for size in (1, 2):

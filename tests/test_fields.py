@@ -457,6 +457,26 @@ def test_derived_fields_that_overflow_are_refused(derive):
             derive()
 
 
+def test_shifted_folds_the_level_into_the_constant_coefficient():
+    field = random_poly_field(np.random.default_rng(3), hermitian=True)
+    for zero in (0, 0.0, -0.0):
+        assert field.shifted(zero) is field
+    shifted = field.shifted(0.75)
+    assert (shifted.selfadjoint, shifted.domain) == (field.selfadjoint, field.domain)
+    points = np.random.default_rng(4).uniform(-2.0, 2.0, (16, 3))
+    assert max_abs(shifted.evaluate_batch(points) - field.evaluate_batch(points)
+                   + 0.75 * np.eye(2)) <= 1e-12
+    # The level cancels in the coefficient, before evaluation rounds.
+    line = MatrixPolyField(1, 1, {(0,): [[1e16]], (1,): [[1.0]]})
+    assert line.shifted(1e16).evaluate([0.5])[0, 0] == 0.5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_shift_that_overflows_is_refused_without_a_warning():
+    with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0\) is not finite"):
+        BIG.shifted(-1e308)
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         MatrixPolyField(2, 2, {(0,): np.eye(2)})

@@ -96,7 +96,7 @@ def test_dirac_hamiltonian_chiral_structure_d1():
     rep = clifford.build_rep(2)
     field, grading = generators.dirac_hamiltonian_field(1, rep)
     assert np.array_equal(grading.matrix, SIGMA_3)
-    block = generators.chiral_block(field, grading)
+    block = generators.chiral_lower_block(field, grading.matrix)
     assert block.size == 1
     # Lower-left block of [[0, x1 + i x2], [x1 - i x2, 0]].
     assert np.allclose(block.evaluate([0.3, 0.4]), [[0.3 - 0.4j]], atol=1e-15)
@@ -123,7 +123,7 @@ def test_dirac_hamiltonian_coefficient_anticommutation_exact():
 def test_dirac_hamiltonian_block_unitary_on_sphere():
     rep = clifford.build_rep(4)
     field, grading = generators.dirac_hamiltonian_field(3, rep)
-    block = generators.chiral_block(field, grading)
+    block = generators.chiral_lower_block(field, grading.matrix)
     assert block.size == 2
     rng = np.random.default_rng(4)
     pts = sphere_points(4, 500, rng)
@@ -138,7 +138,7 @@ def test_chiral_block_of_a_diagonal_grading_is_the_lower_left_slice(d):
     # rotation then moves no bit of any coefficient's lower-left block.
     field, grading = generators.dirac_hamiltonian_field(d, clifford.build_rep(d + 1))
     half = field.size // 2
-    block = generators.chiral_block(field, grading)
+    block = generators.chiral_lower_block(field, grading.matrix)
     for alpha, mat in field.terms.items():
         assert np.array_equal(block.terms[alpha], mat[half:, :half]), alpha
 
@@ -149,7 +149,7 @@ def test_chiral_block_rejects_commuting_perturbation():
     mass = MatrixPolyField(2, 2, {(0, 0): 0.1 * SIGMA_3}, field.domain, selfadjoint=True)
     perturbed = field.plus(mass)
     with pytest.raises(NotChiralError):
-        generators.chiral_block(perturbed, grading)
+        generators.chiral_lower_block(perturbed, grading.matrix)
 
 
 @pytest.mark.parametrize(
