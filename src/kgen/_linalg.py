@@ -102,13 +102,14 @@ def pauli_split(stacks, out: np.ndarray):
 # as contiguous (..., N, N, M) arrays, and a product unrolls its j-sum into
 # elementwise calls over the M nodes; above it, it keeps (..., M, N, N) stacks
 # and ``@``.  The integrand (three products U^-1 d_a, two triple traces, the
-# transposes included) over 2^18 nodes in 4,096-node chunks, on 2 cores with
-# numpy 2.4.6 and OpenBLAS:
+# layout copies included) over 2^18 nodes in 4,096-node chunks, min-max of
+# 9 runs on one OpenBLAS thread with numpy 2.4.6:
 #
 #     N    stacked ``@``    node-last
-#     4    0.93-0.96 s      0.47-0.54 s
-#     6    1.2-1.5 s        1.3-1.6 s
-#     8    1.8-1.9 s        3.3-3.6 s
+#     3    0.48-0.82 s      0.11-0.19 s
+#     4    0.56-0.75 s      0.34-0.48 s
+#     6    0.71-0.82 s      0.99-1.23 s
+#     8    1.04-1.69 s      3.00-3.59 s
 PLANAR_MAX = 4
 
 

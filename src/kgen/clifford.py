@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import dagger, max_abs
 from .errors import InconsistentRepresentationError, NotIrreducibleError
-from .serialize import matrix_from_json, matrix_to_json
+from .serialize import matrix_from_json, matrix_to_json, suite_report
 
 LEFT = "left"
 RIGHT = "right"
@@ -127,6 +127,13 @@ def _generator_product(rep: CliffordRep) -> np.ndarray:
     return reduce(np.matmul, rep.gammas)
 
 
+def _product_scalar(rep: CliffordRep) -> tuple:
+    """``(lam, residual)``: the generator product's top-left entry and its distance from lam I."""
+    prod = _generator_product(rep)
+    lam = prod[0, 0]
+    return lam, max_abs(prod - lam * np.eye(rep.N, dtype=complex))
+
+
 def build_rep(d: int, handedness: str = LEFT) -> CliffordRep:
     """Construct the irreducible representation with ``d`` generators.
 
@@ -218,9 +225,7 @@ def verify_rep(rep: CliffordRep) -> ValidationReport:
                 )
 
     if rep.d % 2 == 1 and not violations:
-        prod = _generator_product(rep)
-        lam = prod[0, 0]
-        r = max_abs(prod - lam * eye)
+        lam, r = _product_scalar(rep)
         if r > INVARIANT_TOL:
             violations.append(Violation("scalar-product", r, "generator product not scalar"))
         else:
@@ -240,13 +245,23 @@ def verify_rep(rep: CliffordRep) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def verify_reps(d: int = 9) -> dict:
+    """Suite report of :func:`verify_rep` on every representation with 1 to
+    ``d`` generators, both handednesses for odd counts; ``samples`` counts the
+    representations and PASS needs every residual to be exactly 0."""
+    if d < 1:
+        raise ValueError(f"the clifford suite needs d >= 1, got {d}")
+    residuals = [verify_rep(build_rep(k, hand)).max_residual
+                 for k in range(1, d + 1) for hand in ((LEFT, RIGHT) if k % 2 else (LEFT,))]
+    return suite_report("clifford", d, len(residuals), max(residuals), max(residuals) == 0.0)
+
+
 def handedness_of(rep: CliffordRep) -> str:
     """Label the representation by the scalar value of its generator product."""
     if rep.d % 2 == 0:
         raise ValueError("handedness is defined only for odd generator counts")
-    prod = _generator_product(rep)
-    lam = prod[0, 0]
-    if max_abs(prod - lam * np.eye(rep.N, dtype=complex)) > SCALAR_TOL:
+    lam, r = _product_scalar(rep)
+    if r > SCALAR_TOL:
         raise NotIrreducibleError(
             "generator product is not scalar; representation is not irreducible"
         )

@@ -49,10 +49,13 @@ def weyl_field(d: int, rep: clifford.CliffordRep | str, domain: str = SPHERE) ->
     """
     if domain == SPHERE and d % 2 != 0:
         raise DimensionMismatchError(f"sphere-restricted Weyl field requires even d, got {d}")
-    rep = _representation(rep, d + 1, d)
-    m = d + 1
-    terms = {unit_index(j, m): rep.gammas[j] for j in range(m)}
-    return MatrixPolyField(m, rep.N, terms, domain, selfadjoint=True)
+    return _gamma_sum(_representation(rep, d + 1, d), domain)
+
+
+def _gamma_sum(rep: clifford.CliffordRep, domain: str) -> MatrixPolyField:
+    """sum_j x_j Gamma_j over all generators of ``rep``, in as many variables."""
+    terms = {unit_index(j, rep.d): gamma for j, gamma in enumerate(rep.gammas)}
+    return MatrixPolyField(rep.d, rep.N, terms, domain, selfadjoint=True)
 
 
 def dirac_phase_field(
@@ -86,10 +89,7 @@ def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep | str):
         raise DimensionMismatchError(f"chiral Dirac Hamiltonian requires odd d, got {d}")
     rep = _representation(rep, d + 1, d)
     grading = clifford.grading_of(rep)
-    m = d + 1
-    terms = {unit_index(j, m): rep.gammas[j] for j in range(m)}
-    field = MatrixPolyField(m, rep.N, terms, SPHERE, selfadjoint=True)
-    return field, grading
+    return _gamma_sum(rep, SPHERE), grading
 
 
 def grading_eigenvectors(field: MatrixPolyField, j: np.ndarray):
@@ -172,7 +172,7 @@ def compact_resolvent_profile(field: MatrixPolyField, radii):
     return profile
 
 
-def verify_fredholm(samples: int = 50, seed: int = 0) -> dict:
+def verify_fredholm(samples: int = 1000, seed: int = 0) -> dict:
     """Resolvent-decay and bounded-transform identities for the two unbounded
     generator fields (the even Weyl field in three variables and the scalar
     Dirac representative in two).

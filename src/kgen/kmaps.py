@@ -50,6 +50,26 @@ HOMOTOPY_T_POINTS = 11
 # boundary points are added).
 LIFT_SAMPLES = 120
 
+# The levels d of each suite: one parity, up to the last whose representations
+# fit clifford.MAX_D (index builds d + 2 generators, exp and homotopy d + 1).
+_LEVELS = {"index": range(1, clifford.MAX_D - 1, 2), "exp": range(2, clifford.MAX_D, 2),
+           "homotopy": range(0, clifford.MAX_D, 2)}
+
+
+def _check_level(suite: str, d: int) -> None:
+    """Refuse a d outside the ``suite``'s levels, naming it."""
+    levels = _LEVELS[suite]
+    if d not in levels:
+        parity, first, last = ("even", "odd")[levels.start % 2], levels.start, levels[-1]
+        raise ValueError(f"the {suite} suite needs an {parity} d from {first} to {last}, got {d}")
+
+
+def _blocks(points: np.ndarray, size: int):
+    """Consecutive blocks of ``points`` whose ``size`` x ``size`` matrices hold
+    at most 4 x CHUNK entries, so a suite's memory does not grow with its samples."""
+    per_block = 4 * CHUNK // size**2
+    return (points[start:start + per_block] for start in range(0, len(points), per_block))
+
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -201,31 +221,24 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     return func_of_hermitian(b, f)
 
 
-def homotopy_scan(d: int = 2, samples: int = 500, seed: int = 0) -> dict:
+def homotopy_scan(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:
     """Minimum singular value of the deformation over the grid of
     HOMOTOPY_T_POINTS t-values and ``samples`` points y.
 
     Uses the Weyl contraction lift in d+1 ball variables.  PASS means the
     smallest singular value over the whole grid stays above 1e-3, i.e. the
     deformation never leaves the invertibles.  Each matrix comes from
-    :func:`homotopy_at`; a t-value's matrices go to one batched SVD call, or
-    to several where they hold more than 4 x CHUNK entries, which bounds the
-    memory of a large lift at many samples.
+    :func:`homotopy_at`; a t-value's matrices go to one batched SVD call per
+    block of :func:`_blocks`.
     """
-    if d % 2 != 0 or not 0 <= d < clifford.MAX_D:
-        raise ValueError(
-            f"the scanned lift needs an even d from 0 to {clifford.MAX_D - 1}, got {d}"
-        )
+    _check_level("homotopy", d)
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)
-    rng = np.random.default_rng(seed)
-    points = ball_points(d + 1, samples, rng)
-    per_call = 4 * CHUNK // lift.size**2
+    points = ball_points(d + 1, samples, np.random.default_rng(seed))
     min_sv = np.inf
     for t in np.linspace(0.0, 1.0, HOMOTOPY_T_POINTS).tolist():
-        for start in range(0, samples, per_call):
-            block = points[start:start + per_call]
+        for block in _blocks(points, lift.size):
             stack = np.stack([homotopy_at(lift, t, y) for y in block])
             min_sv = min(min_sv, float(np.min(np.linalg.svd(stack, compute_uv=False)[:, -1])))
     return suite_report(
@@ -243,17 +256,18 @@ def homotopy_scan(d: int = 2, samples: int = 500, seed: int = 0) -> dict:
 
 def _identity_report(suite: str, d: int, image, target, to_target, samples: int, seed: int) -> dict:
     """Report of a pointwise identity: ``image`` at seeded points y of the ball
-    ||y|| <= BALL_CUTOFF against ``target`` at ``to_target(y)``, entrywise, in
-    one batch each."""
+    ||y|| <= BALL_CUTOFF against ``target`` at ``to_target(y)``, entrywise,
+    block by block (:func:`_blocks`)."""
     rng = np.random.default_rng(seed)
     points = ball_points(image.ambient_dim, samples, rng, max_norm=BALL_CUTOFF)
-    worst = max_abs(image.evaluate_batch(points) - target.evaluate_batch(to_target(points)))
+    pairs = zip(_blocks(points, image.size), _blocks(to_target(points), image.size))
+    worst = max(max_abs(image.evaluate_batch(y) - target.evaluate_batch(x)) for y, x in pairs)
     return suite_report(
         suite, d, samples, worst, worst < IDENTITY_TOL, tolerance=IDENTITY_TOL, seed=int(seed)
     )
 
 
-def verify_index_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
+def verify_index_identity(d: int = 1, samples: int = 1000, seed: int = 0) -> dict:
     """Pointwise check that the index map sends the odd generator to the even one.
 
     The Dirac phase in d+1 ball variables is fed through the index-map formula;
@@ -261,8 +275,7 @@ def verify_index_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     doubled representation at the sphere point ``chart(y)``.  The residual
     therefore measures the identity alone, with no chart round trip.
     """
-    if d not in (1, 3, 5):
-        raise ValueError(f"supported odd dimensions are 1, 3, 5; got {d}")
+    _check_level("index", d)
     check_samples(samples)
     rep = clifford.build_rep(d, clifford.LEFT)
     lift = generators.dirac_phase_field(d, rep, domain=DISC)
@@ -278,7 +291,7 @@ def _exp_point(y: np.ndarray) -> np.ndarray:
     return np.hstack([y * np.sqrt(1.0 - r2), 2.0 * r2 - 1.0])
 
 
-def verify_exp_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
+def verify_exp_identity(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:
     """Pointwise check that the exponential map sends the even generator to the
     odd one.
 
@@ -287,8 +300,7 @@ def verify_exp_identity(d: int, samples: int = 1000, seed: int = 0) -> dict:
     x = (y sqrt(1 - ||y||^2), 2 ||y||^2 - 1) into the Dirac phase of the same
     representation must agree entrywise.
     """
-    if d not in (2, 4):
-        raise ValueError(f"supported even dimensions are 2, 4; got {d}")
+    _check_level("exp", d)
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep, domain=DISC)

@@ -54,3 +54,29 @@ def test_every_benchmark_field_splits_into_sectors_of_at_most_two_bands():
     assert len(fields) == 5 + 1 + 3 + 1
     sizes = {name: max(s.size for s in field.sectors) for name, field in fields.items()}
     assert max(sizes.values()) <= 2, sizes
+
+
+def test_the_tracer_sees_each_verify_suite_run_through_the_cli(capsys):
+    # The CLI looks each suite's function up on its module when it runs; a
+    # function captured at import would bypass the tracer's wrapper and leave
+    # the suite's per-layer metrics at zero.
+    tracer = load("tracing").Tracer(kgen)
+    tracer.install()
+    try:
+        for argv in (
+            ["--suite", "index", "--d", "1", "--samples", "5"],
+            ["--suite", "exp", "--d", "2", "--samples", "5"],
+            ["--suite", "homotopy", "--d", "0", "--samples", "5"],
+            ["--suite", "fredholm", "--samples", "5"],
+            ["--suite", "clifford", "--d", "1"],
+        ):
+            assert kgen.cli.main(["verify", *argv]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracer.metrics()
+    for name in ("kmaps.verify_index_identity", "kmaps.verify_exp_identity",
+                 "kmaps.homotopy_scan", "generators.verify_fredholm"):
+        assert calls[f"{name}.calls"] == 1, name
+    # The clifford suite checks both handednesses of its one level.
+    assert calls["clifford.verify_rep.calls"] == 2

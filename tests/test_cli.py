@@ -168,6 +168,25 @@ def test_verify_suites_pass():
         assert {"suite", "d", "samples", "max_residual", "pass"} <= set(payload)
 
 
+@pytest.mark.parametrize("suite, d", [("index", 11), ("exp", 12)])
+def test_verify_memory_does_not_grow_with_samples(capsys, suite, d):
+    # The identity suites evaluate their points in blocks of at most
+    # 4 x CHUNK matrix entries; unblocked, index d = 11 peaks at 42 MiB for
+    # 250 samples and 158 MiB for 1,000.
+    argv = ["verify", "--suite", suite, "--d", str(d), "--samples"]
+    assert main(argv + ["1"]) == 0  # builds and caches the representations
+    peaks = []
+    for samples in (250, 1000):
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(samples)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
+
+
 def test_verify_clifford_d13_repeats_its_output_in_one_process(capsys):
     # The second call reuses the chain the first one built.
     outputs = []
@@ -398,13 +417,19 @@ def test_verify_clifford_refuses_d_above_max(capsys):
 @pytest.mark.parametrize(
     "suite, d, message",
     [
-        ("exp", "0", "supported even dimensions are 2, 4; got 0"),
-        ("exp", "-2", "supported even dimensions are 2, 4; got -2"),
-        ("index", "-1", "supported odd dimensions are 1, 3, 5; got -1"),
+        ("exp", "0", "exp suite needs an even d from 2 to 12, got 0"),
+        ("exp", "-2", "exp suite needs an even d from 2 to 12, got -2"),
+        ("exp", "14", "exp suite needs an even d from 2 to 12, got 14"),
+        ("exp", "3", "exp suite needs an even d from 2 to 12, got 3"),
+        ("index", "-1", "index suite needs an odd d from 1 to 11, got -1"),
+        ("index", "13", "index suite needs an odd d from 1 to 11, got 13"),
+        ("index", "2", "index suite needs an odd d from 1 to 11, got 2"),
         ("homotopy", "14", "needs an even d from 0 to 12, got 14"),
         ("homotopy", "-2", "needs an even d from 0 to 12, got -2"),
+        ("homotopy", "1", "needs an even d from 0 to 12, got 1"),
     ],
-    ids=["exp-0", "exp-neg", "index-neg", "homotopy-14", "homotopy-neg"],
+    ids=["exp-0", "exp-neg", "exp-14", "exp-odd", "index-neg", "index-13", "index-even",
+         "homotopy-14", "homotopy-neg", "homotopy-odd"],
 )
 def test_verify_refuses_d_outside_the_suite(capsys, suite, d, message):
     assert main(["verify", "--suite", suite, "--d", d]) == 2

@@ -374,6 +374,34 @@ def test_index_identity_rejects_even():
         kmaps.verify_index_identity(2)
 
 
+@pytest.mark.parametrize(
+    "verify, d",
+    [(kmaps.verify_index_identity, d) for d in (7, 9, 11)]
+    + [(kmaps.verify_exp_identity, d) for d in (6, 8, 10, 12)],
+)
+def test_identities_hold_at_every_level_up_to_max_d(verify, d):
+    report = verify(d, samples=50, seed=0)
+    assert report["pass"]
+    assert report["max_residual"] <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "verify, d, samples",
+    [
+        (kmaps.verify_index_identity, 5, 1000),
+        (kmaps.verify_index_identity, clifford.MAX_D - 2, 200),
+        (kmaps.verify_exp_identity, 10, 200),
+        (kmaps.verify_exp_identity, clifford.MAX_D - 1, 200),
+    ],
+)
+def test_identity_blocks_keep_the_bits_of_one_batch(monkeypatch, verify, d, samples):
+    # Index d = 5 takes 256 points per block, exp d = 10 takes 16 and the
+    # 64 x 64 levels take 4; one block of all points must give the same bits.
+    blocked = verify(d, samples=samples, seed=3)
+    monkeypatch.setattr(kmaps, "CHUNK", 10**9)
+    assert verify(d, samples=samples, seed=3)["max_residual"].hex() == blocked["max_residual"].hex()
+
+
 @pytest.mark.parametrize("d,tol", [(2, 1e-12), (4, 1e-11)])
 def test_exp_identity(d, tol):
     report = kmaps.verify_exp_identity(d, samples=1000, seed=0)
