@@ -21,6 +21,7 @@ and to machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,17 +131,22 @@ def chart_inverse(x) -> ChartPoint:
 def _check_lift(b_field, selfadjoint: bool) -> None:
     """Refuse a lift that is not a contraction, or not self-adjoint when
     ``selfadjoint`` is set, on a fixed sample of the closed ball: LIFT_SAMPLES
-    interior points and half as many on the boundary sphere."""
+    interior points and half as many on the boundary sphere, block by block
+    (:func:`_blocks`)."""
     rng = np.random.default_rng(2024)
     m = b_field.ambient_dim
-    b = b_field.evaluate_batch(
-        np.vstack([ball_points(m, LIFT_SAMPLES, rng), sphere_points(m, LIFT_SAMPLES // 2, rng)])
-    )
-    if selfadjoint:
-        worst = max_abs(b - dagger(b))
-        if worst > LIFT_TOL:
-            raise LiftInvalidError(f"lift is not self-adjoint: residual {worst}")
-    worst = float(np.max(operator_norm(b)))
+    points = np.vstack([ball_points(m, LIFT_SAMPLES, rng), sphere_points(m, LIFT_SAMPLES // 2, rng)])
+    residuals, norms = [0.0], []
+    for block in _blocks(points, b_field.size):
+        b = b_field.evaluate_batch(block)
+        if selfadjoint:
+            residuals.append(max_abs(b - dagger(b)))
+        norms.append(np.max(operator_norm(b)))
+    # np.max, not max: a NaN in any block reaches the worst value, as in one batch.
+    worst = float(np.max(residuals))
+    if worst > LIFT_TOL:
+        raise LiftInvalidError(f"lift is not self-adjoint: residual {worst}")
+    worst = float(np.max(norms))
     if worst > 1.0 + LIFT_TOL:
         raise LiftInvalidError(f"lift is not a contraction: max norm {worst}")
 
@@ -207,16 +213,32 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     evaluated by functional calculus of the Hermitian contraction B(y).  At
     t = 1 this is the unitary -cos(pi B) + i sin(pi B); invertibility along the
     whole path is what :func:`homotopy_scan` samples via singular values.
+
+    The scalar function runs once per eigenvalue of B(y), on Python floats
+    with :mod:`math` (a numpy ufunc on a few eigenvalues costs more in call
+    overhead than in arithmetic).  It rounds the same operations in the same
+    order as the numpy ufunc formula (clip to [-1, 1], then the terms above),
+    whose cos, sin and sqrt agree with :mod:`math`'s to the bit, so each
+    matrix keeps that formula's bits.  A non-finite t or y is refused.
     """
-    b = b_field.evaluate(np.asarray(y, dtype=float))
+    t, y = float(t), np.asarray(y, dtype=float)
+    if not math.isfinite(t):
+        raise DomainError(f"homotopy_at needs a finite t, got {t}")
+    if not all(map(math.isfinite, y.ravel().tolist())):
+        raise DomainError(f"homotopy_at needs a finite y, got {y.tolist()}")
+    b = b_field.evaluate(y)
+    one_minus_t2 = 1.0 - t * t
 
     def f(vals):
-        # Plain ufuncs: np.clip's Python wrapper costs more than this arithmetic.
-        vals = np.minimum(np.maximum(vals, -1.0), 1.0)
-        sq = vals * vals
-        real = -t * np.cos(np.pi * vals) + (1.0 - t * t) * (2.0 * sq - 1.0)
-        imag = t * np.sin(np.pi * vals) + (1.0 - t * t) * vals * np.sqrt(1.0 - sq)
-        return real + 1j * imag
+        out = []
+        for v in vals.tolist():
+            v = min(max(v, -1.0), 1.0)
+            sq = v * v
+            real = -t * math.cos(math.pi * v) + one_minus_t2 * (2.0 * sq - 1.0)
+            imag = t * math.sin(math.pi * v) + one_minus_t2 * v * math.sqrt(1.0 - sq)
+            # 0.0 + imag, as numpy's real + 1j * imag rounds it: -0.0 becomes 0.0.
+            out.append(complex(real, 0.0 + imag))
+        return np.array(out)
 
     return func_of_hermitian(b, f)
 

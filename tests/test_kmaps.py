@@ -1,5 +1,7 @@
 """Charts, connecting maps, deformation scan, and the identity suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,34 @@ def test_exp_map_checks_contraction_on_the_boundary():
         kmaps.exp_map(EvaluableField(3, 2, evaluator))
 
 
+@pytest.mark.parametrize("scale, named", [(1j, "not self-adjoint"), (1.5, "not a contraction")])
+def test_lift_check_blocks_keep_the_message_of_one_batch(monkeypatch, scale, named):
+    # At 64 x 64 the lift points go four to a block; the worst residual or
+    # norm, and so the message, is the one of a single batch of all of them.
+    lift = disc_weyl_lift(12)
+    bad = EvaluableField(lift.ambient_dim, lift.size, lambda p: scale * lift.evaluate_batch(p))
+    messages = []
+    for chunk in (CHUNK, 10**9):
+        monkeypatch.setattr(kmaps, "CHUNK", chunk)
+        with pytest.raises(LiftInvalidError, match=named) as excinfo:
+            kmaps.exp_map(bad)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+
+
+def test_exp_identity_memory_is_bounded_at_the_largest_level():
+    # The lift check walks the same blocks as the suite; in one batch its
+    # 180 points of 64 x 64 took the peak to 36 MiB.
+    kmaps.verify_exp_identity(12, samples=1)  # builds and caches the representations
+    tracemalloc.start()
+    try:
+        assert kmaps.verify_exp_identity(12, samples=250)["pass"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def test_exp_map_unknown_convention():
     with pytest.raises(ValueError):
         kmaps.exp_map(disc_weyl_lift(2), convention="other")
@@ -304,19 +334,56 @@ def clip_power_homotopy(b, t):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_homotopy_at_keeps_the_bits_of_the_clip_and_power_formula(seed):
-    # Random Hermitian contractions, with eigenvalues at +-1 and one rounding
-    # beyond, where the clip acts.
-    rng = np.random.default_rng(seed)
-    n = 4
-    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-    vals = np.concatenate([[1.0, -1.0 - 2.0**-52], rng.uniform(-1.0, 1.0, n - 2)])
-    b = (q * vals) @ q.conj().T
-    b = 0.5 * (b + b.conj().T)
-    lift = MatrixPolyField(3, n, {(0, 0, 0): b}, DISC, selfadjoint=True)
-    y = rng.uniform(-0.5, 0.5, 3)
-    for t in np.linspace(0.0, 1.0, 11):
-        got = kmaps.homotopy_at(lift, float(t), y)
-        assert got.tobytes() == clip_power_homotopy(lift.evaluate(y), float(t)).tobytes()
+    # Random Hermitian contractions of the sizes the homotopy levels reach,
+    # with eigenvalues at +-1 and one rounding beyond, where the clip acts
+    # (at n = 1, one of the two).
+    edges = np.array([1.0, -1.0 - 2.0**-52])
+    for n in (1, 2, 4, 64):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        vals = np.concatenate([edges, rng.uniform(-1.0, 1.0, n - 2)]) if n > 1 else edges[seed % 2:][:1]
+        b = (q * vals) @ q.conj().T
+        b = 0.5 * (b + b.conj().T)
+        lift = MatrixPolyField(3, n, {(0, 0, 0): b}, DISC, selfadjoint=True)
+        y = rng.uniform(-0.5, 0.5, 3)
+        for t in np.linspace(0.0, 1.0, 11):
+            got = kmaps.homotopy_at(lift, float(t), y)
+            assert got.tobytes() == clip_power_homotopy(lift.evaluate(y), float(t)).tobytes(), n
+
+
+@pytest.mark.parametrize("d", kmaps._LEVELS["homotopy"])
+def test_homotopy_at_matches_the_closed_form_on_the_weyl_lift(d):
+    # The Weyl lift has B(y)^2 = r^2 I with r = ||y||, so with no
+    # eigendecomposition A_t = alpha I + i beta B, where
+    # alpha = -t cos(pi r) + (1 - t^2)(2 r^2 - 1) and
+    # beta = t sin(pi r) / r + (1 - t^2) sqrt(1 - r^2).
+    lift = disc_weyl_lift(d)
+    eye = np.eye(lift.size)
+    for y in ball_points(d + 1, 4, np.random.default_rng(d)):
+        r = float(np.linalg.norm(y))
+        assert r > 0.0
+        b = lift.evaluate(y)
+        for t in np.linspace(0.0, 1.0, kmaps.HOMOTOPY_T_POINTS).tolist():
+            alpha = -t * np.cos(np.pi * r) + (1.0 - t * t) * (2.0 * r * r - 1.0)
+            beta = t * np.sin(np.pi * r) / r + (1.0 - t * t) * np.sqrt(1.0 - r * r)
+            got = kmaps.homotopy_at(lift, t, y)
+            assert np.max(np.abs(got - (alpha * eye + 1j * beta * b))) <= 1e-13, (t, r)
+
+
+@pytest.mark.parametrize(
+    "t, y, named",
+    [
+        (np.nan, [0.1, 0.2, 0.3], "finite t, got nan"),
+        (-np.inf, [0.1, 0.2, 0.3], "finite t, got -inf"),
+        (0.5, [0.1, np.nan, 0.3], "finite y, got [0.1, nan, 0.3]"),
+        (0.5, [np.inf, 0.2, 0.3], "finite y, got [inf, 0.2, 0.3]"),
+    ],
+)
+def test_homotopy_at_refuses_a_non_finite_t_or_y(t, y, named):
+    # Evaluated, either one gives an all-NaN matrix.
+    with pytest.raises(DomainError) as excinfo:
+        kmaps.homotopy_at(disc_weyl_lift(2), t, y)
+    assert named in str(excinfo.value)
 
 
 def spy_svd(monkeypatch):
