@@ -30,7 +30,7 @@ from .errors import (
     ModelOverflowError,
 )
 from .fields import EUCLIDEAN, MatrixPolyField
-from .serialize import matrix_from_json, matrix_to_json, poly_from_json, terms_to_json
+from .serialize import json_text, matrix_from_json, matrix_to_json, poly_from_json, terms_to_json
 
 # A refined gap minimum below GAP_TOL is a crossing, crossings within
 # MERGE_RADIUS of each other are merged, and enclosures are at most MAX_RADIUS.
@@ -65,8 +65,11 @@ class BandModel:
             )
         if not np.isfinite(self.fermi):
             raise ModelFormatError(f"Fermi level must be finite, got {self.fermi}")
-        bad = self.field.non_hermitian_terms()
-        if bad:
+        for key, value in (("name", self.name), ("comment", self.comment)):
+            if value is not None and not isinstance(value, str):
+                raise ModelFormatError(f"{key!r} must be a string or null, got {value!r}")
+        if not self.field.selfadjoint:
+            bad = self.field.non_hermitian_terms()
             raise HermiticityError(f"non-Hermitian coefficients at multi-indices {bad}")
 
         if self.chiral is not None:
@@ -138,7 +141,7 @@ class BandModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "BandModel":
-        fld = MatrixPolyField(*poly_from_json(payload), EUCLIDEAN, selfadjoint=True)
+        fld = MatrixPolyField(*poly_from_json(payload), EUCLIDEAN)
         chiral = payload.get("chiral")
         if chiral is not None:
             chiral = matrix_from_json(chiral)
@@ -196,9 +199,9 @@ def load_model(path) -> BandModel:
 
 
 def save_model(model: BandModel, path) -> None:
+    text = json_text(model.to_payload())
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model.to_payload(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def gap_at(model: BandModel, x) -> float:

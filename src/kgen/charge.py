@@ -222,7 +222,7 @@ class GridRows:
         fresh coordinate-major arrays when it is None)."""
         k, d = stop - start, self.dim
         if out is None:
-            grid = _coordinate_major(d, np.empty((d + 1, k)), np.empty(k), np.empty((d + 1, k, d)))
+            grid = _empty_rows(d, k)
         else:
             grid = SphereGrid(d, out.nodes[:k], out.weights[:k], out.dx_dparam[:k])
         if d == 1:
@@ -270,11 +270,11 @@ class GridRows:
                     out=grid.weights[lo:hi].reshape(nb, nq))
 
 
-def _coordinate_major(dim: int, nodes: np.ndarray, weights: np.ndarray,
-                      tangents: np.ndarray) -> SphereGrid:
-    """The :class:`SphereGrid` held in (dim + 1, M) ``nodes`` and
-    (dim + 1, M, dim) ``tangents``."""
-    return SphereGrid(dim, nodes.T, weights, tangents.transpose(1, 2, 0))
+def _empty_rows(dim: int, m: int) -> SphereGrid:
+    """A :class:`SphereGrid` of m coordinate-major rows on S^dim to be written:
+    (dim + 1, m) nodes, m weights and (dim + 1, m, dim) tangents."""
+    return SphereGrid(dim, np.empty((dim + 1, m)).T, np.empty(m),
+                      np.empty((dim + 1, m, dim)).transpose(1, 2, 0))
 
 
 def _grid_rows(dim: int, n: int) -> GridRows:
@@ -421,23 +421,15 @@ def _gated_inverse(u: np.ndarray) -> np.ndarray:
 
 def _chunk_block(dim: int, n: int, m: int):
     """``(rows, work)`` for chunks of up to ``m`` rows on S^dim and sectors of
-    up to n x n, carved from one allocation: a :class:`SphereGrid` of m
-    coordinate-major rows ((dim + 1, m) nodes, m weights, (dim + 1, m, dim)
-    tangents), whose leading k rows hold a contiguous run of k nodes and of
-    k x dim tangents per ambient coordinate; and a flat complex array that
-    holds a chunk's values and derivatives and,
+    up to n x n: the :func:`_empty_rows` of m rows, whose leading k rows hold a
+    contiguous run of k nodes and of k x dim tangents per ambient coordinate;
+    and a flat complex array that holds a chunk's values and derivatives and,
     for a sector of at most 2 x 2, as many entries again for the node-last
     rows of the closed forms (:func:`_chunk_fields`)."""
-    floats = m * ((dim + 1) ** 2 + 1)  # the nodes, weights and tangents of m rows
-    head = (floats + 1) // 2
     # A k x k sector takes (1 + dim) m k^2 entries, twice that for k <= 2: at
     # most 8 (1 + dim) m <= (1 + dim) m n^2 when n >= 3.
-    block = np.empty(head + (1 + dim) * m * (2 * n * n if n <= 2 else n * n), dtype=complex)
-    f = block[:head].view(float)
-    a, b = m * (dim + 1), m * (dim + 2)
-    rows = _coordinate_major(dim, f[:a].reshape(dim + 1, m), f[a:b],
-                             f[b:floats].reshape(dim + 1, m, dim))
-    return rows, block[head:]
+    size = (1 + dim) * m * (2 * n * n if n <= 2 else n * n)
+    return _empty_rows(dim, m), np.empty(size, dtype=complex)
 
 
 def _chunk_fields(field: MatrixPolyField, grid, center=None, radius=1.0, block=None):
@@ -662,7 +654,7 @@ def chern_2(
     ``center``, on the sphere |x - center| = ``radius``, where the field is
     evaluated on the moved grid."""
     center = _check_field(field, 2, center, radius)
-    if field.non_hermitian_terms():
+    if not field.selfadjoint:
         raise ValueError("Chern number needs a self-adjoint field (Hermitian coefficients)")
     if not np.isfinite(fermi):
         raise ValueError(f"Fermi level must be finite, got {fermi}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import sys
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import bandscan, clifford, generators, kmaps
 from .errors import KgenError
 from .fields import EUCLIDEAN
-from .serialize import matrix_to_json
+from .serialize import json_text, matrix_to_json
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -50,7 +49,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
+    _emit(json_text(payload), out)
 
 
 def _cmd_clifford(args) -> int:

@@ -14,7 +14,7 @@ structural identity holds exactly in floating point, not just to tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -50,15 +50,10 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CliffordRep:
-    """Ordered generators of a Clifford algebra representation.
-
-    ``handedness`` is ``"left"``/``"right"`` for odd d and ``None`` for even d,
-    where the representation is unique up to unitary equivalence.
-    """
+    """Ordered generators of a Clifford algebra representation."""
 
     d: int
     gammas: tuple
-    handedness: str | None
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(_frozen(g) for g in self.gammas))
@@ -69,6 +64,12 @@ class CliffordRep:
     def N(self) -> int:
         return self.gammas[0].shape[0]
 
+    @cached_property
+    def handedness(self) -> str | None:
+        """:func:`handedness_of` the generators for odd d; None for even d,
+        where the representation is unique up to unitary equivalence."""
+        return handedness_of(self) if self.d % 2 else None
+
     def to_payload(self) -> dict:
         return {
             "d": self.d,
@@ -78,8 +79,14 @@ class CliffordRep:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CliffordRep":
-        gammas = tuple(matrix_from_json(g) for g in payload["gammas"])
-        return cls(d=int(payload["d"]), gammas=gammas, handedness=payload["handedness"])
+        """Representation from :meth:`to_payload` output; a ``handedness`` other
+        than its generators' is an InconsistentRepresentationError."""
+        rep = cls(d=int(payload["d"]), gammas=tuple(matrix_from_json(g) for g in payload["gammas"]))
+        if payload["handedness"] != rep.handedness:
+            raise InconsistentRepresentationError(
+                f"label says {payload['handedness']!r}, the generators give {rep.handedness!r}"
+            )
+        return rep
 
 
 @dataclass(frozen=True)
@@ -141,9 +148,8 @@ def build_rep(d: int, handedness: str = LEFT) -> CliffordRep:
     dimensions come from :func:`extend`, and even d truncates the odd chain.
     Each level of that chain is built once per process and shared, as its
     generators are read-only.  For odd d the requested handedness is enforced
-    by flipping the sign of the first generator when needed, so the
-    scalar-product invariant holds by construction.  ``handedness`` is ignored
-    for even d.
+    by flipping the sign of the first generator when needed.  ``handedness``
+    is ignored for even d.
     """
     # Checked before the cache, which would take 3.0 for 3.
     if not isinstance(d, int) or d < 1:
@@ -155,7 +161,7 @@ def build_rep(d: int, handedness: str = LEFT) -> CliffordRep:
 
     rep = _odd_chain(d | 1)
     if d % 2 == 0:
-        return CliffordRep(d=d, gammas=rep.gammas[:d], handedness=None)
+        return CliffordRep(d=d, gammas=rep.gammas[:d])
     if rep.handedness != handedness:
         rep = flip_first(rep)
     return rep
@@ -166,7 +172,7 @@ def _odd_chain(k: int) -> CliffordRep:
     """Level k (odd) of the chain: the 1 x 1 representation (+1), extended
     (k - 1) / 2 times."""
     if k == 1:
-        return CliffordRep(d=1, gammas=(np.array([[1.0]], dtype=complex),), handedness=LEFT)
+        return CliffordRep(d=1, gammas=(np.array([[1.0]], dtype=complex),))
     return extend(_odd_chain(k - 2))
 
 
@@ -191,8 +197,7 @@ def extend(rep: CliffordRep) -> CliffordRep:
     gammas = [np.kron(SIGMA_1, g) for g in rep.gammas]
     gammas.append(np.kron(SIGMA_2, eye))
     gammas.append(np.kron(SIGMA_3, eye))
-    out = CliffordRep(d=rep.d + 2, gammas=tuple(gammas), handedness=None)
-    return CliffordRep(d=out.d, gammas=out.gammas, handedness=handedness_of(out))
+    return CliffordRep(d=rep.d + 2, gammas=tuple(gammas))
 
 
 def verify_rep(rep: CliffordRep) -> ValidationReport:
@@ -232,16 +237,7 @@ def verify_rep(rep: CliffordRep) -> ValidationReport:
             ref = _handedness_scalar(rep.d)
             r = min(abs(lam - ref), abs(lam + ref))
             if r > INVARIANT_TOL:
-                violations.append(
-                    Violation("handedness-scalar", float(r), f"lambda = {lam}")
-                )
-            elif rep.handedness is not None:
-                want = ref if rep.handedness == LEFT else -ref
-                r = abs(lam - want)
-                if r > INVARIANT_TOL:
-                    violations.append(
-                        Violation("handedness-label", float(r), f"label says {rep.handedness}")
-                    )
+                violations.append(Violation("handedness-scalar", float(r), f"lambda = {lam}"))
     return ValidationReport(tuple(violations))
 
 
@@ -277,11 +273,7 @@ def handedness_of(rep: CliffordRep) -> str:
 
 def flip_first(rep: CliffordRep) -> CliffordRep:
     """Negate the first generator; toggles the handedness for odd d."""
-    gammas = (-rep.gammas[0],) + rep.gammas[1:]
-    handedness = rep.handedness
-    if rep.d % 2 == 1 and handedness is not None:
-        handedness = RIGHT if handedness == LEFT else LEFT
-    return CliffordRep(d=rep.d, gammas=gammas, handedness=handedness)
+    return CliffordRep(d=rep.d, gammas=(-rep.gammas[0],) + rep.gammas[1:])
 
 
 def grading_of(rep: CliffordRep) -> Grading:

@@ -49,7 +49,6 @@ class MatrixPolyField:
     size: int
     terms: dict
     domain: str = EUCLIDEAN
-    selfadjoint: bool = False
 
     def __post_init__(self):
         # The one check of the coefficient schema, for read and derived fields alike.
@@ -165,8 +164,7 @@ class MatrixPolyField:
             block = new_terms[alpha] = np.zeros((n + other.size,) * 2, dtype=complex)
             block[:n, :n] = self.terms.get(alpha, 0)
             block[n:, n:] = other.terms.get(alpha, 0)
-        both = self.selfadjoint and other.selfadjoint
-        return replace(self, size=n + other.size, terms=new_terms, selfadjoint=both)
+        return replace(self, size=n + other.size, terms=new_terms)
 
     def reflect(self, j: int) -> "MatrixPolyField":
         """Compose with the coordinate reflection x_j -> -x_j."""
@@ -185,7 +183,7 @@ class MatrixPolyField:
         new_terms = dict(self.terms)
         for alpha, mat in other.terms.items():
             new_terms[alpha] = new_terms.get(alpha, 0) + mat
-        return replace(self, terms=new_terms, selfadjoint=self.selfadjoint and other.selfadjoint)
+        return replace(self, terms=new_terms)
 
     def shifted(self, c: float) -> "MatrixPolyField":
         """The field x -> F(x) - c I, the one home of the Fermi fold: -c I is
@@ -266,6 +264,11 @@ class MatrixPolyField:
         """The :meth:`failing_terms` of Hermiticity, M_alpha = M_alpha^*."""
         return self.failing_terms(lambda mat: max_abs(mat - dagger(mat)))
 
+    @cached_property
+    def selfadjoint(self) -> bool:
+        """Whether every coefficient is Hermitian (no :meth:`non_hermitian_terms`)."""
+        return not self.non_hermitian_terms()
+
     def to_payload(self) -> dict:
         return {
             "dimension": self.ambient_dim,
@@ -278,17 +281,16 @@ class MatrixPolyField:
     @classmethod
     def from_payload(cls, payload: dict) -> "MatrixPolyField":
         """Field from :meth:`to_payload` output; a flag or tag it cannot hold is a
-        ModelFormatError, and ``selfadjoint: true`` needs Hermitian coefficients."""
+        ModelFormatError, and ``selfadjoint: true`` needs Hermitian coefficients.
+        With ``false`` the field still reports what its coefficients say."""
         ambient, size, terms = poly_from_json(payload)
         selfadjoint = payload.get("selfadjoint", False)
         if not isinstance(selfadjoint, bool):
             raise ModelFormatError(f"'selfadjoint' must be true or false, got {selfadjoint!r}")
-        field = cls(ambient, size, terms, payload.get("domain", EUCLIDEAN), selfadjoint)
-        bad = field.non_hermitian_terms() if selfadjoint else []
-        if bad:
-            raise HermiticityError(
-                f"'selfadjoint' is true but the coefficients at multi-indices {bad} are not Hermitian"
-            )
+        field = cls(ambient, size, terms, payload.get("domain", EUCLIDEAN))
+        if selfadjoint and not field.selfadjoint:
+            raise HermiticityError(f"'selfadjoint' is true but the coefficients at multi-indices "
+                                   f"{field.non_hermitian_terms()} are not Hermitian")
         return field
 
 

@@ -55,7 +55,7 @@ def weyl_field(d: int, rep: clifford.CliffordRep | str, domain: str = SPHERE) ->
 def _gamma_sum(rep: clifford.CliffordRep, domain: str) -> MatrixPolyField:
     """sum_j x_j Gamma_j over all generators of ``rep``, in as many variables."""
     terms = {unit_index(j, rep.d): gamma for j, gamma in enumerate(rep.gammas)}
-    return MatrixPolyField(rep.d, rep.N, terms, domain, selfadjoint=True)
+    return MatrixPolyField(rep.d, rep.N, terms, domain)
 
 
 def dirac_phase_field(
@@ -73,7 +73,7 @@ def dirac_phase_field(
     m = d + 1
     terms = {unit_index(j, m): rep.gammas[j] for j in range(d)}
     terms[unit_index(d, m)] = 1j * np.eye(rep.N, dtype=complex)
-    return MatrixPolyField(m, rep.N, terms, domain, selfadjoint=False)
+    return MatrixPolyField(m, rep.N, terms, domain)
 
 
 def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep | str):

@@ -2,14 +2,24 @@
 
 Complex entries are stored as two-element ``[re, im]`` arrays.  Term lists are
 sorted by multi-index so that serialization is deterministic.  Every verify
-suite reports through :func:`suite_report`.
+suite reports through :func:`suite_report`, and every payload is written by
+:func:`json_text`.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import ModelFormatError
+
+
+def json_text(payload) -> str:
+    """``payload`` as strict JSON (a NaN or infinity is a ValueError) with sorted
+    keys, a two-space indent and a trailing newline: the one writer of every
+    file and report."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def suite_report(suite: str, d, samples: int, max_residual: float, passed: bool, **extra) -> dict:

@@ -184,7 +184,7 @@ def test_criterion_6_charge_algebra():
         perturbed = dirac1().plus(MatrixPolyField(2, 1, bump(2, 1), SPHERE))
         passed &= winding_1(perturbed).charge == winding_1(dirac1()).charge
     for _ in range(10):
-        perturbed = weyl2().plus(MatrixPolyField(3, 2, bump(3, 2), SPHERE, selfadjoint=True))
+        perturbed = weyl2().plus(MatrixPolyField(3, 2, bump(3, 2), SPHERE))
         passed &= chern_2(perturbed).charge == chern_sign_weyl()
 
     report(6, "charge algebra: additivity, reflection, conjugation, 20 perturbations",
@@ -199,7 +199,7 @@ def test_criterion_7_band_phenomenology():
         (0, 0, 0): -0.25 * SIGMA[2],
     }
     two_weyl = bandscan.BandModel(
-        MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True), name="two-weyl"
+        MatrixPolyField(3, 2, terms, EUCLIDEAN), name="two-weyl"
     )
     reports = bandscan.scan(two_weyl, [(-1, 1)] * 3)
     locations = [np.array(r.location) for r in reports]
@@ -218,7 +218,7 @@ def test_criterion_7_band_phenomenology():
     massive = bandscan.BandModel(
         MatrixPolyField(
             2, 2, {(1, 0): SIGMA[0], (0, 1): SIGMA[1], (0, 0): 0.1 * SIGMA[2]},
-            EUCLIDEAN, selfadjoint=True,
+            EUCLIDEAN,
         ),
         name="massive",
     )
@@ -227,7 +227,7 @@ def test_criterion_7_band_phenomenology():
     ok_massive &= abs(gap_value - 0.1) < 1e-9
 
     chiral = bandscan.BandModel(
-        MatrixPolyField(2, 2, {(1, 0): SIGMA[0], (0, 1): SIGMA[1]}, EUCLIDEAN, selfadjoint=True),
+        MatrixPolyField(2, 2, {(1, 0): SIGMA[0], (0, 1): SIGMA[1]}, EUCLIDEAN),
         chiral=SIGMA[2],
     )
     base_charge = bandscan.charge_crossing(chiral, [0.0, 0.0], radius=0.6).charge.charge
@@ -241,7 +241,7 @@ def test_criterion_7_band_phenomenology():
             (0, 0): c[0] * SIGMA[0] + c[1] * SIGMA[1],
         }
         perturbed = bandscan.BandModel(
-            MatrixPolyField(2, 2, perturbed_terms, EUCLIDEAN, selfadjoint=True),
+            MatrixPolyField(2, 2, perturbed_terms, EUCLIDEAN),
             chiral=SIGMA[2],
         )
         ok_chiral &= (
@@ -286,7 +286,7 @@ def test_criterion_9_determinism(tmp_path):
         (0, 0, 0): -0.25 * SIGMA[2],
     }
     model = bandscan.BandModel(
-        MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True), name="two-weyl"
+        MatrixPolyField(3, 2, terms, EUCLIDEAN), name="two-weyl"
     )
     model_path = tmp_path / "model.json"
     bandscan.save_model(model, model_path)

@@ -35,7 +35,7 @@ SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 def weyl_model():
     """Three-dimensional point crossing, terms x_j -> sigma_j."""
     terms = {(1, 0, 0): SIGMA_1, (0, 1, 0): SIGMA_2, (0, 0, 1): SIGMA_3}
-    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True), name="weyl")
+    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN), name="weyl")
 
 
 def two_weyl_model(b=0.5):
@@ -46,13 +46,13 @@ def two_weyl_model(b=0.5):
         (0, 0, 2): SIGMA_3,
         (0, 0, 0): -(b**2) * SIGMA_3,
     }
-    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True), name="two-weyl")
+    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN), name="two-weyl")
 
 
 def chiral_dirac_model():
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
     return BandModel(
-        MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True),
+        MatrixPolyField(2, 2, terms, EUCLIDEAN),
         chiral=SIGMA_3,
         name="dirac-2d",
     )
@@ -60,7 +60,7 @@ def chiral_dirac_model():
 
 def massive_dirac_model(m=0.1):
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2, (0, 0): m * SIGMA_3}
-    return BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True), name="massive")
+    return BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), name="massive")
 
 
 # -- validation ----------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_two_dimensional_model_needs_equal_chiral_eigenspaces():
     j = np.diag([1.0, 1.0, -1.0]).astype(complex)
     a, b = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
     a[0, 2] = a[2, 0] = b[1, 2] = b[2, 1] = 1.0
-    field = MatrixPolyField(2, 3, {(1, 0): a, (0, 1): b}, EUCLIDEAN, selfadjoint=True)
+    field = MatrixPolyField(2, 3, {(1, 0): a, (0, 1): b}, EUCLIDEAN)
     with pytest.raises(ChiralSymmetryError, match="eigenspaces have sizes 2 and 1"):
         BandModel(field, chiral=j)
 
@@ -360,7 +360,7 @@ MIDDLE[1, 2] = MIDDLE[2, 1] = 1.0
 def test_model_and_chiral_block_refuse_a_chiral_matrix_alike(terms, j, message):
     # One check of the chiral matrix: loading a model and extracting the
     # chiral block refuse each J with the same message.
-    field = MatrixPolyField(2, len(j), terms, EUCLIDEAN, selfadjoint=True)
+    field = MatrixPolyField(2, len(j), terms, EUCLIDEAN)
     with pytest.raises(ChiralSymmetryError, match=message) as loaded:
         BandModel(field, chiral=j)
     with pytest.raises(errors.NotChiralError) as extracted:
@@ -377,7 +377,7 @@ def test_a_two_dimensional_scan_checks_its_chiral_matrix_once(monkeypatch):
         generators, "grading_eigenvectors", lambda *args: calls.append(args) or check(*args)
     )
     terms = {(2, 0): SIGMA_1, (0, 0): -0.25 * SIGMA_1, (0, 1): SIGMA_2}
-    model = BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True), chiral=SIGMA_3)
+    model = BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3)
     reports = scan(model, [(-1, 1)] * 2)
     assert [r.classification for r in reports] == ["dirac-chiral"] * 2
     assert len(calls) == 1
@@ -389,7 +389,7 @@ def test_the_fermi_level_cancels_before_the_model_is_evaluated(c):
     # coefficient, c cancels exactly; subtracted from evaluated entries, it
     # rounded them at its own scale first.
     w = generators.weyl_field(2, clifford.LEFT)
-    shifted = w.plus(MatrixPolyField(3, 2, {(0, 0, 0): c * np.eye(2)}, w.domain, selfadjoint=True))
+    shifted = w.plus(MatrixPolyField(3, 2, {(0, 0, 0): c * np.eye(2)}, w.domain))
     expected = charge.chern_2(w)
     assert charge.chern_2(shifted, fermi=c).convergence_pair == expected.convergence_pair
     [report] = scan(BandModel.from_field(shifted, fermi=c), [(-1, 1)] * 3)
@@ -400,7 +400,7 @@ def test_the_fermi_level_cancels_before_the_model_is_evaluated(c):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_fermi_level_that_overflows_the_constant_coefficient_is_refused():
     terms = {(1, 0, 0): SIGMA_1, (0, 0, 0): 1e308 * np.eye(2)}
-    field = MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True)
+    field = MatrixPolyField(3, 2, terms, EUCLIDEAN)
     with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
         BandModel(field, fermi=-1e308)
     with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
@@ -431,6 +431,20 @@ def test_load_rejects_non_finite_values(tmp_path, where, value):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))  # json writes NaN / Infinity tokens
     with pytest.raises(ModelFormatError, match="finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key, text", [("name", "NaN"), ("comment", "Infinity"), ("comment", "[Infinity]"),
+                  ("name", "3")],
+)
+def test_load_rejects_metadata_that_is_not_a_string(tmp_path, key, text):
+    # Python's json reads NaN and Infinity, which save_model could not write
+    # back as JSON; a name or comment is a string or null.
+    payload = json.dumps({**weyl_model().to_payload(), key: None})
+    path = tmp_path / "model.json"
+    path.write_text(payload.replace(f'"{key}": null', f'"{key}": {text}'))
+    with pytest.raises(ModelFormatError, match=f"'{key}' must be a string or null"):
         load_model(path)
 
 
@@ -509,7 +523,7 @@ def test_charge_weyl_crossing_matches_generator():
     # Radial scaling invariance: the enclosure charge equals the charge of the
     # same matrices restricted to the unit sphere.
     direct = charge.chern_2(
-        MatrixPolyField(3, 2, dict(weyl_model().terms), EUCLIDEAN, selfadjoint=True)
+        MatrixPolyField(3, 2, dict(weyl_model().terms), EUCLIDEAN)
     )
     assert report.charge.charge == direct.charge
     assert abs(report.charge.charge) == 1
@@ -600,7 +614,7 @@ def test_high_degree_enclosure_is_charged_in_bounded_memory():
     # the last monomial into 9^3 terms and peak near 280 MiB.
     terms = {(1, 0, 0): SIGMA_1, (0, 1, 0): -SIGMA_2, (0, 0, 1): SIGMA_3,
              (8, 8, 8): 0.01 * SIGMA_3}
-    model = BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True))
+    model = BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN))
     tracemalloc.start()
     try:
         report = charge_crossing(model, [1e-3] * 3, radius=0.3)
@@ -654,7 +668,7 @@ def test_chiral_protection_under_perturbations():
         terms = dict(base.terms)
         terms[(0, 0)] = terms.get((0, 0), 0) + c[0] * SIGMA_1 + c[1] * SIGMA_2
         perturbed = BandModel(
-            MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True), chiral=SIGMA_3
+            MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3
         )
         report = charge_crossing(perturbed, [0.0, 0.0], radius=0.6)
         assert report.charge.charge == reference
@@ -668,7 +682,7 @@ def test_weyl_stability_constant_perturbation():
         t = float(rng.uniform(-0.3, 0.3))
         terms = dict(weyl_model().terms)
         terms[(0, 0, 0)] = t * sigmas[j]
-        model = BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True))
+        model = BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN))
         points = find_crossings(model, [(-1, 1)] * 3)
         assert len(points) == 1
         # Crossing moved off the origin but the charge is unchanged.
@@ -705,7 +719,7 @@ def test_scan_single_crossing_uses_capped_radius():
 
 def constant_gapped_model():
     terms = {(0, 0, 0): SIGMA_3}
-    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True), name="flat")
+    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN), name="flat")
 
 
 def test_flat_gap_starts_one_search():

@@ -430,8 +430,7 @@ def test_a_model_that_overflows_on_the_unit_sphere_is_refused_as_on_an_enclosure
     s1, s3 = clifford.SIGMA_1, clifford.SIGMA_3
     phase = MatrixPolyField(2, 1, {(1, 0): [[1.5e308 * (1 - 1j)]], (0, 1): [[1.5e308 * (1 + 1j)]]})
     bands = MatrixPolyField(
-        3, 2, {(1, 0, 0): 1.5e308 * s3, (0, 1, 0): 1.5e308 * s3, (0, 0, 1): 1.5e308 * s1},
-        selfadjoint=True,
+        3, 2, {(1, 0, 0): 1.5e308 * s3, (0, 1, 0): 1.5e308 * s3, (0, 0, 1): 1.5e308 * s1}
     )
     for fn, field in ((winding_1, phase), (chern_2, bands)):
         with pytest.raises(ModelOverflowError, match="not finite on the unit sphere"):
@@ -475,7 +474,7 @@ def test_overflowing_values_of_a_large_sector_never_reach_lapack(monkeypatch):
     a = f @ np.diag([1.0, 2.0, 3.0]) @ f.conj().T
     a *= 1.5e308 / np.max(np.abs(a))
     terms = {alpha: a for alpha in ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))}
-    field = MatrixPolyField(3, 3, terms, SPHERE, selfadjoint=True)
+    field = MatrixPolyField(3, 3, terms, SPHERE)
     assert [s.size for s in field.sectors] == [3]
     calls = counting(monkeypatch, "eigh")
     with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
@@ -492,7 +491,7 @@ def test_a_sector_whose_derivatives_overflow_is_refused():
     def field(c):
         terms = {(4, 0, 0): c * clifford.SIGMA_3, (0, 1, 0): clifford.SIGMA_1,
                  (0, 0, 1): clifford.SIGMA_2}
-        return MatrixPolyField(3, 2, terms, SPHERE, selfadjoint=True)
+        return MatrixPolyField(3, 2, terms, SPHERE)
 
     assert chern_2(field(1e308)).convergence_pair == (0.0, 0.0)
     with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
@@ -503,7 +502,7 @@ def test_a_closed_gap_stops_the_kernel_at_the_failing_chunk(monkeypatch):
     # x2 diag(1, -1) is two 1 x 1 sectors.  The band count of the first one
     # changes at the equator, inside the second of the two chunks of the
     # default S^2 grid: its kernel stops there, and nothing is evaluated again.
-    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])}, SPHERE, selfadjoint=True)
+    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])}, SPHERE)
     assert [s.size for s in field.sectors] == [1, 1]
     calls, evaluate = [], MatrixPolyField.evaluate_batch
 
@@ -528,7 +527,7 @@ def test_an_integrand_that_overflows_on_finite_values_is_refused():
     c, eps = 2.0**500, 1e-5
     terms = {(0, 1, 0): c * clifford.SIGMA_1, (0, 0, 1): c * clifford.SIGMA_2,
              (0, 0, 0): -c * r * clifford.SIGMA_2 + eps * clifford.SIGMA_3}
-    field = MatrixPolyField(3, 2, terms, SPHERE, selfadjoint=True)
+    field = MatrixPolyField(3, 2, terms, SPHERE)
     with pytest.raises(ModelOverflowError, match="charge integrand is not finite on the unit"):
         chern_2(field, resolution=n)
 
@@ -552,7 +551,7 @@ def test_chern_nan_field_raises():
         n = field.size
         for bad in (np.nan, np.inf):
             with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
-                shift = MatrixPolyField(3, n, {(0, 0, 0): np.diag([bad] * n)}, SPHERE, selfadjoint=True)
+                shift = MatrixPolyField(3, n, {(0, 0, 0): np.diag([bad] * n)}, SPHERE)
                 chern_2(field.plus(shift), resolution=8)
 
 
@@ -576,7 +575,7 @@ def test_chern_weyl_matches_wilson_loop_oracle():
 
 def test_chern_constant_field_is_trivial():
     field = MatrixPolyField(
-        3, 2, {(0, 0, 0): np.diag([1.0, -1.0])}, SPHERE, selfadjoint=True
+        3, 2, {(0, 0, 0): np.diag([1.0, -1.0])}, SPHERE
     )
     result = chern_2(field)
     assert result.charge == 0
@@ -666,7 +665,7 @@ def test_enclosure_refuses_a_bad_sphere(charge_fn, field, dim, center, radius, m
 def test_chern_gap_closed():
     # Fermi level sitting exactly on a band closes the gap at every node.
     field = MatrixPolyField(
-        3, 2, {(0, 0, 0): np.diag([1.0, -1.0]).astype(complex)}, SPHERE, selfadjoint=True
+        3, 2, {(0, 0, 0): np.diag([1.0, -1.0]).astype(complex)}, SPHERE
     )
     with pytest.raises(GapClosedError):
         chern_2(field, fermi=1.0)
@@ -684,7 +683,7 @@ def test_chern_gap_closing_between_nodes():
     # Weyl + 2 x3 I has eigenvalues +-1 + 2 x3 on the sphere, so the number of
     # bands below 0.5 changes with x3: the gap closes between the nodes, not at
     # them.  Reading the occupied set node by node gave raw -0.49 here.
-    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE, selfadjoint=True)
+    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE)
     field = weyl2().plus(shift)
     grid = sphere_grid(2, 64)
     vals = np.linalg.eigvalsh(field.evaluate_batch(grid.nodes))
@@ -697,7 +696,7 @@ def test_chern_of_a_sector_whose_gap_closes_is_refused():
     # x3 diag(1, -1) squares to x3^2 I, so as one field its bands are +-|x3|,
     # one below 0 at every node: it read as charge 0, converged.  Its sectors
     # x3 and -x3 each cross 0 on the equator, between the nodes.
-    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])}, SPHERE, selfadjoint=True)
+    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])}, SPHERE)
     with pytest.raises(GapClosedError, match="number of bands below fermi varies"):
         chern_2(field)
 
@@ -796,7 +795,7 @@ def test_perturbation_stability_chern():
     sign = chern_sign_weyl()
     for _ in range(20):
         terms = random_hermitian_perturbation(rng, 3, 2, 0.1)
-        bump = MatrixPolyField(3, 2, terms, SPHERE, selfadjoint=True)
+        bump = MatrixPolyField(3, 2, terms, SPHERE)
         assert chern_2(base.plus(bump)).charge == sign
 
 
@@ -917,11 +916,11 @@ def random_gapped_weyl(rng, size):
     unitary and bumped by at most 0.3: the gap at any |fermi| <= 0.4 stays >= 0.3."""
     flat = rng.choice([-1.0, 1.0], size - 2) * rng.uniform(1.5, 2.5, size - 2)
     base = weyl2().direct_sum(
-        MatrixPolyField(3, size - 2, {(0, 0, 0): np.diag(flat)}, SPHERE, selfadjoint=True)
+        MatrixPolyField(3, size - 2, {(0, 0, 0): np.diag(flat)}, SPHERE)
     )
     bump = random_hermitian_perturbation(rng, 3, size, 0.3)
     return base.conjugated_by(random_unitary(rng, size)).plus(
-        MatrixPolyField(3, size, bump, SPHERE, selfadjoint=True)
+        MatrixPolyField(3, size, bump, SPHERE)
     )
 
 
@@ -1011,7 +1010,7 @@ def test_chunked_chern_sees_band_count_change_in_a_later_chunk(monkeypatch):
     # latitude ring per chunk every chunk is uniform, so only the count carried
     # from the first chunk shows the change.
     monkeypatch.setattr(_linalg, "CHUNK", 8)
-    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE, selfadjoint=True)
+    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE)
     field = weyl2().plus(shift)
     grid = sphere_grid(2, 4)
     counts = np.count_nonzero(np.linalg.eigvalsh(field.evaluate_batch(grid.nodes)) < 0.5, axis=1)

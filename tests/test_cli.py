@@ -33,7 +33,7 @@ def run_cli(*args, env=None):
 def weyl_path(tmp_path):
     terms = {(1, 0, 0): SIGMA_1, (0, 1, 0): SIGMA_2, (0, 0, 1): SIGMA_3}
     model = bandscan.BandModel(
-        MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True), name="weyl"
+        MatrixPolyField(3, 2, terms, EUCLIDEAN), name="weyl"
     )
     path = tmp_path / "weyl.json"
     bandscan.save_model(model, path)
@@ -49,7 +49,7 @@ def two_weyl_path(tmp_path):
         (0, 0, 0): -0.25 * SIGMA_3,
     }
     model = bandscan.BandModel(
-        MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True), name="two-weyl"
+        MatrixPolyField(3, 2, terms, EUCLIDEAN), name="two-weyl"
     )
     path = tmp_path / "two_weyl.json"
     bandscan.save_model(model, path)
@@ -60,7 +60,7 @@ def two_weyl_path(tmp_path):
 def gapped_path(tmp_path):
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2, (0, 0): 0.1 * SIGMA_3}
     model = bandscan.BandModel(
-        MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True), name="massive"
+        MatrixPolyField(2, 2, terms, EUCLIDEAN), name="massive"
     )
     path = tmp_path / "massive.json"
     bandscan.save_model(model, path)
@@ -241,7 +241,7 @@ def test_charge_command_gapped_is_zero(tmp_path):
         (0, 0, 1): SIGMA_3,
         (0, 0, 0): 2.5 * np.eye(2, dtype=complex),
     }
-    model = bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True))
+    model = bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN))
     path = tmp_path / "shifted.json"
     bandscan.save_model(model, path)
     proc = run_cli("charge", str(path), "--center", "0", "0", "0", "--radius", "0.5")
@@ -264,7 +264,7 @@ def test_charge_command_refuses_a_sector_whose_gap_closes(tmp_path, capsys):
     # sectors x3 and -x3 each change sign there, between the nodes of the
     # enclosing sphere.  As one 2 x 2 field it read as charge 0, converged.
     terms = {(0, 0, 1): np.diag([1.0, -1.0]).astype(complex)}
-    model = bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True))
+    model = bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN))
     path = tmp_path / "split.json"
     bandscan.save_model(model, path)
     assert main(["charge", str(path), "--radius", "0.5"]) == 1
@@ -378,6 +378,21 @@ def test_a_two_dimensional_chiral_model_off_energy_zero_exits_2(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fermi must be 0, got 0.5" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["scan"], ["charge", "--radius", "0.5"]], ids=["scan", "charge"])
+@pytest.mark.parametrize("key, text", [("name", "NaN"), ("comment", "Infinity")])
+def test_a_model_whose_metadata_is_not_a_string_exits_2(
+    tmp_path, capsys, weyl_path, argv, key, text
+):
+    with open(weyl_path, encoding="utf-8") as handle:
+        payload = json.dumps({**json.load(handle), key: None})
+    path = tmp_path / "meta.json"
+    path.write_text(payload.replace(f'"{key}": null', f'"{key}": {text}'))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{key}' must be a string or null" in captured.err
 
 
 def test_scan_command_malformed_model(tmp_path):
@@ -609,7 +624,7 @@ def test_an_overflowing_enclosure_is_that_crossings_error(tmp_path, capsys):
     }
     path = str(tmp_path / "overflow.json")
     bandscan.save_model(
-        bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN, selfadjoint=True)), path
+        bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN)), path
     )
     assert main(["scan", path]) == 1
     inside, outside = json.loads(capsys.readouterr().out)
@@ -663,7 +678,7 @@ def test_scan_checks_resolution_without_crossings(gapped_path, capsys, resolutio
 def unchiral_dirac_path(tmp_path):
     # Massless 2D Dirac model whose chiral matrix (sigma_3) is not declared.
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
-    model = bandscan.BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True))
+    model = bandscan.BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN))
     path = tmp_path / "unchiral.json"
     bandscan.save_model(model, path)
     return str(path)
@@ -692,7 +707,7 @@ def chiral_dirac_path(tmp_path):
     # Massless 2D Dirac model with its chiral matrix declared.
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
     model = bandscan.BandModel(
-        MatrixPolyField(2, 2, terms, EUCLIDEAN, selfadjoint=True), chiral=SIGMA_3
+        MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3
     )
     path = tmp_path / "chiral.json"
     bandscan.save_model(model, path)

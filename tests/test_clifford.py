@@ -1,5 +1,6 @@
 """Clifford representation construction, validation and handedness."""
 
+import json
 from functools import reduce
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_base_case_d2_is_pauli_pair():
 def test_printed_pauli_triple_handedness():
     # Multiplying the Pauli matrices as stored: sigma1 sigma2 sigma3 = -i,
     # which is the right-handed scalar -i^((3-1)/2).
-    triple = CliffordRep(d=3, gammas=(SIGMA_1, SIGMA_2, SIGMA_3), handedness=None)
+    triple = CliffordRep(d=3, gammas=(SIGMA_1, SIGMA_2, SIGMA_3))
     prod = product(triple.gammas)
     assert np.array_equal(prod, -1j * np.eye(2))
     assert handedness_of(triple) == RIGHT
@@ -102,7 +103,7 @@ def test_truncated_extension_is_valid_rep():
     # one fewer generators at the same matrix size.
     for d_odd in (3, 5, 7):
         rep = build_rep(d_odd, LEFT)
-        trunc = CliffordRep(d=d_odd - 1, gammas=rep.gammas[: d_odd - 1], handedness=None)
+        trunc = CliffordRep(d=d_odd - 1, gammas=rep.gammas[: d_odd - 1])
         assert verify_rep(trunc).ok
 
 
@@ -161,13 +162,13 @@ def test_handedness_requires_odd():
 
 
 def test_handedness_rejects_non_scalar_product():
-    rep = CliffordRep(d=3, gammas=(SIGMA_1, SIGMA_1, SIGMA_3), handedness=None)
+    rep = CliffordRep(d=3, gammas=(SIGMA_1, SIGMA_1, SIGMA_3))
     with pytest.raises(NotIrreducibleError):
         handedness_of(rep)
 
 
 def test_verify_rep_detects_anticommutation_failure():
-    rep = CliffordRep(d=2, gammas=(SIGMA_1, SIGMA_1), handedness=None)
+    rep = CliffordRep(d=2, gammas=(SIGMA_1, SIGMA_1))
     report = verify_rep(rep)
     kinds = {v.kind: v for v in report.violations}
     assert "anti-commutation" in kinds
@@ -176,7 +177,7 @@ def test_verify_rep_detects_anticommutation_failure():
 
 def test_verify_rep_detects_non_hermitian():
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    rep = CliffordRep(d=2, gammas=(bad, SIGMA_2), handedness=None)
+    rep = CliffordRep(d=2, gammas=(bad, SIGMA_2))
     report = verify_rep(rep)
     kinds = {v.kind: v for v in report.violations}
     assert "hermiticity" in kinds
@@ -192,15 +193,43 @@ def test_verify_rep_detects_non_hermitian():
     ids=["dimension", "shape"],
 )
 def test_verify_rep_detects_wrong_sizes(d, gammas, kind, detail):
-    report = verify_rep(CliffordRep(d=d, gammas=gammas, handedness=None))
+    report = verify_rep(CliffordRep(d=d, gammas=gammas))
     kinds = {v.kind: v for v in report.violations}
     assert kinds[kind].detail == detail
 
 
-def test_verify_rep_detects_wrong_label():
-    rep = CliffordRep(d=3, gammas=(SIGMA_1, SIGMA_2, SIGMA_3), handedness=LEFT)
-    report = verify_rep(rep)
-    assert any(v.kind == "handedness-label" for v in report.violations)
+@pytest.mark.parametrize("d", range(1, MAX_D + 1, 2))
+def test_handedness_is_read_from_the_generators(d):
+    for hand, other in ((LEFT, RIGHT), (RIGHT, LEFT)):
+        rep = build_rep(d, hand)
+        assert rep.handedness == handedness_of(rep) == hand
+        assert flip_first(rep).handedness == other
+
+
+def test_a_representation_takes_no_label():
+    with pytest.raises(TypeError):
+        CliffordRep(3, build_rep(3).gammas, RIGHT)
+
+
+@pytest.mark.parametrize("d", range(1, MAX_D + 1))
+def test_payload_round_trips_every_level(d):
+    for hand in (LEFT, RIGHT) if d % 2 else (LEFT,):
+        rep = build_rep(d, hand)
+        back = CliffordRep.from_payload(json.loads(json.dumps(rep.to_payload())))
+        assert (back.d, back.handedness) == (d, rep.handedness)
+        assert bits(back.gammas) == bits(rep.gammas)
+
+
+@pytest.mark.parametrize(
+    "d, hand, label",
+    [(3, RIGHT, LEFT), (3, LEFT, RIGHT), (13, LEFT, RIGHT), (3, LEFT, None), (4, LEFT, LEFT)],
+)
+def test_payload_with_a_contradicted_label_is_refused(d, hand, label):
+    # The printed Pauli triple is right-handed: a file that calls it left
+    # is refused when it is loaded, not read with a wrong label.
+    payload = {**build_rep(d, hand).to_payload(), "handedness": label}
+    with pytest.raises(InconsistentRepresentationError, match=f"label says {label!r}"):
+        CliffordRep.from_payload(payload)
 
 
 def test_build_rep_argument_validation():
@@ -222,7 +251,7 @@ def test_build_rep_checks_its_arguments_before_the_chain_cache():
 
 def chain_by_extend(d):
     """The first odd level >= d of a chain built here from the 1 x 1 rep."""
-    rep = CliffordRep(d=1, gammas=(np.array([[1.0]], dtype=complex),), handedness=LEFT)
+    rep = CliffordRep(d=1, gammas=(np.array([[1.0]], dtype=complex),))
     while rep.d < d:
         rep = extend(rep)
     return rep
@@ -271,7 +300,7 @@ def test_grading_of_pauli_pair():
 
 def test_grading_of_extended_truncation():
     rep5 = build_rep(5, LEFT)
-    rep4 = CliffordRep(d=4, gammas=rep5.gammas[:4], handedness=None)
+    rep4 = CliffordRep(d=4, gammas=rep5.gammas[:4])
     grading = grading_of(rep4)
     expected = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     assert np.array_equal(grading.matrix, expected)
@@ -284,7 +313,7 @@ def test_grading_of_extended_truncation():
 def test_grading_of_anti_hermitian_product_with_zero_diagonal():
     # sigma2 sigma3 = -i sigma1 is anti-Hermitian, so the phase is +-i; the
     # grading sigma1 has no diagonal, so its first off-diagonal entry picks the sign.
-    grading = grading_of(CliffordRep(2, (SIGMA_2, SIGMA_3), None))
+    grading = grading_of(CliffordRep(2, (SIGMA_2, SIGMA_3)))
     assert np.array_equal(grading.matrix, SIGMA_1)
     assert grading.phase == 1j
 
@@ -297,7 +326,7 @@ def test_grading_requires_even():
 def test_grading_rejects_unphaseable_product():
     phase = np.exp(1j * np.pi / 4)
     weird = np.array([[0, phase], [phase.conjugate(), 0]], dtype=complex)
-    rep = CliffordRep(d=2, gammas=(SIGMA_1, weird), handedness=None)
+    rep = CliffordRep(d=2, gammas=(SIGMA_1, weird))
     with pytest.raises(InconsistentRepresentationError):
         grading_of(rep)
 

@@ -69,7 +69,7 @@ def clifford_field(rng, gammas, m, scale, phase=False):
         for a, c in poly.items():
             terms[a] = terms.get(a, 0) + c * g
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return MatrixPolyField(m, n, terms, SPHERE, selfadjoint=not phase).conjugated_by(q)
+    return MatrixPolyField(m, n, terms, SPHERE).conjugated_by(q)
 
 
 @contextlib.contextmanager
@@ -159,7 +159,7 @@ def two_band(rng, scale):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         bump[a] = z + z.conj().T
     bound = sum(np.linalg.norm(m, 2) for m in bump.values())
-    bump = MatrixPolyField(3, 2, {a: scale * m / bound for a, m in bump.items()}, SPHERE, True)
+    bump = MatrixPolyField(3, 2, {a: scale * m / bound for a, m in bump.items()}, SPHERE)
     weyl = generators.weyl_field(2, clifford.LEFT)
     return weyl.conjugated_by(oracles.random_unitary(rng, 2)).plus(bump)
 
@@ -324,7 +324,7 @@ def test_a_four_band_field_gets_the_eigvalsh_gap_split_or_mixed():
     s1, s3, i2 = clifford.SIGMA_1, clifford.SIGMA_3, np.eye(2)
     terms = {(1, 0, 0): 1e7 * np.kron(s3, i2), (0, 1, 0): np.kron(s1, i2),
              (0, 0, 1): np.kron(s1, s3)}
-    split = MatrixPolyField(3, 4, terms, SPHERE, selfadjoint=True)
+    split = MatrixPolyField(3, 4, terms, SPHERE)
     mixed = split.conjugated_by(dense_unitary(4))
     assert [len(f.sectors) for f in (split, mixed)] == [2, 1]
     point = np.array([[0.0, 1.0, 1.0]]) / np.sqrt(2.0)
@@ -344,13 +344,12 @@ def test_one_by_one_sectors_need_no_eigensolver():
     # sector has no band below 0 on the sphere, and adds nothing to the charge.
     s3 = clifford.SIGMA_3
     diagonal = MatrixPolyField(3, 2, {(1, 0, 0): s3, (0, 1, 0): np.eye(2), (0, 0, 1): 0.5 * s3},
-                               SPHERE, selfadjoint=True)
+                               SPHERE)
     model = bandscan.BandModel.from_field(diagonal, fermi=0.25)
     points = np.random.default_rng(7).standard_normal((1000, 3))
     bands = np.diagonal(diagonal.evaluate_batch(points), axis1=1, axis2=2).real
     weyl = generators.weyl_field(2, clifford.LEFT)
-    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]], (0, 0, 1): [[0.5]]}, SPHERE,
-                                           selfadjoint=True))
+    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]], (0, 0, 1): [[0.5]]}, SPHERE))
     assert [[f.size for f in g.sectors] for g in (diagonal, flat)] == [[1, 1], [2, 1]]
     reference = chern_2(weyl)
     with spying("eigh", "eigvalsh") as calls:
@@ -454,7 +453,7 @@ def test_two_by_two_sectors_take_no_inverse_eigensolver_or_products():
               small_phase(rng, dirac, 2, 0.3))
     weyl = generators.weyl_field(2, clifford.LEFT)
     pair = weyl.direct_sum(weyl).conjugated_by(np.kron(np.eye(2), oracles.random_unitary(rng, 2)))
-    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]]}, SPHERE, selfadjoint=True))
+    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]]}, SPHERE))
     bands = (pair, two_band(rng, 0.3), flat)
     assert [[s.size for s in f.sectors] for f in loops] == [[1], [1, 1], [2], [2]]
     assert {s.size for f in phases + bands[:2] for s in f.sectors} == {2}
@@ -480,7 +479,7 @@ def test_two_by_two_sectors_take_no_inverse_eigensolver_or_products():
 def offset(field, f0):
     """field + f0 I."""
     shift = {(0,) * field.ambient_dim: f0 * np.eye(field.size)}
-    return field.plus(MatrixPolyField(field.ambient_dim, field.size, shift, SPHERE, True))
+    return field.plus(MatrixPolyField(field.ambient_dim, field.size, shift, SPHERE))
 
 
 def test_an_offset_crossing_pulled_back_takes_the_general_path():
@@ -529,7 +528,7 @@ def test_a_large_scalar_part_does_not_overflow(tmp_path, capsys):
     # the unit sphere, and the gap is 5e307, but the trace, the sum of the
     # diagonal, overflows; f0 divides each entry by 2 before the sum.
     weyl = generators.weyl_field(2, clifford.LEFT)
-    shift = MatrixPolyField(3, 2, {(0, 0, 0): 1e308 * np.eye(2)}, SPHERE, selfadjoint=True)
+    shift = MatrixPolyField(3, 2, {(0, 0, 0): 1e308 * np.eye(2)}, SPHERE)
     field = scaled(weyl, 5e307).plus(shift)
     result = chern_2(field, fermi=1e308)
     assert (result.charge, result.converged) == (chern_sign_weyl(), True)
@@ -583,7 +582,7 @@ def test_general_chern_path_takes_a_node_where_the_field_is_zero():
     # would be NaN.
     f = dense_unitary(3)
     a = f @ np.diag([1.0, 2.0, 3.0]) @ f.conj().T
-    field = MatrixPolyField(3, 3, {(0, 0, 0): -a, (1, 0, 0): a}, SPHERE, selfadjoint=True)
+    field = MatrixPolyField(3, 3, {(0, 0, 0): -a, (1, 0, 0): a}, SPHERE)
     assert [s.size for s in field.sectors] == [3]
     values = field.evaluate_batch(sphere_grid(2, 5).nodes)
     assert np.count_nonzero(np.all(values == 0, axis=(1, 2))) == 1
@@ -596,13 +595,13 @@ def test_general_chern_path_takes_a_node_where_the_field_is_zero():
 
 def weyl_shifted():
     """Weyl + 2 x3 I: bands +-1 + 2 x3 on the sphere."""
-    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE, selfadjoint=True)
+    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE)
     return generators.weyl_field(2, clifford.LEFT).plus(shift)
 
 
 def test_gap_gates_run_on_the_closed_form_path():
     # The fields of the gate tests in test_charge.py take the closed form.
-    closed = MatrixPolyField(3, 2, {(0, 0, 0): np.diag([1.0, -1.0])}, SPHERE, selfadjoint=True)
+    closed = MatrixPolyField(3, 2, {(0, 0, 0): np.diag([1.0, -1.0])}, SPHERE)
     assert closed.size == weyl_shifted().size == 2
     with pytest.raises(GapClosedError, match=r"min \|eig - fermi\| = 0.0"):
         chern_2(closed, fermi=1.0)
@@ -617,7 +616,7 @@ def test_gap_gates_run_on_the_closed_form_path():
 def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
     # No field holds a NaN coefficient: the constructor refuses it.
     with pytest.raises(ModelFormatError, match="not finite"):
-        MatrixPolyField(3, 2, {(0, 0, 0): np.nan * np.eye(2)}, SPHERE, selfadjoint=True)
+        MatrixPolyField(3, 2, {(0, 0, 0): np.nan * np.eye(2)}, SPHERE)
     with pytest.raises(ModelFormatError, match="not finite"):
         MatrixPolyField(2, 1, {(0, 0): [[np.nan]]}, SPHERE)
     # Finite coefficients can still overflow at a node, here where x0 + x1 >
@@ -627,7 +626,7 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
     # warns of the overflow.
     big = {(1, 0, 0): 1.7e308 * np.eye(2), (0, 1, 0): 1.7e308 * np.eye(2)}
     hermitian = generators.weyl_field(2, clifford.LEFT).plus(
-        MatrixPolyField(3, 2, big, SPHERE, selfadjoint=True)
+        MatrixPolyField(3, 2, big, SPHERE)
     )
     phase = generators.dirac_phase_field(1, clifford.LEFT).plus(
         MatrixPolyField(2, 1, {(1, 0): [[1.7e308]], (0, 1): [[1.7e308]]}, SPHERE)

@@ -21,7 +21,7 @@ def random_poly_field(rng, ambient=3, size=2, degree=2, hermitian=False):
         if hermitian:
             mat = 0.5 * (mat + mat.conj().T)
         terms[alpha] = terms.get(alpha, 0) + mat
-    return MatrixPolyField(ambient, size, terms, EUCLIDEAN, selfadjoint=hermitian)
+    return MatrixPolyField(ambient, size, terms, EUCLIDEAN)
 
 
 def test_evaluate_single_and_batch_agree():
@@ -385,6 +385,20 @@ I_X = {"dimension": 1, "size": 1, "terms": [{"powers": [1], "matrix": [[[0.0, 1.
 def test_payload_schema_violations(payload, message):
     with pytest.raises(ModelFormatError, match=message):
         MatrixPolyField.from_payload(payload)
+
+
+def test_selfadjoint_is_read_from_the_coefficients():
+    # i x is not self-adjoint, so its payload says false and loads back; a
+    # payload's false does not hide Hermitian coefficients.
+    with pytest.raises(TypeError):
+        MatrixPolyField(1, 1, {(1,): [[1j]]}, EUCLIDEAN, selfadjoint=True)
+    i_x = MatrixPolyField(1, 1, {(1,): [[1j]]})
+    assert (i_x.selfadjoint, i_x.to_payload()["selfadjoint"]) == (False, False)
+    assert MatrixPolyField.from_payload(i_x.to_payload()).to_payload() == i_x.to_payload()
+    x = MatrixPolyField.from_payload({**I_X, "terms": [{"powers": [1], "matrix": [[[1.0, 0.0]]]}],
+                                      "selfadjoint": False})
+    assert x.selfadjoint and x.to_payload()["selfadjoint"] is True
+    assert MatrixPolyField.from_payload(I_X).selfadjoint is False
 
 
 @pytest.mark.parametrize(

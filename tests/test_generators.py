@@ -146,7 +146,7 @@ def test_chiral_block_of_a_diagonal_grading_is_the_lower_left_slice(d):
 def test_chiral_block_rejects_commuting_perturbation():
     rep = clifford.build_rep(2)
     field, grading = generators.dirac_hamiltonian_field(1, rep)
-    mass = MatrixPolyField(2, 2, {(0, 0): 0.1 * SIGMA_3}, field.domain, selfadjoint=True)
+    mass = MatrixPolyField(2, 2, {(0, 0): 0.1 * SIGMA_3}, field.domain)
     perturbed = field.plus(mass)
     with pytest.raises(NotChiralError):
         generators.chiral_lower_block(perturbed, grading.matrix)
@@ -170,7 +170,7 @@ def test_chiral_block_refuses_a_grading_without_a_square_block(size, j, error, m
     # [1, 0]] anti-commutes with 0.
     mat = np.zeros((size, size))
     mat[0, -1] = mat[-1, 0] = 1.0
-    field = MatrixPolyField(2, size, {(1, 0): mat}, EUCLIDEAN, selfadjoint=True)
+    field = MatrixPolyField(2, size, {(1, 0): mat}, EUCLIDEAN)
     with pytest.raises(error, match=message):
         generators.chiral_lower_block(field, j)
 

@@ -23,11 +23,11 @@ TEXT = st.none() | st.text(max_size=8)
 
 
 @st.composite
-def matrices(draw, n, hermitian):
-    """n x n complex matrices of any finite entries; Hermitian ones mirror their
-    upper triangle, so their Hermiticity is exact."""
-    re = np.array(draw(st.lists(FINITE, min_size=n * n, max_size=n * n))).reshape(n, n)
-    im = np.array(draw(st.lists(FINITE, min_size=n * n, max_size=n * n))).reshape(n, n)
+def matrices(draw, n, hermitian, entries=FINITE):
+    """n x n complex matrices of ``entries`` (any finite float by default);
+    Hermitian ones mirror their upper triangle, so their Hermiticity is exact."""
+    re = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    im = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
     mat = np.stack([re, im], axis=-1).view(complex)[..., 0]  # keeps the sign of -0.0
     if hermitian:
         mat = np.triu(mat, 1)
@@ -36,15 +36,15 @@ def matrices(draw, n, hermitian):
 
 
 @st.composite
-def term_dicts(draw, dim, n, hermitian, block=None):
+def term_dicts(draw, dim, n, hermitian, block=None, entries=FINITE):
     powers = st.tuples(*[st.integers(0, 3)] * dim)
     alphas = draw(st.lists(powers, min_size=1, max_size=3, unique=True))
     terms = {}
     for alpha in alphas:
         if block is None:
-            terms[alpha] = draw(matrices(n, hermitian))
+            terms[alpha] = draw(matrices(n, hermitian, entries))
         else:  # [[0, B], [B*, 0]] anti-commutes exactly with diag(I, -I)
-            b = draw(matrices(block, False))
+            b = draw(matrices(block, False, entries))
             zero = np.zeros((block, block))
             terms[alpha] = np.block([[zero, b], [b.conj().T, zero]])
     return terms
@@ -53,9 +53,9 @@ def term_dicts(draw, dim, n, hermitian, block=None):
 @st.composite
 def fields(draw):
     dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    selfadjoint = draw(st.booleans())
+    hermitian = draw(st.booleans())
     domain = draw(st.sampled_from([SPHERE, DISC, EUCLIDEAN]))
-    return MatrixPolyField(dim, n, draw(term_dicts(dim, n, selfadjoint)), domain, selfadjoint)
+    return MatrixPolyField(dim, n, draw(term_dicts(dim, n, hermitian)), domain)
 
 
 @st.composite
@@ -68,7 +68,7 @@ def models(draw):
     else:
         n, chiral = draw(st.integers(1, 3)), None
         terms = draw(term_dicts(dim, n, True))
-    field = MatrixPolyField(dim, n, terms, EUCLIDEAN, selfadjoint=True)
+    field = MatrixPolyField(dim, n, terms, EUCLIDEAN)
     # A two-dimensional chiral model has its crossings at energy 0, so its
     # Fermi level must be 0.
     fermi = 0.0 if dim == 2 and chiral is not None else draw(FINITE)
@@ -120,6 +120,39 @@ def test_field_payload_round_trips_through_strict_json(field):
     assert set(back.terms) == set(field.terms)
     for alpha, mat in field.terms.items():
         assert back.terms[alpha].tobytes() == mat.tobytes()
+
+
+SMALL = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def small_fields(draw, dim, n):
+    """Fields of entries in [-4, 4], Hermitian or not, that no transform below
+    overflows."""
+    hermitian = draw(st.booleans())
+    domain = draw(st.sampled_from([SPHERE, DISC, EUCLIDEAN]))
+    return MatrixPolyField(dim, n, draw(term_dicts(dim, n, hermitian, entries=SMALL)), domain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_derived_field_reports_its_coefficients_and_loads_back(data):
+    # selfadjoint is read from the coefficients of every field a transform
+    # makes, so no field writes a payload that its own loader refuses.
+    dim, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    f, g = data.draw(small_fields(dim, n)), data.draw(small_fields(dim, n))
+    j = data.draw(st.integers(0, dim - 1))
+    center = np.array(data.draw(st.lists(SMALL, min_size=dim, max_size=dim)))
+    pair = f.direct_sum(g)
+    derived = [
+        f, pair, f.plus(g), f.shifted(data.draw(SMALL)),
+        f.conjugated_by(data.draw(matrices(n, False, SMALL))), f.reflect(j), f.derivative(j),
+        f.affine_pullback(center, data.draw(st.floats(0.25, 4.0))), *f.sectors, *pair.sectors,
+    ]
+    for h in derived:
+        assert h.selfadjoint == (not h.non_hermitian_terms())
+        back = MatrixPolyField.from_payload(json.loads(strict(h.to_payload())))
+        assert back.selfadjoint == h.selfadjoint
 
 
 @settings(max_examples=40, deadline=None)

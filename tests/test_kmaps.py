@@ -344,7 +344,7 @@ def test_homotopy_at_keeps_the_bits_of_the_clip_and_power_formula(seed):
         vals = np.concatenate([edges, rng.uniform(-1.0, 1.0, n - 2)]) if n > 1 else edges[seed % 2:][:1]
         b = (q * vals) @ q.conj().T
         b = 0.5 * (b + b.conj().T)
-        lift = MatrixPolyField(3, n, {(0, 0, 0): b}, DISC, selfadjoint=True)
+        lift = MatrixPolyField(3, n, {(0, 0, 0): b}, DISC)
         y = rng.uniform(-0.5, 0.5, 3)
         for t in np.linspace(0.0, 1.0, 11):
             got = kmaps.homotopy_at(lift, float(t), y)
