@@ -249,7 +249,8 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
 
 
 def _box_grid(box, dim: int, n: int):
-    """Validated box and its regular n-per-axis grid: (box, axes, points, shape)."""
+    """Validated box and the n values of each of its axes, ``(box, axes)``;
+    no point array (:func:`_grid_gaps` builds the points chunk by chunk)."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != dim:
         raise ValueError(f"box must have {dim} (lo, hi) pairs")
@@ -257,10 +258,19 @@ def _box_grid(box, dim: int, n: int):
         raise ValueError(f"box bounds must be finite, got {box}")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box intervals must be nondegenerate")
-    axes = [np.linspace(lo, hi, n) for lo, hi in box]
-    # Stacking the copy-free meshgrid views allocates the point array once.
-    grid = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
-    return box, axes, grid.reshape(-1, dim), grid.shape[:-1]
+    return box, [np.linspace(lo, hi, n) for lo, hi in box]
+
+
+def _grid_gaps(model: BandModel, axes) -> np.ndarray:
+    """Gaps on the grid of ``axes`` as one ``(n,) * dim`` array: one float per
+    node, plus the points of one ``_linalg.chunks`` run of the C-order grid at
+    a time, built from the axes."""
+    gaps = np.empty(tuple(axis.size for axis in axes))
+    flat = gaps.reshape(-1)
+    for sl in chunks(flat.size):
+        index = np.unravel_index(np.arange(sl.start, min(sl.stop, flat.size)), gaps.shape)
+        flat[sl] = _gap_batch(model, np.column_stack([a[i] for a, i in zip(axes, index)]))
+    return gaps
 
 
 def _pattern_search(func, start, step0, box, target=None):
@@ -302,21 +312,24 @@ def _coarse_minima(gaps: np.ndarray) -> list:
     A point must lie strictly below its earlier neighbour on each axis and no
     higher than its later one, so a flat plateau yields only its corner nodes
     (one for a box-shaped plateau such as a constant gap), not every node.
+    Beyond the grid's edge the gap counts as +inf; neighbours are read
+    through shifted slices, so only boolean masks are allocated.
     """
-    padded = np.pad(gaps, 1, mode="constant", constant_values=np.inf)
-    is_min = np.ones_like(gaps, dtype=bool)
-    core = tuple(slice(1, -1) for _ in range(gaps.ndim))
+    is_min = gaps < np.inf
     for axis in range(gaps.ndim):
-        is_min &= gaps < np.roll(padded, 1, axis=axis)[core]
-        is_min &= gaps <= np.roll(padded, -1, axis=axis)[core]
+        # Along this axis, node i of ``hi`` is node i + 1 of ``lo``.
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        is_min[hi] &= gaps[hi] < gaps[lo]
+        is_min[lo] &= gaps[lo] <= gaps[hi]
     return list(zip(*np.nonzero(is_min)))
 
 
 def _refined_minima(model: BandModel, box, coarse_n: int, target=None) -> list:
     """Pattern-search refinements ``(point, gap)`` of every local minimum of
     the gap on the coarse box grid, in grid order."""
-    box, axes, points, shape = _box_grid(box, model.dimension, coarse_n)
-    gaps = _gap_batch(model, points).reshape(shape)
+    box, axes = _box_grid(box, model.dimension, coarse_n)
+    gaps = _grid_gaps(model, axes)
     spacing = max((hi - lo) / (coarse_n - 1) for lo, hi in box)
     return [
         _pattern_search(
@@ -441,7 +454,9 @@ def scan(model: BandModel, box, coarse_n: int = 16, resolution: int | None = Non
     return reports
 
 
-def gap_map(model: BandModel, box, n: int) -> np.ndarray:
-    """Gap sampled on a regular grid; rows are (x_1, ..., x_m, gap)."""
-    _, _, points, _ = _box_grid(box, model.dimension, n)
-    return np.column_stack([points, _gap_batch(model, points)])
+def gap_map(model: BandModel, box, n: int):
+    """Gap on the regular n-per-axis grid of the box as ``(axes, gaps)``: node
+    ``gaps[i_1, ..., i_m]`` lies at ``(axes[0][i_1], ..., axes[m - 1][i_m])``.
+    One float per node, as :func:`_grid_gaps`; no point or row array."""
+    _, axes = _box_grid(box, model.dimension, n)
+    return axes, _grid_gaps(model, axes)

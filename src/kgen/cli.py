@@ -155,28 +155,22 @@ def _parse_box(values, dim: int):
     )
 
 
-def _write_gap_map(handle, rows: np.ndarray, n: int) -> None:
-    """Write the rows of ``bandscan.gap_map`` to ``handle`` as CSV.
+def _write_gap_map(handle, axes, gaps: np.ndarray) -> None:
+    """Write the ``(axes, gaps)`` of ``bandscan.gap_map`` to ``handle`` as CSV.
 
-    The rows form an n^dim grid in C order (last coordinate fastest), so each
-    axis holds n values: they are formatted once, the n^(dim-1) trailing
-    coordinate strings are joined once, and only the gaps are formatted per
-    row.  Each leading-axis slab of n^(dim-1) rows is written as soon as it is
-    built, so the whole file is never held in memory.  Floats are ``repr``, as
-    ``csv.writer`` would write them.
+    Rows run over the grid in C order (last coordinate fastest).  Each axis
+    value is formatted once, the n^(dim-1) trailing coordinate strings are
+    joined once, and only the gaps are formatted per row.  Each leading-axis
+    slab of n^(dim-1) rows is written as soon as it is built, so the file
+    costs one slab of text, the trailing strings and the gap array (one float
+    per node), and no row array.  Floats are ``repr``, as ``csv.writer`` would
+    write them.
     """
-    dim = rows.shape[1] - 1
-    slab = n ** (dim - 1)
-    # Axis k advances every n^(dim-1-k) rows.
-    coords = []
-    for k in range(dim):
-        step = n ** (dim - 1 - k)
-        coords.append([repr(v) + "," for v in rows[: n * step : step, k].tolist()])
+    coords = [[repr(v) + "," for v in axis.tolist()] for axis in axes]
     tails = ["".join(parts) for parts in itertools.product(*coords[1:])]
-    gaps = rows[:, dim]
-    handle.write(",".join([f"x{i + 1}" for i in range(dim)] + ["gap"]) + "\n")
-    for i, lead in enumerate(coords[0]):
-        lines = map(str.__add__, tails, map(repr, gaps[i * slab : (i + 1) * slab].tolist()))
+    handle.write(",".join([f"x{i + 1}" for i in range(gaps.ndim)] + ["gap"]) + "\n")
+    for lead, slab in zip(coords[0], gaps):
+        lines = map(str.__add__, tails, map(repr, slab.ravel().tolist()))
         handle.write(lead + ("\n" + lead).join(lines) + "\n")
 
 
@@ -197,9 +191,9 @@ def _cmd_scan(args) -> int:
         reports = bandscan.scan(model, box, args.grid, args.resolution)
         _emit_json([r.to_payload() for r in reports], args.out)
         if args.gap_map is not None:
-            rows = bandscan.gap_map(model, box, args.grid)
+            axes, gaps = bandscan.gap_map(model, box, args.grid)
             with _output(args.gap_map) as gap_file:
-                _write_gap_map(gap_file, rows, args.grid)
+                _write_gap_map(gap_file, axes, gaps)
     except BaseException:
         if created:
             os.remove(args.gap_map)
@@ -291,6 +285,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a --grid whose gap array cannot be allocated
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
     except KgenError as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from ._linalg import dagger, max_abs
-from .errors import InconsistentRepresentationError, NotIrreducibleError
+from .errors import InconsistentRepresentationError, ModelFormatError, NotIrreducibleError
 from .serialize import matrix_from_json, matrix_to_json, suite_report
 
 LEFT = "left"
@@ -79,9 +79,18 @@ class CliffordRep:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CliffordRep":
-        """Representation from :meth:`to_payload` output; a ``handedness`` other
-        than its generators' is an InconsistentRepresentationError."""
-        rep = cls(d=int(payload["d"]), gammas=tuple(matrix_from_json(g) for g in payload["gammas"]))
+        """Representation from :meth:`to_payload` output.  A missing key or a
+        ``d`` that is not a JSON integer is a ModelFormatError, and a
+        ``handedness`` other than its generators' an
+        InconsistentRepresentationError."""
+        for key in ("d", "handedness", "gammas"):
+            if key not in payload:
+                raise ModelFormatError(f"representation is missing the {key!r} key")
+        d = payload["d"]
+        # type() rather than int(), which would take "1", true and 1.9 for 1.
+        if type(d) is not int:
+            raise ModelFormatError(f"'d' must be an integer, got {d!r}")
+        rep = cls(d=d, gammas=tuple(matrix_from_json(g) for g in payload["gammas"]))
         if payload["handedness"] != rep.handedness:
             raise InconsistentRepresentationError(
                 f"label says {payload['handedness']!r}, the generators give {rep.handedness!r}"

@@ -727,6 +727,35 @@ def test_flat_gap_starts_one_search():
     assert scan(constant_gapped_model(), [(-1, 1)] * 3) == []
 
 
+def coarse_minima_reference(gaps):
+    """The padded-and-rolled form ``_coarse_minima`` used to take, kept as the reference."""
+    padded = np.pad(gaps, 1, mode="constant", constant_values=np.inf)
+    is_min = np.ones_like(gaps, dtype=bool)
+    core = tuple(slice(1, -1) for _ in range(gaps.ndim))
+    for axis in range(gaps.ndim):
+        is_min &= gaps < np.roll(padded, 1, axis=axis)[core]
+        is_min &= gaps <= np.roll(padded, -1, axis=axis)[core]
+    return list(zip(*np.nonzero(is_min)))
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (1, 7), (8, 5, 6), (5, 1, 4)])
+@pytest.mark.parametrize("seed", range(4))
+def test_coarse_minima_match_the_padded_form(shape, seed):
+    rng = np.random.default_rng(seed)
+    cases = [
+        rng.integers(0, 3, shape).astype(float),  # ties and plateaus
+        rng.uniform(0.0, 1.0, shape),
+        np.full(shape, 0.25),
+        np.where(rng.uniform(size=shape) < 0.2, np.inf, rng.integers(0, 2, shape).astype(float)),
+    ]
+    slabs = rng.uniform(0.0, 1.0, shape)
+    slabs[shape[0] // 2] = 0.0  # a constant leading-axis slab
+    slabs[..., -1] = slabs.min()  # and a constant trailing one
+    cases.append(slabs)
+    for gaps in cases:
+        assert bandscan._coarse_minima(gaps) == coarse_minima_reference(gaps)
+
+
 def compass_reference(func, start, step, box, max_iter=200, min_step=1e-12):
     """Per-point compass descent: poll +x0, -x0, +x1, ... one at a time and
     take the first strict improvement over the best so far."""
@@ -768,16 +797,19 @@ def test_pattern_search_matches_per_point_polling(start):
 
 
 def test_gap_map_rows():
-    rows = bandscan.gap_map(massive_dirac_model(), [(-1, 1)] * 2, 9)
-    assert rows.shape == (81, 3)
-    center = rows[np.argmin(np.abs(rows[:, 0]) + np.abs(rows[:, 1]))]
-    assert abs(center[2] - 0.1) < 1e-12
+    axes, gaps = bandscan.gap_map(massive_dirac_model(), [(-1, 1)] * 2, 9)
+    assert [axis.shape for axis in axes] == [(9,), (9,)]
+    assert gaps.shape == (9, 9)
+    center = np.unravel_index(np.argmin(np.abs(axes[0])[:, None] + np.abs(axes[1])), gaps.shape)
+    assert abs(gaps[center] - 0.1) < 1e-12
 
 
 def test_gap_map_in_chunks_matches_pointwise_gaps(monkeypatch):
     # 125 points in seven-point chunks: 17 full chunks and a partial last one.
     monkeypatch.setattr(_linalg, "CHUNK", 7)
     model = two_weyl_model()
-    rows = bandscan.gap_map(model, [(-1, 1)] * 3, 5)
-    expected = [gap_at(model, row[:3]) for row in rows]
-    assert np.max(np.abs(rows[:, 3] - expected)) <= 1e-14
+    axes, gaps = bandscan.gap_map(model, [(-1, 1)] * 3, 5)
+    expected = [
+        gap_at(model, [axis[i] for axis, i in zip(axes, index)]) for index in np.ndindex(gaps.shape)
+    ]
+    assert np.max(np.abs(gaps.ravel() - expected)) <= 1e-14

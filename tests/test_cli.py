@@ -736,7 +736,9 @@ def test_gap_map_csv_matches_csv_writer(request, tmp_path, model, grid, box):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([f"x{i + 1}" for i in range(dim)] + ["gap"])
-    for row in bandscan.gap_map(loaded, bounds, grid):
+    axes, gaps = bandscan.gap_map(loaded, bounds, grid)
+    for index in np.ndindex(gaps.shape):
+        row = [axis[i] for axis, i in zip(axes, index)] + [gaps[index]]
         writer.writerow([repr(float(v)) for v in row])
     assert path.read_text(encoding="utf-8") == buffer.getvalue()
 
@@ -745,18 +747,47 @@ def test_gap_map_writer_memory_stays_below_half_the_csv(two_weyl_path, tmp_path)
     # The block writer held the CSV about twice over; the slab writer holds one
     # slab of n^(dim-1) rows and the trailing coordinate strings.
     n = 32
-    rows = bandscan.gap_map(bandscan.load_model(two_weyl_path), [(-1.0, 1.0)] * 3, n)
+    axes, gaps = bandscan.gap_map(bandscan.load_model(two_weyl_path), [(-1.0, 1.0)] * 3, n)
     path = tmp_path / "gap.csv"
     tracemalloc.start()
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            cli._write_gap_map(handle, rows, n)
+            cli._write_gap_map(handle, axes, gaps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + n**3
     assert peak < size / 2, (peak, size)
+
+
+def test_scan_and_gap_map_hold_about_one_float_per_grid_node(weyl_path, tmp_path, capsys):
+    # The scan's coarse gaps and the map's gaps are one float per node each,
+    # and neither keeps a point or row array: 3 x 64^3 x 8 bytes bounds both.
+    n = 64
+    path = tmp_path / "gap.csv"
+    tracemalloc.start()
+    try:
+        code = main(["scan", weyl_path, "--grid", str(n), "--gap-map", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)) == 1
+    assert peak < 3 * n**3 * 8, peak
+
+
+@pytest.mark.parametrize("gap_map", [False, True])
+def test_a_grid_too_large_to_hold_exits_2(weyl_path, tmp_path, capsys, gap_map):
+    # 10^15 gaps (8e15 bytes) are far beyond the address space, so allocating
+    # the gap array fails at once and nothing is allocated.
+    target = tmp_path / "big.csv"
+    argv = ["scan", weyl_path, "--grid", "100000"]
+    assert main(argv + (["--gap-map", str(target)] if gap_map else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("value", ["-1e-3", "-2E+0"])

@@ -19,7 +19,7 @@ from kgen.clifford import (
     handedness_of,
     verify_rep,
 )
-from kgen.errors import InconsistentRepresentationError, NotIrreducibleError
+from kgen.errors import InconsistentRepresentationError, ModelFormatError, NotIrreducibleError
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -229,6 +229,21 @@ def test_payload_with_a_contradicted_label_is_refused(d, hand, label):
     # is refused when it is loaded, not read with a wrong label.
     payload = {**build_rep(d, hand).to_payload(), "handedness": label}
     with pytest.raises(InconsistentRepresentationError, match=f"label says {label!r}"):
+        CliffordRep.from_payload(payload)
+
+
+@pytest.mark.parametrize("d", ["1", True, 1.9, 1.0, None])
+def test_payload_d_must_be_a_json_integer(d):
+    payload = {**build_rep(1).to_payload(), "d": d}
+    with pytest.raises(ModelFormatError, match="'d' must be an integer"):
+        CliffordRep.from_payload(payload)
+
+
+@pytest.mark.parametrize("key", ["d", "handedness", "gammas"])
+def test_payload_missing_a_key_is_refused(key):
+    payload = build_rep(3).to_payload()
+    del payload[key]
+    with pytest.raises(ModelFormatError, match=f"missing the {key!r} key"):
         CliffordRep.from_payload(payload)
 
 
