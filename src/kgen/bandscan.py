@@ -18,7 +18,7 @@ import numpy as np
 
 from . import charge as charge_mod
 from . import generators
-from ._linalg import CHUNK, chunks, pauli_split
+from ._linalg import chunks, pauli_split
 from .errors import (
     ChiralSymmetryError,
     EnclosureInvalidError,
@@ -29,7 +29,7 @@ from .errors import (
     ModelFormatError,
     ModelOverflowError,
 )
-from .fields import EUCLIDEAN, MatrixPolyField
+from .fields import MatrixPolyField
 from .serialize import json_text, matrix_from_json, matrix_to_json, poly_from_json, terms_to_json
 
 # A refined gap minimum below GAP_TOL is a crossing, crossings within
@@ -116,18 +116,6 @@ class BandModel:
             )
         return generators.chiral_lower_block(self.field, self.chiral)
 
-    @classmethod
-    def from_field(
-        cls,
-        field: MatrixPolyField,
-        chiral=None,
-        fermi: float = 0.0,
-        name: str | None = None,
-        comment: str | None = None,
-    ) -> "BandModel":
-        euclidean = field.with_domain(EUCLIDEAN)
-        return cls(field=euclidean, chiral=chiral, fermi=fermi, name=name, comment=comment)
-
     def to_payload(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -141,7 +129,7 @@ class BandModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "BandModel":
-        fld = MatrixPolyField(*poly_from_json(payload), EUCLIDEAN)
+        fld = MatrixPolyField(*poly_from_json(payload))
         chiral = payload.get("chiral")
         if chiral is not None:
             chiral = matrix_from_json(chiral)
@@ -216,35 +204,41 @@ def gap_at(model: BandModel, x) -> float:
 
 
 def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
-    """Gaps at (M, m) points; a non-finite gap (the model overflows) is refused
-    with ModelOverflowError.
+    """Gaps at (M, m) points, at most one ``_linalg.chunks`` run of them; a
+    point where the model overflows is refused with ModelOverflowError.
 
     The gap is the smallest over the sectors of h - fermi I
     (``MatrixPolyField.sectors``), whose spectra make up that of the field.
     A 2 x 2 sector has the bands f0 - s and f0 + s at each point, and a 1 x 1
     one the band f0, with s = 0 (``_linalg.pauli_split``), so its gap is
-    ||f0| - s| with no eigensolver; larger sectors go to ``eigvalsh``
-    once their values, which can overflow, are known to be finite (it does not
-    converge on inf or NaN).
+    ||f0| - s| with no eigensolver; larger sectors go to ``eigvalsh``.  A
+    sector's values, which can overflow, are tested once for all points, since
+    ``eigvalsh`` does not converge on inf or NaN: the first point where they
+    are not finite is named.  When they are, the gap is tested, and the first
+    point where it is not finite is named.  On the Pauli path the gap of finite
+    values is finite (its sums are halved and its norm falls back to
+    ``hypot``); on the ``eigvalsh`` path it overflows with an eigenvalue past
+    float range.
     """
     gaps = np.full(len(points), np.inf)
-    coords = np.empty(4 * min(len(points), CHUNK))  # room for pauli_split
-    for sl in chunks(len(points)):
-        for field in model._shifted.sectors:
-            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-                h = field.evaluate_batch(points[sl])
+    coords = np.empty(4 * len(points))  # room for pauli_split
+    for field in model._shifted.sectors:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            h = field.evaluate_batch(points)
+            values = h.view(float).reshape(len(points), -1)
+            if not np.isfinite(values).all():
+                finite = np.isfinite(values).all(axis=1)
+            else:
                 if field.size <= 2:
                     f0, _, s = pauli_split((h,), coords)
                     gap = np.abs(np.abs(f0) - s)
-                elif np.isfinite(h).all():
+                else:
                     gap = np.min(np.abs(np.linalg.eigvalsh(h)), axis=1)
-                else:  # eigvalsh would not converge; mark the points to refuse
-                    gap = np.where(np.isfinite(h).all(axis=(1, 2)), 0.0, np.nan)
-            bad = ~np.isfinite(gap)
-            if bad.any():
-                where = points[sl][bad][0].tolist()
-                raise ModelOverflowError(f"gap is not finite at {where}; the model overflows there")
-            np.minimum(gaps[sl], gap, out=gaps[sl])
+                finite = np.isfinite(gap)
+        if not finite.all():
+            where = points[np.argmin(finite)].tolist()
+            raise ModelOverflowError(f"gap is not finite at {where}; the model overflows there")
+        np.minimum(gaps, gap, out=gaps)
     return gaps
 
 
@@ -429,7 +423,7 @@ def scan(model: BandModel, box, coarse_n: int = 16, resolution: int | None = Non
     reports come back sorted by location, the order of :func:`find_crossings`.
     """
     if resolution is not None:
-        charge_mod.check_resolution(resolution)
+        charge_mod.check_resolution(resolution, model.dimension - 1)
     crossings = find_crossings(model, box, coarse_n)
     reports = []
     for i, point in enumerate(crossings):

@@ -124,6 +124,13 @@ GAP_MIN = 1e-8
 PASS_RESIDUAL = 0.01
 DEFAULT_RESOLUTION = {1: 256, 2: 64, 3: 24}
 
+# The most nodes of the doubled grid (2n on S^1, 8 n^2 on S^2, 16 n^3 on
+# S^3) that a charge walks.  At the bound a 2 x 2 field takes 1.8 s on S^1,
+# 3.8 s on S^2 and 4.7 s on S^3 (one OpenBLAS thread, 2 cores, numpy 2.4.6),
+# and larger fields proportionally longer.  It is 8 times the largest grid
+# the tests and the benchmark use (S^2 at n = 512).
+MAX_GRID_NODES = 2**24
+
 
 @dataclass(frozen=True)
 class SphereGrid:
@@ -167,17 +174,27 @@ class ChargeResult:
         }
 
 
-def check_resolution(n) -> None:
-    """Refuse a grid resolution that is not an integer >= 4."""
+def check_resolution(n, dim: int) -> None:
+    """Refuse a resolution of a charge on S^dim that is not an integer >= 4, or
+    whose doubled grid, the convergence check's, has more than MAX_GRID_NODES
+    nodes; before any grid factor or Gauss-Legendre rule is built."""
+    if dim not in (1, 2, 3):
+        raise UnsupportedDimensionError(f"supported sphere dimensions are 1, 2, 3; got {dim}")
     if not isinstance(n, (int, np.integer)) or n < 4:
         raise ValueError(f"resolution must be an integer >= 4, got {n!r}")
+    m = 2 * int(n)  # a Python int, which cannot wrap as numpy's int64 would
+    nodes = m if dim == 1 else 2 * m**dim
+    if nodes > MAX_GRID_NODES:
+        raise ValueError(f"resolution {n} is too fine: its grid at 2n on S^{dim} has {nodes} "
+                         f"nodes, more than MAX_GRID_NODES = {MAX_GRID_NODES}")
 
 
 def sphere_grid(dim: int, n: int) -> SphereGrid:
     """Build the quadrature grid at resolution ``n``: all the rows that the
     charge kernels generate chunk by chunk (:class:`GridRows`), in fresh arrays
     of the same coordinate-major layout, so ``nodes`` and ``dx_dparam`` are
-    not C-contiguous (see :class:`SphereGrid`).
+    not C-contiguous (see :class:`SphereGrid`).  A resolution that the charges
+    refuse (:func:`check_resolution`) is refused here too.
 
     S^1 is n equispaced angles.  S^d for d = 2, 3 is the suspension of an
     inner grid on S^(d-1): x = (sin psi * y, cos psi), so d/dpsi =
@@ -189,6 +206,7 @@ def sphere_grid(dim: int, n: int) -> SphereGrid:
     psi = theta, and (psi, theta, phi) on S^3; nodes run over psi first, then
     the inner grid.
     """
+    check_resolution(n, dim)
     rows = _grid_rows(dim, n)
     return rows.rows(0, rows.size)
 
@@ -278,11 +296,8 @@ def _empty_rows(dim: int, m: int) -> SphereGrid:
 
 
 def _grid_rows(dim: int, n: int) -> GridRows:
-    """The :class:`GridRows` of S^dim at resolution ``n``, both checked before
-    the cache is consulted."""
-    if dim not in (1, 2, 3):
-        raise UnsupportedDimensionError(f"supported sphere dimensions are 1, 2, 3; got {dim}")
-    check_resolution(n)
+    """The cached :class:`GridRows` of S^dim at resolution ``n``, which the
+    caller has checked (:func:`check_resolution`)."""
     return _cached_grid_rows(dim, int(n))
 
 
@@ -609,6 +624,7 @@ def _assemble(kernel, field: MatrixPolyField, dim: int, resolution: int | None,
     (0 + -0.0 would be 0.0)."""
     if resolution is None:
         resolution = DEFAULT_RESOLUTION[dim]
+    check_resolution(resolution, dim)
     grids = [_grid_rows(dim, n) for n in (resolution, 2 * resolution)]
     size = max(sector.size for sector in field.sectors)
     block = _chunk_block(dim, size, min(_linalg.CHUNK, grids[1].size))

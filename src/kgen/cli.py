@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bandscan, clifford, generators, kmaps
 from .errors import KgenError
-from .fields import EUCLIDEAN
 from .serialize import json_text, matrix_to_json
 
 EXIT_OK = 0
@@ -84,17 +83,14 @@ def _cmd_generator(args) -> int:
 
     name = f"{args.kind}-d{args.d}"
     if field.selfadjoint and field.ambient_dim in (2, 3):
-        model = bandscan.BandModel.from_field(
-            field,
-            chiral=None if grading is None else grading.matrix,
-            fermi=0.0,
-            name=name,
+        model = bandscan.BandModel(
+            field, chiral=None if grading is None else grading.matrix, name=name
         )
         _emit_json(model.to_payload(), args.out)
     else:
         # A band model is Hermitian with 2 or 3 variables; other fields (the
         # Dirac phase, and generators in more variables) use the field schema.
-        payload = field.with_domain(EUCLIDEAN).to_payload()
+        payload = field.to_payload()
         payload["name"] = name
         _emit_json(payload, args.out)
     return EXIT_OK

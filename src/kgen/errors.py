@@ -57,7 +57,7 @@ class ModelOverflowError(KgenError, ValueError):
 
 class ModelFormatError(KgenError, ValueError):
     """A model or field file does not parse, or a field's coefficients violate
-    the schema (multi-index, shape, domain, dimension or size)."""
+    the schema (multi-index, shape, dimension or size)."""
 
 
 class HermiticityError(ModelFormatError):

@@ -1,11 +1,13 @@
-"""Matrix-valued fields on spheres, discs, and Euclidean space.
+"""Matrix-valued fields on R^m.
 
 :class:`MatrixPolyField` stores a matrix polynomial as a map from multi-indices
 to coefficient matrices.  Evaluation and partial derivatives are exact, which
 is what lets the charge quadratures downstream avoid numerical
 differentiation altogether.  :class:`EvaluableField` wraps an arbitrary
 batch evaluator for the non-polynomial objects (bounded transforms,
-connecting-map images).
+connecting-map images).  A field is its coefficients or its evaluator alone:
+it is restricted to a sphere or a ball only where a caller samples it (the
+charge grids, the verify suites' points).
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ import numpy as np
 from ._linalg import dagger, max_abs
 from .errors import DimensionMismatchError, HermiticityError, ModelFormatError
 from .serialize import poly_from_json, terms_to_json
-
-SPHERE = "sphere"
-DISC = "disc"
-EUCLIDEAN = "euclidean"
-_DOMAINS = (SPHERE, DISC, EUCLIDEAN)
 
 # A coefficient identity (Hermiticity, anti-commutation with a grading) holds
 # when its residual is at most this times the largest coefficient entry of
@@ -48,13 +45,10 @@ class MatrixPolyField:
     ambient_dim: int
     size: int
     terms: dict
-    domain: str = EUCLIDEAN
 
     def __post_init__(self):
         # The one check of the coefficient schema, for read and derived fields alike.
         n = self.size
-        if self.domain not in _DOMAINS:
-            raise ModelFormatError(f"unknown domain tag {self.domain!r}")
         if self.ambient_dim < 1 or n < 1:
             raise ModelFormatError(
                 f"'dimension' and 'size' must be >= 1, got {self.ambient_dim} and {n}"
@@ -220,9 +214,6 @@ class MatrixPolyField:
                     new_terms[ks] = new_terms.get(ks, 0) + coeff * mat
         return replace(self, terms=new_terms)
 
-    def with_domain(self, domain: str) -> "MatrixPolyField":
-        return replace(self, domain=domain)
-
     # -- decoupled sectors ----------------------------------------------------
 
     @cached_property
@@ -273,21 +264,22 @@ class MatrixPolyField:
         return {
             "dimension": self.ambient_dim,
             "size": self.size,
-            "domain": self.domain,
             "selfadjoint": self.selfadjoint,
             "terms": terms_to_json(dict(self.terms)),
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MatrixPolyField":
-        """Field from :meth:`to_payload` output; a flag or tag it cannot hold is a
+        """Field from :meth:`to_payload` output; a flag it cannot hold is a
         ModelFormatError, and ``selfadjoint: true`` needs Hermitian coefficients.
-        With ``false`` the field still reports what its coefficients say."""
+        With ``false`` the field still reports what its coefficients say.  Other
+        keys are ignored: the ``"name"`` that ``kgen generator`` writes, and the
+        ``"domain"`` tag of older files."""
         ambient, size, terms = poly_from_json(payload)
         selfadjoint = payload.get("selfadjoint", False)
         if not isinstance(selfadjoint, bool):
             raise ModelFormatError(f"'selfadjoint' must be true or false, got {selfadjoint!r}")
-        field = cls(ambient, size, terms, payload.get("domain", EUCLIDEAN))
+        field = cls(ambient, size, terms)
         if selfadjoint and not field.selfadjoint:
             raise HermiticityError(f"'selfadjoint' is true but the coefficients at multi-indices "
                                    f"{field.non_hermitian_terms()} are not Hermitian")

@@ -14,8 +14,8 @@ import numpy as np
 from . import clifford
 from ._linalg import dagger, func_of_hermitian, max_abs, operator_norm, sq_norms
 from .errors import ChiralSymmetryError, DimensionMismatchError
-from .fields import COEFFICIENT_TOL, EUCLIDEAN, SPHERE, EvaluableField, MatrixPolyField, unit_index
-from .sampling import check_samples, sphere_points
+from .fields import COEFFICIENT_TOL, EvaluableField, MatrixPolyField, unit_index
+from .sampling import check_samples, seeded_rng, sphere_points
 from .serialize import suite_report
 
 # Seeded sphere directions sampled by compact_resolvent_profile.
@@ -38,34 +38,34 @@ def _representation(rep: clifford.CliffordRep | str, count: int, d: int) -> clif
     return rep
 
 
-def weyl_field(d: int, rep: clifford.CliffordRep | str, domain: str = SPHERE) -> MatrixPolyField:
-    """Weyl Hamiltonian field sum_{j=1}^{d+1} x_j Gamma_j.
+def weyl_field(d: int, rep: clifford.CliffordRep | str) -> MatrixPolyField:
+    """Weyl Hamiltonian field sum_{j=1}^{d+1} x_j Gamma_j for even d.
 
-    With the sphere tag this is the even-d generator (a self-adjoint unitary
-    on S^d, since its square is ||x||^2); with the Euclidean tag the same
-    formula is the unbounded representative and d may have either parity.
-    ``rep`` is a :class:`clifford.CliffordRep` with d + 1 generators or a
-    handedness to build one with, after the parity check.
+    On the unit sphere S^d it is the even generator, a self-adjoint unitary,
+    since its square is ||x||^2; off the sphere it is the unbounded
+    representative.  ``rep`` is a :class:`clifford.CliffordRep` with d + 1
+    generators or a handedness to build one with, after the parity check.
+    (For odd d the same sum over d + 1 generators is the chiral
+    :func:`dirac_hamiltonian_field`.)
     """
-    if domain == SPHERE and d % 2 != 0:
-        raise DimensionMismatchError(f"sphere-restricted Weyl field requires even d, got {d}")
-    return _gamma_sum(_representation(rep, d + 1, d), domain)
+    if d % 2 != 0:
+        raise DimensionMismatchError(f"Weyl field requires even d, got {d}")
+    return _gamma_sum(_representation(rep, d + 1, d))
 
 
-def _gamma_sum(rep: clifford.CliffordRep, domain: str) -> MatrixPolyField:
+def _gamma_sum(rep: clifford.CliffordRep) -> MatrixPolyField:
     """sum_j x_j Gamma_j over all generators of ``rep``, in as many variables."""
     terms = {unit_index(j, rep.d): gamma for j, gamma in enumerate(rep.gammas)}
-    return MatrixPolyField(rep.d, rep.N, terms, domain)
+    return MatrixPolyField(rep.d, rep.N, terms)
 
 
-def dirac_phase_field(
-    d: int, rep: clifford.CliffordRep | str, domain: str = SPHERE
-) -> MatrixPolyField:
-    """Dirac phase field sum_{j=1}^{d} x_j Gamma_j + i x_(d+1).
+def dirac_phase_field(d: int, rep: clifford.CliffordRep | str) -> MatrixPolyField:
+    """Dirac phase field sum_{j=1}^{d} x_j Gamma_j + i x_(d+1) for odd d.
 
-    Unitary on the sphere for odd d; the Euclidean variant is the non-self-
-    adjoint unbounded representative.  ``rep`` is a representation with d
-    generators or a handedness, as for :func:`weyl_field`.
+    On the unit sphere S^d it is the odd generator, a unitary; off the sphere
+    it is the non-self-adjoint unbounded representative.  ``rep`` is a
+    representation with d generators or a handedness, as for
+    :func:`weyl_field`.
     """
     if d % 2 != 1:
         raise DimensionMismatchError(f"Dirac phase requires odd d, got {d}")
@@ -73,7 +73,7 @@ def dirac_phase_field(
     m = d + 1
     terms = {unit_index(j, m): rep.gammas[j] for j in range(d)}
     terms[unit_index(d, m)] = 1j * np.eye(rep.N, dtype=complex)
-    return MatrixPolyField(m, rep.N, terms, domain)
+    return MatrixPolyField(m, rep.N, terms)
 
 
 def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep | str):
@@ -89,7 +89,7 @@ def dirac_hamiltonian_field(d: int, rep: clifford.CliffordRep | str):
         raise DimensionMismatchError(f"chiral Dirac Hamiltonian requires odd d, got {d}")
     rep = _representation(rep, d + 1, d)
     grading = clifford.grading_of(rep)
-    return _gamma_sum(rep, SPHERE), grading
+    return _gamma_sum(rep), grading
 
 
 def grading_eigenvectors(field: MatrixPolyField, j: np.ndarray):
@@ -130,7 +130,7 @@ def chiral_lower_block(field: MatrixPolyField, j_matrix) -> MatrixPolyField:
             "off-diagonal block is not square"
         )
     terms = {alpha: dagger(minus) @ mat @ plus for alpha, mat in field.terms.items()}
-    return MatrixPolyField(field.ambient_dim, plus.shape[1], terms, field.domain)
+    return MatrixPolyField(field.ambient_dim, plus.shape[1], terms)
 
 
 def bounded_transform(field: MatrixPolyField) -> EvaluableField:
@@ -182,11 +182,11 @@ def verify_fredholm(samples: int = 1000, seed: int = 0) -> dict:
     probes.  PASS requires agreement to 1e-12.
     """
     check_samples(samples)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     radii = (0.0, 1.0, 7.0)
 
-    weyl = weyl_field(2, clifford.build_rep(3, clifford.LEFT), domain=EUCLIDEAN)
-    dirac = dirac_phase_field(1, clifford.build_rep(1, clifford.LEFT), domain=EUCLIDEAN)
+    weyl = weyl_field(2, clifford.build_rep(3, clifford.LEFT))
+    dirac = dirac_phase_field(1, clifford.build_rep(1, clifford.LEFT))
 
     worst = 0.0
     for fld in (weyl, dirac):

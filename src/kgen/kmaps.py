@@ -29,8 +29,8 @@ import numpy as np
 from . import clifford, generators
 from ._linalg import CHUNK, dagger, func_of_hermitian, max_abs, operator_norm, sq_norms, sqrt_psd
 from .errors import DomainError, LiftInvalidError, PoleError
-from .fields import DISC, EvaluableField
-from .sampling import ball_points, check_samples, sphere_points
+from .fields import EvaluableField
+from .sampling import ball_points, check_samples, seeded_rng, sphere_points
 from .serialize import suite_report
 
 # Admissibility tolerance for contraction/self-adjointness of lifts, and the
@@ -256,8 +256,8 @@ def homotopy_scan(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:
     _check_level("homotopy", d)
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
-    lift = generators.weyl_field(d, rep, domain=DISC)
-    points = ball_points(d + 1, samples, np.random.default_rng(seed))
+    lift = generators.weyl_field(d, rep)
+    points = ball_points(d + 1, samples, seeded_rng(seed))
     min_sv = np.inf
     for t in np.linspace(0.0, 1.0, HOMOTOPY_T_POINTS).tolist():
         for block in _blocks(points, lift.size):
@@ -280,8 +280,7 @@ def _identity_report(suite: str, d: int, image, target, to_target, samples: int,
     """Report of a pointwise identity: ``image`` at seeded points y of the ball
     ||y|| <= BALL_CUTOFF against ``target`` at ``to_target(y)``, entrywise,
     block by block (:func:`_blocks`)."""
-    rng = np.random.default_rng(seed)
-    points = ball_points(image.ambient_dim, samples, rng, max_norm=BALL_CUTOFF)
+    points = ball_points(image.ambient_dim, samples, seeded_rng(seed), max_norm=BALL_CUTOFF)
     pairs = zip(_blocks(points, image.size), _blocks(to_target(points), image.size))
     worst = max(max_abs(image.evaluate_batch(y) - target.evaluate_batch(x)) for y, x in pairs)
     return suite_report(
@@ -300,7 +299,7 @@ def verify_index_identity(d: int = 1, samples: int = 1000, seed: int = 0) -> dic
     _check_level("index", d)
     check_samples(samples)
     rep = clifford.build_rep(d, clifford.LEFT)
-    lift = generators.dirac_phase_field(d, rep, domain=DISC)
+    lift = generators.dirac_phase_field(d, rep)
     v_field = index_map(lift)
     extended = clifford.extend(rep)
     weyl = generators.weyl_field(d + 1, extended)
@@ -325,7 +324,7 @@ def verify_exp_identity(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:
     _check_level("exp", d)
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
-    lift = generators.weyl_field(d, rep, domain=DISC)
+    lift = generators.weyl_field(d, rep)
     image = exp_map(lift, convention="forward")
     dirac = generators.dirac_phase_field(d + 1, rep)
     return _identity_report("exp", d, image, dirac, _exp_point, samples, seed)

@@ -15,6 +15,14 @@ def check_samples(samples: int) -> None:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of a suite's ``seed``, refused with a ValueError naming it
+    unless it is a non-negative integer (numpy's own refusal names no seed)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def sphere_points(ambient_dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points on the unit sphere in R^ambient_dim, shape (count, ambient_dim)."""
     pts = rng.standard_normal((count, ambient_dim))

@@ -13,7 +13,7 @@ import numpy as np
 from kgen import bandscan, clifford, generators, kmaps
 from kgen.charge import chern_2, chern_sign_weyl, winding_1, winding_3
 from kgen.cli import main
-from kgen.fields import EUCLIDEAN, SPHERE, MatrixPolyField
+from kgen.fields import MatrixPolyField
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -181,10 +181,10 @@ def test_criterion_6_charge_algebra():
         return {a: 0.1 * m / norm for a, m in terms.items()}
 
     for _ in range(10):
-        perturbed = dirac1().plus(MatrixPolyField(2, 1, bump(2, 1), SPHERE))
+        perturbed = dirac1().plus(MatrixPolyField(2, 1, bump(2, 1)))
         passed &= winding_1(perturbed).charge == winding_1(dirac1()).charge
     for _ in range(10):
-        perturbed = weyl2().plus(MatrixPolyField(3, 2, bump(3, 2), SPHERE))
+        perturbed = weyl2().plus(MatrixPolyField(3, 2, bump(3, 2)))
         passed &= chern_2(perturbed).charge == chern_sign_weyl()
 
     report(6, "charge algebra: additivity, reflection, conjugation, 20 perturbations",
@@ -199,7 +199,7 @@ def test_criterion_7_band_phenomenology():
         (0, 0, 0): -0.25 * SIGMA[2],
     }
     two_weyl = bandscan.BandModel(
-        MatrixPolyField(3, 2, terms, EUCLIDEAN), name="two-weyl"
+        MatrixPolyField(3, 2, terms), name="two-weyl"
     )
     reports = bandscan.scan(two_weyl, [(-1, 1)] * 3)
     locations = [np.array(r.location) for r in reports]
@@ -218,7 +218,6 @@ def test_criterion_7_band_phenomenology():
     massive = bandscan.BandModel(
         MatrixPolyField(
             2, 2, {(1, 0): SIGMA[0], (0, 1): SIGMA[1], (0, 0): 0.1 * SIGMA[2]},
-            EUCLIDEAN,
         ),
         name="massive",
     )
@@ -227,7 +226,7 @@ def test_criterion_7_band_phenomenology():
     ok_massive &= abs(gap_value - 0.1) < 1e-9
 
     chiral = bandscan.BandModel(
-        MatrixPolyField(2, 2, {(1, 0): SIGMA[0], (0, 1): SIGMA[1]}, EUCLIDEAN),
+        MatrixPolyField(2, 2, {(1, 0): SIGMA[0], (0, 1): SIGMA[1]}),
         chiral=SIGMA[2],
     )
     base_charge = bandscan.charge_crossing(chiral, [0.0, 0.0], radius=0.6).charge.charge
@@ -241,7 +240,7 @@ def test_criterion_7_band_phenomenology():
             (0, 0): c[0] * SIGMA[0] + c[1] * SIGMA[1],
         }
         perturbed = bandscan.BandModel(
-            MatrixPolyField(2, 2, perturbed_terms, EUCLIDEAN),
+            MatrixPolyField(2, 2, perturbed_terms),
             chiral=SIGMA[2],
         )
         ok_chiral &= (
@@ -256,8 +255,8 @@ def test_criterion_7_band_phenomenology():
 
 
 def test_criterion_8_fredholm_profile():
-    weyl = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT), domain=EUCLIDEAN)
-    dirac = generators.dirac_phase_field(1, clifford.build_rep(1, clifford.LEFT), domain=EUCLIDEAN)
+    weyl = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT))
+    dirac = generators.dirac_phase_field(1, clifford.build_rep(1, clifford.LEFT))
     worst_profile = 0.0
     for field in (weyl, dirac):
         for r, value in generators.compact_resolvent_profile(field, [0.0, 1.0, 7.0]):
@@ -286,7 +285,7 @@ def test_criterion_9_determinism(tmp_path):
         (0, 0, 0): -0.25 * SIGMA[2],
     }
     model = bandscan.BandModel(
-        MatrixPolyField(3, 2, terms, EUCLIDEAN), name="two-weyl"
+        MatrixPolyField(3, 2, terms), name="two-weyl"
     )
     model_path = tmp_path / "model.json"
     bandscan.save_model(model, model_path)

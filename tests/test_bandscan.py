@@ -25,7 +25,7 @@ from kgen.errors import (
     MissingChiralError,
     ModelFormatError,
 )
-from kgen.fields import EUCLIDEAN, MatrixPolyField
+from kgen.fields import MatrixPolyField
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -35,7 +35,7 @@ SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 def weyl_model():
     """Three-dimensional point crossing, terms x_j -> sigma_j."""
     terms = {(1, 0, 0): SIGMA_1, (0, 1, 0): SIGMA_2, (0, 0, 1): SIGMA_3}
-    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN), name="weyl")
+    return BandModel(MatrixPolyField(3, 2, terms), name="weyl")
 
 
 def two_weyl_model(b=0.5):
@@ -46,13 +46,13 @@ def two_weyl_model(b=0.5):
         (0, 0, 2): SIGMA_3,
         (0, 0, 0): -(b**2) * SIGMA_3,
     }
-    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN), name="two-weyl")
+    return BandModel(MatrixPolyField(3, 2, terms), name="two-weyl")
 
 
 def chiral_dirac_model():
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
     return BandModel(
-        MatrixPolyField(2, 2, terms, EUCLIDEAN),
+        MatrixPolyField(2, 2, terms),
         chiral=SIGMA_3,
         name="dirac-2d",
     )
@@ -60,7 +60,7 @@ def chiral_dirac_model():
 
 def massive_dirac_model(m=0.1):
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2, (0, 0): m * SIGMA_3}
-    return BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), name="massive")
+    return BandModel(MatrixPolyField(2, 2, terms), name="massive")
 
 
 # -- validation ----------------------------------------------------------------
@@ -69,7 +69,7 @@ def massive_dirac_model(m=0.1):
 def test_model_requires_hermitian_coefficients():
     terms = {(1, 0): np.array([[0, 1], [0, 0]], dtype=complex)}
     with pytest.raises(HermiticityError):
-        BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN))
+        BandModel(MatrixPolyField(2, 2, terms))
 
 
 def rotated(terms, scale, chiral=None, seed=3):
@@ -77,7 +77,7 @@ def rotated(terms, scale, chiral=None, seed=3):
     rng = np.random.default_rng(seed)
     w, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     dim = len(next(iter(terms)))
-    field = MatrixPolyField(dim, 2, {a: scale * m for a, m in terms.items()}, EUCLIDEAN)
+    field = MatrixPolyField(dim, 2, {a: scale * m for a, m in terms.items()})
     return BandModel(
         field.conjugated_by(w), chiral=None if chiral is None else w.conj().T @ chiral @ w
     )
@@ -91,7 +91,7 @@ def test_rotated_models_load_and_scan_at_any_scale(scale):
     # The coefficient checks are relative to the largest entry, so rescaling
     # a valid model never turns its rotation rounding into a refusal.
     pair = scan(rotated(CHIRAL_PAIR, scale, chiral=SIGMA_3), [(-1, 1)] * 2)
-    reference = scan(BandModel(MatrixPolyField(2, 2, CHIRAL_PAIR, EUCLIDEAN), chiral=SIGMA_3),
+    reference = scan(BandModel(MatrixPolyField(2, 2, CHIRAL_PAIR), chiral=SIGMA_3),
                      [(-1, 1)] * 2)
     assert [r.charge.charge for r in pair] == [r.charge.charge for r in reference]
     assert sorted(r.charge.charge for r in pair) == [-1, 1]
@@ -153,7 +153,7 @@ def test_relative_coefficient_defects_refused_at_small_scale():
     base = {(1, 0): scale * SIGMA_1, (0, 1): scale * SIGMA_2}
     massive = {**base, (0, 0): scale * defect * SIGMA_3}
     with pytest.raises(ChiralSymmetryError, match=r"\[\(0, 0\)\]"):
-        BandModel(MatrixPolyField(2, 2, massive, EUCLIDEAN), chiral=SIGMA_3)
+        BandModel(MatrixPolyField(2, 2, massive), chiral=SIGMA_3)
     with pytest.raises(errors.NotChiralError, match=r"\[\(0, 0\)\]"):
         generators.chiral_lower_block(MatrixPolyField(2, 2, massive), SIGMA_3)
     skew = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -167,7 +167,7 @@ def test_relative_coefficient_defects_refused_at_small_scale():
 
 def test_model_dimension_guard():
     with pytest.raises(ModelFormatError):
-        BandModel(MatrixPolyField(4, 2, {(0, 0, 0, 0): np.eye(2)}, EUCLIDEAN))
+        BandModel(MatrixPolyField(4, 2, {(0, 0, 0, 0): np.eye(2)}))
 
 
 def test_load_save_round_trip(tmp_path):
@@ -309,7 +309,7 @@ def test_two_dimensional_model_needs_equal_chiral_eigenspaces():
     j = np.diag([1.0, 1.0, -1.0]).astype(complex)
     a, b = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
     a[0, 2] = a[2, 0] = b[1, 2] = b[2, 1] = 1.0
-    field = MatrixPolyField(2, 3, {(1, 0): a, (0, 1): b}, EUCLIDEAN)
+    field = MatrixPolyField(2, 3, {(1, 0): a, (0, 1): b})
     with pytest.raises(ChiralSymmetryError, match="eigenspaces have sizes 2 and 1"):
         BandModel(field, chiral=j)
 
@@ -360,7 +360,7 @@ MIDDLE[1, 2] = MIDDLE[2, 1] = 1.0
 def test_model_and_chiral_block_refuse_a_chiral_matrix_alike(terms, j, message):
     # One check of the chiral matrix: loading a model and extracting the
     # chiral block refuse each J with the same message.
-    field = MatrixPolyField(2, len(j), terms, EUCLIDEAN)
+    field = MatrixPolyField(2, len(j), terms)
     with pytest.raises(ChiralSymmetryError, match=message) as loaded:
         BandModel(field, chiral=j)
     with pytest.raises(errors.NotChiralError) as extracted:
@@ -377,7 +377,7 @@ def test_a_two_dimensional_scan_checks_its_chiral_matrix_once(monkeypatch):
         generators, "grading_eigenvectors", lambda *args: calls.append(args) or check(*args)
     )
     terms = {(2, 0): SIGMA_1, (0, 0): -0.25 * SIGMA_1, (0, 1): SIGMA_2}
-    model = BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3)
+    model = BandModel(MatrixPolyField(2, 2, terms), chiral=SIGMA_3)
     reports = scan(model, [(-1, 1)] * 2)
     assert [r.classification for r in reports] == ["dirac-chiral"] * 2
     assert len(calls) == 1
@@ -389,10 +389,10 @@ def test_the_fermi_level_cancels_before_the_model_is_evaluated(c):
     # coefficient, c cancels exactly; subtracted from evaluated entries, it
     # rounded them at its own scale first.
     w = generators.weyl_field(2, clifford.LEFT)
-    shifted = w.plus(MatrixPolyField(3, 2, {(0, 0, 0): c * np.eye(2)}, w.domain))
+    shifted = w.plus(MatrixPolyField(3, 2, {(0, 0, 0): c * np.eye(2)}))
     expected = charge.chern_2(w)
     assert charge.chern_2(shifted, fermi=c).convergence_pair == expected.convergence_pair
-    [report] = scan(BandModel.from_field(shifted, fermi=c), [(-1, 1)] * 3)
+    [report] = scan(BandModel(shifted, fermi=c), [(-1, 1)] * 3)
     assert report.error is None and np.linalg.norm(report.location) < 1e-6
     assert report.charge.converged and report.charge.charge == expected.charge
 
@@ -400,7 +400,7 @@ def test_the_fermi_level_cancels_before_the_model_is_evaluated(c):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_fermi_level_that_overflows_the_constant_coefficient_is_refused():
     terms = {(1, 0, 0): SIGMA_1, (0, 0, 0): 1e308 * np.eye(2)}
-    field = MatrixPolyField(3, 2, terms, EUCLIDEAN)
+    field = MatrixPolyField(3, 2, terms)
     with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
         BandModel(field, fermi=-1e308)
     with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
@@ -418,7 +418,7 @@ def test_load_rejects_non_finite_values(tmp_path, where, value):
         coefficient, chiral = SIGMA_1.copy(), SIGMA_3.copy()
         (coefficient if where == "built-coefficient" else chiral)[1, 1] = value
         with pytest.raises(ModelFormatError, match="finite"):
-            field = MatrixPolyField(2, 2, {(1, 0): coefficient, (0, 1): SIGMA_2}, EUCLIDEAN)
+            field = MatrixPolyField(2, 2, {(1, 0): coefficient, (0, 1): SIGMA_2})
             BandModel(field, chiral=chiral)
         return
     payload = chiral_dirac_model().to_payload()
@@ -523,7 +523,7 @@ def test_charge_weyl_crossing_matches_generator():
     # Radial scaling invariance: the enclosure charge equals the charge of the
     # same matrices restricted to the unit sphere.
     direct = charge.chern_2(
-        MatrixPolyField(3, 2, dict(weyl_model().terms), EUCLIDEAN)
+        MatrixPolyField(3, 2, dict(weyl_model().terms))
     )
     assert report.charge.charge == direct.charge
     assert abs(report.charge.charge) == 1
@@ -531,7 +531,7 @@ def test_charge_weyl_crossing_matches_generator():
 
 def test_exported_generator_model_reproduces_charge(tmp_path):
     field = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT))
-    model = BandModel.from_field(field, name="generator-export")
+    model = BandModel(field, name="generator-export")
     path = tmp_path / "generator.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -614,7 +614,7 @@ def test_high_degree_enclosure_is_charged_in_bounded_memory():
     # the last monomial into 9^3 terms and peak near 280 MiB.
     terms = {(1, 0, 0): SIGMA_1, (0, 1, 0): -SIGMA_2, (0, 0, 1): SIGMA_3,
              (8, 8, 8): 0.01 * SIGMA_3}
-    model = BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN))
+    model = BandModel(MatrixPolyField(3, 2, terms))
     tracemalloc.start()
     try:
         report = charge_crossing(model, [1e-3] * 3, radius=0.3)
@@ -668,7 +668,7 @@ def test_chiral_protection_under_perturbations():
         terms = dict(base.terms)
         terms[(0, 0)] = terms.get((0, 0), 0) + c[0] * SIGMA_1 + c[1] * SIGMA_2
         perturbed = BandModel(
-            MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3
+            MatrixPolyField(2, 2, terms), chiral=SIGMA_3
         )
         report = charge_crossing(perturbed, [0.0, 0.0], radius=0.6)
         assert report.charge.charge == reference
@@ -682,7 +682,7 @@ def test_weyl_stability_constant_perturbation():
         t = float(rng.uniform(-0.3, 0.3))
         terms = dict(weyl_model().terms)
         terms[(0, 0, 0)] = t * sigmas[j]
-        model = BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN))
+        model = BandModel(MatrixPolyField(3, 2, terms))
         points = find_crossings(model, [(-1, 1)] * 3)
         assert len(points) == 1
         # Crossing moved off the origin but the charge is unchanged.
@@ -719,7 +719,7 @@ def test_scan_single_crossing_uses_capped_radius():
 
 def constant_gapped_model():
     terms = {(0, 0, 0): SIGMA_3}
-    return BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN), name="flat")
+    return BandModel(MatrixPolyField(3, 2, terms), name="flat")
 
 
 def test_flat_gap_starts_one_search():
@@ -794,6 +794,27 @@ def test_pattern_search_matches_per_point_polling(start):
     ref_x, ref_fx = compass_reference(gaps, start, 0.25, box)
     assert x.tolist() == ref_x.tolist()
     assert fx == ref_fx
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "size, x, overflow",
+    [(2, 2.5, "values"), (2, 1e10, "values"), (3, 2.5, "eigenvalues"), (3, 1e10, "values")],
+)
+def test_a_batch_names_its_first_point_where_the_gap_is_not_finite(size, x, overflow):
+    # 1e308 x1 R for a reflection R (a Pauli sector for size 2, eigvalsh for 3).
+    # At x1 = 2.5 the 3 x 3 values (at most 1.67e308) are finite, but the
+    # eigenvalues +-2.5e308 are not: the gap is refused all the same.
+    reflection = SIGMA_1 if size == 2 else np.eye(3) - 2.0 / 3.0 * np.ones((3, 3))
+    model = BandModel(MatrixPolyField(3, size, {(1, 0, 0): 1e308 * reflection}))
+    assert len(model.field.sectors) == 1
+    with np.errstate(over="ignore"):
+        values = model.field.evaluate([x, 0.0, 0.0])
+    assert np.isfinite(values).all() == (overflow == "eigenvalues")
+    points = np.array([[0.5, 0.0, 0.0], [x, 0.0, 0.0], [x / 4, 0.0, 0.0]])
+    with pytest.raises(errors.ModelOverflowError, match=rf"gap is not finite at \[{x}, 0.0, 0.0\]"):
+        bandscan._gap_batch(model, points)
+    assert bandscan._gap_batch(model, points[:1])[0] == pytest.approx(0.5e308, rel=1e-15)
 
 
 def test_gap_map_rows():

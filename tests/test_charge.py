@@ -23,7 +23,7 @@ from kgen.errors import (
     ModelOverflowError,
     UnsupportedDimensionError,
 )
-from kgen.fields import SPHERE, MatrixPolyField
+from kgen.fields import MatrixPolyField
 
 
 def weyl2(handedness=clifford.LEFT):
@@ -326,21 +326,21 @@ def test_winding_circle_generator():
 
 
 def test_winding_constant_identity():
-    field = MatrixPolyField(2, 2, {(0, 0): np.eye(2)}, SPHERE)
+    field = MatrixPolyField(2, 2, {(0, 0): np.eye(2)})
     result = winding_1(field)
     assert result.charge == 0
     assert result.residual < 1e-12
 
 
 def test_winding_conjugate_generator():
-    conj = MatrixPolyField(2, 1, {(1, 0): [[1.0]], (0, 1): [[-1j]]}, SPHERE)
+    conj = MatrixPolyField(2, 1, {(1, 0): [[1.0]], (0, 1): [[-1j]]})
     result = winding_1(conj)
     assert result.charge == -1
     assert det_winding_oracle(conj) == -1
 
 
 def test_winding_gap_closed():
-    field = MatrixPolyField(2, 1, {(1, 0): [[1.0]]}, SPHERE)  # vanishes at x1 = 0
+    field = MatrixPolyField(2, 1, {(1, 0): [[1.0]]})  # vanishes at x1 = 0
     with pytest.raises(GapClosedError):
         winding_1(field)
 
@@ -349,7 +349,7 @@ def test_winding_gap_closed():
 @pytest.mark.parametrize("constant", [np.zeros((2, 2)), np.diag([1.0, 0.0])])
 def test_winding_singular_constant_is_gap_closed(ambient, constant):
     # inv refuses these matrices outright; the SVD gives the usual error.
-    field = MatrixPolyField(ambient, 2, {(0,) * ambient: constant}, SPHERE)
+    field = MatrixPolyField(ambient, 2, {(0,) * ambient: constant})
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(field.evaluate_batch(sphere_grid(ambient - 1, 4).nodes))
     winding = winding_1 if ambient == 2 else winding_3
@@ -363,7 +363,7 @@ def test_winding_exact_zero_pivot_is_gap_closed():
     # the field as inv does, with the SVD's sigma_min.
     constant = [[3e9, 1e9], [1e9, (1e9 / 3e9) * 1e9]]
     with pytest.raises(GapClosedError, match="min singular value 5.6"):
-        winding_1(MatrixPolyField(2, 2, {(0, 0): constant}, SPHERE))
+        winding_1(MatrixPolyField(2, 2, {(0, 0): constant}))
 
 
 def scaled(field, factor):
@@ -446,7 +446,7 @@ def test_a_zero_pivot_in_inv_is_gap_closed(monkeypatch):
     # LinAlgError on that chunk, and the SVD names sigma_min.
     rng = np.random.default_rng(0)
     a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
-    field = MatrixPolyField(2, 3, {(0, 0): -a, (1, 0): a, (0, 1): b}, SPHERE)
+    field = MatrixPolyField(2, 3, {(0, 0): -a, (1, 0): a, (0, 1): b})
     assert [s.size for s in field.sectors] == [3]
     raised, inv = [], np.linalg.inv
 
@@ -474,7 +474,7 @@ def test_overflowing_values_of_a_large_sector_never_reach_lapack(monkeypatch):
     a = f @ np.diag([1.0, 2.0, 3.0]) @ f.conj().T
     a *= 1.5e308 / np.max(np.abs(a))
     terms = {alpha: a for alpha in ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))}
-    field = MatrixPolyField(3, 3, terms, SPHERE)
+    field = MatrixPolyField(3, 3, terms)
     assert [s.size for s in field.sectors] == [3]
     calls = counting(monkeypatch, "eigh")
     with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
@@ -491,7 +491,7 @@ def test_a_sector_whose_derivatives_overflow_is_refused():
     def field(c):
         terms = {(4, 0, 0): c * clifford.SIGMA_3, (0, 1, 0): clifford.SIGMA_1,
                  (0, 0, 1): clifford.SIGMA_2}
-        return MatrixPolyField(3, 2, terms, SPHERE)
+        return MatrixPolyField(3, 2, terms)
 
     assert chern_2(field(1e308)).convergence_pair == (0.0, 0.0)
     with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
@@ -502,7 +502,7 @@ def test_a_closed_gap_stops_the_kernel_at_the_failing_chunk(monkeypatch):
     # x2 diag(1, -1) is two 1 x 1 sectors.  The band count of the first one
     # changes at the equator, inside the second of the two chunks of the
     # default S^2 grid: its kernel stops there, and nothing is evaluated again.
-    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])}, SPHERE)
+    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])})
     assert [s.size for s in field.sectors] == [1, 1]
     calls, evaluate = [], MatrixPolyField.evaluate_batch
 
@@ -527,7 +527,7 @@ def test_an_integrand_that_overflows_on_finite_values_is_refused():
     c, eps = 2.0**500, 1e-5
     terms = {(0, 1, 0): c * clifford.SIGMA_1, (0, 0, 1): c * clifford.SIGMA_2,
              (0, 0, 0): -c * r * clifford.SIGMA_2 + eps * clifford.SIGMA_3}
-    field = MatrixPolyField(3, 2, terms, SPHERE)
+    field = MatrixPolyField(3, 2, terms)
     with pytest.raises(ModelOverflowError, match="charge integrand is not finite on the unit"):
         chern_2(field, resolution=n)
 
@@ -540,7 +540,7 @@ def test_winding_nan_field_raises(winding, ambient):
         for bad in (np.nan, np.inf):
             terms = {(0,) * ambient: np.diag([bad] * size), (1,) + (0,) * (ambient - 1): np.eye(size)}
             with pytest.raises(ModelFormatError, match=r"coefficient of \(0, .*\) is not finite"):
-                winding(MatrixPolyField(ambient, size, terms, SPHERE))
+                winding(MatrixPolyField(ambient, size, terms))
 
 
 def test_chern_nan_field_raises():
@@ -551,7 +551,7 @@ def test_chern_nan_field_raises():
         n = field.size
         for bad in (np.nan, np.inf):
             with pytest.raises(ModelFormatError, match=r"coefficient of \(0, 0, 0\) is not finite"):
-                shift = MatrixPolyField(3, n, {(0, 0, 0): np.diag([bad] * n)}, SPHERE)
+                shift = MatrixPolyField(3, n, {(0, 0, 0): np.diag([bad] * n)})
                 chern_2(field.plus(shift), resolution=8)
 
 
@@ -575,7 +575,7 @@ def test_chern_weyl_matches_wilson_loop_oracle():
 
 def test_chern_constant_field_is_trivial():
     field = MatrixPolyField(
-        3, 2, {(0, 0, 0): np.diag([1.0, -1.0])}, SPHERE
+        3, 2, {(0, 0, 0): np.diag([1.0, -1.0])}
     )
     result = chern_2(field)
     assert result.charge == 0
@@ -598,7 +598,7 @@ def test_chern_fermi_level_shifts_band():
 
 def test_chern_requires_selfadjoint():
     with pytest.raises(ValueError):
-        chern_2(MatrixPolyField(3, 1, {(1, 0, 0): [[1j]]}, SPHERE))
+        chern_2(MatrixPolyField(3, 1, {(1, 0, 0): [[1j]]}))
 
 
 def test_chern_on_an_enclosing_sphere_is_the_chern_of_the_pullback():
@@ -665,7 +665,7 @@ def test_enclosure_refuses_a_bad_sphere(charge_fn, field, dim, center, radius, m
 def test_chern_gap_closed():
     # Fermi level sitting exactly on a band closes the gap at every node.
     field = MatrixPolyField(
-        3, 2, {(0, 0, 0): np.diag([1.0, -1.0]).astype(complex)}, SPHERE
+        3, 2, {(0, 0, 0): np.diag([1.0, -1.0]).astype(complex)}
     )
     with pytest.raises(GapClosedError):
         chern_2(field, fermi=1.0)
@@ -683,7 +683,7 @@ def test_chern_gap_closing_between_nodes():
     # Weyl + 2 x3 I has eigenvalues +-1 + 2 x3 on the sphere, so the number of
     # bands below 0.5 changes with x3: the gap closes between the nodes, not at
     # them.  Reading the occupied set node by node gave raw -0.49 here.
-    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE)
+    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)})
     field = weyl2().plus(shift)
     grid = sphere_grid(2, 64)
     vals = np.linalg.eigvalsh(field.evaluate_batch(grid.nodes))
@@ -696,7 +696,7 @@ def test_chern_of_a_sector_whose_gap_closes_is_refused():
     # x3 diag(1, -1) squares to x3^2 I, so as one field its bands are +-|x3|,
     # one below 0 at every node: it read as charge 0, converged.  Its sectors
     # x3 and -x3 each cross 0 on the equator, between the nodes.
-    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])}, SPHERE)
+    field = MatrixPolyField(3, 2, {(0, 0, 1): np.diag([1.0, -1.0])})
     with pytest.raises(GapClosedError, match="number of bands below fermi varies"):
         chern_2(field)
 
@@ -715,7 +715,7 @@ def test_winding3_generator():
 
 
 def test_winding3_constant():
-    field = MatrixPolyField(4, 2, {(0, 0, 0, 0): np.eye(2)}, SPHERE)
+    field = MatrixPolyField(4, 2, {(0, 0, 0, 0): np.eye(2)})
     assert winding_3(field, resolution=12).charge == 0
 
 
@@ -785,7 +785,7 @@ def test_perturbation_stability_winding():
     base = dirac1()
     for _ in range(20):
         terms = random_hermitian_perturbation(rng, 2, 1, 0.1)
-        bump = MatrixPolyField(2, 1, terms, SPHERE)
+        bump = MatrixPolyField(2, 1, terms)
         assert winding_1(base.plus(bump)).charge == 1
 
 
@@ -795,7 +795,7 @@ def test_perturbation_stability_chern():
     sign = chern_sign_weyl()
     for _ in range(20):
         terms = random_hermitian_perturbation(rng, 3, 2, 0.1)
-        bump = MatrixPolyField(3, 2, terms, SPHERE)
+        bump = MatrixPolyField(3, 2, terms)
         assert chern_2(base.plus(bump)).charge == sign
 
 
@@ -805,7 +805,7 @@ def test_perturbation_stability_winding3():
     expected = winding_3(base, resolution=16).charge
     for _ in range(3):
         terms = random_hermitian_perturbation(rng, 4, 2, 0.1)
-        bump = MatrixPolyField(4, 2, terms, SPHERE)
+        bump = MatrixPolyField(4, 2, terms)
         assert winding_3(base.plus(bump), resolution=16).charge == expected
 
 
@@ -842,6 +842,32 @@ def test_resolution_below_four_is_refused(fn, make, resolution):
     # Only None selects the default; 0 used to fall back to it silently.
     with pytest.raises(ValueError, match="resolution must be an integer >= 4"):
         fn(make(), resolution=resolution)
+
+
+@pytest.mark.parametrize(
+    "fn, make, in_use, largest",
+    [(winding_1, dirac1, 4096, 2**23), (chern_2, weyl2, 512, 1448), (winding_3, dirac3, 48, 101)],
+)
+def test_a_resolution_past_the_grid_bound_is_refused(monkeypatch, fn, make, in_use, largest):
+    # The grid at 2n has 2n, 8 n^2 and 16 n^3 nodes on S^1, S^2 and S^3.  The
+    # largest resolutions in use (the benchmark's 4,096 on S^1, 512 and 48 in
+    # the tests) and the largest n within MAX_GRID_NODES pass the check; the
+    # next one is refused before any grid factor or Gauss-Legendre rule is built.
+    dim = {winding_1: 1, chern_2: 2, winding_3: 3}[fn]
+    for n in (in_use, largest, np.int64(largest)):
+        charge.check_resolution(n, dim)
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built for a refused resolution")
+
+    monkeypatch.setattr(charge, "_build_grid_rows", no_grid)
+    monkeypatch.setattr(charge, "_cached_grid_rows", no_grid)
+    monkeypatch.setattr(charge, "_gauss_legendre", no_grid)
+    for n in (largest + 1, np.int64(2**62), 10**30):
+        with pytest.raises(ValueError, match=f"more than MAX_GRID_NODES = {2**24}"):
+            fn(make(), resolution=n)
+        with pytest.raises(ValueError, match="MAX_GRID_NODES"):
+            sphere_grid(dim, n)
 
 
 def test_charge_result_payload_keys():
@@ -916,11 +942,11 @@ def random_gapped_weyl(rng, size):
     unitary and bumped by at most 0.3: the gap at any |fermi| <= 0.4 stays >= 0.3."""
     flat = rng.choice([-1.0, 1.0], size - 2) * rng.uniform(1.5, 2.5, size - 2)
     base = weyl2().direct_sum(
-        MatrixPolyField(3, size - 2, {(0, 0, 0): np.diag(flat)}, SPHERE)
+        MatrixPolyField(3, size - 2, {(0, 0, 0): np.diag(flat)})
     )
     bump = random_hermitian_perturbation(rng, 3, size, 0.3)
     return base.conjugated_by(random_unitary(rng, size)).plus(
-        MatrixPolyField(3, size, bump, SPHERE)
+        MatrixPolyField(3, size, bump)
     )
 
 
@@ -929,10 +955,10 @@ def random_invertible_phase(rng, base, size):
     by a complex linear term of sup norm <= 0.3: singular values stay >= 0.7."""
     m = base.ambient_dim
     if size > base.size:
-        pad = MatrixPolyField(m, size - base.size, {(0,) * m: np.eye(size - base.size)}, SPHERE)
+        pad = MatrixPolyField(m, size - base.size, {(0,) * m: np.eye(size - base.size)})
         base = base.direct_sum(pad)
     return base.conjugated_by(random_unitary(rng, size)).plus(
-        MatrixPolyField(m, size, random_linear_terms(rng, m, size, 0.3), SPHERE)
+        MatrixPolyField(m, size, random_linear_terms(rng, m, size, 0.3))
     )
 
 
@@ -1010,7 +1036,7 @@ def test_chunked_chern_sees_band_count_change_in_a_later_chunk(monkeypatch):
     # latitude ring per chunk every chunk is uniform, so only the count carried
     # from the first chunk shows the change.
     monkeypatch.setattr(_linalg, "CHUNK", 8)
-    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE)
+    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)})
     field = weyl2().plus(shift)
     grid = sphere_grid(2, 4)
     counts = np.count_nonzero(np.linalg.eigvalsh(field.evaluate_batch(grid.nodes)) < 0.5, axis=1)
@@ -1073,7 +1099,7 @@ def test_one_chunk_block_serves_every_sector_at_both_resolutions(monkeypatch):
     rng = np.random.default_rng(11)
     dirac = dirac3()
     mixed = dirac.direct_sum(dirac.reflect(1)).conjugated_by(random_unitary(rng, 4))
-    scalar = MatrixPolyField(4, 1, {(0, 0, 0, 0): [[3.0]], (1, 0, 0, 0): [[1j]]}, SPHERE)
+    scalar = MatrixPolyField(4, 1, {(0, 0, 0, 0): [[3.0]], (1, 0, 0, 0): [[1j]]})
     field = mixed.direct_sum(dirac.conjugated_by(random_unitary(rng, 2))).direct_sum(scalar)
     assert [s.size for s in field.sectors] == [4, 2, 1]
     alone = [sum(charge._winding_raw(s, charge._grid_rows(3, n)) for s in field.sectors)
@@ -1206,7 +1232,7 @@ def test_sectors_charge_as_the_mixed_sum(kind, seed, first, second, resolution):
 def test_a_one_sector_field_keeps_the_bits_of_its_kernels(kind):
     # The sector sum starts from the first raw, so a raw of -0.0 stays -0.0.
     if kind == "constant":
-        fn, field = winding_3, MatrixPolyField(4, 2, {(0, 0, 0, 0): dense_unitary(2)}, SPHERE)
+        fn, field = winding_3, MatrixPolyField(4, 2, {(0, 0, 0, 0): dense_unitary(2)})
     else:
         fn, base = CHARGES[kind]
         field = copies(base(), 2, np.random.default_rng(7))

@@ -16,7 +16,7 @@ from kgen import bandscan, cli, clifford, generators
 from kgen.charge import chern_sign_weyl
 from kgen.cli import main
 from kgen.errors import ModelOverflowError
-from kgen.fields import EUCLIDEAN, MatrixPolyField
+from kgen.fields import MatrixPolyField
 from kgen.serialize import matrix_to_json
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,7 +33,7 @@ def run_cli(*args, env=None):
 def weyl_path(tmp_path):
     terms = {(1, 0, 0): SIGMA_1, (0, 1, 0): SIGMA_2, (0, 0, 1): SIGMA_3}
     model = bandscan.BandModel(
-        MatrixPolyField(3, 2, terms, EUCLIDEAN), name="weyl"
+        MatrixPolyField(3, 2, terms), name="weyl"
     )
     path = tmp_path / "weyl.json"
     bandscan.save_model(model, path)
@@ -49,7 +49,7 @@ def two_weyl_path(tmp_path):
         (0, 0, 0): -0.25 * SIGMA_3,
     }
     model = bandscan.BandModel(
-        MatrixPolyField(3, 2, terms, EUCLIDEAN), name="two-weyl"
+        MatrixPolyField(3, 2, terms), name="two-weyl"
     )
     path = tmp_path / "two_weyl.json"
     bandscan.save_model(model, path)
@@ -60,7 +60,7 @@ def two_weyl_path(tmp_path):
 def gapped_path(tmp_path):
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2, (0, 0): 0.1 * SIGMA_3}
     model = bandscan.BandModel(
-        MatrixPolyField(2, 2, terms, EUCLIDEAN), name="massive"
+        MatrixPolyField(2, 2, terms), name="massive"
     )
     path = tmp_path / "massive.json"
     bandscan.save_model(model, path)
@@ -220,7 +220,7 @@ def test_charge_command_near_float_max(weyl_path, tmp_path, capsys):
     # its gap, ||h||_F / sqrt(2) = 1.5e308 |x|, does not, nor does the charge.
     weyl = bandscan.load_model(weyl_path).field
     big = dataclasses.replace(weyl, terms={a: 1.5e308 * m for a, m in weyl.terms.items()})
-    model = bandscan.BandModel.from_field(big)
+    model = bandscan.BandModel(big)
     assert abs(bandscan.gap_at(model, [0.6, 0.0, 0.8]) - 1.5e308) <= 1e-15 * 1.5e308
     path = str(tmp_path / "big.json")
     bandscan.save_model(model, path)
@@ -241,7 +241,7 @@ def test_charge_command_gapped_is_zero(tmp_path):
         (0, 0, 1): SIGMA_3,
         (0, 0, 0): 2.5 * np.eye(2, dtype=complex),
     }
-    model = bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN))
+    model = bandscan.BandModel(MatrixPolyField(3, 2, terms))
     path = tmp_path / "shifted.json"
     bandscan.save_model(model, path)
     proc = run_cli("charge", str(path), "--center", "0", "0", "0", "--radius", "0.5")
@@ -264,7 +264,7 @@ def test_charge_command_refuses_a_sector_whose_gap_closes(tmp_path, capsys):
     # sectors x3 and -x3 each change sign there, between the nodes of the
     # enclosing sphere.  As one 2 x 2 field it read as charge 0, converged.
     terms = {(0, 0, 1): np.diag([1.0, -1.0]).astype(complex)}
-    model = bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN))
+    model = bandscan.BandModel(MatrixPolyField(3, 2, terms))
     path = tmp_path / "split.json"
     bandscan.save_model(model, path)
     assert main(["charge", str(path), "--radius", "0.5"]) == 1
@@ -314,7 +314,7 @@ def two_velocity_path(tmp_path):
     weyl = generators.weyl_field(2, clifford.LEFT)
     fast = dataclasses.replace(weyl, terms={a: 2.0 * m for a, m in weyl.terms.items()})
     mixed = weyl.direct_sum(fast).conjugated_by(np.fft.fft(np.eye(4)) / 2.0)
-    model = bandscan.BandModel.from_field(mixed, name="two-velocity")
+    model = bandscan.BandModel(mixed, name="two-velocity")
     assert len(model.field.sectors) == 1 and model.field.size == 4
     path = tmp_path / "two_velocity.json"
     bandscan.save_model(model, path)
@@ -370,7 +370,7 @@ def test_a_two_dimensional_chiral_model_off_energy_zero_exits_2(tmp_path, capsys
     # x1 s1 + x2 s2 with chiral s3 at fermi 0.5: refused at load, not scanned
     # as a Fermi circle of point crossings.
     h, j = generators.dirac_hamiltonian_field(1, clifford.LEFT)
-    model = bandscan.BandModel.from_field(h, chiral=j.matrix)
+    model = bandscan.BandModel(h, chiral=j.matrix)
     payload = {**model.to_payload(), "fermi": 0.5}
     path = tmp_path / "fermi.json"
     path.write_text(json.dumps(payload))
@@ -596,7 +596,7 @@ def test_overflowing_gap_rejected_on_a_four_band_sector(two_weyl_path, tmp_path,
     two_weyl = bandscan.load_model(two_weyl_path).field
     double = dataclasses.replace(two_weyl, terms={a: 2.0 * m for a, m in two_weyl.terms.items()})
     mixed = two_weyl.direct_sum(double).conjugated_by(np.fft.fft(np.eye(4)) / 2.0)
-    model = bandscan.BandModel.from_field(mixed)
+    model = bandscan.BandModel(mixed)
     assert len(model.field.sectors) == 1
     with pytest.raises(ModelOverflowError, match=r"gap is not finite at \[0.0, 0.0, 1e\+200\]"):
         bandscan.gap_at(model, [0.0, 0.0, 1e200])
@@ -624,7 +624,7 @@ def test_an_overflowing_enclosure_is_that_crossings_error(tmp_path, capsys):
     }
     path = str(tmp_path / "overflow.json")
     bandscan.save_model(
-        bandscan.BandModel(MatrixPolyField(3, 2, terms, EUCLIDEAN)), path
+        bandscan.BandModel(MatrixPolyField(3, 2, terms)), path
     )
     assert main(["scan", path]) == 1
     inside, outside = json.loads(capsys.readouterr().out)
@@ -678,7 +678,7 @@ def test_scan_checks_resolution_without_crossings(gapped_path, capsys, resolutio
 def unchiral_dirac_path(tmp_path):
     # Massless 2D Dirac model whose chiral matrix (sigma_3) is not declared.
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
-    model = bandscan.BandModel(MatrixPolyField(2, 2, terms, EUCLIDEAN))
+    model = bandscan.BandModel(MatrixPolyField(2, 2, terms))
     path = tmp_path / "unchiral.json"
     bandscan.save_model(model, path)
     return str(path)
@@ -707,7 +707,7 @@ def chiral_dirac_path(tmp_path):
     # Massless 2D Dirac model with its chiral matrix declared.
     terms = {(1, 0): SIGMA_1, (0, 1): SIGMA_2}
     model = bandscan.BandModel(
-        MatrixPolyField(2, 2, terms, EUCLIDEAN), chiral=SIGMA_3
+        MatrixPolyField(2, 2, terms), chiral=SIGMA_3
     )
     path = tmp_path / "chiral.json"
     bandscan.save_model(model, path)
@@ -775,6 +775,39 @@ def test_scan_and_gap_map_hold_about_one_float_per_grid_node(weyl_path, tmp_path
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)) == 1
     assert peak < 3 * n**3 * 8, peak
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("charge", ["--radius", "0.5", "--resolution", "100000000"]),
+     ("scan", ["--grid", "8", "--resolution", "100000"])],
+)
+def test_a_resolution_too_fine_to_walk_exits_2(weyl_path, capsys, command, flags):
+    # Its grid at 2n has 8 n^2 nodes on S^2 (8e16 and 8e10).  Unrefused, charge
+    # built an 8 GB S^1 factor of the n grid and was killed, and scan walked
+    # 8e10 nodes; scan refuses before its search.
+    tracemalloc.start()
+    try:
+        code = main([command, weyl_path, *flags])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: resolution {flags[-1]} is too fine")
+    assert f"more than MAX_GRID_NODES = {2**24}" in captured.err
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("suite", ["index", "exp", "homotopy", "fredholm"])
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_verify_refuses_a_negative_seed_naming_it(capsys, suite, seed):
+    # numpy's own refusal read "expected non-negative integer", naming no flag.
+    assert main(["verify", "--suite", suite, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
 
 
 @pytest.mark.parametrize("gap_map", [False, True])

@@ -27,7 +27,7 @@ from kgen import _linalg, bandscan, charge, clifford, generators
 from kgen.charge import chern_2, chern_sign_weyl, sphere_grid, winding_1, winding_3
 from kgen.cli import main
 from kgen.errors import GapClosedError, ModelFormatError, ModelOverflowError
-from kgen.fields import SPHERE, MatrixPolyField
+from kgen.fields import MatrixPolyField
 
 # The oracles of test_charge.py, loaded by path: test modules are not a package.
 _spec = importlib.util.spec_from_file_location(
@@ -69,7 +69,7 @@ def clifford_field(rng, gammas, m, scale, phase=False):
         for a, c in poly.items():
             terms[a] = terms.get(a, 0) + c * g
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return MatrixPolyField(m, n, terms, SPHERE).conjugated_by(q)
+    return MatrixPolyField(m, n, terms).conjugated_by(q)
 
 
 @contextlib.contextmanager
@@ -131,7 +131,7 @@ def test_gaps_match_eigvalsh(seed, gammas, scale, doubled):
     field = clifford_field(rng, GAMMA_SETS[gammas], 3, scale)
     if doubled:
         field = field.direct_sum(field)
-    model = bandscan.BandModel.from_field(field, fermi=float(rng.uniform(-1.0, 1.0)))
+    model = bandscan.BandModel(field, fermi=float(rng.uniform(-1.0, 1.0)))
     points = rng.uniform(-1.5, 1.5, (64, 3))
     vals = np.linalg.eigvalsh(model.field.evaluate_batch(points))
     reference = np.min(np.abs(vals - model.fermi), axis=1)
@@ -144,7 +144,7 @@ def test_gaps_match_eigvalsh(seed, gammas, scale, doubled):
 @pytest.mark.parametrize("r", [1e150, 1e160, 1e300])
 def test_gaps_do_not_overflow_before_eigvalsh_does(r):
     # ||A||_F^2 overflows from entries of about 1e154 on; the gap need not.
-    model = bandscan.BandModel.from_field(generators.weyl_field(2, clifford.LEFT))
+    model = bandscan.BandModel(generators.weyl_field(2, clifford.LEFT))
     point = np.array([[r, r / 3, -r / 7]])
     reference = np.min(np.abs(np.linalg.eigvalsh(model.field.evaluate_batch(point))))
     assert abs(bandscan._gap_batch(model, point)[0] - reference) <= 1e-12 * reference
@@ -159,7 +159,7 @@ def two_band(rng, scale):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         bump[a] = z + z.conj().T
     bound = sum(np.linalg.norm(m, 2) for m in bump.values())
-    bump = MatrixPolyField(3, 2, {a: scale * m / bound for a, m in bump.items()}, SPHERE)
+    bump = MatrixPolyField(3, 2, {a: scale * m / bound for a, m in bump.items()})
     weyl = generators.weyl_field(2, clifford.LEFT)
     return weyl.conjugated_by(oracles.random_unitary(rng, 2)).plus(bump)
 
@@ -193,7 +193,7 @@ def raw_outcome(field, fermi, grid):
 def test_two_band_polynomials_match_the_references(seed, scale, fermi, n):
     rng = np.random.default_rng(seed)
     field = two_band(rng, scale)
-    model = bandscan.BandModel.from_field(field, fermi=fermi)
+    model = bandscan.BandModel(field, fermi=fermi)
     points = rng.uniform(-1.5, 1.5, (64, 3))
     vals = np.linalg.eigvalsh(field.evaluate_batch(points))
     reference = np.min(np.abs(vals - fermi), axis=1)
@@ -258,11 +258,11 @@ def small_phase(rng, base, size, scale):
     m = base.ambient_dim
     if size > base.size:
         pad = np.eye(size - base.size)
-        base = base.direct_sum(MatrixPolyField(m, size - base.size, {(0,) * m: pad}, SPHERE))
+        base = base.direct_sum(MatrixPolyField(m, size - base.size, {(0,) * m: pad}))
     bump = {a: rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             for a in monomials(m)}
     bound = sum(np.linalg.norm(b, 2) for b in bump.values())
-    bump = MatrixPolyField(m, size, {a: scale * b / bound for a, b in bump.items()}, SPHERE)
+    bump = MatrixPolyField(m, size, {a: scale * b / bound for a, b in bump.items()})
     return base.conjugated_by(oracles.random_unitary(rng, size)).plus(bump)
 
 
@@ -306,7 +306,7 @@ def test_a_near_miss_takes_the_general_path(seed, gammas):
         phase = missed_by(clifford_field(rng, GAMMA_SETS[gammas], 2, 0.3, True), rel)
         assert len(hermitian.sectors) == len(phase.sectors) == 1
         assert min(hermitian.size, phase.size) >= 4
-        model = bandscan.BandModel.from_field(hermitian)
+        model = bandscan.BandModel(hermitian)
         with spying("eigh", "eigvalsh", "inv") as calls:
             bandscan._gap_batch(model, rng.uniform(-1.0, 1.0, (8, 3)))
             outcome(chern_2, hermitian, resolution=4)
@@ -324,13 +324,13 @@ def test_a_four_band_field_gets_the_eigvalsh_gap_split_or_mixed():
     s1, s3, i2 = clifford.SIGMA_1, clifford.SIGMA_3, np.eye(2)
     terms = {(1, 0, 0): 1e7 * np.kron(s3, i2), (0, 1, 0): np.kron(s1, i2),
              (0, 0, 1): np.kron(s1, s3)}
-    split = MatrixPolyField(3, 4, terms, SPHERE)
+    split = MatrixPolyField(3, 4, terms)
     mixed = split.conjugated_by(dense_unitary(4))
     assert [len(f.sectors) for f in (split, mixed)] == [2, 1]
     point = np.array([[0.0, 1.0, 1.0]]) / np.sqrt(2.0)
     for field in (split, mixed):
         vals = np.linalg.eigvalsh(field.evaluate_batch(point))
-        gap = bandscan._gap_batch(bandscan.BandModel.from_field(field), point)[0]
+        gap = bandscan._gap_batch(bandscan.BandModel(field), point)[0]
         assert gap <= np.min(np.abs(vals)) < 1e-15
     # The same spectrum everywhere: the same gates, and charges within rounding.
     center = np.array([1.0, 0.0, 0.0])
@@ -343,13 +343,12 @@ def test_one_by_one_sectors_need_no_eigensolver():
     # band, so each gap is |h_ii - fermi|.  In weyl + [2 + 0.5 x3] the 1 x 1
     # sector has no band below 0 on the sphere, and adds nothing to the charge.
     s3 = clifford.SIGMA_3
-    diagonal = MatrixPolyField(3, 2, {(1, 0, 0): s3, (0, 1, 0): np.eye(2), (0, 0, 1): 0.5 * s3},
-                               SPHERE)
-    model = bandscan.BandModel.from_field(diagonal, fermi=0.25)
+    diagonal = MatrixPolyField(3, 2, {(1, 0, 0): s3, (0, 1, 0): np.eye(2), (0, 0, 1): 0.5 * s3})
+    model = bandscan.BandModel(diagonal, fermi=0.25)
     points = np.random.default_rng(7).standard_normal((1000, 3))
     bands = np.diagonal(diagonal.evaluate_batch(points), axis1=1, axis2=2).real
     weyl = generators.weyl_field(2, clifford.LEFT)
-    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]], (0, 0, 1): [[0.5]]}, SPHERE))
+    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]], (0, 0, 1): [[0.5]]}))
     assert [[f.size for f in g.sectors] for g in (diagonal, flat)] == [[1, 1], [2, 1]]
     reference = chern_2(weyl)
     with spying("eigh", "eigvalsh") as calls:
@@ -453,7 +452,7 @@ def test_two_by_two_sectors_take_no_inverse_eigensolver_or_products():
               small_phase(rng, dirac, 2, 0.3))
     weyl = generators.weyl_field(2, clifford.LEFT)
     pair = weyl.direct_sum(weyl).conjugated_by(np.kron(np.eye(2), oracles.random_unitary(rng, 2)))
-    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]]}, SPHERE))
+    flat = weyl.direct_sum(MatrixPolyField(3, 1, {(0, 0, 0): [[2.0]]}))
     bands = (pair, two_band(rng, 0.3), flat)
     assert [[s.size for s in f.sectors] for f in loops] == [[1], [1, 1], [2], [2]]
     assert {s.size for f in phases + bands[:2] for s in f.sectors} == {2}
@@ -470,7 +469,7 @@ def test_two_by_two_sectors_take_no_inverse_eigensolver_or_products():
         results += [winding_3(f, resolution=8) for f in phases]
         results += [chern_2(f, resolution=8) for f in bands]
         for field in bands:
-            bandscan._gap_batch(bandscan.BandModel.from_field(field), points)
+            bandscan._gap_batch(bandscan.BandModel(field), points)
     assert calls == [] and helpers == []
     sign = chern_sign_weyl()
     assert [r.charge for r in results] == [1, 0, 2, 1] + [1, 0, 1] + [2 * sign, sign, sign]
@@ -479,7 +478,7 @@ def test_two_by_two_sectors_take_no_inverse_eigensolver_or_products():
 def offset(field, f0):
     """field + f0 I."""
     shift = {(0,) * field.ambient_dim: f0 * np.eye(field.size)}
-    return field.plus(MatrixPolyField(field.ambient_dim, field.size, shift, SPHERE))
+    return field.plus(MatrixPolyField(field.ambient_dim, field.size, shift))
 
 
 def test_an_offset_crossing_pulled_back_takes_the_general_path():
@@ -528,11 +527,11 @@ def test_a_large_scalar_part_does_not_overflow(tmp_path, capsys):
     # the unit sphere, and the gap is 5e307, but the trace, the sum of the
     # diagonal, overflows; f0 divides each entry by 2 before the sum.
     weyl = generators.weyl_field(2, clifford.LEFT)
-    shift = MatrixPolyField(3, 2, {(0, 0, 0): 1e308 * np.eye(2)}, SPHERE)
+    shift = MatrixPolyField(3, 2, {(0, 0, 0): 1e308 * np.eye(2)})
     field = scaled(weyl, 5e307).plus(shift)
     result = chern_2(field, fermi=1e308)
     assert (result.charge, result.converged) == (chern_sign_weyl(), True)
-    model = bandscan.BandModel.from_field(field, fermi=1e308)
+    model = bandscan.BandModel(field, fermi=1e308)
     assert abs(bandscan.gap_at(model, [0.6, 0.0, 0.8]) - 5e307) <= 1e-15 * 5e307
     path = str(tmp_path / "f0.json")
     bandscan.save_model(model, path)
@@ -582,7 +581,7 @@ def test_general_chern_path_takes_a_node_where_the_field_is_zero():
     # would be NaN.
     f = dense_unitary(3)
     a = f @ np.diag([1.0, 2.0, 3.0]) @ f.conj().T
-    field = MatrixPolyField(3, 3, {(0, 0, 0): -a, (1, 0, 0): a}, SPHERE)
+    field = MatrixPolyField(3, 3, {(0, 0, 0): -a, (1, 0, 0): a})
     assert [s.size for s in field.sectors] == [3]
     values = field.evaluate_batch(sphere_grid(2, 5).nodes)
     assert np.count_nonzero(np.all(values == 0, axis=(1, 2))) == 1
@@ -595,19 +594,19 @@ def test_general_chern_path_takes_a_node_where_the_field_is_zero():
 
 def weyl_shifted():
     """Weyl + 2 x3 I: bands +-1 + 2 x3 on the sphere."""
-    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)}, SPHERE)
+    shift = MatrixPolyField(3, 2, {(0, 0, 1): 2.0 * np.eye(2)})
     return generators.weyl_field(2, clifford.LEFT).plus(shift)
 
 
 def test_gap_gates_run_on_the_closed_form_path():
     # The fields of the gate tests in test_charge.py take the closed form.
-    closed = MatrixPolyField(3, 2, {(0, 0, 0): np.diag([1.0, -1.0])}, SPHERE)
+    closed = MatrixPolyField(3, 2, {(0, 0, 0): np.diag([1.0, -1.0])})
     assert closed.size == weyl_shifted().size == 2
     with pytest.raises(GapClosedError, match=r"min \|eig - fermi\| = 0.0"):
         chern_2(closed, fermi=1.0)
     with pytest.raises(GapClosedError, match=r"number of bands below fermi varies .*\(1 to 2\)"):
         chern_2(weyl_shifted(), fermi=0.5, resolution=64)
-    zero = MatrixPolyField(2, 2, {(0, 0): np.zeros((2, 2))}, SPHERE)
+    zero = MatrixPolyField(2, 2, {(0, 0): np.zeros((2, 2))})
     with pytest.raises(GapClosedError, match="min singular value 0.0"):
         winding_1(zero)
 
@@ -616,9 +615,9 @@ def test_gap_gates_run_on_the_closed_form_path():
 def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
     # No field holds a NaN coefficient: the constructor refuses it.
     with pytest.raises(ModelFormatError, match="not finite"):
-        MatrixPolyField(3, 2, {(0, 0, 0): np.nan * np.eye(2)}, SPHERE)
+        MatrixPolyField(3, 2, {(0, 0, 0): np.nan * np.eye(2)})
     with pytest.raises(ModelFormatError, match="not finite"):
-        MatrixPolyField(2, 1, {(0, 0): [[np.nan]]}, SPHERE)
+        MatrixPolyField(2, 1, {(0, 0): [[np.nan]]})
     # Finite coefficients can still overflow at a node, here where x0 + x1 >
     # 1.06.  The kernels refuse such a chunk before any gate reads it, and the
     # closed-form winding gate refuses NaN itself before any division.  Their
@@ -626,10 +625,10 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
     # warns of the overflow.
     big = {(1, 0, 0): 1.7e308 * np.eye(2), (0, 1, 0): 1.7e308 * np.eye(2)}
     hermitian = generators.weyl_field(2, clifford.LEFT).plus(
-        MatrixPolyField(3, 2, big, SPHERE)
+        MatrixPolyField(3, 2, big)
     )
     phase = generators.dirac_phase_field(1, clifford.LEFT).plus(
-        MatrixPolyField(2, 1, {(1, 0): [[1.7e308]], (0, 1): [[1.7e308]]}, SPHERE)
+        MatrixPolyField(2, 1, {(1, 0): [[1.7e308]], (0, 1): [[1.7e308]]})
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ModelOverflowError, match="field is not finite on the unit sphere"):
@@ -643,6 +642,6 @@ def test_nan_coefficients_fail_the_tests_and_the_closed_form_gates():
     # A NaN point, on a 2 x 2 sector and on a 4 x 4 one.
     weyl = generators.weyl_field(2, clifford.LEFT)
     for field in (weyl, weyl.direct_sum(weyl).conjugated_by(dense_unitary(4))):
-        model = bandscan.BandModel.from_field(field)
+        model = bandscan.BandModel(field)
         with pytest.raises(ValueError, match="gap is not finite"):
             bandscan._gap_batch(model, np.array([[np.nan, 0.0, 0.0]]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kgen import clifford, generators
 from kgen._linalg import max_abs
 from kgen.errors import DimensionMismatchError, ModelFormatError
-from kgen.fields import EUCLIDEAN, EvaluableField, MatrixPolyField
+from kgen.fields import EvaluableField, MatrixPolyField
 
 
 def random_poly_field(rng, ambient=3, size=2, degree=2, hermitian=False):
@@ -21,7 +21,7 @@ def random_poly_field(rng, ambient=3, size=2, degree=2, hermitian=False):
         if hermitian:
             mat = 0.5 * (mat + mat.conj().T)
         terms[alpha] = terms.get(alpha, 0) + mat
-    return MatrixPolyField(ambient, size, terms, EUCLIDEAN)
+    return MatrixPolyField(ambient, size, terms)
 
 
 def test_evaluate_single_and_batch_agree():
@@ -48,7 +48,7 @@ def test_derivative_matches_central_differences():
 
 
 def test_derivative_of_constant_is_zero():
-    field = MatrixPolyField(2, 2, {(0, 0): np.eye(2)}, EUCLIDEAN)
+    field = MatrixPolyField(2, 2, {(0, 0): np.eye(2)})
     d = field.derivative(0)
     assert np.array_equal(d.evaluate([0.3, 0.7]), np.zeros((2, 2)))
 
@@ -373,13 +373,12 @@ I_X = {"dimension": 1, "size": 1, "terms": [{"powers": [1], "matrix": [[[0.0, 1.
         # i x is not self-adjoint; bool("false") is True, so the flag must be a boolean.
         ({**I_X, "selfadjoint": "false"}, "'selfadjoint' must be true or false"),
         ({**I_X, "selfadjoint": True}, r"coefficients at multi-indices \[\(1,\)\] are not Hermitian"),
-        ({**I_X, "domain": "torus"}, "unknown domain tag 'torus'"),
         ({**I_X, "size": 0}, "'dimension' and 'size' must be >= 1, got 1 and 0"),
         ({**I_X, "dimension": -1}, "'dimension' and 'size' must be >= 1, got -1 and 1"),
         ({**I_X, "terms": [{"powers": [-1], "matrix": [[[0.0, 1.0]]]}]}, "bad multi-index"),
         ({**I_X, "size": 2}, r"has shape \(1, 1\), expected \(2, 2\)"),
     ],
-    ids=["empty", "str-dimension", "str-selfadjoint", "non-hermitian-selfadjoint", "bad-domain",
+    ids=["empty", "str-dimension", "str-selfadjoint", "non-hermitian-selfadjoint",
          "zero-size", "negative-dimension", "negative-power", "wrong-shape"],
 )
 def test_payload_schema_violations(payload, message):
@@ -387,11 +386,19 @@ def test_payload_schema_violations(payload, message):
         MatrixPolyField.from_payload(payload)
 
 
+def test_a_legacy_domain_key_loads_and_is_not_written():
+    # Older files carry a "domain" tag that no computation read; any value loads.
+    for domain in ("sphere", "disc", "euclidean", "torus"):
+        field = MatrixPolyField.from_payload({**I_X, "domain": domain})
+        assert field.to_payload() == MatrixPolyField.from_payload(I_X).to_payload()
+        assert "domain" not in field.to_payload()
+
+
 def test_selfadjoint_is_read_from_the_coefficients():
     # i x is not self-adjoint, so its payload says false and loads back; a
     # payload's false does not hide Hermitian coefficients.
     with pytest.raises(TypeError):
-        MatrixPolyField(1, 1, {(1,): [[1j]]}, EUCLIDEAN, selfadjoint=True)
+        MatrixPolyField(1, 1, {(1,): [[1j]]}, selfadjoint=True)
     i_x = MatrixPolyField(1, 1, {(1,): [[1j]]})
     assert (i_x.selfadjoint, i_x.to_payload()["selfadjoint"]) == (False, False)
     assert MatrixPolyField.from_payload(i_x.to_payload()).to_payload() == i_x.to_payload()
@@ -476,7 +483,7 @@ def test_shifted_folds_the_level_into_the_constant_coefficient():
     for zero in (0, 0.0, -0.0):
         assert field.shifted(zero) is field
     shifted = field.shifted(0.75)
-    assert (shifted.selfadjoint, shifted.domain) == (field.selfadjoint, field.domain)
+    assert shifted.selfadjoint == field.selfadjoint
     points = np.random.default_rng(4).uniform(-2.0, 2.0, (16, 3))
     assert max_abs(shifted.evaluate_batch(points) - field.evaluate_batch(points)
                    + 0.75 * np.eye(2)) <= 1e-12
@@ -504,7 +511,7 @@ def test_shape_validation():
 def test_evaluable_field_batch_matches_pointwise():
     rep = clifford.build_rep(3, clifford.LEFT)
     transform = generators.bounded_transform(
-        generators.weyl_field(2, rep, domain=EUCLIDEAN)
+        generators.weyl_field(2, rep)
     )
     pts = np.random.default_rng(9).standard_normal((7, 3))
     batch = transform.evaluate_batch(pts)

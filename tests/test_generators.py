@@ -5,7 +5,7 @@ import pytest
 
 from kgen import charge, clifford, generators
 from kgen.errors import DimensionMismatchError, NotChiralError
-from kgen.fields import EUCLIDEAN, MatrixPolyField
+from kgen.fields import MatrixPolyField, unit_index
 from kgen.sampling import sphere_points
 
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -55,11 +55,17 @@ def test_weyl_square_identity_large_sample():
 
 
 def test_weyl_parity_guard():
-    rep = clifford.build_rep(4)
-    with pytest.raises(DimensionMismatchError):
-        generators.weyl_field(3, rep)  # sphere tag needs even d
-    field = generators.weyl_field(3, rep, domain=EUCLIDEAN)
+    # An odd d is refused whether a representation or a handedness is given.
+    for rep in (clifford.build_rep(4), clifford.LEFT):
+        with pytest.raises(DimensionMismatchError, match="Weyl field requires even d, got 3"):
+            generators.weyl_field(3, rep)
+    # The sum x_j Gamma_j over d + 1 = 4 generators is the chiral Dirac Hamiltonian.
+    field, _ = generators.dirac_hamiltonian_field(3, clifford.LEFT)
+    gammas = clifford.build_rep(4, clifford.LEFT).gammas
     assert field.ambient_dim == 4
+    assert set(field.terms) == {unit_index(j, 4) for j in range(4)}
+    for j, gamma in enumerate(gammas):
+        assert np.array_equal(field.terms[unit_index(j, 4)], gamma)
 
 
 def test_weyl_rep_size_guard():
@@ -146,7 +152,7 @@ def test_chiral_block_of_a_diagonal_grading_is_the_lower_left_slice(d):
 def test_chiral_block_rejects_commuting_perturbation():
     rep = clifford.build_rep(2)
     field, grading = generators.dirac_hamiltonian_field(1, rep)
-    mass = MatrixPolyField(2, 2, {(0, 0): 0.1 * SIGMA_3}, field.domain)
+    mass = MatrixPolyField(2, 2, {(0, 0): 0.1 * SIGMA_3})
     perturbed = field.plus(mass)
     with pytest.raises(NotChiralError):
         generators.chiral_lower_block(perturbed, grading.matrix)
@@ -170,14 +176,14 @@ def test_chiral_block_refuses_a_grading_without_a_square_block(size, j, error, m
     # [1, 0]] anti-commutes with 0.
     mat = np.zeros((size, size))
     mat[0, -1] = mat[-1, 0] = 1.0
-    field = MatrixPolyField(2, size, {(1, 0): mat}, EUCLIDEAN)
+    field = MatrixPolyField(2, size, {(1, 0): mat})
     with pytest.raises(error, match=message):
         generators.chiral_lower_block(field, j)
 
 
 def test_bounded_transform_point_values():
     rep = clifford.build_rep(3, clifford.LEFT)
-    field = generators.weyl_field(2, rep, domain=EUCLIDEAN)
+    field = generators.weyl_field(2, rep)
     transform = generators.bounded_transform(field)
     f = transform.evaluate([3.0, 4.0, 0.0])
     # ||x|| = 5, so eigenvalues are +-5 / sqrt(26).
@@ -187,7 +193,7 @@ def test_bounded_transform_point_values():
 
 def test_bounded_transform_closed_form():
     rep = clifford.build_rep(3, clifford.LEFT)
-    field = generators.weyl_field(2, rep, domain=EUCLIDEAN)
+    field = generators.weyl_field(2, rep)
     transform = generators.bounded_transform(field)
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -198,7 +204,7 @@ def test_bounded_transform_closed_form():
 
 def test_bounded_transform_defect_identity():
     rep = clifford.build_rep(3, clifford.LEFT)
-    field = generators.weyl_field(2, rep, domain=EUCLIDEAN)
+    field = generators.weyl_field(2, rep)
     transform = generators.bounded_transform(field)
     x = np.array([10.0, 0.0, 0.0]) / np.sqrt(1.0)
     x = x * (10.0 / np.linalg.norm(x))
@@ -209,7 +215,7 @@ def test_bounded_transform_defect_identity():
 
 def test_compact_resolvent_profile_values():
     rep = clifford.build_rep(3, clifford.LEFT)
-    field = generators.weyl_field(2, rep, domain=EUCLIDEAN)
+    field = generators.weyl_field(2, rep)
     profile = generators.compact_resolvent_profile(field, [0.0, 1.0, 7.0])
     expected = {0.0: 1.0, 1.0: 0.5, 7.0: 1.0 / 50.0}
     for r, value in profile:
@@ -219,14 +225,14 @@ def test_compact_resolvent_profile_values():
 
 
 def test_compact_resolvent_profile_refuses_a_negative_radius():
-    field = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT), domain=EUCLIDEAN)
+    field = generators.weyl_field(2, clifford.build_rep(3, clifford.LEFT))
     with pytest.raises(ValueError, match="radii must be nonnegative, got -1.0"):
         generators.compact_resolvent_profile(field, [0.0, -1.0])
 
 
 def test_compact_resolvent_profile_scalar_dirac():
     rep = clifford.build_rep(1, clifford.LEFT)
-    field = generators.dirac_phase_field(1, rep, domain=EUCLIDEAN)
+    field = generators.dirac_phase_field(1, rep)
     profile = generators.compact_resolvent_profile(field, [0.0, 1.0, 7.0])
     for r, value in profile:
         assert abs(value - 1.0 / (1.0 + r * r)) < 1e-12

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kgen import bandscan
 from kgen.bandscan import BandModel, CrossingReport, load_model, save_model
 from kgen.charge import ChargeResult
-from kgen.fields import DISC, EUCLIDEAN, SPHERE, MatrixPolyField
+from kgen.fields import MatrixPolyField
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 TEXT = st.none() | st.text(max_size=8)
@@ -54,8 +54,7 @@ def term_dicts(draw, dim, n, hermitian, block=None, entries=FINITE):
 def fields(draw):
     dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     hermitian = draw(st.booleans())
-    domain = draw(st.sampled_from([SPHERE, DISC, EUCLIDEAN]))
-    return MatrixPolyField(dim, n, draw(term_dicts(dim, n, hermitian)), domain)
+    return MatrixPolyField(dim, n, draw(term_dicts(dim, n, hermitian)))
 
 
 @st.composite
@@ -68,7 +67,7 @@ def models(draw):
     else:
         n, chiral = draw(st.integers(1, 3)), None
         terms = draw(term_dicts(dim, n, True))
-    field = MatrixPolyField(dim, n, terms, EUCLIDEAN)
+    field = MatrixPolyField(dim, n, terms)
     # A two-dimensional chiral model has its crossings at energy 0, so its
     # Fermi level must be 0.
     fermi = 0.0 if dim == 2 and chiral is not None else draw(FINITE)
@@ -115,8 +114,8 @@ def test_field_payload_round_trips_through_strict_json(field):
     text = strict(field.to_payload())
     back = MatrixPolyField.from_payload(json.loads(text))
     assert strict(back.to_payload()) == text
-    assert (back.ambient_dim, back.size, back.domain, back.selfadjoint) == (
-        field.ambient_dim, field.size, field.domain, field.selfadjoint)
+    assert (back.ambient_dim, back.size, back.selfadjoint) == (
+        field.ambient_dim, field.size, field.selfadjoint)
     assert set(back.terms) == set(field.terms)
     for alpha, mat in field.terms.items():
         assert back.terms[alpha].tobytes() == mat.tobytes()
@@ -130,8 +129,7 @@ def small_fields(draw, dim, n):
     """Fields of entries in [-4, 4], Hermitian or not, that no transform below
     overflows."""
     hermitian = draw(st.booleans())
-    domain = draw(st.sampled_from([SPHERE, DISC, EUCLIDEAN]))
-    return MatrixPolyField(dim, n, draw(term_dicts(dim, n, hermitian, entries=SMALL)), domain)
+    return MatrixPolyField(dim, n, draw(term_dicts(dim, n, hermitian, entries=SMALL)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,28 +2,30 @@
 
 import tracemalloc
 
+import re
+
 import numpy as np
 import pytest
 
 from kgen import clifford, generators, kmaps
 from kgen._linalg import CHUNK, func_of_hermitian
 from kgen.errors import DomainError, LiftInvalidError, PoleError
-from kgen.fields import DISC, EvaluableField, MatrixPolyField
+from kgen.fields import EvaluableField, MatrixPolyField
 from kgen.sampling import ball_points
 
 
 def scalar_field(terms, ambient=2):
-    return MatrixPolyField(ambient, 1, {a: np.array([[c]]) for a, c in terms.items()}, DISC)
+    return MatrixPolyField(ambient, 1, {a: np.array([[c]]) for a, c in terms.items()})
 
 
 def disc_dirac_lift(d):
     rep = clifford.build_rep(d, clifford.LEFT)
-    return generators.dirac_phase_field(d, rep, domain=DISC)
+    return generators.dirac_phase_field(d, rep)
 
 
 def disc_weyl_lift(d):
     rep = clifford.build_rep(d + 1, clifford.LEFT)
-    return generators.weyl_field(d, rep, domain=DISC)
+    return generators.weyl_field(d, rep)
 
 
 # -- charts ------------------------------------------------------------------
@@ -344,7 +346,7 @@ def test_homotopy_at_keeps_the_bits_of_the_clip_and_power_formula(seed):
         vals = np.concatenate([edges, rng.uniform(-1.0, 1.0, n - 2)]) if n > 1 else edges[seed % 2:][:1]
         b = (q * vals) @ q.conj().T
         b = 0.5 * (b + b.conj().T)
-        lift = MatrixPolyField(3, n, {(0, 0, 0): b}, DISC)
+        lift = MatrixPolyField(3, n, {(0, 0, 0): b})
         y = rng.uniform(-0.5, 0.5, 3)
         for t in np.linspace(0.0, 1.0, 11):
             got = kmaps.homotopy_at(lift, float(t), y)
@@ -410,6 +412,18 @@ def test_homotopy_scan_bounds_the_entries_of_each_svd_call(monkeypatch):
     assert len(shapes) == 3 * kmaps.HOMOTOPY_T_POINTS
     assert sum(s[0] for s in shapes) == 9 * kmaps.HOMOTOPY_T_POINTS
     assert max(np.prod(s) for s in shapes) <= 4 * CHUNK
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_suites_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
+    suites = (lambda s: kmaps.verify_index_identity(1, samples=2, seed=s),
+              lambda s: kmaps.verify_exp_identity(2, samples=2, seed=s),
+              lambda s: kmaps.homotopy_scan(2, samples=2, seed=s),
+              lambda s: generators.verify_fredholm(samples=2, seed=s))
+    for suite in suites:
+        with pytest.raises(ValueError, match=re.escape(f"non-negative integer, got {seed!r}")):
+            suite(seed)
+        assert suite(np.int64(3)) == suite(3)
 
 
 # -- identity suites -------------------------------------------------------------
@@ -479,7 +493,7 @@ def test_exp_identity(d, tol):
 def test_exp_identity_zero_point():
     # Both sides equal -i at the ball center.
     rep = clifford.build_rep(3, clifford.LEFT)
-    image = kmaps.exp_map(generators.weyl_field(2, rep, domain=DISC), "forward")
+    image = kmaps.exp_map(generators.weyl_field(2, rep), "forward")
     dirac = generators.dirac_phase_field(3, rep)
     lhs = image.evaluate(np.zeros(3))
     rhs = dirac.evaluate([0.0, 0.0, 0.0, -1.0])

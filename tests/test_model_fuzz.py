@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from kgen import bandscan, cli
 from kgen.errors import ModelFormatError
-from kgen.fields import EUCLIDEAN, MatrixPolyField
+from kgen.fields import MatrixPolyField
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -29,12 +29,12 @@ SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 MODELS = [
     bandscan.BandModel(
         MatrixPolyField(3, 2, {(1, 0, 0): SIGMA_1, (0, 1, 0): SIGMA_2, (0, 0, 2): SIGMA_3,
-                               (0, 0, 0): -0.25 * SIGMA_3}, EUCLIDEAN),
+                               (0, 0, 0): -0.25 * SIGMA_3}),
         name="two-weyl",
     ).to_payload(),
     bandscan.BandModel(
         MatrixPolyField(2, 2, {(2, 0): SIGMA_1, (0, 2): SIGMA_2,
-                               (0, 0): -0.25 * SIGMA_1 - 0.16 * SIGMA_2}, EUCLIDEAN),
+                               (0, 0): -0.25 * SIGMA_1 - 0.16 * SIGMA_2}),
         chiral=SIGMA_3,
         name="chiral-four-dirac",
     ).to_payload(),
