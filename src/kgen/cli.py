@@ -51,6 +51,21 @@ def _emit_json(payload, out: str | None) -> None:
     _emit(json_text(payload), out)
 
 
+def _refuse_shared_paths(named) -> None:
+    """Refuse, as a usage error, two of the ``(label, path)`` pairs (``None``
+    paths skipped) that name one file, so that no output overwrites the model
+    or the other output.  Paths that both exist are compared with
+    ``os.path.samefile`` (hard links included), others by ``os.path.realpath``."""
+    named = [(label, path) for label, path in named if path is not None]
+    for (label_a, a), (label_b, b) in itertools.combinations(named, 2):
+        if os.path.exists(a) and os.path.exists(b):
+            same = os.path.samefile(a, b)
+        else:
+            same = os.path.realpath(a) == os.path.realpath(b)
+        if same:
+            raise UsageError(f"{label_a} {a} and {label_b} {b} name the same file")
+
+
 def _cmd_clifford(args) -> int:
     rep = clifford.build_rep(args.d, args.handedness)
     _emit_json(rep.to_payload(), args.out)
@@ -120,6 +135,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_charge(args) -> int:
+    _refuse_shared_paths([("model", args.model), ("--out", args.out)])
     model = bandscan.load_model(args.model)
     center = args.center if args.center is not None else [0.0] * model.dimension
     if len(center) != model.dimension:
@@ -156,23 +172,33 @@ def _write_gap_map(handle, axes, gaps: np.ndarray) -> None:
 
     Rows run over the grid in C order (last coordinate fastest).  Each axis
     value is formatted once, the n^(dim-1) trailing coordinate strings are
-    joined once, and only the gaps are formatted per row.  Each leading-axis
-    slab of n^(dim-1) rows is written as soon as it is built, so the file
-    costs one slab of text, the trailing strings and the gap array (one float
-    per node), and no row array.  Floats are ``repr``, as ``csv.writer`` would
-    write them.
+    joined once, and only the gaps are formatted per row.  A leading-axis
+    slab of k = n^(dim-1) rows is one ``"".join`` of 4k parts (lead, tail,
+    gap, newline) held in one list, in which only the lead and gap slots
+    change from slab to slab; so no per-row string is built.  Each slab is
+    written as soon as it is joined, so the file costs one slab of text, the
+    part list, the trailing strings and the gap array (one float per node),
+    and no row array.  Floats are ``repr``, as ``csv.writer`` would write them.
     """
     coords = [[repr(v) + "," for v in axis.tolist()] for axis in axes]
     tails = ["".join(parts) for parts in itertools.product(*coords[1:])]
     handle.write(",".join([f"x{i + 1}" for i in range(gaps.ndim)] + ["gap"]) + "\n")
+    k = len(tails)
+    parts = [""] * (4 * k)
+    parts[1::4] = tails
+    parts[3::4] = ["\n"] * k
     for lead, slab in zip(coords[0], gaps):
-        lines = map(str.__add__, tails, map(repr, slab.ravel().tolist()))
-        handle.write(lead + ("\n" + lead).join(lines) + "\n")
+        parts[0::4] = [lead] * k
+        parts[2::4] = map(repr, slab.ravel().tolist())
+        handle.write("".join(parts))
 
 
 def _cmd_scan(args) -> int:
     if args.threads < 1:
         raise UsageError("thread count must be >= 1")
+    _refuse_shared_paths(
+        [("model", args.model), ("--out", args.out), ("--gap-map", args.gap_map)]
+    )
     model = bandscan.load_model(args.model)
     box = _parse_box(args.box, model.dimension)
     created = False

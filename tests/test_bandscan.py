@@ -63,6 +63,18 @@ def massive_dirac_model(m=0.1):
     return BandModel(MatrixPolyField(2, 2, terms), name="massive")
 
 
+def close_pair_chiral_model():
+    """((x1 - 0.61)^2 - 0.05^2) sigma_1 + x2 sigma_2 with J = sigma_3: chiral
+    crossings at (0.56, 0) and (0.66, 0), closer than the default grid spacing."""
+    terms = {
+        (2, 0): SIGMA_1,
+        (1, 0): -1.22 * SIGMA_1,
+        (0, 0): (0.61**2 - 0.05**2) * SIGMA_1,
+        (0, 1): SIGMA_2,
+    }
+    return BandModel(MatrixPolyField(2, 2, terms), chiral=SIGMA_3)
+
+
 # -- validation ----------------------------------------------------------------
 
 
@@ -107,13 +119,7 @@ def test_small_chiral_enclosure_away_from_the_origin_is_charged():
     # about x1 = 0.66: h(0.66, 0) is rotation rounding far above 1e-12 of the
     # entries there.  The chiral block is taken from the model's own
     # coefficients, so the charge still computes.
-    terms = {
-        (2, 0): SIGMA_1,
-        (1, 0): -1.22 * SIGMA_1,
-        (0, 0): (0.61**2 - 0.05**2) * SIGMA_1,
-        (0, 1): SIGMA_2,
-    }
-    model = rotated(terms, 1.0, chiral=SIGMA_3)
+    model = rotated(dict(close_pair_chiral_model().terms), 1.0, chiral=SIGMA_3)
     big = charge_crossing(model, [0.66, 0.0], 0.02).charge.charge
     assert abs(big) == 1
     assert charge_crossing(model, [0.66, 0.0], 1e-5).charge.charge == big
@@ -834,3 +840,57 @@ def test_gap_map_in_chunks_matches_pointwise_gaps(monkeypatch):
         gap_at(model, [axis[i] for axis, i in zip(axes, index)]) for index in np.ndindex(gaps.shape)
     ]
     assert np.max(np.abs(gaps.ravel() - expected)) <= 1e-14
+
+
+# -- known wrong answers -------------------------------------------------------
+# Each test asserts the right answer and is a strict xfail while its ROADMAP
+# item stands, so the change that mends the defect must drop the marker.
+
+
+def merged_at(coarse_n):
+    reason = (
+        "ROADMAP item 10: both crossings share one coarse minimum, so one is "
+        "reported and its enclosure holds both (charge 0, trivial)"
+    )
+    return pytest.param(
+        coarse_n, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+    )
+
+
+@pytest.mark.parametrize("coarse_n", [merged_at(8), merged_at(16), merged_at(24), 32])
+def test_crossings_closer_than_a_grid_spacing_are_charged_apart(coarse_n):
+    reports = scan(close_pair_chiral_model(), [(-1, 1)] * 2, coarse_n)
+    assert np.allclose([r.location for r in reports], [(0.56, 0.0), (0.66, 0.0)], atol=1e-6)
+    assert [r.classification for r in reports] == [bandscan.DIRAC_CHIRAL] * 2
+    assert sorted(r.charge.charge for r in reports) == [-1, 1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 20: the enclosure reaches past the box's edge and also "
+    "holds the crossing at x3 = -0.2, so the charge reported is their sum, 0",
+)
+def test_an_enclosure_holds_only_the_crossing_it_charges():
+    model = two_weyl_model(0.2)
+    full = [r for r in scan(model, [(-1, 1)] * 3) if r.location[2] > 0]
+    assert len(full) == 1 and abs(full[0].charge.charge) == 1
+    (report,) = scan(model, [(-1, 1), (-1, 1), (0.1, 1)])
+    assert np.allclose(report.location, full[0].location, atol=1e-6)
+    assert report.charge.charge == full[0].charge.charge
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 21: GAP_TOL = 1e-8 is absolute, and at this scale the "
+    "pattern search stops above it, so the crossing is dropped",
+)
+@pytest.mark.parametrize("scale", [5e8, 1e10])
+def test_a_scaled_weyl_model_scans_as_the_weyl_model(scale):
+    (expected,) = scan(weyl_model(), [(-1, 1)] * 3)
+    terms = {a: scale * m for a, m in weyl_model().field.terms.items()}
+    reports = scan(BandModel(MatrixPolyField(3, 2, terms)), [(-1, 1)] * 3)
+    assert len(reports) == 1
+    assert np.allclose(reports[0].location, expected.location, atol=1e-6)
+    assert reports[0].charge.charge == expected.charge.charge

@@ -1244,3 +1244,22 @@ def test_a_one_sector_field_keeps_the_bits_of_its_kernels(kind):
         raws = [charge._winding_raw(field, charge._grid_rows(dim, n)) for n in (8, 16)]
     pair = fn(field, resolution=8).convergence_pair
     assert list(map(repr, pair)) == list(map(repr, raws))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: the gap closes at (0, 1, +-1)/sqrt(2) on the sphere, "
+    "between the grid nodes, and the quadrature reports charge 0, converged",
+)
+def test_a_gap_closing_between_the_nodes_is_not_a_charge():
+    # The 1e7 x0 term keeps the gap large at every node; the sectors
+    # 1e7 x0 s3 + (x1 +- x2) s1 close where x0 = 0 and x1 = -+x2 on the sphere.
+    s1, s3, i2 = clifford.SIGMA_1, clifford.SIGMA_3, np.eye(2)
+    terms = {(1, 0, 0): 1e7 * np.kron(s3, i2), (0, 1, 0): np.kron(s1, i2),
+             (0, 0, 1): np.kron(s1, s3)}
+    try:
+        result = chern_2(MatrixPolyField(3, 4, terms), 0.0)
+    except GapClosedError:
+        return
+    assert not result.converged, result

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -743,6 +744,28 @@ def test_gap_map_csv_matches_csv_writer(request, tmp_path, model, grid, box):
     assert path.read_text(encoding="utf-8") == buffer.getvalue()
 
 
+@pytest.mark.parametrize("model", ["two_weyl_path", "chiral_dirac_path"])
+def test_gap_map_is_written_one_slab_at_a_time(request, model):
+    # One header write, then one write per leading-axis slab of n^(dim-1)
+    # rows: a writer that joined all slabs would hold the whole CSV.
+    n = 9
+    loaded = bandscan.load_model(request.getfixturevalue(model))
+    axes, gaps = bandscan.gap_map(loaded, [(-1.0, 1.0)] * loaded.dimension, n)
+    writes = []
+    cli._write_gap_map(types.SimpleNamespace(write=writes.append), axes, gaps)
+    assert writes[0] == ",".join([f"x{i + 1}" for i in range(gaps.ndim)] + ["gap"]) + "\n"
+    assert len(writes) == 1 + n
+    for slab in writes[1:]:
+        assert slab.endswith("\n") and slab.count("\n") == n ** (gaps.ndim - 1)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([f"x{i + 1}" for i in range(gaps.ndim)] + ["gap"])
+    for index in np.ndindex(gaps.shape):
+        row = [axis[i] for axis, i in zip(axes, index)] + [gaps[index]]
+        writer.writerow([repr(float(v)) for v in row])
+    assert "".join(writes) == buffer.getvalue()
+
+
 def test_gap_map_writer_memory_stays_below_half_the_csv(two_weyl_path, tmp_path):
     # The block writer held the CSV about twice over; the slab writer holds one
     # slab of n^(dim-1) rows and the trailing coordinate strings.
@@ -889,6 +912,37 @@ def test_failed_scan_leaves_no_new_gap_map(two_weyl_path, tmp_path, capsys, extr
     assert main(["scan", two_weyl_path, *extra, "--gap-map", str(target)]) == 2
     assert capsys.readouterr().out == ""
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, labels",
+    [
+        (["charge", "weyl.json", "--radius", "0.5", "--out", "weyl.json"], ("model", "--out")),
+        (["charge", "weyl.json", "--radius", "0.5", "--out", "./weyl.json"], ("model", "--out")),
+        (["scan", "weyl.json", "--grid", "8", "--out", "weyl.json"], ("model", "--out")),
+        (["scan", "weyl.json", "--grid", "8", "--gap-map", "weyl.json"], ("model", "--gap-map")),
+        (["scan", "weyl.json", "--grid", "8", "--gap-map", "./g.csv", "--out", "g.csv"],
+         ("--out", "--gap-map")),
+        (["scan", "weyl.json", "--grid", "8", "--out", "link.json"], ("model", "--out")),
+    ],
+    ids=["charge-out", "charge-out-dot", "scan-out", "scan-gap-map", "out-is-gap-map",
+         "out-through-symlink"],
+)
+def test_an_output_naming_the_model_or_the_other_output_exits_2(
+    weyl_path, tmp_path, capsys, monkeypatch, argv, labels
+):
+    # Each of these exited 0 and replaced the model (or the report) with output.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("weyl.json", "link.json")
+    before = sorted(os.listdir(tmp_path))
+    model = (tmp_path / "weyl.json").read_bytes()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {labels[0]} ")
+    assert f" and {labels[1]} " in captured.err and captured.err.endswith(" name the same file\n")
+    assert (tmp_path / "weyl.json").read_bytes() == model
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_main_callable_directly(capsys):
