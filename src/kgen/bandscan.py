@@ -244,7 +244,9 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
 
 def _box_grid(box, dim: int, n: int):
     """Validated box and the n values of each of its axes, ``(box, axes)``;
-    no point array (:func:`_grid_gaps` builds the points chunk by chunk)."""
+    no point array (:func:`_grid_gaps` builds the points chunk by chunk).  A
+    grid of more than ``charge.MAX_GRID_NODES`` nodes is refused before
+    anything is allocated."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != dim:
         raise ValueError(f"box must have {dim} (lo, hi) pairs")
@@ -252,6 +254,10 @@ def _box_grid(box, dim: int, n: int):
         raise ValueError(f"box bounds must be finite, got {box}")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box intervals must be nondegenerate")
+    nodes = int(n) ** dim  # a Python int, which cannot wrap as numpy's int64 would
+    if nodes > charge_mod.MAX_GRID_NODES:
+        raise ValueError(f"grid {n} is too fine: its box grid in {dim}-D has {nodes} nodes, "
+                         f"more than MAX_GRID_NODES = {charge_mod.MAX_GRID_NODES}")
     return box, [np.linspace(lo, hi, n) for lo, hi in box]
 
 

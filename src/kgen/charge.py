@@ -128,7 +128,8 @@ DEFAULT_RESOLUTION = {1: 256, 2: 64, 3: 24}
 # S^3) that a charge walks.  At the bound a 2 x 2 field takes 1.8 s on S^1,
 # 3.8 s on S^2 and 4.7 s on S^3 (one OpenBLAS thread, 2 cores, numpy 2.4.6),
 # and larger fields proportionally longer.  It is 8 times the largest grid
-# the tests and the benchmark use (S^2 at n = 512).
+# the tests and the benchmark use (S^2 at n = 512).  It also bounds the n^m
+# nodes of a band scan's box grid (bandscan._box_grid): n <= 256 for m = 3.
 MAX_GRID_NODES = 2**24
 
 

@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except MemoryError as exc:  # e.g. a --grid whose gap array cannot be allocated
+    except MemoryError as exc:  # e.g. verify --samples 10^12: 14.6 TiB of sample points
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
     except KgenError as exc:

@@ -29,8 +29,8 @@ RIGHT = "right"
 # at desk scale (dense products of 64 x 64 matrices).
 MAX_D = 13
 
-# Residual thresholds: structural invariants in verify_rep, and the
-# scalar-product test deciding irreducibility/handedness.
+# Residual thresholds: the Clifford relations (verify_rep, grading_of and
+# from_payload), and the scalar-product test of handedness_of.
 INVARIANT_TOL = 1e-12
 SCALAR_TOL = 1e-10
 
@@ -80,17 +80,18 @@ class CliffordRep:
     @classmethod
     def from_payload(cls, payload: dict) -> "CliffordRep":
         """Representation from :meth:`to_payload` output.  A missing key or a
-        ``d`` that is not a JSON integer is a ModelFormatError, and a
-        ``handedness`` other than its generators' an
-        InconsistentRepresentationError."""
+        ``d`` that is not a JSON integer >= 1 is a ModelFormatError; generators
+        that fail :func:`verify_rep`, and then a ``handedness`` other than
+        theirs, are an InconsistentRepresentationError."""
         for key in ("d", "handedness", "gammas"):
             if key not in payload:
                 raise ModelFormatError(f"representation is missing the {key!r} key")
         d = payload["d"]
         # type() rather than int(), which would take "1", true and 1.9 for 1.
-        if type(d) is not int:
-            raise ModelFormatError(f"'d' must be an integer, got {d!r}")
+        if type(d) is not int or d < 1:
+            raise ModelFormatError(f"'d' must be an integer >= 1, got {d!r}")
         rep = cls(d=d, gammas=tuple(matrix_from_json(g) for g in payload["gammas"]))
+        _refuse_violation(verify_rep(rep).violations)
         if payload["handedness"] != rep.handedness:
             raise InconsistentRepresentationError(
                 f"label says {payload['handedness']!r}, the generators give {rep.handedness!r}"
@@ -132,22 +133,6 @@ class ValidationReport:
     @property
     def max_residual(self) -> float:
         return max((v.residual for v in self.violations), default=0.0)
-
-
-def _handedness_scalar(d: int) -> complex:
-    """Reference scalar i^((d-1)/2) of the left-handed convention, odd d."""
-    return 1j ** ((d - 1) // 2)
-
-
-def _generator_product(rep: CliffordRep) -> np.ndarray:
-    return reduce(np.matmul, rep.gammas)
-
-
-def _product_scalar(rep: CliffordRep) -> tuple:
-    """``(lam, residual)``: the generator product's top-left entry and its distance from lam I."""
-    prod = _generator_product(rep)
-    lam = prod[0, 0]
-    return lam, max_abs(prod - lam * np.eye(rep.N, dtype=complex))
 
 
 def build_rep(d: int, handedness: str = LEFT) -> CliffordRep:
@@ -209,21 +194,18 @@ def extend(rep: CliffordRep) -> CliffordRep:
     return CliffordRep(d=rep.d + 2, gammas=tuple(gammas))
 
 
-def verify_rep(rep: CliffordRep) -> ValidationReport:
-    """Check all representation invariants; residuals are max entry deviations."""
+def _relation_violations(rep: CliffordRep) -> list:
+    """Violations of the Clifford relations, the one statement of them: every
+    generator an N x N Hermitian unitary, and Gamma_i Gamma_j + Gamma_j Gamma_i
+    = 0 for i != j.  A wrong shape ends the check, as nothing after it can be
+    multiplied."""
     violations = []
     n = rep.N
     eye = np.eye(n, dtype=complex)
-
-    expected_n = 2 ** (rep.d // 2)
-    if n != expected_n:
-        violations.append(
-            Violation("dimension", float(abs(n - expected_n)), f"N = {n}, expected {expected_n}")
-        )
     for j, g in enumerate(rep.gammas):
         if g.shape != (n, n):
             violations.append(Violation("shape", 0.0, f"generator {j + 1} has shape {g.shape}"))
-            return ValidationReport(tuple(violations))
+            return violations
         r = max_abs(g - dagger(g))
         if r > INVARIANT_TOL:
             violations.append(Violation("hermiticity", r, f"generator {j + 1}"))
@@ -237,23 +219,35 @@ def verify_rep(rep: CliffordRep) -> ValidationReport:
                 violations.append(
                     Violation("anti-commutation", r, f"generators {i + 1}, {j + 1}")
                 )
+    return violations
 
-    if rep.d % 2 == 1 and not violations:
-        lam, r = _product_scalar(rep)
-        if r > INVARIANT_TOL:
-            violations.append(Violation("scalar-product", r, "generator product not scalar"))
-        else:
-            ref = _handedness_scalar(rep.d)
-            r = min(abs(lam - ref), abs(lam + ref))
-            if r > INVARIANT_TOL:
-                violations.append(Violation("handedness-scalar", float(r), f"lambda = {lam}"))
-    return ValidationReport(tuple(violations))
+
+def _refuse_violation(violations) -> None:
+    """Raise InconsistentRepresentationError naming the first violation, if any."""
+    if violations:
+        v = violations[0]
+        raise InconsistentRepresentationError(
+            f"not a Clifford representation: {v.kind} ({v.detail}), residual {v.residual:.3g}"
+        )
+
+
+def verify_rep(rep: CliffordRep) -> ValidationReport:
+    """Check the dimension N = 2^floor(d/2) and the Clifford relations;
+    residuals are max entry deviations.  Together they make the
+    representation irreducible, so for odd d the generator product is
+    +-i^((d-1)/2) I and needs no check of its own."""
+    n, expected_n = rep.N, 2 ** (rep.d // 2)
+    violations = [] if n == expected_n else [
+        Violation("dimension", float(abs(n - expected_n)), f"N = {n}, expected {expected_n}")
+    ]
+    return ValidationReport(tuple(violations + _relation_violations(rep)))
 
 
 def verify_reps(d: int = 9) -> dict:
     """Suite report of :func:`verify_rep` on every representation with 1 to
     ``d`` generators, both handednesses for odd counts; ``samples`` counts the
-    representations and PASS needs every residual to be exactly 0."""
+    representations.  PASS means that none has a violation: every residual is
+    at most INVARIANT_TOL, and ``max_residual`` is 0.0 when there is none."""
     if d < 1:
         raise ValueError(f"the clifford suite needs d >= 1, got {d}")
     residuals = [verify_rep(build_rep(k, hand)).max_residual
@@ -262,15 +256,18 @@ def verify_reps(d: int = 9) -> dict:
 
 
 def handedness_of(rep: CliffordRep) -> str:
-    """Label the representation by the scalar value of its generator product."""
+    """Label the representation by the scalar value of its generator product,
+    +i^((d-1)/2) (left) or -i^((d-1)/2) (right); the product is tested here,
+    as nothing requires ``rep`` to pass :func:`verify_rep`."""
     if rep.d % 2 == 0:
         raise ValueError("handedness is defined only for odd generator counts")
-    lam, r = _product_scalar(rep)
-    if r > SCALAR_TOL:
+    prod = reduce(np.matmul, rep.gammas)
+    lam = prod[0, 0]
+    if max_abs(prod - lam * np.eye(rep.N, dtype=complex)) > SCALAR_TOL:
         raise NotIrreducibleError(
             "generator product is not scalar; representation is not irreducible"
         )
-    ref = _handedness_scalar(rep.d)
+    ref = 1j ** ((rep.d - 1) // 2)
     if abs(lam - ref) <= SCALAR_TOL:
         return LEFT
     if abs(lam + ref) <= SCALAR_TOL:
@@ -288,21 +285,21 @@ def flip_first(rep: CliffordRep) -> CliffordRep:
 def grading_of(rep: CliffordRep) -> Grading:
     """Hermitian unitary grading of an even-d representation.
 
-    Returns ``phase * Gamma_1 ... Gamma_d``.  The product of Hermitian
-    generators is Hermitian or anti-Hermitian, so one test decides between the
-    phases +-1 and +-i; the sign is chosen so that representations built by
+    Returns ``phase * Gamma_1 ... Gamma_d``; generators that fail the
+    Clifford relations are an InconsistentRepresentationError.  The relations
+    alone, reducible representations included, make the product P
+    anti-commute with every generator, with P^dagger = s P and P^2 = s I for
+    s = (-1)^(d(d-1)/2); so the phase is +-1 for s = 1 and +-i for s = -1.
+    The sign is chosen so that representations built by
     :func:`build_rep`/:func:`extend` and their truncations yield the block
     matrix diag(1, -1).
     """
     if rep.d % 2 != 0:
         raise ValueError("grading is defined for even generator counts")
-    prod = _generator_product(rep)
-    phase = 1 if max_abs(prod - dagger(prod)) <= SCALAR_TOL else 1j
+    _refuse_violation(_relation_violations(rep))
+    prod = reduce(np.matmul, rep.gammas)
+    phase = 1j if rep.d * (rep.d - 1) // 2 % 2 else 1
     mat = phase * prod
-    if max_abs(mat - dagger(mat)) > SCALAR_TOL or max_abs(mat @ mat - np.eye(rep.N)) > SCALAR_TOL:
-        raise InconsistentRepresentationError(
-            "no fourth root of unity makes the generator product a Hermitian unitary"
-        )
 
     def _score(mat):
         # First significant diagonal entry (real for Hermitian matrices), or
@@ -317,10 +314,4 @@ def grading_of(rep: CliffordRep) -> Grading:
 
     if _score(-mat) > _score(mat):
         phase, mat = -phase, -phase * prod
-
-    for j, g in enumerate(rep.gammas):
-        if max_abs(mat @ g + g @ mat) > SCALAR_TOL:
-            raise InconsistentRepresentationError(
-                f"grading does not anti-commute with generator {j + 1}"
-            )
     return Grading(matrix=mat, phase=complex(phase))

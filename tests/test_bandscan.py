@@ -842,6 +842,27 @@ def test_gap_map_in_chunks_matches_pointwise_gaps(monkeypatch):
     assert np.max(np.abs(gaps.ravel() - expected)) <= 1e-14
 
 
+@pytest.mark.parametrize("dim, n", [(3, 256), (2, 4096)])
+def test_a_box_grid_at_the_node_bound_is_accepted(dim, n):
+    assert n**dim == charge.MAX_GRID_NODES
+    _, axes = bandscan._box_grid([(-1, 1)] * dim, dim, n)
+    assert [axis.size for axis in axes] == [n] * dim
+
+
+@pytest.mark.parametrize(
+    "call, nodes",
+    [
+        (lambda: bandscan.gap_map(massive_dirac_model(), [(-1, 1)] * 2, 4097), 4097**2),
+        (lambda: find_crossings(weyl_model(), [(-1, 1)] * 3, 257), 257**3),
+        (lambda: min_gap(weyl_model(), [(-1, 1)] * 3, 10**6), 10**18),
+    ],
+    ids=["gap_map-2d", "find_crossings-3d", "min_gap-3d"],
+)
+def test_a_box_grid_beyond_the_node_bound_is_refused(call, nodes):
+    with pytest.raises(ValueError, match=f"has {nodes} nodes, more than MAX_GRID_NODES = {2**24}"):
+        call()
+
+
 # -- known wrong answers -------------------------------------------------------
 # Each test asserts the right answer and is a strict xfail while its ROADMAP
 # item stands, so the change that mends the defect must drop the marker.

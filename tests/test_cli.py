@@ -835,8 +835,8 @@ def test_verify_refuses_a_negative_seed_naming_it(capsys, suite, seed):
 
 @pytest.mark.parametrize("gap_map", [False, True])
 def test_a_grid_too_large_to_hold_exits_2(weyl_path, tmp_path, capsys, gap_map):
-    # 10^15 gaps (8e15 bytes) are far beyond the address space, so allocating
-    # the gap array fails at once and nothing is allocated.
+    # 10^15 gaps (8e15 bytes) are refused by the node bound before the gap
+    # array is allocated.
     target = tmp_path / "big.csv"
     argv = ["scan", weyl_path, "--grid", "100000"]
     assert main(argv + (["--gap-map", str(target)] if gap_map else [])) == 2
@@ -844,6 +844,56 @@ def test_a_grid_too_large_to_hold_exits_2(weyl_path, tmp_path, capsys, gap_map):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("gap_map", [False, True])
+def test_a_grid_beyond_the_node_bound_exits_2_before_allocating(
+    weyl_path, tmp_path, capsys, gap_map
+):
+    # 257^3 nodes are one grid more than MAX_GRID_NODES = 2^24 allows in 3-D.
+    target = tmp_path / "g.csv"
+    argv = ["scan", weyl_path, "--grid", "257"] + (["--gap-map", str(target)] if gap_map else [])
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: grid 257 is too fine: its box grid in 3-D has {257**3} nodes, "
+                            f"more than MAX_GRID_NODES = {2**24}\n")
+    assert peak < 2**20, peak
+    assert not target.exists()
+
+
+def test_a_sample_count_that_cannot_be_allocated_exits_2(capsys):
+    # 10^12 three-coordinate points are 14.6 TiB: numpy's MemoryError is
+    # raised at once and reported as a usage error.
+    assert main(["verify", "--suite", "index", "--samples", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["charge", "{weyl}", "--center", "0", "0", "--radius", "0.5"],
+         "--center needs 3 coordinates"),
+        (["scan", "{weyl}", "--box", "-1", "1", "0"],
+         "--box needs 2 or 6 floats (lo hi per axis), got 3"),
+        (["generator", "--kind", "dirac-phase", "--d", "1", "--point", "0"],
+         "--point needs 2 coordinates, got 1"),
+    ],
+    ids=["center", "box", "point"],
+)
+def test_a_coordinate_count_that_does_not_fit_exits_2(weyl_path, capsys, argv, message):
+    assert main([t.format(weyl=weyl_path) for t in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["-1e-3", "-2E+0"])

@@ -20,6 +20,7 @@ from kgen.clifford import (
     verify_rep,
 )
 from kgen.errors import InconsistentRepresentationError, ModelFormatError, NotIrreducibleError
+from kgen.serialize import matrix_to_json
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -360,3 +361,67 @@ def test_gammas_are_read_only():
     rep = build_rep(2)
     with pytest.raises(ValueError):
         rep.gammas[0][0, 0] = 5.0
+
+
+@pytest.mark.parametrize("d", range(1, MAX_D + 1))
+def test_the_relations_fix_the_product_at_every_level(d):
+    # What makes verify_rep's dimension and relation checks enough: for odd d
+    # the product is exactly +-i^((d-1)/2) I, and for even d the grading's
+    # phase is +-1 or +-i by the parity of d(d-1)/2.
+    if d % 2:
+        for hand, sign in ((LEFT, 1), (RIGHT, -1)):
+            expected = sign * 1j ** ((d - 1) // 2) * np.eye(2 ** (d // 2))
+            assert np.array_equal(product(build_rep(d, hand).gammas), expected)
+    else:
+        phase = grading_of(build_rep(d)).phase
+        assert phase in ((1j, -1j) if d * (d - 1) // 2 % 2 else (1, -1))
+
+
+def payload_of(d, handedness, gammas):
+    return {"d": d, "handedness": handedness, "gammas": [matrix_to_json(g) for g in gammas]}
+
+
+@pytest.mark.parametrize(
+    "payload, kind",
+    [
+        # Even d has no label to check, so the relations are all there is.
+        (payload_of(2, None, (SIGMA_1, SIGMA_1)), "anti-commutation"),
+        # The product of (sigma1, sigma1, iI) is iI, the left-handed scalar.
+        (payload_of(3, LEFT, (SIGMA_1, SIGMA_1, 1j * np.eye(2))), "hermiticity"),
+        (payload_of(1, LEFT, (2 * np.eye(1),)), "unitarity"),
+        (payload_of(1, LEFT, (np.eye(2),)), "dimension"),
+    ],
+    ids=["anti-commuting-pair", "left-scalar-non-hermitian", "unitarity", "dimension"],
+)
+def test_payload_failing_verify_rep_is_refused(payload, kind):
+    with pytest.raises(InconsistentRepresentationError, match=f"representation: {kind} "):
+        CliffordRep.from_payload(payload)
+
+
+def test_payload_d_must_be_at_least_one():
+    with pytest.raises(ModelFormatError, match="'d' must be an integer >= 1, got 0"):
+        CliffordRep.from_payload({"d": 0, "handedness": None, "gammas": []})
+
+
+def test_grading_of_a_reducible_pair():
+    # The relations hold without irreducibility, and so does the grading.
+    rep = CliffordRep(2, (np.kron(np.eye(2), SIGMA_1), np.kron(np.eye(2), SIGMA_2)))
+    assert not verify_rep(rep).ok
+    grading = grading_of(rep)
+    assert np.array_equal(grading.matrix, np.diag([1, -1, 1, -1]).astype(complex))
+    assert grading.phase == 1j
+
+
+def test_handedness_refuses_a_scalar_product_off_both_signs():
+    with pytest.raises(InconsistentRepresentationError, match="differs from both"):
+        handedness_of(CliffordRep(1, (2 * np.eye(1),)))
+
+
+def test_extend_refuses_to_pass_the_maximum():
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        extend(build_rep(MAX_D))
+
+
+def test_a_representation_needs_d_generators():
+    with pytest.raises(ValueError, match="expected 3 generators, got 2"):
+        CliffordRep(3, build_rep(2).gammas)
