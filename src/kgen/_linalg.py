@@ -159,7 +159,17 @@ def _stacked_trace3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def func_of_hermitian(a: np.ndarray, f) -> np.ndarray:
     """Apply the scalar function ``f`` to Hermitian matrices by eigendecomposition."""
-    vals, vecs = np.linalg.eigh(a)
+    return func_of_spectrum(np.linalg.eigh(a), f)
+
+
+def func_of_spectrum(spectrum, f) -> np.ndarray:
+    """V f(Lambda) V* from the ``(vals, vecs)`` pair of ``np.linalg.eigh``.
+
+    The pair does not depend on ``f``, so one eigendecomposition serves any
+    number of functions of the same matrices, each with the bits that
+    :func:`func_of_hermitian` gives it.
+    """
+    vals, vecs = spectrum
     return (vecs * f(vals)[..., None, :]) @ dagger(vecs)
 
 

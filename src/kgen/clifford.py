@@ -56,6 +56,8 @@ class CliffordRep:
     gammas: tuple
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"a representation needs d >= 1, got {self.d}")
         object.__setattr__(self, "gammas", tuple(_frozen(g) for g in self.gammas))
         if len(self.gammas) != self.d:
             raise ValueError(f"expected {self.d} generators, got {len(self.gammas)}")
@@ -79,10 +81,11 @@ class CliffordRep:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CliffordRep":
-        """Representation from :meth:`to_payload` output.  A missing key or a
-        ``d`` that is not a JSON integer >= 1 is a ModelFormatError; generators
-        that fail :func:`verify_rep`, and then a ``handedness`` other than
-        theirs, are an InconsistentRepresentationError."""
+        """Representation from :meth:`to_payload` output.  A missing key, a
+        ``d`` that is not a JSON integer >= 1, or ``gammas`` that are not a list
+        of d matrices is a ModelFormatError; generators that fail
+        :func:`verify_rep`, and then a ``handedness`` other than theirs, are an
+        InconsistentRepresentationError."""
         for key in ("d", "handedness", "gammas"):
             if key not in payload:
                 raise ModelFormatError(f"representation is missing the {key!r} key")
@@ -90,7 +93,12 @@ class CliffordRep:
         # type() rather than int(), which would take "1", true and 1.9 for 1.
         if type(d) is not int or d < 1:
             raise ModelFormatError(f"'d' must be an integer >= 1, got {d!r}")
-        rep = cls(d=d, gammas=tuple(matrix_from_json(g) for g in payload["gammas"]))
+        gammas = payload["gammas"]
+        if type(gammas) is not list:
+            raise ModelFormatError(f"'gammas' must be a list, got {type(gammas).__name__}")
+        if len(gammas) != d:
+            raise ModelFormatError(f"'gammas' must hold d = {d} matrices, got {len(gammas)}")
+        rep = cls(d=d, gammas=tuple(matrix_from_json(g) for g in gammas))
         _refuse_violation(verify_rep(rep).violations)
         if payload["handedness"] != rep.handedness:
             raise InconsistentRepresentationError(

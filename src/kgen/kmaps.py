@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford, generators
-from ._linalg import CHUNK, dagger, func_of_hermitian, max_abs, operator_norm, sq_norms, sqrt_psd
+from ._linalg import CHUNK, dagger, func_of_hermitian, func_of_spectrum, max_abs, operator_norm
+from ._linalg import sq_norms, sqrt_psd
 from .errors import DomainError, LiftInvalidError, PoleError
 from .fields import EvaluableField
 from .sampling import ball_points, check_samples, seeded_rng, sphere_points
@@ -204,6 +205,12 @@ def exp_map(b_field, convention: str = "forward") -> EvaluableField:
     return EvaluableField(b_field.ambient_dim, b_field.size, evaluator)
 
 
+# The last (field, (shape, bytes) of y, eigh of B(y)) that homotopy_at
+# decomposed.  It is replaced by one assignment, so a reader sees a whole
+# tuple, and it holds the field itself, so no other field can take its id.
+_last_spectrum = (None, None, None)
+
+
 def homotopy_at(b_field, t: float, y) -> np.ndarray:
     """Deformation between the exponential-map unitary and its algebraic form.
 
@@ -214,6 +221,13 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     t = 1 this is the unitary -cos(pi B) + i sin(pi B); invertibility along the
     whole path is what :func:`homotopy_scan` samples via singular values.
 
+    The eigendecomposition of B(y) does not depend on t, so the last one is
+    kept: a call with the same field object (``is``) and a y of the same
+    shape and float bytes reuses it, and any other call evaluates B(y),
+    decomposes it and replaces it.  This assumes that a field is a function
+    of its point, as every kgen field is.  Calls that run through the t-values
+    at one point, as :func:`homotopy_scan` makes them, decompose each B(y) once.
+
     The scalar function runs once per eigenvalue of B(y), on Python floats
     with :mod:`math` (a numpy ufunc on a few eigenvalues costs more in call
     overhead than in arithmetic).  It rounds the same operations in the same
@@ -221,12 +235,17 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     whose cos, sin and sqrt agree with :mod:`math`'s to the bit, so each
     matrix keeps that formula's bits.  A non-finite t or y is refused.
     """
+    global _last_spectrum
     t, y = float(t), np.asarray(y, dtype=float)
     if not math.isfinite(t):
         raise DomainError(f"homotopy_at needs a finite t, got {t}")
     if not all(map(math.isfinite, y.ravel().tolist())):
         raise DomainError(f"homotopy_at needs a finite y, got {y.tolist()}")
-    b = b_field.evaluate(y)
+    key = (y.shape, y.tobytes())
+    field, point, spectrum = _last_spectrum
+    if field is not b_field or point != key:
+        spectrum = np.linalg.eigh(b_field.evaluate(y))
+        _last_spectrum = (b_field, key, spectrum)
     one_minus_t2 = 1.0 - t * t
 
     def f(vals):
@@ -240,7 +259,7 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
             out.append(complex(real, 0.0 + imag))
         return np.array(out)
 
-    return func_of_hermitian(b, f)
+    return func_of_spectrum(spectrum, f)
 
 
 def homotopy_scan(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:
@@ -250,19 +269,28 @@ def homotopy_scan(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:
     Uses the Weyl contraction lift in d+1 ball variables.  PASS means the
     smallest singular value over the whole grid stays above 1e-3, i.e. the
     deformation never leaves the invertibles.  Each matrix comes from
-    :func:`homotopy_at`; a t-value's matrices go to one batched SVD call per
-    block of :func:`_blocks`.
+    :func:`homotopy_at`, point by point within each block of :func:`_blocks`
+    with t as the inner loop, so one eigendecomposition of B(y) serves all
+    t-values; each t-value's matrices of a block then go to one batched SVD
+    call.
     """
     _check_level("homotopy", d)
     check_samples(samples)
     rep = clifford.build_rep(d + 1, clifford.LEFT)
     lift = generators.weyl_field(d, rep)
     points = ball_points(d + 1, samples, seeded_rng(seed))
+    ts = np.linspace(0.0, 1.0, HOMOTOPY_T_POINTS).tolist()
     min_sv = np.inf
-    for t in np.linspace(0.0, 1.0, HOMOTOPY_T_POINTS).tolist():
-        for block in _blocks(points, lift.size):
-            stack = np.stack([homotopy_at(lift, t, y) for y in block])
-            min_sv = min(min_sv, float(np.min(np.linalg.svd(stack, compute_uv=False)[:, -1])))
+    blocks = list(_blocks(points, lift.size))
+    # Allocated once and reused by every block; row k is the k-th t-value's stack.
+    stacks = np.empty((len(ts), len(blocks[0]), lift.size, lift.size), dtype=complex)
+    for block in blocks:
+        for i, y in enumerate(block):
+            for k, t in enumerate(ts):
+                stacks[k, i] = homotopy_at(lift, t, y)
+        for stack in stacks[:, :len(block)]:
+            smallest = np.linalg.svd(stack, compute_uv=False)[:, -1]
+            min_sv = min(min_sv, float(np.min(smallest)))
     return suite_report(
         "homotopy",
         d,

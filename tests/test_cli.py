@@ -169,15 +169,21 @@ def test_verify_suites_pass():
         assert {"suite", "d", "samples", "max_residual", "pass"} <= set(payload)
 
 
-@pytest.mark.parametrize("suite, d", [("index", 11), ("exp", 12)])
-def test_verify_memory_does_not_grow_with_samples(capsys, suite, d):
-    # The identity suites evaluate their points in blocks of at most
-    # 4 x CHUNK matrix entries; unblocked, index d = 11 peaks at 42 MiB for
-    # 250 samples and 158 MiB for 1,000.
+@pytest.mark.parametrize(
+    "suite, d, counts",
+    # Homotopy d = 12 takes 11 SVDs of 64 x 64 per point: 14 s at (250, 1000)
+    # under tracemalloc.  Its blocks hold 4 points, so 40 samples are 10 blocks.
+    [("index", 11, (250, 1000)), ("exp", 12, (250, 1000)), ("homotopy", 12, (40, 160))],
+    ids=["index-11", "exp-12", "homotopy-12"],
+)
+def test_verify_memory_does_not_grow_with_samples(capsys, suite, d, counts):
+    # The suites evaluate their points in blocks of at most 4 x CHUNK matrix
+    # entries (homotopy holds one such stack per t-value); unblocked, index
+    # d = 11 peaks at 42 MiB for 250 samples and 158 MiB for 1,000.
     argv = ["verify", "--suite", suite, "--d", str(d), "--samples"]
     assert main(argv + ["1"]) == 0  # builds and caches the representations
     peaks = []
-    for samples in (250, 1000):
+    for samples in counts:
         tracemalloc.start()
         try:
             assert main(argv + [str(samples)]) == 0

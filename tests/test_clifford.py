@@ -1,6 +1,7 @@
 """Clifford representation construction, validation and handedness."""
 
 import json
+import re
 from functools import reduce
 
 import numpy as np
@@ -401,6 +402,22 @@ def test_payload_failing_verify_rep_is_refused(payload, kind):
 def test_payload_d_must_be_at_least_one():
     with pytest.raises(ModelFormatError, match="'d' must be an integer >= 1, got 0"):
         CliffordRep.from_payload({"d": 0, "handedness": None, "gammas": []})
+
+
+@pytest.mark.parametrize(
+    "gammas, named",
+    [(5, "'gammas' must be a list, got int"),
+     (build_rep(2).to_payload()["gammas"][:1], "'gammas' must hold d = 2 matrices, got 1")],
+    ids=["not-a-list", "one-short"],
+)
+def test_payload_gammas_must_be_a_list_of_d_matrices(gammas, named):
+    with pytest.raises(ModelFormatError, match=re.escape(named)):
+        CliffordRep.from_payload({"d": 2, "handedness": None, "gammas": gammas})
+
+
+def test_a_representation_needs_d_at_least_one():
+    with pytest.raises(ValueError, match="needs d >= 1, got 0"):
+        CliffordRep(0, ())
 
 
 def test_grading_of_a_reducible_pair():

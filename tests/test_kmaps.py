@@ -353,6 +353,35 @@ def test_homotopy_at_keeps_the_bits_of_the_clip_and_power_formula(seed):
             assert got.tobytes() == clip_power_homotopy(lift.evaluate(y), float(t)).tobytes(), n
 
 
+def test_homotopy_at_never_serves_a_stale_spectrum():
+    # homotopy_at keeps the last eigendecomposition it made.  Whatever field
+    # and point came before, each call must give the bits of a fresh one.
+    rep = clifford.build_rep(3, clifford.LEFT)
+    lift, twin = generators.weyl_field(2, rep), generators.weyl_field(2, rep)
+    flipped = generators.weyl_field(2, clifford.flip_first(rep))
+    # The lift's values at y and nudged differ, and so do their spectra; its
+    # values at zero and negative_zero do not, so a field that reads the sign
+    # of zero stands in for one whose spectra would.
+    signed = EvaluableField(3, 1, lambda p: np.copysign(0.5, p[:, 2])[:, None, None])
+    y = np.array([0.1, -0.2, 0.6])
+    nudged = np.array([0.1, -0.2, np.nextafter(0.6, 1.0)])
+    zero, negative_zero = np.array([0.3, -0.2, 0.0]), np.array([0.3, -0.2, -0.0])
+    calls = [(lift, y), (twin, y), (lift, y), (flipped, y), (lift, y), (lift, nudged), (lift, y),
+             (lift, zero), (lift, negative_zero), (lift, zero),
+             (signed, zero), (signed, negative_zero), (signed, zero)]
+
+    def check(field, point, t):
+        got = kmaps.homotopy_at(field, t, point)
+        assert got.tobytes() == clip_power_homotopy(field.evaluate(point), t).tobytes()
+
+    for t in np.linspace(0.0, 1.0, kmaps.HOMOTOPY_T_POINTS).tolist():
+        for field, point in calls:
+            check(field, point, t)
+        # Each field is dropped before the next is made, so they may share an id.
+        for c in (0.1, 0.2, 0.3):
+            check(MatrixPolyField(3, 1, {(0, 0, 0): np.array([[c]])}), y, t)
+
+
 @pytest.mark.parametrize("d", kmaps._LEVELS["homotopy"])
 def test_homotopy_at_matches_the_closed_form_on_the_weyl_lift(d):
     # The Weyl lift has B(y)^2 = r^2 I with r = ||y||, so with no
