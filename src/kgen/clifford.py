@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -207,27 +208,91 @@ def _relation_violations(rep: CliffordRep) -> list:
     generator an N x N Hermitian unitary, and Gamma_i Gamma_j + Gamma_j Gamma_i
     = 0 for i != j.  A wrong shape ends the check, as nothing after it can be
     multiplied."""
+    square = _square_prefix(rep)
+    herm, unit, anti = _relation_residuals(rep.gammas[:square], rep.N)
     violations = []
-    n = rep.N
-    eye = np.eye(n, dtype=complex)
-    for j, g in enumerate(rep.gammas):
-        if g.shape != (n, n):
-            violations.append(Violation("shape", 0.0, f"generator {j + 1} has shape {g.shape}"))
-            return violations
-        r = max_abs(g - dagger(g))
+    for j in range(square):
+        if herm[j] > INVARIANT_TOL:
+            violations.append(Violation("hermiticity", herm[j], f"generator {j + 1}"))
+        if unit[j] > INVARIANT_TOL:
+            violations.append(Violation("unitarity", unit[j], f"generator {j + 1} squared"))
+    if square < rep.d:
+        shape = rep.gammas[square].shape
+        violations.append(Violation("shape", 0.0, f"generator {square + 1} has shape {shape}"))
+        return violations
+    for (i, j), r in zip(combinations(range(rep.d), 2), anti):
         if r > INVARIANT_TOL:
-            violations.append(Violation("hermiticity", r, f"generator {j + 1}"))
-        r = max_abs(g @ g - eye)
-        if r > INVARIANT_TOL:
-            violations.append(Violation("unitarity", r, f"generator {j + 1} squared"))
-    for i in range(rep.d):
-        for j in range(i + 1, rep.d):
-            r = max_abs(rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i])
-            if r > INVARIANT_TOL:
-                violations.append(
-                    Violation("anti-commutation", r, f"generators {i + 1}, {j + 1}")
-                )
+            violations.append(Violation("anti-commutation", r, f"generators {i + 1}, {j + 1}"))
     return violations
+
+
+def _square_prefix(rep: CliffordRep) -> int:
+    """How many leading generators are N x N."""
+    n = rep.N
+    return next((j for j, g in enumerate(rep.gammas) if g.shape != (n, n)), rep.d)
+
+
+def _relation_residuals(gammas, n: int) -> tuple:
+    """Max entry deviations of the N x N ``gammas``: the Hermiticity and the
+    unitarity residual of each generator, and the anti-commutation residual of
+    each pair i < j in :func:`itertools.combinations` order.
+
+    When every generator is a signed permutation (:func:`_signed_permutation`)
+    they come from that form in O(d^2 N).  Each entry of a product is then one
+    product of two entries, so the residuals have the dense products' bits
+    whenever those are exact, as for entries in {0, +-1, +-i}.  Any other
+    input, such as a representation mixed by a dense unitary, takes the dense
+    products."""
+    forms = [_signed_permutation(g) for g in gammas]
+    if forms and None not in forms:
+        return _permutation_residuals(np.stack([p for p, _ in forms]), np.stack([v for _, v in forms]))
+    eye = np.eye(n, dtype=complex)
+    return ([max_abs(g - dagger(g)) for g in gammas],
+            [max_abs(g @ g - eye) for g in gammas],
+            [max_abs(a @ b + b @ a) for a, b in combinations(gammas, 2)])
+
+
+def _signed_permutation(g: np.ndarray):
+    """(perm, vals) with g[r, perm[r]] = vals[r] the only nonzero entries, when
+    g has exactly one nonzero entry in each row and each column and all are
+    finite; None otherwise."""
+    rows, perm = np.nonzero(g)
+    if rows.tolist() != list(range(len(g))) or sorted(perm.tolist()) != rows.tolist():
+        return None
+    vals = g[rows, perm]
+    return (perm, vals) if np.isfinite(vals).all() else None
+
+
+def _permutation_residuals(perms: np.ndarray, vals: np.ndarray) -> tuple:
+    """:func:`_relation_residuals` of the d signed permutations (perms[k],
+    vals[k]), given as two (d, N) arrays, with no array larger than (d, N)."""
+    d, n = perms.shape
+    rows = np.arange(n)
+    # The adjoint holds conj(vals[r]) at (perm[r], r).
+    inv = np.empty_like(perms)
+    inv[np.arange(d)[:, None], perms] = rows
+    herm = _difference(perms, vals, inv, np.take_along_axis(vals, inv, 1).conj())
+    # A A holds vals[r] vals[perm[r]] at (r, perm[perm[r]]).
+    squared = np.take_along_axis(perms, perms, 1), vals * np.take_along_axis(vals, perms, 1)
+    unit = _difference(*squared, rows, 1.0)
+    anti = []
+    for i, (perm, val) in enumerate(zip(perms[:-1], vals[:-1])):
+        # For each j > i, A_i A_j holds val[r] vals_j[perm[r]] at
+        # (r, perm_j[perm[r]]), and A_j A_i holds vals_j[r] val[perm_j[r]] at
+        # (r, perm[perm_j[r]]).
+        later_perms, later_vals = perms[i + 1:], vals[i + 1:]
+        anti += _difference(later_perms[:, perm], val * later_vals[:, perm],
+                            perm[later_perms], -(later_vals * val[later_perms])).tolist()
+    return herm.tolist(), unit.tolist(), anti
+
+
+def _difference(perm_a, vals_a, perm_b, vals_b) -> np.ndarray:
+    """max_abs(A - B) of signed permutations, over the last axis: |a - b| on
+    a row where they share a column, else the larger of |a| and |b|, since
+    every other entry of A - B is 0 - 0; 0.0 for N = 0."""
+    shared = np.abs(vals_a - vals_b)
+    apart = np.maximum(np.abs(vals_a), np.abs(vals_b))
+    return np.where(perm_a == perm_b, shared, apart).max(axis=-1, initial=0.0)
 
 
 def _refuse_violation(violations) -> None:
@@ -266,9 +331,15 @@ def verify_reps(d: int = 9) -> dict:
 def handedness_of(rep: CliffordRep) -> str:
     """Label the representation by the scalar value of its generator product,
     +i^((d-1)/2) (left) or -i^((d-1)/2) (right); the product is tested here,
-    as nothing requires ``rep`` to pass :func:`verify_rep`."""
+    as nothing requires ``rep`` to pass :func:`verify_rep`.  Generators that
+    are not all N x N are an InconsistentRepresentationError."""
     if rep.d % 2 == 0:
         raise ValueError("handedness is defined only for odd generator counts")
+    square = _square_prefix(rep)
+    if square < rep.d:
+        raise InconsistentRepresentationError(
+            f"generator {square + 1} has shape {rep.gammas[square].shape}, not {rep.N} x {rep.N}"
+        )
     prod = reduce(np.matmul, rep.gammas)
     lam = prod[0, 0]
     if max_abs(prod - lam * np.eye(rep.N, dtype=complex)) > SCALAR_TOL:

@@ -1,11 +1,15 @@
 """Clifford representation construction, validation and handedness."""
 
+import copy
 import json
 import re
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgen import clifford
 from kgen.clifford import (
@@ -20,6 +24,7 @@ from kgen.clifford import (
     handedness_of,
     verify_rep,
 )
+from kgen._linalg import dagger, max_abs
 from kgen.errors import InconsistentRepresentationError, ModelFormatError, NotIrreducibleError
 from kgen.serialize import matrix_to_json
 
@@ -442,3 +447,182 @@ def test_extend_refuses_to_pass_the_maximum():
 def test_a_representation_needs_d_generators():
     with pytest.raises(ValueError, match="expected 3 generators, got 2"):
         CliffordRep(3, build_rep(2).gammas)
+
+
+def test_handedness_refuses_generators_of_two_sizes():
+    rep = CliffordRep(3, (np.eye(2), np.eye(2), np.eye(4)))
+    for call in (lambda: handedness_of(rep), rep.to_payload):
+        with pytest.raises(InconsistentRepresentationError,
+                           match=re.escape("generator 3 has shape (4, 4), not 2 x 2")):
+            call()
+
+
+def dense_violations(rep):
+    """The relations as dense products, pair by pair: the reference that the
+    signed-permutation residuals must reproduce."""
+    tol = clifford.INVARIANT_TOL
+    violations = []
+    n = rep.N
+    eye = np.eye(n, dtype=complex)
+    for j, g in enumerate(rep.gammas):
+        if g.shape != (n, n):
+            violations.append(("shape", 0.0, f"generator {j + 1} has shape {g.shape}"))
+            return violations
+        r = max_abs(g - dagger(g))
+        if r > tol:
+            violations.append(("hermiticity", r, f"generator {j + 1}"))
+        r = max_abs(g @ g - eye)
+        if r > tol:
+            violations.append(("unitarity", r, f"generator {j + 1} squared"))
+    for i in range(rep.d):
+        for j in range(i + 1, rep.d):
+            r = max_abs(rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i])
+            if r > tol:
+                violations.append(("anti-commutation", r, f"generators {i + 1}, {j + 1}"))
+    return violations
+
+
+def assert_violations_match_dense(rep):
+    """The violation lists of ``rep`` equal the dense reference's in kind,
+    detail, order and residual bits, at INVARIANT_TOL and with every residual
+    listed (a negative tolerance)."""
+    for tol in (clifford.INVARIANT_TOL, -1.0):
+        with mock.patch.object(clifford, "INVARIANT_TOL", tol):
+            got = [(v.kind, v.residual, v.detail) for v in clifford._relation_violations(rep)]
+            expected = dense_violations(rep)
+        assert all(type(r) is float for _, r, _ in got)
+        assert [(k, r.hex(), t) for k, r, t in got] == [(k, r.hex(), t) for k, r, t in expected]
+
+
+def _signed_permutation_matrix(perm, vals):
+    g = np.zeros((len(perm), len(perm)), dtype=complex)
+    g[np.arange(len(perm)), perm] = vals
+    return g
+
+
+@pytest.mark.parametrize("d", range(1, MAX_D + 1))
+def test_every_level_is_read_as_a_signed_permutation(d):
+    # The premise of the signed-permutation residuals, and what keeps the
+    # clifford suite off the dense products: a change to extend that broke it
+    # would fail here.
+    for hand in (LEFT, RIGHT):
+        rep = build_rep(d, hand)
+        for g in rep.gammas:
+            perm, vals = clifford._signed_permutation(g)
+            assert sorted(perm) == list(range(rep.N))
+            assert set(vals.tolist()) <= {1, -1, 1j, -1j}
+            assert np.array_equal(g, _signed_permutation_matrix(perm, vals))
+
+
+@pytest.mark.parametrize("d", range(1, MAX_D + 1))
+def test_every_level_has_the_dense_residuals(d):
+    for hand in (LEFT, RIGHT):
+        assert_violations_match_dense(build_rep(d, hand))
+
+
+# Entries of the drawn stacks: exact phases, a unit phase that is not, a value
+# off 1 by 1e-13 (inside the tolerance) and one off by a factor 2.
+ENTRIES = (1, 1j, 0.6 + 0.8j, 1 + 1e-13, 2)
+
+
+@st.composite
+def signed_permutation_stacks(draw):
+    """Signed-permutation generators: either drawn outright, or a built
+    level with N <= 16 given sign, value and permutation errors."""
+    entry = st.builds(lambda v, negate: -v if negate else v, st.sampled_from(ENTRIES), st.booleans())
+    if draw(st.booleans()):
+        n, d = draw(st.integers(1, 16)), draw(st.integers(1, 6))
+        gammas = [_signed_permutation_matrix(draw(st.permutations(range(n))),
+                                             draw(st.lists(entry, min_size=n, max_size=n)))
+                  for _ in range(d)]
+        return CliffordRep(d, tuple(gammas))
+    rep = build_rep(draw(st.integers(1, 9)), draw(st.sampled_from((LEFT, RIGHT))))
+    forms = [[list(f) for f in clifford._signed_permutation(g)] for g in rep.gammas]
+    for _ in range(draw(st.integers(0, 3))):
+        perm, vals = forms[draw(st.integers(0, rep.d - 1))]
+        r, s = draw(st.integers(0, rep.N - 1)), draw(st.integers(0, rep.N - 1))
+        kind = draw(st.sampled_from(("sign", "value", "permutation")))
+        if kind == "sign":
+            vals[r] = -vals[r]
+        elif kind == "value":
+            vals[r] = draw(entry)
+        else:
+            perm[r], perm[s] = perm[s], perm[r]
+    return CliffordRep(rep.d, tuple(_signed_permutation_matrix(p, v) for p, v in forms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=signed_permutation_stacks())
+def test_signed_permutation_stacks_have_the_dense_residuals(rep):
+    assert all(clifford._signed_permutation(g) is not None for g in rep.gammas)
+    assert_violations_match_dense(rep)
+
+
+def _zero_row(n):
+    g = np.eye(n, dtype=complex)
+    g[0, 0] = 0
+    return g
+
+
+def _two_in_one_column(n):
+    # One nonzero in each row, but rows 0 and n - 1 share column n - 1.
+    g = np.eye(n, dtype=complex)
+    g[0, 0], g[0, n - 1] = 0, 1j
+    return g
+
+
+def _infinite_entry(n):
+    g = np.eye(n, dtype=complex)
+    g[0, 0] = np.inf
+    return g
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("broken", [_zero_row, _two_in_one_column, _infinite_entry])
+def test_a_stack_that_is_not_a_signed_permutation_takes_the_dense_products(broken, n):
+    level = {2: 3, 4: 5, 16: 9}[n]
+    rep = build_rep(level)
+    rep = CliffordRep(level, (rep.gammas[0], broken(n)) + rep.gammas[2:])
+    assert clifford._signed_permutation(rep.gammas[1]) is None
+    # inf - inf in the dense residuals is nan, on both sides.
+    with mock.patch.object(clifford, "_permutation_residuals", side_effect=AssertionError), \
+            np.errstate(invalid="ignore"):
+        assert_violations_match_dense(rep)
+
+
+def test_generators_of_size_zero_have_the_dense_residuals():
+    rep = CliffordRep(2, (np.zeros((0, 0)),) * 2)
+    assert clifford._signed_permutation(rep.gammas[0]) is not None
+    assert_violations_match_dense(rep)
+    assert [v.kind for v in verify_rep(rep).violations] == ["dimension"]
+
+
+def test_violations_before_a_wrong_shape_keep_their_order():
+    bad = np.array([[0, 1], [0, 0]], dtype=complex)
+    rep = CliffordRep(3, (SIGMA_1, bad, np.eye(3)))
+    assert [v.kind for v in verify_rep(rep).violations] == ["hermiticity", "unitarity", "shape"]
+    assert_violations_match_dense(rep)
+
+
+def fft_mixed(d):
+    """build_rep(d) conjugated by the unitary discrete Fourier transform."""
+    rep = build_rep(d)
+    u = np.fft.fft(np.eye(rep.N)) / np.sqrt(rep.N)
+    return CliffordRep(d, tuple(u @ g @ dagger(u) for g in rep.gammas))
+
+
+@pytest.mark.parametrize("d", [3, 8, 13])
+def test_a_representation_mixed_by_a_dense_unitary_takes_the_dense_products(d):
+    rep = fft_mixed(d)
+    payload = rep.to_payload()
+    with mock.patch.object(clifford, "_permutation_residuals", side_effect=AssertionError):
+        assert verify_rep(rep).ok
+        assert_violations_match_dense(rep)
+        assert CliffordRep.from_payload(payload).handedness == rep.handedness
+        for (i, j), message in (((0, 1), "hermiticity (generator 1), residual 1e-09"),
+                                ((0, 0), "unitarity (generator 1 squared), residual 2e-09")):
+            broken = copy.deepcopy(payload)
+            broken["gammas"][0][i][j][0] += 1e-9
+            with pytest.raises(InconsistentRepresentationError,
+                               match=re.escape(f"not a Clifford representation: {message}")):
+                CliffordRep.from_payload(broken)
