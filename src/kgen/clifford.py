@@ -207,21 +207,22 @@ def _relation_violations(rep: CliffordRep) -> list:
     """Violations of the Clifford relations, the one statement of them: every
     generator an N x N Hermitian unitary, and Gamma_i Gamma_j + Gamma_j Gamma_i
     = 0 for i != j.  A wrong shape ends the check, as nothing after it can be
-    multiplied."""
+    multiplied.  A residual that is not at most INVARIANT_TOL, NaN included,
+    is a violation."""
     square = _square_prefix(rep)
     herm, unit, anti = _relation_residuals(rep.gammas[:square], rep.N)
     violations = []
     for j in range(square):
-        if herm[j] > INVARIANT_TOL:
+        if not herm[j] <= INVARIANT_TOL:
             violations.append(Violation("hermiticity", herm[j], f"generator {j + 1}"))
-        if unit[j] > INVARIANT_TOL:
+        if not unit[j] <= INVARIANT_TOL:
             violations.append(Violation("unitarity", unit[j], f"generator {j + 1} squared"))
     if square < rep.d:
         shape = rep.gammas[square].shape
         violations.append(Violation("shape", 0.0, f"generator {square + 1} has shape {shape}"))
         return violations
     for (i, j), r in zip(combinations(range(rep.d), 2), anti):
-        if r > INVARIANT_TOL:
+        if not r <= INVARIANT_TOL:
             violations.append(Violation("anti-commutation", r, f"generators {i + 1}, {j + 1}"))
     return violations
 

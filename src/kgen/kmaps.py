@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford, generators
-from ._linalg import CHUNK, dagger, func_of_hermitian, func_of_spectrum, max_abs, operator_norm
+from ._linalg import CHUNK, dagger, func_of_hermitian, max_abs, operator_norm
 from ._linalg import sq_norms, sqrt_psd
 from .errors import DomainError, LiftInvalidError, PoleError
 from .fields import EvaluableField
@@ -205,9 +205,12 @@ def exp_map(b_field, convention: str = "forward") -> EvaluableField:
     return EvaluableField(b_field.ambient_dim, b_field.size, evaluator)
 
 
-# The last (field, (shape, bytes) of y, eigh of B(y)) that homotopy_at
-# decomposed.  It is replaced by one assignment, so a reader sees a whole
-# tuple, and it holds the field itself, so no other field can take its id.
+# The last (field, (shape, bytes) of y, spectrum of B(y)) that homotopy_at
+# decomposed.  The spectrum is (vecs, dagger(vecs), parts), where parts holds,
+# for each eigenvalue v of B(y) clipped to [-1, 1], the terms of A_t that do
+# not depend on t: (cos(pi v), sin(pi v), 2 v^2 - 1, v, sqrt(1 - v^2)).  It is
+# replaced by one assignment, so a reader sees a whole tuple, and it holds the
+# field itself, so no other field can take its id.
 _last_spectrum = (None, None, None)
 
 
@@ -221,45 +224,46 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     t = 1 this is the unitary -cos(pi B) + i sin(pi B); invertibility along the
     whole path is what :func:`homotopy_scan` samples via singular values.
 
-    The eigendecomposition of B(y) does not depend on t, so the last one is
-    kept: a call with the same field object (``is``) and a y of the same
-    shape and float bytes reuses it, and any other call evaluates B(y),
-    decomposes it and replaces it.  This assumes that a field is a function
-    of its point, as every kgen field is.  Calls that run through the t-values
-    at one point, as :func:`homotopy_scan` makes them, decompose each B(y) once.
+    The eigendecomposition of B(y), its adjoint and the t-independent terms
+    of each eigenvalue are kept for the last point: a call with the same
+    field object (``is``) and a y of the same shape and float bytes reuses
+    them, and any other call evaluates B(y), decomposes it and replaces them.
+    This assumes that a field is a function of its point, as every kgen field
+    is.  Calls that run through the t-values at one point, as
+    :func:`homotopy_scan` makes them, decompose each B(y) and take each
+    eigenvalue's cos, sin and sqrt once.
 
-    The scalar function runs once per eigenvalue of B(y), on Python floats
-    with :mod:`math` (a numpy ufunc on a few eigenvalues costs more in call
-    overhead than in arithmetic).  It rounds the same operations in the same
-    order as the numpy ufunc formula (clip to [-1, 1], then the terms above),
-    whose cos, sin and sqrt agree with :mod:`math`'s to the bit, so each
-    matrix keeps that formula's bits.  A non-finite t or y is refused.
+    The scalar terms run on Python floats with :mod:`math` (a numpy ufunc on
+    a few eigenvalues costs more in call overhead than in arithmetic).  They
+    round the same operations in the same order as the numpy ufunc formula
+    (clip to [-1, 1], then the terms above), whose cos, sin and sqrt agree
+    with :mod:`math`'s to the bit, so each matrix keeps that formula's bits.
+    A non-finite t or y is refused; y is checked when it is decomposed, and
+    a reused y has the bytes of one that was checked.
     """
     global _last_spectrum
     t, y = float(t), np.asarray(y, dtype=float)
     if not math.isfinite(t):
         raise DomainError(f"homotopy_at needs a finite t, got {t}")
-    if not all(map(math.isfinite, y.ravel().tolist())):
-        raise DomainError(f"homotopy_at needs a finite y, got {y.tolist()}")
     key = (y.shape, y.tobytes())
     field, point, spectrum = _last_spectrum
     if field is not b_field or point != key:
-        spectrum = np.linalg.eigh(b_field.evaluate(y))
-        _last_spectrum = (b_field, key, spectrum)
-    one_minus_t2 = 1.0 - t * t
-
-    def f(vals):
-        out = []
+        if not all(map(math.isfinite, y.ravel().tolist())):
+            raise DomainError(f"homotopy_at needs a finite y, got {y.tolist()}")
+        vals, vecs = np.linalg.eigh(b_field.evaluate(y))
+        parts = []
         for v in vals.tolist():
             v = min(max(v, -1.0), 1.0)
             sq = v * v
-            real = -t * math.cos(math.pi * v) + one_minus_t2 * (2.0 * sq - 1.0)
-            imag = t * math.sin(math.pi * v) + one_minus_t2 * v * math.sqrt(1.0 - sq)
-            # 0.0 + imag, as numpy's real + 1j * imag rounds it: -0.0 becomes 0.0.
-            out.append(complex(real, 0.0 + imag))
-        return np.array(out)
-
-    return func_of_spectrum(spectrum, f)
+            parts.append((math.cos(math.pi * v), math.sin(math.pi * v), 2.0 * sq - 1.0, v,
+                          math.sqrt(1.0 - sq)))
+        spectrum = (vecs, dagger(vecs), parts)
+        _last_spectrum = (b_field, key, spectrum)
+    vecs, vecs_h, parts = spectrum
+    w = 1.0 - t * t
+    # 0.0 + imag, as numpy's real + 1j * imag rounds it: -0.0 becomes 0.0.
+    f = np.array([complex(-t * c + w * p, 0.0 + (t * s + w * v * r)) for c, s, p, v, r in parts])
+    return (vecs * f) @ vecs_h
 
 
 def homotopy_scan(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:

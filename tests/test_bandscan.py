@@ -886,6 +886,74 @@ def test_crossings_closer_than_a_grid_spacing_are_charged_apart(coarse_n):
     assert sorted(r.charge.charge for r in reports) == [-1, 1]
 
 
+def dropped_pair_model():
+    """p1(Ax + b) sigma_1 + p2(Ax + b) sigma_2 with J = sigma_3, where
+    A = [[-0.32, 0.89], [-0.09, 0.7]], b = (0.3, 0.4), p1(u) = (u1 + 0.22)(u1 + 0.17)
+    and p2(u) = u2 + 0.11: chiral crossings at about (-0.8680, -0.8402) and
+    (-0.6247, -0.8089), 0.245 apart, in a narrow valley of the gap."""
+    (a11, a12), (a21, a22), (b1, b2) = (-0.32, 0.89), (-0.09, 0.7), (0.3, 0.4)
+    r1, r2 = b1 + 0.22, b1 + 0.17
+    terms = {
+        (2, 0): a11 * a11 * SIGMA_1,
+        (1, 1): 2.0 * a11 * a12 * SIGMA_1,
+        (0, 2): a12 * a12 * SIGMA_1,
+        (1, 0): a11 * (r1 + r2) * SIGMA_1 + a21 * SIGMA_2,
+        (0, 1): a12 * (r1 + r2) * SIGMA_1 + a22 * SIGMA_2,
+        (0, 0): r1 * r2 * SIGMA_1 + (b2 + 0.11) * SIGMA_2,
+    }
+    return BandModel(MatrixPolyField(2, 2, terms), chiral=SIGMA_3)
+
+
+def dropped_at(coarse_n):
+    reason = (
+        "ROADMAP item 10: the compass search stops after SEARCH_MAX_ITER polls "
+        "along the gap's narrow valley, far above GAP_TOL, so both crossings are dropped"
+    )
+    return pytest.param(
+        coarse_n, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+    )
+
+
+@pytest.mark.parametrize("coarse_n", [dropped_at(16), dropped_at(32), dropped_at(64)])
+def test_crossings_in_a_narrow_valley_of_the_gap_are_found(coarse_n):
+    reports = sorted(scan(dropped_pair_model(), [(-1, 1)] * 2, coarse_n), key=lambda r: r.location[0])
+    assert len(reports) == 2
+    assert np.allclose([r.location for r in reports], [(-0.8680, -0.8402), (-0.6247, -0.8089)],
+                       atol=1e-4)
+    assert sorted(r.charge.charge for r in reports) == [-1, 1]
+
+
+def eight_weyl_model(c):
+    """c sum_j (x_j^2 - 0.3) Gamma_j over the generators of build_rep(3):
+    Weyl points at the eight corners (+-sqrt(0.3))^3, none of them dyadic."""
+    gammas = clifford.build_rep(3).gammas
+    terms = {(0, 0, 0): -0.3 * c * sum(gammas)}
+    for j, g in enumerate(gammas):
+        terms[tuple(2 * (k == j) for k in range(3))] = c * g
+    return BandModel(MatrixPolyField(3, 2, terms))
+
+
+def lost_at(c):
+    reason = (
+        "ROADMAP item 21: the search stops at SEARCH_MIN_STEP in x with the gap "
+        "near 2.2e-13 c, above the absolute GAP_TOL, so all eight crossings are dropped"
+    )
+    return pytest.param(c, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e4, lost_at(1e5), lost_at(1e6)])
+def test_eight_weyl_points_scan_alike_at_every_scale(c):
+    reports = scan(eight_weyl_model(c), [(-1, 1)] * 3)
+    assert len(reports) == 8
+    locations = np.array([r.location for r in reports])
+    assert np.allclose(np.abs(locations), np.sqrt(0.3), atol=1e-6)
+    assert len({tuple(np.sign(x)) for x in locations}) == 8
+    # Near a corner p the model is linear, 2c diag(p) x in the generators,
+    # so its charge is the Weyl field's times the sign of p1 p2 p3.
+    expected = [chern_sign_weyl() * int(np.sign(np.prod(x))) for x in locations]
+    assert [r.charge.charge for r in reports] == expected
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

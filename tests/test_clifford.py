@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import re
 from functools import reduce
 from unittest import mock
@@ -203,6 +204,41 @@ def test_verify_rep_detects_wrong_sizes(d, gammas, kind, detail):
     report = verify_rep(CliffordRep(d=d, gammas=gammas))
     kinds = {v.kind: v for v in report.violations}
     assert kinds[kind].detail == detail
+
+
+def _nan_at_0_1_of_generator_1(d):
+    gammas = [g.copy() for g in build_rep(d).gammas]
+    gammas[0][0, 1] = np.nan
+    return CliffordRep(d, tuple(gammas))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rep, details",
+    [
+        (CliffordRep(1, (np.array([[np.nan]]),)), ["generator 1", "generator 1 squared"]),
+        (_nan_at_0_1_of_generator_1(3),
+         ["generator 1", "generator 1 squared", "generators 1, 2", "generators 1, 3"]),
+    ],
+    ids=["1x1", "d3"],
+)
+def test_verify_rep_refuses_a_nan_entry(rep, details):
+    # Every residual that reads the NaN is NaN, which is not at most the
+    # tolerance; the generators it does not reach keep their checks.
+    report = verify_rep(rep)
+    assert not report.ok
+    assert [v.detail for v in report.violations] == details
+    assert all(math.isnan(v.residual) for v in report.violations)
+    assert_violations_match_dense(rep)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grading_of_refuses_a_nan_entry():
+    rep = build_rep(2)
+    gammas = (rep.gammas[0], np.where(np.eye(2, dtype=bool), np.nan, rep.gammas[1]))
+    with pytest.raises(InconsistentRepresentationError,
+                       match=re.escape("hermiticity (generator 2), residual nan")):
+        grading_of(CliffordRep(2, gammas))
 
 
 @pytest.mark.parametrize("d", range(1, MAX_D + 1, 2))
@@ -459,7 +495,8 @@ def test_handedness_refuses_generators_of_two_sizes():
 
 def dense_violations(rep):
     """The relations as dense products, pair by pair: the reference that the
-    signed-permutation residuals must reproduce."""
+    signed-permutation residuals must reproduce.  A NaN residual is not at
+    most the tolerance, so it is a violation."""
     tol = clifford.INVARIANT_TOL
     violations = []
     n = rep.N
@@ -469,15 +506,15 @@ def dense_violations(rep):
             violations.append(("shape", 0.0, f"generator {j + 1} has shape {g.shape}"))
             return violations
         r = max_abs(g - dagger(g))
-        if r > tol:
+        if not r <= tol:
             violations.append(("hermiticity", r, f"generator {j + 1}"))
         r = max_abs(g @ g - eye)
-        if r > tol:
+        if not r <= tol:
             violations.append(("unitarity", r, f"generator {j + 1} squared"))
     for i in range(rep.d):
         for j in range(i + 1, rep.d):
             r = max_abs(rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i])
-            if r > tol:
+            if not r <= tol:
                 violations.append(("anti-commutation", r, f"generators {i + 1}, {j + 1}"))
     return violations
 

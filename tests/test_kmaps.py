@@ -1,8 +1,9 @@
 """Charts, connecting maps, deformation scan, and the identity suites."""
 
-import tracemalloc
-
+import math
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -415,6 +416,31 @@ def test_homotopy_at_refuses_a_non_finite_t_or_y(t, y, named):
     with pytest.raises(DomainError) as excinfo:
         kmaps.homotopy_at(disc_weyl_lift(2), t, y)
     assert named in str(excinfo.value)
+
+
+def test_homotopy_at_refuses_a_non_finite_y_right_after_a_finite_one():
+    # The finiteness check runs where B(y) is decomposed; a NaN y must not
+    # pass it by following a finite one, nor take the kept spectrum's place.
+    lift, y = disc_weyl_lift(2), np.array([0.1, 0.2, 0.3])
+    expected = kmaps.homotopy_at(lift, 0.5, y)
+    for bad in ([0.1, np.nan, 0.3], [np.inf, 0.2, 0.3], [np.nan, np.nan, np.nan]):
+        with pytest.raises(DomainError, match=re.escape(f"finite y, got {bad}")):
+            kmaps.homotopy_at(lift, 0.5, bad)
+        assert kmaps.homotopy_at(lift, 0.5, y).tobytes() == expected.tobytes()
+
+
+def test_homotopy_scan_takes_each_eigenvalues_scalar_terms_once(monkeypatch):
+    expected = kmaps.homotopy_scan(2, samples=50)
+    cosines, eighs = [], []
+    spy_math = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    spy_math.cos = lambda x: (cosines.append(x), math.cos(x))[1]
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(kmaps, "math", spy_math)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eighs.append(np.shape(a)), eigh(a))[1])
+    assert kmaps.homotopy_scan(2, samples=50) == expected
+    # Two eigenvalues per point, 11 t-values sharing them.
+    assert len(cosines) == 2 * 50
+    assert eighs == [(2, 2)] * 50
 
 
 def spy_svd(monkeypatch):
