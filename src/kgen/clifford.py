@@ -13,6 +13,7 @@ structural identity holds exactly in floating point, not just to tolerance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
@@ -57,11 +58,25 @@ class CliffordRep:
     gammas: tuple
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"a representation needs d >= 1, got {self.d}")
-        object.__setattr__(self, "gammas", tuple(_frozen(g) for g in self.gammas))
-        if len(self.gammas) != self.d:
-            raise ValueError(f"expected {self.d} generators, got {len(self.gammas)}")
+        # The one check of the generator schema: d >= 1 finite N x N matrices.
+        try:  # index() refuses 3.0, which would be written to JSON as 3.0
+            d = operator.index(self.d)
+        except TypeError:
+            raise ModelFormatError(f"a representation needs an integer d, got {self.d!r}") from None
+        if d < 1:
+            raise ModelFormatError(f"a representation needs d >= 1, got {d}")
+        gammas = tuple(_frozen(g) for g in self.gammas)
+        if len(gammas) != d:
+            raise ModelFormatError(f"expected {d} generators, got {len(gammas)}")
+        # (N, N), N the first generator's row count, or 1 for a scalar
+        square = (gammas[0].shape[:1] or (1,)) * 2
+        for j, g in enumerate(gammas, 1):
+            if g.ndim != 2 or g.shape != square:
+                raise ModelFormatError(f"generator {j} has shape {g.shape}, expected {square}")
+            if not np.isfinite(g).all():
+                raise ModelFormatError(f"generator {j} is not finite")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "gammas", gammas)
 
     @property
     def N(self) -> int:
@@ -83,22 +98,20 @@ class CliffordRep:
     @classmethod
     def from_payload(cls, payload: dict) -> "CliffordRep":
         """Representation from :meth:`to_payload` output.  A missing key, a
-        ``d`` that is not a JSON integer >= 1, or ``gammas`` that are not a list
-        of d matrices is a ModelFormatError; generators that fail
+        ``d`` that is not a JSON integer, ``gammas`` that are not a list or a
+        refusal of the constructor is a ModelFormatError; generators that fail
         :func:`verify_rep`, and then a ``handedness`` other than theirs, are an
         InconsistentRepresentationError."""
         for key in ("d", "handedness", "gammas"):
             if key not in payload:
                 raise ModelFormatError(f"representation is missing the {key!r} key")
         d = payload["d"]
-        # type() rather than int(), which would take "1", true and 1.9 for 1.
-        if type(d) is not int or d < 1:
-            raise ModelFormatError(f"'d' must be an integer >= 1, got {d!r}")
+        # type() rather than index(), which would take JSON's true for 1.
+        if type(d) is not int:
+            raise ModelFormatError(f"'d' must be an integer, got {d!r}")
         gammas = payload["gammas"]
         if type(gammas) is not list:
             raise ModelFormatError(f"'gammas' must be a list, got {type(gammas).__name__}")
-        if len(gammas) != d:
-            raise ModelFormatError(f"'gammas' must hold d = {d} matrices, got {len(gammas)}")
         rep = cls(d=d, gammas=tuple(matrix_from_json(g) for g in gammas))
         _refuse_violation(verify_rep(rep).violations)
         if payload["handedness"] != rep.handedness:
@@ -205,32 +218,20 @@ def extend(rep: CliffordRep) -> CliffordRep:
 
 def _relation_violations(rep: CliffordRep) -> list:
     """Violations of the Clifford relations, the one statement of them: every
-    generator an N x N Hermitian unitary, and Gamma_i Gamma_j + Gamma_j Gamma_i
-    = 0 for i != j.  A wrong shape ends the check, as nothing after it can be
-    multiplied.  A residual that is not at most INVARIANT_TOL, NaN included,
+    generator a Hermitian unitary, and Gamma_i Gamma_j + Gamma_j Gamma_i = 0
+    for i != j.  A residual that is not at most INVARIANT_TOL, NaN included,
     is a violation."""
-    square = _square_prefix(rep)
-    herm, unit, anti = _relation_residuals(rep.gammas[:square], rep.N)
+    herm, unit, anti = _relation_residuals(rep.gammas, rep.N)
     violations = []
-    for j in range(square):
+    for j in range(rep.d):
         if not herm[j] <= INVARIANT_TOL:
             violations.append(Violation("hermiticity", herm[j], f"generator {j + 1}"))
         if not unit[j] <= INVARIANT_TOL:
             violations.append(Violation("unitarity", unit[j], f"generator {j + 1} squared"))
-    if square < rep.d:
-        shape = rep.gammas[square].shape
-        violations.append(Violation("shape", 0.0, f"generator {square + 1} has shape {shape}"))
-        return violations
     for (i, j), r in zip(combinations(range(rep.d), 2), anti):
         if not r <= INVARIANT_TOL:
             violations.append(Violation("anti-commutation", r, f"generators {i + 1}, {j + 1}"))
     return violations
-
-
-def _square_prefix(rep: CliffordRep) -> int:
-    """How many leading generators are N x N."""
-    n = rep.N
-    return next((j for j, g in enumerate(rep.gammas) if g.shape != (n, n)), rep.d)
 
 
 def _relation_residuals(gammas, n: int) -> tuple:
@@ -243,25 +244,26 @@ def _relation_residuals(gammas, n: int) -> tuple:
     product of two entries, so the residuals have the dense products' bits
     whenever those are exact, as for entries in {0, +-1, +-i}.  Any other
     input, such as a representation mixed by a dense unitary, takes the dense
-    products."""
+    products.  A product that overflows gives an inf or NaN residual, not a
+    warning."""
     forms = [_signed_permutation(g) for g in gammas]
-    if forms and None not in forms:
-        return _permutation_residuals(np.stack([p for p, _ in forms]), np.stack([v for _, v in forms]))
-    eye = np.eye(n, dtype=complex)
-    return ([max_abs(g - dagger(g)) for g in gammas],
-            [max_abs(g @ g - eye) for g in gammas],
-            [max_abs(a @ b + b @ a) for a, b in combinations(gammas, 2)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if None not in forms:
+            return _permutation_residuals(np.stack([p for p, _ in forms]), np.stack([v for _, v in forms]))
+        eye = np.eye(n, dtype=complex)
+        return ([max_abs(g - dagger(g)) for g in gammas],
+                [max_abs(g @ g - eye) for g in gammas],
+                [max_abs(a @ b + b @ a) for a, b in combinations(gammas, 2)])
 
 
 def _signed_permutation(g: np.ndarray):
     """(perm, vals) with g[r, perm[r]] = vals[r] the only nonzero entries, when
-    g has exactly one nonzero entry in each row and each column and all are
-    finite; None otherwise."""
+    g has exactly one nonzero entry in each row and each column; None
+    otherwise."""
     rows, perm = np.nonzero(g)
     if rows.tolist() != list(range(len(g))) or sorted(perm.tolist()) != rows.tolist():
         return None
-    vals = g[rows, perm]
-    return (perm, vals) if np.isfinite(vals).all() else None
+    return perm, g[rows, perm]
 
 
 def _permutation_residuals(perms: np.ndarray, vals: np.ndarray) -> tuple:
@@ -332,18 +334,14 @@ def verify_reps(d: int = 9) -> dict:
 def handedness_of(rep: CliffordRep) -> str:
     """Label the representation by the scalar value of its generator product,
     +i^((d-1)/2) (left) or -i^((d-1)/2) (right); the product is tested here,
-    as nothing requires ``rep`` to pass :func:`verify_rep`.  Generators that
-    are not all N x N are an InconsistentRepresentationError."""
+    as nothing requires ``rep`` to pass :func:`verify_rep`."""
     if rep.d % 2 == 0:
         raise ValueError("handedness is defined only for odd generator counts")
-    square = _square_prefix(rep)
-    if square < rep.d:
-        raise InconsistentRepresentationError(
-            f"generator {square + 1} has shape {rep.gammas[square].shape}, not {rep.N} x {rep.N}"
-        )
-    prod = reduce(np.matmul, rep.gammas)
-    lam = prod[0, 0]
-    if max_abs(prod - lam * np.eye(rep.N, dtype=complex)) > SCALAR_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = reduce(np.matmul, rep.gammas)
+        lam = prod[0, 0]
+        off_scalar = max_abs(prod - lam * np.eye(rep.N, dtype=complex))
+    if off_scalar > SCALAR_TOL:
         raise NotIrreducibleError(
             "generator product is not scalar; representation is not irreducible"
         )

@@ -48,11 +48,15 @@ class MatrixPolyField:
 
     def __post_init__(self):
         # The one check of the coefficient schema, for read and derived fields alike.
-        n = self.size
-        if self.ambient_dim < 1 or n < 1:
-            raise ModelFormatError(
-                f"'dimension' and 'size' must be >= 1, got {self.ambient_dim} and {n}"
-            )
+        try:  # index() refuses 3.0, which would be written to JSON as 3.0
+            ambient_dim, n = operator.index(self.ambient_dim), operator.index(self.size)
+        except TypeError:
+            raise ModelFormatError(f"'dimension' and 'size' must be integers, "
+                                   f"got {self.ambient_dim!r} and {self.size!r}") from None
+        if ambient_dim < 1 or n < 1:
+            raise ModelFormatError(f"'dimension' and 'size' must be >= 1, got {ambient_dim} and {n}")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "size", n)
         frozen = {}
         for key, mat in self.terms.items():
             try:  # index() refuses 1.5 and "2", which int() would truncate or parse

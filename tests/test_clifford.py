@@ -26,8 +26,13 @@ from kgen.clifford import (
     verify_rep,
 )
 from kgen._linalg import dagger, max_abs
-from kgen.errors import InconsistentRepresentationError, ModelFormatError, NotIrreducibleError
-from kgen.serialize import matrix_to_json
+from kgen.errors import (
+    InconsistentRepresentationError,
+    KgenError,
+    ModelFormatError,
+    NotIrreducibleError,
+)
+from kgen.serialize import json_text, matrix_to_json
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -193,51 +198,39 @@ def test_verify_rep_detects_non_hermitian():
 
 
 @pytest.mark.parametrize(
-    "d, gammas, kind, detail",
+    "d, gammas, error, message",
     [
-        (1, (SIGMA_1,), "dimension", "N = 2, expected 1"),
-        (2, (SIGMA_1, np.eye(3)), "shape", "generator 2 has shape (3, 3)"),
+        (1, (SIGMA_1,), InconsistentRepresentationError, "dimension (N = 2, expected 1)"),
+        (2, (SIGMA_1, np.eye(3)), ModelFormatError, "generator 2 has shape (3, 3), expected (2, 2)"),
     ],
     ids=["dimension", "shape"],
 )
-def test_verify_rep_detects_wrong_sizes(d, gammas, kind, detail):
-    report = verify_rep(CliffordRep(d=d, gammas=gammas))
-    kinds = {v.kind: v for v in report.violations}
-    assert kinds[kind].detail == detail
+def test_verify_rep_detects_wrong_sizes(d, gammas, error, message):
+    # A size N other than 2^floor(d/2) is a verify_rep violation; generators
+    # of two sizes are no representation, refused where they are built.
+    with pytest.raises(error, match=re.escape(message)):
+        clifford._refuse_violation(verify_rep(CliffordRep(d=d, gammas=gammas)).violations)
 
 
 def _nan_at_0_1_of_generator_1(d):
     gammas = [g.copy() for g in build_rep(d).gammas]
     gammas[0][0, 1] = np.nan
-    return CliffordRep(d, tuple(gammas))
+    return tuple(gammas)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "rep, details",
-    [
-        (CliffordRep(1, (np.array([[np.nan]]),)), ["generator 1", "generator 1 squared"]),
-        (_nan_at_0_1_of_generator_1(3),
-         ["generator 1", "generator 1 squared", "generators 1, 2", "generators 1, 3"]),
-    ],
-    ids=["1x1", "d3"],
+    "gammas", [(np.array([[np.nan]]),), _nan_at_0_1_of_generator_1(3)], ids=["1x1", "d3"]
 )
-def test_verify_rep_refuses_a_nan_entry(rep, details):
-    # Every residual that reads the NaN is NaN, which is not at most the
-    # tolerance; the generators it does not reach keep their checks.
-    report = verify_rep(rep)
-    assert not report.ok
-    assert [v.detail for v in report.violations] == details
-    assert all(math.isnan(v.residual) for v in report.violations)
-    assert_violations_match_dense(rep)
+def test_verify_rep_refuses_a_nan_entry(gammas):
+    # A NaN entry never reaches verify_rep: the constructor refuses it.
+    with pytest.raises(ModelFormatError, match="generator 1 is not finite"):
+        verify_rep(CliffordRep(len(gammas), gammas))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_grading_of_refuses_a_nan_entry():
     rep = build_rep(2)
     gammas = (rep.gammas[0], np.where(np.eye(2, dtype=bool), np.nan, rep.gammas[1]))
-    with pytest.raises(InconsistentRepresentationError,
-                       match=re.escape("hermiticity (generator 2), residual nan")):
+    with pytest.raises(ModelFormatError, match="generator 2 is not finite"):
         grading_of(CliffordRep(2, gammas))
 
 
@@ -441,14 +434,14 @@ def test_payload_failing_verify_rep_is_refused(payload, kind):
 
 
 def test_payload_d_must_be_at_least_one():
-    with pytest.raises(ModelFormatError, match="'d' must be an integer >= 1, got 0"):
+    with pytest.raises(ModelFormatError, match="a representation needs d >= 1, got 0"):
         CliffordRep.from_payload({"d": 0, "handedness": None, "gammas": []})
 
 
 @pytest.mark.parametrize(
     "gammas, named",
     [(5, "'gammas' must be a list, got int"),
-     (build_rep(2).to_payload()["gammas"][:1], "'gammas' must hold d = 2 matrices, got 1")],
+     (build_rep(2).to_payload()["gammas"][:1], "expected 2 generators, got 1")],
     ids=["not-a-list", "one-short"],
 )
 def test_payload_gammas_must_be_a_list_of_d_matrices(gammas, named):
@@ -456,8 +449,40 @@ def test_payload_gammas_must_be_a_list_of_d_matrices(gammas, named):
         CliffordRep.from_payload({"d": 2, "handedness": None, "gammas": gammas})
 
 
+@pytest.mark.parametrize(
+    "d, gammas, message, read_message",
+    [
+        (2, (SIGMA_1, np.array([[1, np.inf], [0, 1]])), "generator 2 is not finite", None),
+        (1, (np.ones((2, 3)),), "generator 1 has shape (2, 3), expected (2, 2)",
+         "complex matrix must be square"),
+        (1, (np.ones(2),), "generator 1 has shape (2,), expected (2, 2)", None),
+        (1, (1.0,), "generator 1 has shape (), expected (1, 1)", None),
+        (3.0, (SIGMA_1, SIGMA_2, SIGMA_3), "a representation needs an integer d, got 3.0",
+         "'d' must be an integer, got 3.0"),
+    ],
+    ids=["inf", "non-square", "1-D", "scalar", "d=3.0"],
+)
+def test_the_constructor_refuses_what_is_no_representation(d, gammas, message, read_message):
+    # The constructor is the one check of the generator schema; read_message
+    # is the refusal of the same input read from JSON, where JSON can hold it.
+    # NaN, ragged sizes, d = 0 and a wrong count have tests of their own.
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        CliffordRep(d, gammas)
+    if read_message is not None:
+        payload = json.loads(json.dumps(payload_of(d, None, gammas)))
+        with pytest.raises(ModelFormatError, match=re.escape(read_message)):
+            CliffordRep.from_payload(payload)
+
+
+def test_d_is_read_as_a_python_integer():
+    # A numpy d would make the payload unserializable.
+    rep = CliffordRep(np.int64(3), build_rep(3).gammas)
+    assert type(rep.d) is int
+    assert CliffordRep.from_payload(json.loads(json_text(rep.to_payload()))).d == 3
+
+
 def test_a_representation_needs_d_at_least_one():
-    with pytest.raises(ValueError, match="needs d >= 1, got 0"):
+    with pytest.raises(ModelFormatError, match="needs d >= 1, got 0"):
         CliffordRep(0, ())
 
 
@@ -481,16 +506,19 @@ def test_extend_refuses_to_pass_the_maximum():
 
 
 def test_a_representation_needs_d_generators():
-    with pytest.raises(ValueError, match="expected 3 generators, got 2"):
+    with pytest.raises(ModelFormatError, match="expected 3 generators, got 2"):
         CliffordRep(3, build_rep(2).gammas)
 
 
 def test_handedness_refuses_generators_of_two_sizes():
-    rep = CliffordRep(3, (np.eye(2), np.eye(2), np.eye(4)))
-    for call in (lambda: handedness_of(rep), rep.to_payload):
-        with pytest.raises(InconsistentRepresentationError,
-                           match=re.escape("generator 3 has shape (4, 4), not 2 x 2")):
-            call()
+    # No representation holds generators of two sizes, so handedness_of
+    # never meets one, built or read.
+    gammas = (np.eye(2), np.eye(2), np.eye(4))
+    for build in (lambda: CliffordRep(3, gammas),
+                  lambda: CliffordRep.from_payload(payload_of(3, LEFT, gammas))):
+        with pytest.raises(ModelFormatError,
+                           match=re.escape("generator 3 has shape (4, 4), expected (2, 2)")):
+            handedness_of(build())
 
 
 def dense_violations(rep):
@@ -499,12 +527,8 @@ def dense_violations(rep):
     most the tolerance, so it is a violation."""
     tol = clifford.INVARIANT_TOL
     violations = []
-    n = rep.N
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(rep.N, dtype=complex)
     for j, g in enumerate(rep.gammas):
-        if g.shape != (n, n):
-            violations.append(("shape", 0.0, f"generator {j + 1} has shape {g.shape}"))
-            return violations
         r = max_abs(g - dagger(g))
         if not r <= tol:
             violations.append(("hermiticity", r, f"generator {j + 1}"))
@@ -608,22 +632,14 @@ def _two_in_one_column(n):
     return g
 
 
-def _infinite_entry(n):
-    g = np.eye(n, dtype=complex)
-    g[0, 0] = np.inf
-    return g
-
-
 @pytest.mark.parametrize("n", [2, 4, 16])
-@pytest.mark.parametrize("broken", [_zero_row, _two_in_one_column, _infinite_entry])
+@pytest.mark.parametrize("broken", [_zero_row, _two_in_one_column])
 def test_a_stack_that_is_not_a_signed_permutation_takes_the_dense_products(broken, n):
     level = {2: 3, 4: 5, 16: 9}[n]
     rep = build_rep(level)
     rep = CliffordRep(level, (rep.gammas[0], broken(n)) + rep.gammas[2:])
     assert clifford._signed_permutation(rep.gammas[1]) is None
-    # inf - inf in the dense residuals is nan, on both sides.
-    with mock.patch.object(clifford, "_permutation_residuals", side_effect=AssertionError), \
-            np.errstate(invalid="ignore"):
+    with mock.patch.object(clifford, "_permutation_residuals", side_effect=AssertionError):
         assert_violations_match_dense(rep)
 
 
@@ -635,9 +651,15 @@ def test_generators_of_size_zero_have_the_dense_residuals():
 
 
 def test_violations_before_a_wrong_shape_keep_their_order():
+    # A wrong shape is refused where the generators are built, before any
+    # relation is checked; with the shape mended the violations keep their order.
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    rep = CliffordRep(3, (SIGMA_1, bad, np.eye(3)))
-    assert [v.kind for v in verify_rep(rep).violations] == ["hermiticity", "unitarity", "shape"]
+    with mock.patch.object(clifford, "_relation_violations", side_effect=AssertionError), \
+            pytest.raises(ModelFormatError, match=re.escape("generator 3 has shape (3, 3)")):
+        verify_rep(CliffordRep(3, (SIGMA_1, bad, np.eye(3))))
+    rep = CliffordRep(3, (SIGMA_1, bad, SIGMA_3))
+    kinds = ["hermiticity", "unitarity", "anti-commutation"]
+    assert [v.kind for v in verify_rep(rep).violations] == kinds
     assert_violations_match_dense(rep)
 
 
@@ -663,3 +685,29 @@ def test_a_representation_mixed_by_a_dense_unitary_takes_the_dense_products(d):
             with pytest.raises(InconsistentRepresentationError,
                                match=re.escape(f"not a Clifford representation: {message}")):
                 CliffordRep.from_payload(broken)
+
+
+def scaled(rep, factor=1e200):
+    return CliffordRep(rep.d, tuple(factor * g for g in rep.gammas))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rep", [scaled(build_rep(2)), scaled(build_rep(3)), scaled(fft_mixed(4)), scaled(fft_mixed(5))],
+    ids=["d2", "d3", "d4-mixed", "d5-mixed"],
+)
+def test_products_that_overflow_are_refused_without_a_warning(rep):
+    # Finite entries of 1e200 square to inf, and inf - inf is NaN, on the
+    # signed-permutation and the dense path alike: a NaN residual is not at
+    # most the tolerance, so it is a violation.
+    report = verify_rep(rep)
+    assert not report.ok
+    anti = [v.residual for v in report.violations if v.kind == "anti-commutation"]
+    assert len(anti) == rep.d * (rep.d - 1) // 2
+    assert all(math.isnan(r) for r in anti)
+    if rep.d % 2:
+        with pytest.raises(KgenError):
+            rep.to_payload()
+    else:
+        with pytest.raises(InconsistentRepresentationError, match="not a Clifford representation"):
+            grading_of(rep)

@@ -1,5 +1,6 @@
 """Matrix polynomial fields: evaluation, exact derivatives, transformations."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from kgen import clifford, generators
 from kgen._linalg import max_abs
 from kgen.errors import DimensionMismatchError, ModelFormatError
 from kgen.fields import EvaluableField, MatrixPolyField
+from kgen.serialize import json_text
 
 
 def random_poly_field(rng, ambient=3, size=2, degree=2, hermitian=False):
@@ -450,6 +452,22 @@ def test_powers_must_fit_a_signed_64_bit_integer():
 def test_powers_must_be_integers(terms, message):
     with pytest.raises(ModelFormatError, match="bad multi-index " + message):
         MatrixPolyField(2, 1, terms)
+
+
+def test_numpy_integer_dimensions_round_trip_through_json():
+    field = MatrixPolyField(np.int64(2), np.int64(1), {(1, 0): [[1.0]]})
+    assert (type(field.ambient_dim), type(field.size)) == (int, int)
+    back = MatrixPolyField.from_payload(json.loads(json_text(field.to_payload())))
+    assert back.to_payload() == field.to_payload()
+
+
+@pytest.mark.parametrize(
+    "ambient_dim, size", [(2.0, 1), (2, 1.0), (np.float64(2), 1)], ids=["dimension", "size", "numpy"]
+)
+def test_dimensions_must_be_integers(ambient_dim, size):
+    # A float dimension would be written to JSON as 2.0, which from_payload refuses.
+    with pytest.raises(ModelFormatError, match="'dimension' and 'size' must be integers"):
+        MatrixPolyField(ambient_dim, size, {(1, 0): [[1.0]]})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
