@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import os
 import sys
@@ -243,7 +244,16 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kgen`` argument parser, built at the first call and then shared:
+    every call, and so every :func:`main` call, returns the same parser, which
+    callers must not modify.  Building it is the costly part of a short
+    command (each ``add_argument`` makes a help formatter that queries the
+    terminal size); the parser keeps no state from one parse to the next.  Each
+    subcommand's ``set_defaults(func=...)`` binds its ``_cmd_*`` function once
+    per process, so a later rebinding of the module attribute is not seen.
+    """
     parser = _Parser(
         prog="kgen",
         description=(

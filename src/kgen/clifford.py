@@ -337,6 +337,10 @@ def handedness_of(rep: CliffordRep) -> str:
     as nothing requires ``rep`` to pass :func:`verify_rep`."""
     if rep.d % 2 == 0:
         raise ValueError("handedness is defined only for odd generator counts")
+    if rep.N == 0:  # the constructor accepts 0 x 0 generators; no product scalar to read
+        raise InconsistentRepresentationError(
+            "a representation of size N = 0 has no generator product scalar"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         prod = reduce(np.matmul, rep.gammas)
         lam = prod[0, 0]

@@ -1006,3 +1006,36 @@ def test_main_callable_directly(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["gammas"] == [[[[1.0, 0.0]]]]
+
+
+def test_the_parser_is_built_once_and_reused_safely(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["verify", "--suite", "index", "--d", "1", "--seed", "3"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    # A usage error and a help request in between leave the parser as it was.
+    assert main(["verify", "--suite", "nope"]) == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: kgen verify")
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert json.loads(first.out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, listed",
+    [
+        (["--help"], ["clifford", "generator", "verify", "charge", "scan"]),
+        (["scan", "--help"], ["--gap-map"]),
+    ],
+    ids=["kgen", "scan"],
+)
+def test_help_lists_the_commands_and_options(argv, listed, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: kgen") and captured.err == ""
+    assert all(word in captured.out for word in listed)
+    assert "--threads" not in captured.out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == captured.out

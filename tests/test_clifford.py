@@ -174,6 +174,15 @@ def test_handedness_requires_odd():
         handedness_of(build_rep(2))
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_handedness_refuses_size_zero(d):
+    # The constructor accepts 0 x 0 generators; their product has no (0, 0) entry.
+    rep = CliffordRep(d, (np.zeros((0, 0)),) * d)
+    for read in (handedness_of, lambda r: r.handedness, CliffordRep.to_payload):
+        with pytest.raises(InconsistentRepresentationError, match="size N = 0"):
+            read(rep)
+
+
 def test_handedness_rejects_non_scalar_product():
     rep = CliffordRep(d=3, gammas=(SIGMA_1, SIGMA_1, SIGMA_3))
     with pytest.raises(NotIrreducibleError):
