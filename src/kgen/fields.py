@@ -38,6 +38,15 @@ def unit_index(j: int, m: int) -> tuple:
     return tuple(alpha)
 
 
+def check_point(x, ambient_dim: int) -> np.ndarray:
+    """``x`` as a float array of shape (ambient_dim,), the one point that a
+    field's ``evaluate`` takes; any other shape is refused, by name."""
+    point = np.asarray(x, dtype=float)
+    if point.shape != (ambient_dim,):
+        raise DimensionMismatchError(f"a point must have shape {(ambient_dim,)}, got {point.shape}")
+    return point
+
+
 @dataclass(frozen=True)
 class MatrixPolyField:
     """Polynomial field  x -> sum_alpha x^alpha M_alpha  with N x N coefficients."""
@@ -84,7 +93,7 @@ class MatrixPolyField:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0]
+        return self.evaluate_batch(check_point(x, self.ambient_dim)[None])[0]
 
     def evaluate_batch(self, points, tangents=None, out=None):
         """Values (M, N, N) at (M, m) points; with tangents (M, k, m), the pair
@@ -329,7 +338,7 @@ class EvaluableField:
     evaluator: object = field(repr=False)
 
     def evaluate(self, x) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=float)[None])[0]
+        return self.evaluate_batch(check_point(x, self.ambient_dim)[None])[0]
 
     def evaluate_batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

@@ -30,7 +30,7 @@ from . import clifford, generators
 from ._linalg import CHUNK, dagger, func_of_hermitian, max_abs, operator_norm
 from ._linalg import sq_norms, sqrt_psd
 from .errors import DomainError, LiftInvalidError, PoleError
-from .fields import EvaluableField
+from .fields import EvaluableField, check_point
 from .sampling import ball_points, check_samples, seeded_rng, sphere_points
 from .serialize import suite_report
 
@@ -205,13 +205,40 @@ def exp_map(b_field, convention: str = "forward") -> EvaluableField:
     return EvaluableField(b_field.ambient_dim, b_field.size, evaluator)
 
 
+def _decompose(b_field, points: np.ndarray):
+    """The spectra of B at (M, m) ``points``: one batched evaluation and one
+    stacked ``eigh``, giving the eigenvectors (M, N, N), their adjoint, and
+    the (M, N, 5) terms of A_t that do not depend on t, for each eigenvalue v
+    of B(y) clipped to [-1, 1]: cos(pi v), sin(pi v), 2 v^2 - 1, v and
+    sqrt(1 - v^2), by the numpy ufunc formula.  A stacked ``eigh`` decomposes
+    each matrix as a call on it alone does, and the rows of
+    ``evaluate_batch`` have the bits of one-point calls, so each point's
+    spectrum is the same, whatever block it is taken in."""
+    vals, vecs = np.linalg.eigh(b_field.evaluate_batch(points))
+    v = np.clip(vals, -1.0, 1.0)
+    sq = v * v
+    terms = np.stack([np.cos(np.pi * v), np.sin(np.pi * v), 2.0 * sq - 1.0, v, np.sqrt(1.0 - sq)],
+                     axis=-1)
+    return vecs, dagger(vecs), terms
+
+
 # The last (field, (shape, bytes) of y, spectrum of B(y)) that homotopy_at
-# decomposed.  The spectrum is (vecs, dagger(vecs), parts), where parts holds,
-# for each eigenvalue v of B(y) clipped to [-1, 1], the terms of A_t that do
-# not depend on t: (cos(pi v), sin(pi v), 2 v^2 - 1, v, sqrt(1 - v^2)).  It is
-# replaced by one assignment, so a reader sees a whole tuple, and it holds the
-# field itself, so no other field can take its id.
+# used.  The spectrum is one point's row of :func:`_decompose`: (vecs,
+# dagger(vecs), parts), with parts that point's terms as Python floats, one
+# list of five per eigenvalue.  It is replaced by one assignment, so a reader
+# sees a whole tuple, and it holds the field itself, so no other field can
+# take its id.
 _last_spectrum = (None, None, None)
+
+
+def _keep_spectrum(b_field, y: np.ndarray, decomposed: tuple, i: int) -> tuple:
+    """Put row ``i`` of a :func:`_decompose` result, the spectrum at y, in
+    the slot, and return it."""
+    global _last_spectrum
+    vecs, vecs_h, terms = decomposed
+    spectrum = (vecs[i], vecs_h[i], terms[i].tolist())
+    _last_spectrum = (b_field, (y.shape, y.tobytes()), spectrum)
+    return spectrum
 
 
 def homotopy_at(b_field, t: float, y) -> np.ndarray:
@@ -224,41 +251,30 @@ def homotopy_at(b_field, t: float, y) -> np.ndarray:
     t = 1 this is the unitary -cos(pi B) + i sin(pi B); invertibility along the
     whole path is what :func:`homotopy_scan` samples via singular values.
 
-    The eigendecomposition of B(y), its adjoint and the t-independent terms
-    of each eigenvalue are kept for the last point: a call with the same
-    field object (``is``) and a y of the same shape and float bytes reuses
-    them, and any other call evaluates B(y), decomposes it and replaces them.
-    This assumes that a field is a function of its point, as every kgen field
-    is.  Calls that run through the t-values at one point, as
-    :func:`homotopy_scan` makes them, decompose each B(y) and take each
-    eigenvalue's cos, sin and sqrt once.
+    The spectrum of B(y) (:func:`_decompose`: eigenvectors, their adjoint
+    and each eigenvalue's t-independent terms) is kept for the last point:
+    a call with the same field object (``is``) and a y of the same shape and
+    float bytes reuses it, and any other call decomposes B at ``y[None]``
+    and replaces it.  This assumes that a field is a function of its point,
+    as every kgen field is.  :func:`homotopy_scan` fills the slot itself,
+    point by point, from each block's decomposition.
 
-    The scalar terms run on Python floats with :mod:`math` (a numpy ufunc on
-    a few eigenvalues costs more in call overhead than in arithmetic).  They
-    round the same operations in the same order as the numpy ufunc formula
-    (clip to [-1, 1], then the terms above), whose cos, sin and sqrt agree
-    with :mod:`math`'s to the bit, so each matrix keeps that formula's bits.
-    A non-finite t or y is refused; y is checked when it is decomposed, and
-    a reused y has the bytes of one that was checked.
+    Each call assembles its own matrix from the kept spectrum, doing only
+    the arithmetic in t, on Python floats, in the order of the numpy ufunc
+    formula (clip to [-1, 1], then the terms of :func:`_decompose`), so each
+    matrix has that formula's bits.  A y whose shape is not (ambient_dim,) and a non-finite
+    t or y are refused; y is checked when it is decomposed, and a reused y
+    has the bytes and shape of one that was checked.
     """
-    global _last_spectrum
     t, y = float(t), np.asarray(y, dtype=float)
     if not math.isfinite(t):
         raise DomainError(f"homotopy_at needs a finite t, got {t}")
-    key = (y.shape, y.tobytes())
     field, point, spectrum = _last_spectrum
-    if field is not b_field or point != key:
-        if not all(map(math.isfinite, y.ravel().tolist())):
+    if field is not b_field or point != (y.shape, y.tobytes()):
+        check_point(y, b_field.ambient_dim)
+        if not all(map(math.isfinite, y.tolist())):
             raise DomainError(f"homotopy_at needs a finite y, got {y.tolist()}")
-        vals, vecs = np.linalg.eigh(b_field.evaluate(y))
-        parts = []
-        for v in vals.tolist():
-            v = min(max(v, -1.0), 1.0)
-            sq = v * v
-            parts.append((math.cos(math.pi * v), math.sin(math.pi * v), 2.0 * sq - 1.0, v,
-                          math.sqrt(1.0 - sq)))
-        spectrum = (vecs, dagger(vecs), parts)
-        _last_spectrum = (b_field, key, spectrum)
+        spectrum = _keep_spectrum(b_field, y, _decompose(b_field, y[None]), 0)
     vecs, vecs_h, parts = spectrum
     w = 1.0 - t * t
     # 0.0 + imag, as numpy's real + 1j * imag rounds it: -0.0 becomes 0.0.
@@ -272,11 +288,13 @@ def homotopy_scan(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:
 
     Uses the Weyl contraction lift in d+1 ball variables.  PASS means the
     smallest singular value over the whole grid stays above 1e-3, i.e. the
-    deformation never leaves the invertibles.  Each matrix comes from
-    :func:`homotopy_at`, point by point within each block of :func:`_blocks`
-    with t as the inner loop, so one eigendecomposition of B(y) serves all
-    t-values; each t-value's matrices of a block then go to one batched SVD
-    call.
+    deformation never leaves the invertibles.  Each block of :func:`_blocks`
+    is decomposed once (:func:`_decompose`: one batched evaluation and one
+    stacked ``eigh``); then, point by point with t as the inner loop, the
+    point's row goes into :func:`homotopy_at`'s slot and each of its
+    matrices comes from :func:`homotopy_at`, assembled as a call at a kept
+    point assembles it.  Each t-value's matrices of a block then go to one
+    batched SVD call.
     """
     _check_level("homotopy", d)
     check_samples(samples)
@@ -289,7 +307,9 @@ def homotopy_scan(d: int = 2, samples: int = 1000, seed: int = 0) -> dict:
     # Allocated once and reused by every block; row k is the k-th t-value's stack.
     stacks = np.empty((len(ts), len(blocks[0]), lift.size, lift.size), dtype=complex)
     for block in blocks:
+        decomposed = _decompose(lift, block)
         for i, y in enumerate(block):
+            _keep_spectrum(lift, y, decomposed, i)
             for k, t in enumerate(ts):
                 stacks[k, i] = homotopy_at(lift, t, y)
         for stack in stacks[:, :len(block)]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ def test_failing_terms_on_the_zero_field_needs_exact_identities():
     field = MatrixPolyField(2, 2, {(0, 0): np.zeros((2, 2))})
     assert field.failing_terms(lambda m: 1.0) == [(0, 0)]
     assert field.failing_terms(lambda m: 0.0) == []
+
+
+@pytest.mark.parametrize("x, shape", [(0.5, "()"), ([[0.1, 0.2, 0.3]], "(1, 3)"),
+                                      ([0.1, 0.2], "(2,)"), (np.zeros((3, 1)), "(3, 1)")])
+def test_evaluate_refuses_a_point_of_the_wrong_shape_naming_it(x, shape):
+    weyl = generators.weyl_field(2, clifford.build_rep(3))
+    wrapped = EvaluableField(3, 2, weyl.evaluate_batch)
+    for field in (weyl, wrapped):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"shape (3,), got {shape}")):
+            field.evaluate(x)
+        point = [0.1, 0.2, 0.3]
+        assert field.evaluate(point).tobytes() == weyl.evaluate_batch([point]).tobytes()
 
 
 def test_tangent_shape_checks():

@@ -10,9 +10,9 @@ import pytest
 
 from kgen import clifford, generators, kmaps
 from kgen._linalg import CHUNK, func_of_hermitian
-from kgen.errors import DomainError, LiftInvalidError, PoleError
+from kgen.errors import DimensionMismatchError, DomainError, LiftInvalidError, PoleError
 from kgen.fields import EvaluableField, MatrixPolyField
-from kgen.sampling import ball_points
+from kgen.sampling import ball_points, seeded_rng
 
 
 def scalar_field(terms, ambient=2):
@@ -309,9 +309,11 @@ def test_homotopy_scan_stays_invertible():
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-@pytest.mark.parametrize("d", [0, 2, 4])
+@pytest.mark.parametrize("d", [0, 2, 4, 6, 12])
 def test_homotopy_scan_minimum_matches_a_per_point_loop(d, seed):
-    samples = 150
+    # At d = 6 and 12 the samples span three blocks (of 256 and of 4 points),
+    # so a slip at a block boundary changes the minimum's bits.
+    samples = {6: 600, 12: 9}.get(d, 150)
     lift = disc_weyl_lift(d)
     points = ball_points(d + 1, samples, np.random.default_rng(seed))
     expected = min(
@@ -383,6 +385,44 @@ def test_homotopy_at_never_serves_a_stale_spectrum():
             check(MatrixPolyField(3, 1, {(0, 0, 0): np.array([[c]])}), y, t)
 
 
+def test_homotopy_at_never_serves_a_stale_spectrum_after_a_scan(monkeypatch):
+    # homotopy_scan fills homotopy_at's slot from each block's decomposition.
+    # After a scan at d = 12 (blocks of 4, 4 and 1 points), a call at the last
+    # point takes the kept spectrum, and a call at a point of an earlier block,
+    # with a twin of the lift, or at the last point with -0.0 for its 0.0
+    # decomposes anew; each gives the bits of a fresh decomposition.
+    d, samples = 12, 9
+    points = ball_points(d + 1, samples, seeded_rng(0))
+    points[-1, 2] = 0.0
+    monkeypatch.setattr(kmaps, "ball_points", lambda *args, **kwargs: points.copy())
+    negative_zero = points[-1].copy()
+    negative_zero[2] = -0.0
+    twin = disc_weyl_lift(d)
+    cases = {"last point": (None, points[-1]), "earlier block": (None, points[2]),
+             "twin field": (twin, points[-1]), "negative zero": (None, negative_zero)}
+    for t in (0.0, 0.7, 1.0):
+        for name, (field, y) in cases.items():
+            kmaps.homotopy_scan(d, samples=samples)
+            lift, kept, _ = kmaps._last_spectrum
+            assert kept == (points[-1].shape, points[-1].tobytes())
+            field = lift if field is None else field
+            got = kmaps.homotopy_at(field, t, y)
+            assert got.tobytes() == clip_power_homotopy(field.evaluate(y), t).tobytes(), name
+            assert kmaps._last_spectrum[0] is field, name
+            assert kmaps._last_spectrum[1] == (y.shape, y.tobytes()), name
+
+
+@pytest.mark.parametrize("y, shape",
+                         [(0.5, "()"), ([[0.1, 0.2, 0.3]], "(1, 3)"), ([0.1, 0.2], "(2,)")])
+def test_homotopy_at_refuses_a_point_of_the_wrong_shape_naming_it(y, shape):
+    lift, kept = disc_weyl_lift(2), np.array([0.1, 0.2, 0.3])
+    expected = kmaps.homotopy_at(lift, 0.5, kept)
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"shape (3,), got {shape}")):
+        kmaps.homotopy_at(lift, 0.5, y)
+    # (1, 3) has the kept point's bytes; the kept shape tells them apart.
+    assert kmaps.homotopy_at(lift, 0.5, kept).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("d", kmaps._LEVELS["homotopy"])
 def test_homotopy_at_matches_the_closed_form_on_the_weyl_lift(d):
     # The Weyl lift has B(y)^2 = r^2 I with r = ||y||, so with no
@@ -430,17 +470,32 @@ def test_homotopy_at_refuses_a_non_finite_y_right_after_a_finite_one():
 
 
 def test_homotopy_scan_takes_each_eigenvalues_scalar_terms_once(monkeypatch):
-    expected = kmaps.homotopy_scan(2, samples=50)
-    cosines, eighs = [], []
+    # One decomposition per block: one stacked eigh of the block's (len(block),
+    # N, N) values, and one cos over its eigenvalues; no per-point scalar work.
+    expected = kmaps.homotopy_scan(6, samples=600)
+    cosines, eighs, math_cosines = [], [], []
     spy_math = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
-    spy_math.cos = lambda x: (cosines.append(x), math.cos(x))[1]
-    eigh = np.linalg.eigh
+    spy_math.cos = lambda x: (math_cosines.append(x), math.cos(x))[1]
+    eigh, cos = np.linalg.eigh, np.cos
     monkeypatch.setattr(kmaps, "math", spy_math)
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (eighs.append(np.shape(a)), eigh(a))[1])
-    assert kmaps.homotopy_scan(2, samples=50) == expected
-    # Two eigenvalues per point, 11 t-values sharing them.
-    assert len(cosines) == 2 * 50
-    assert eighs == [(2, 2)] * 50
+    monkeypatch.setattr(np, "cos", lambda a: (cosines.append(np.shape(a)), cos(a))[1])
+    assert kmaps.homotopy_scan(6, samples=600) == expected
+    assert eighs == [(256, 8, 8), (256, 8, 8), (88, 8, 8)]
+    assert cosines == [(256, 8), (256, 8), (88, 8)]
+    assert math_cosines == []
+
+
+def test_homotopy_scan_memory_is_bounded_by_its_blocks():
+    # Four blocks of 1,024 points at N = 4: the stacks of one block, not of
+    # all 3,073 points, and each block's spectra as arrays.
+    tracemalloc.start()
+    try:
+        assert kmaps.homotopy_scan(4, samples=3073)["pass"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def spy_svd(monkeypatch):
