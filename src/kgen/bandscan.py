@@ -11,6 +11,7 @@ winding of the chiral off-diagonal block on the enclosing circle for m = 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -244,9 +245,10 @@ def _gap_batch(model: BandModel, points: np.ndarray) -> np.ndarray:
 
 def _box_grid(box, dim: int, n: int):
     """Validated box and the n values of each of its axes, ``(box, axes)``;
-    no point array (:func:`_grid_gaps` builds the points chunk by chunk).  A
-    grid of more than ``charge.MAX_GRID_NODES`` nodes is refused before
-    anything is allocated."""
+    no point array (:func:`_grid_gaps` builds the points chunk by chunk).  n
+    must be an integer of at least 2, and each interval's width hi - lo a
+    finite float.  A grid of more than ``charge.MAX_GRID_NODES``
+    nodes is refused before anything is allocated."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != dim:
         raise ValueError(f"box must have {dim} (lo, hi) pairs")
@@ -254,6 +256,13 @@ def _box_grid(box, dim: int, n: int):
         raise ValueError(f"box bounds must be finite, got {box}")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box intervals must be nondegenerate")
+    for axis, (lo, hi) in enumerate(box, start=1):
+        if not math.isfinite(hi - lo):
+            raise ValueError(
+                f"box axis {axis} from {lo!r} to {hi!r} is too wide: hi - lo overflows"
+            )
+    if not isinstance(n, (int, np.integer)) or n < 2:  # so True and False too
+        raise ValueError(f"grid must be an integer n >= 2 per axis, got n = {n!r}")
     nodes = int(n) ** dim  # a Python int, which cannot wrap as numpy's int64 would
     if nodes > charge_mod.MAX_GRID_NODES:
         raise ValueError(f"grid {n} is too fine: its box grid in {dim}-D has {nodes} nodes, "

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bandscan, clifford, generators, kmaps
 from .errors import KgenError
-from .serialize import json_text, matrix_to_json
+from .serialize import json_text, matrix_to_json, repr_ascii
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -171,27 +171,27 @@ def _parse_box(values, dim: int):
 def _write_gap_map(handle, axes, gaps: np.ndarray) -> None:
     """Write the ``(axes, gaps)`` of ``bandscan.gap_map`` to ``handle`` as CSV.
 
-    Rows run over the grid in C order (last coordinate fastest).  Each axis
-    value is formatted once, the n^(dim-1) trailing coordinate strings are
-    joined once, and only the gaps are formatted per row.  A leading-axis
-    slab of k = n^(dim-1) rows is one ``"".join`` of 4k parts (lead, tail,
-    gap, newline) held in one list, in which only the lead and gap slots
-    change from slab to slab; so no per-row string is built.  Each slab is
-    written as soon as it is joined, so the file costs one slab of text, the
-    part list, the trailing strings and the gap array (one float per node),
-    and no row array.  Floats are ``repr``, as ``csv.writer`` would write them.
+    Rows run over the grid in C order (last coordinate fastest), and every
+    float is ``repr``, as ``csv.writer`` would write it.  Each axis value is
+    formatted once with ``repr``, and the n^(dim-1) trailing coordinate
+    strings are joined once, as rows of a zero-padded byte array.  The rows
+    of a leading-axis slab are one uint8 array (lead, trailing coordinates,
+    the gaps' text from ``serialize.repr_ascii``, newline), written as one
+    string once its zero bytes are dropped.  So the file costs the bytes of
+    one slab, the trailing coordinates and the gap array (one float per
+    node), and no per-row Python object.
     """
     coords = [[repr(v) + "," for v in axis.tolist()] for axis in axes]
     tails = ["".join(parts) for parts in itertools.product(*coords[1:])]
+    tails = np.array(tails, dtype=bytes).view(np.uint8).reshape(len(tails), -1)
+    newline = np.full((len(tails), 1), ord("\n"), dtype=np.uint8)
     handle.write(",".join([f"x{i + 1}" for i in range(gaps.ndim)] + ["gap"]) + "\n")
-    k = len(tails)
-    parts = [""] * (4 * k)
-    parts[1::4] = tails
-    parts[3::4] = ["\n"] * k
     for lead, slab in zip(coords[0], gaps):
-        parts[0::4] = [lead] * k
-        parts[2::4] = map(repr, slab.ravel().tolist())
-        handle.write("".join(parts))
+        lead = np.frombuffer(lead.encode("ascii"), dtype=np.uint8)
+        lead = np.broadcast_to(lead, (len(tails), lead.size))
+        rows = np.concatenate([lead, tails, repr_ascii(slab.reshape(-1)), newline], axis=1)
+        handle.write(str(rows[rows != 0], "ascii"))
+        del rows  # not held while the next slab's text is made
 
 
 def _cmd_scan(args) -> int:

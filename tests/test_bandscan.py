@@ -863,6 +863,31 @@ def test_a_box_grid_beyond_the_node_bound_is_refused(call, nodes):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bandscan.gap_map(weyl_model(), [(-1, 1), (-1e308, 1e308), (-1, 1)], 8),
+         r"^box axis 2 from -1e\+308 to 1e\+308 is too wide: hi - lo overflows$"),
+        (lambda: bandscan.gap_map(weyl_model(), [(-1, 1)] * 3, 0), r"got n = 0$"),
+        (lambda: bandscan.gap_map(weyl_model(), [(-1, 1)] * 3, -1), r"got n = -1$"),
+        (lambda: bandscan.gap_map(weyl_model(), [(-1, 1)] * 3, 1), r"got n = 1$"),
+        (lambda: bandscan.gap_map(weyl_model(), [(-1, 1)] * 3, True), r"got n = True$"),
+        (lambda: bandscan.gap_map(weyl_model(), [(-1, 1)] * 3, 8.5), r"got n = 8.5$"),
+        (lambda: find_crossings(weyl_model(), [(-1, 1)] * 3, 8.5), r"got n = 8.5$"),
+        (lambda: find_crossings(weyl_model(), [(-1, 1)] * 3, True),
+         r"^coarse grid must have at least 8 points per axis, got True$"),
+    ],
+    ids=["width-overflows", "n=0", "n=-1", "n=1", "n=True", "n=8.5",
+         "find_crossings-n=8.5", "find_crossings-n=True"],
+)
+def test_a_box_grid_refuses_an_unusable_box_or_grid_size(call, message):
+    # Unrefused, the overflowing width reached linspace (two RuntimeWarnings,
+    # then a NaN grid blamed on the model), n = 0 and True gave an empty and a
+    # one-node map, and -1 and 8.5 raised numpy's errors, naming no grid.
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- known wrong answers -------------------------------------------------------
 # Each test asserts the right answer and is a strict xfail while its ROADMAP
 # item stands, so the change that mends the defect must drop the marker.

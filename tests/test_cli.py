@@ -596,6 +596,19 @@ def test_overflowing_gap_rejected(two_weyl_path, capsys, command, extra):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_box_wider_than_a_float_exits_2(weyl_path, tmp_path, capsys):
+    # hi - lo = 2e308 overflows: unrefused, linspace warned twice and the NaN
+    # grid was blamed on the model ("gap is not finite at [nan, nan, nan]").
+    target = tmp_path / "g.csv"
+    argv = ["scan", weyl_path, "--grid", "8", "--box", "-1e308", "1e308", "--gap-map", str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: box axis 1 from -1e+308 to 1e+308 is too wide: hi - lo overflows\n"
+    assert not target.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_gap_rejected_on_a_four_band_sector(two_weyl_path, tmp_path, capsys):
     # The two-Weyl model beside twice itself, mixed by a dense unitary into one
     # 4 x 4 sector: its gap goes to eigvalsh, which must not be given the
@@ -721,33 +734,64 @@ def chiral_dirac_path(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "model, grid, box",
-    [
-        ("two_weyl_path", 8, None),
-        ("chiral_dirac_path", 9, None),
-        ("two_weyl_path", 9, ["-0.3", "0.7", "-2", "1e-3", "0", "5e-7"]),
-        ("two_weyl_path", 8, ["-1", "-0.0"]),
-    ],
-    ids=["two-weyl", "chiral-2d-odd-grid", "per-axis-box", "negative-zero-bound"],
-)
-def test_gap_map_csv_matches_csv_writer(request, tmp_path, model, grid, box):
-    # The CSV writer the gap map used to go through, kept as the reference.
-    model_path = request.getfixturevalue(model)
-    path = tmp_path / "gap.csv"
-    argv = ["scan", model_path, "--grid", str(grid), "--gap-map", str(path)]
-    assert main(argv + (["--box", *box] if box else [])) == 0
-    loaded = bandscan.load_model(model_path)
-    dim = loaded.dimension
-    bounds = cli._parse_box(None if box is None else [float(v) for v in box], dim)
+def csv_reference(axes, gaps) -> str:
+    """The gap map as the CSV writer it used to go through writes it, every
+    float ``repr``: the reference for the writer's text."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([f"x{i + 1}" for i in range(dim)] + ["gap"])
-    axes, gaps = bandscan.gap_map(loaded, bounds, grid)
+    writer.writerow([f"x{i + 1}" for i in range(gaps.ndim)] + ["gap"])
     for index in np.ndindex(gaps.shape):
         row = [axis[i] for axis, i in zip(axes, index)] + [gaps[index]]
         writer.writerow([repr(float(v)) for v in row])
-    assert path.read_text(encoding="utf-8") == buffer.getvalue()
+    return buffer.getvalue()
+
+
+def scaled_model_path(request, tmp_path, spec: str) -> str:
+    """Path of the fixture model ``spec``, or for ``"name*c"`` of fixture
+    ``name`` with every coefficient multiplied by c."""
+    name, _, scale = spec.partition("*")
+    path = request.getfixturevalue(name)
+    if not scale:
+        return path
+    model = bandscan.load_model(path)
+    terms = {alpha: float(scale) * c for alpha, c in model.field.terms.items()}
+    field = dataclasses.replace(model.field, terms=terms)
+    path = tmp_path / f"scaled-{scale}.json"
+    bandscan.save_model(dataclasses.replace(model, field=field), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "model, grid, box, code",
+    [
+        ("two_weyl_path", 8, None, 0),
+        ("chiral_dirac_path", 9, None, 0),
+        ("two_weyl_path", 9, ["-0.3", "0.7", "-2", "1e-3", "0", "5e-7"], 0),
+        ("two_weyl_path", 8, ["-1", "-0.0"], 0),
+        ("weyl_path", 9, None, 0),
+        ("weyl_path*1e-9", 8, None, 1),
+        ("weyl_path*1e-120", 8, None, 1),
+        ("weyl_path*1e20", 8, None, 0),
+        ("weyl_path*1e100", 8, None, 0),
+    ],
+    ids=["two-weyl", "chiral-2d-odd-grid", "per-axis-box", "negative-zero-bound",
+         "zero-gap-on-a-node", "gaps-1e-9", "gaps-1e-120", "gaps-1e20",
+         "gaps-1e100"],
+)
+def test_gap_map_csv_matches_csv_writer(request, tmp_path, model, grid, box, code):
+    # The gap texts reach every layout of repr: 0.0 (the crossing on a node of
+    # the odd grid), fixed notation, and exponents of 2 and 3 digits of both
+    # signs.  At scales 1e-9 and 1e-120 the absolute gap bounds (ROADMAP
+    # item 21) fail the crossing's charge, so the scan exits 1; its map is
+    # written all the same.
+    model_path = scaled_model_path(request, tmp_path, model)
+    path = tmp_path / "gap.csv"
+    argv = ["scan", model_path, "--grid", str(grid), "--gap-map", str(path)]
+    assert main(argv + (["--box", *box] if box else [])) == code
+    loaded = bandscan.load_model(model_path)
+    bounds = cli._parse_box(None if box is None else [float(v) for v in box], loaded.dimension)
+    axes, gaps = bandscan.gap_map(loaded, bounds, grid)
+    assert path.read_text(encoding="utf-8") == csv_reference(axes, gaps)
 
 
 @pytest.mark.parametrize("model", ["two_weyl_path", "chiral_dirac_path"])
@@ -763,13 +807,7 @@ def test_gap_map_is_written_one_slab_at_a_time(request, model):
     assert len(writes) == 1 + n
     for slab in writes[1:]:
         assert slab.endswith("\n") and slab.count("\n") == n ** (gaps.ndim - 1)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([f"x{i + 1}" for i in range(gaps.ndim)] + ["gap"])
-    for index in np.ndindex(gaps.shape):
-        row = [axis[i] for axis, i in zip(axes, index)] + [gaps[index]]
-        writer.writerow([repr(float(v)) for v in row])
-    assert "".join(writes) == buffer.getvalue()
+    assert "".join(writes) == csv_reference(axes, gaps)
 
 
 def test_gap_map_writer_memory_stays_below_half_the_csv(two_weyl_path, tmp_path):
